@@ -52,6 +52,7 @@ from .drbsde import (
     PicardTrace,
     SolutionSeptuple,
     assemble_solution,
+    dynkin_recursion,
     mokobodzki_certificate,
     minimality_check,
     mutually_singular,

@@ -1,8 +1,10 @@
 """Scenario-driven command line frontend.
 
 Modes: solve, verify, oracle, estimate, formula-check, certificate, corpus.
-Exit codes: 0 all asserted clauses pass; 2 config invalid; 3 divergence
-(no discrete certificate); 4 verification failure; 5 oracle mismatch.
+Exit codes: 0 all asserted clauses pass; 2 config invalid; 3 divergence (the
+outer loop for a Lipschitz driver hit ``max_outer``, or the Picard oracle of
+``--mode oracle``/``--mode certificate`` hit its cap); 4 verification failure;
+5 oracle mismatch.
 Reports are JSON (timings under their own key so re-runs are byte-identical
 elsewhere), process dumps are CSV.
 """
@@ -78,8 +80,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="pdrbsde_out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--arithmetic", choices=["rational", "float"], default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None,
+                   help="outer-loop tolerance for Lipschitz drivers; stopping "
+                        "tolerance of the Picard oracle")
+    p.add_argument("--max-iter", type=int, default=None,
+                   help="iteration cap of the Picard oracle (oracle and certificate modes)")
     p.add_argument("--count", type=int, default=None,
                    help="corpus size / formula-check trial count")
     p.add_argument("--pairs", type=int, default=20, help="estimate-mode perturbation pairs")
@@ -164,26 +169,31 @@ def _solve_scenario(scenario: Scenario):
         sol, outer = solve_general(
             scenario.driver, scenario.barriers, params,
             tol=max(cfg.params.tol, 1e-12), max_outer=cfg.params.max_outer,
-            inner_tol=cfg.params.tol, max_iter=cfg.params.max_iter,
             probe_seed=cfg.seed,
         )
         g = scenario.driver.freeze(scenario.space, sol.y, sol.z)
         return sol, g, {"outer": outer.to_json_dict()}
-    sol, trace = solve_driver_process(
-        scenario.barriers, scenario.g, tol=cfg.params.tol,
-        max_iter=cfg.params.max_iter, divergence_bound=cfg.params.divergence_bound,
-    )
-    return sol, scenario.g, {"picard": trace.to_json_dict()}
+    sol, _ = solve_driver_process(scenario.barriers, scenario.g)
+    return sol, scenario.g, {}
+
+
+def _gate_tol(scenario: Scenario, float_tol: float = 1e-10):
+    """The tolerance solve, verify and certificate hold a solution to.
+
+    Float runs keep the backend's gate.  Rational runs are exact for a process
+    driver; a Banach fixed point for a (y,z)-dependent driver is only reached
+    within the outer tolerance, so the re-evaluated equation cannot be exact.
+    """
+    if scenario.space.mode == "float":
+        return float_tol
+    return 1e-10 if scenario.has_general_driver else 0
 
 
 def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
     t0 = time.time()
     scenario = realize(config)
     sol, g, trace = _solve_scenario(scenario)
-    # A Banach fixed point is only ever reached within the outer tolerance, so
-    # with a (y,z)-dependent driver the re-evaluated equation cannot be exact.
-    verify_tol = None if not scenario.has_general_driver else 1e-10
-    report = verify_drbsde_solution(g, scenario.barriers, sol, tol=verify_tol)
+    report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     _dump_solution(out_dir, sol, g)
     dump_space_json(scenario.space, str(out_dir / "space.json"))
     run = RunReport(
@@ -309,7 +319,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
     g_rows = _load_integrand(space, out_dir / "driver_g.csv")
     sol = SolutionSeptuple(y=procs["Y"], z=z, m=procs["M"], a=procs["A"], b=procs["B"],
                            a_prime=procs["A_prime"], b_prime=procs["B_prime"])
-    report = verify_drbsde_solution(list(g_rows.z), scenario.barriers, sol)
+    report = verify_drbsde_solution(list(g_rows.z), scenario.barriers, sol,
+                                    tol=_gate_tol(scenario))
     (out_dir / "verify_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"[{config.name}] verify: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -383,13 +394,11 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
             f"expected on coarse grids",
             file=sys.stderr,
         )
-    base_sol, _ = solve_driver_process(scenario.barriers, scenario.g, tol=cfg.params.tol,
-                                       max_iter=cfg.params.max_iter)
+    base_sol, _ = solve_driver_process(scenario.barriers, scenario.g)
     rows, violations = [], 0
     for i in range(pairs):
         g_bar = perturb_driver(scenario.space, scenario.g, seed=cfg.seed * 1000 + i)
-        sol_bar, _ = solve_driver_process(scenario.barriers, g_bar, tol=cfg.params.tol,
-                                          max_iter=cfg.params.max_iter)
+        sol_bar, _ = solve_driver_process(scenario.barriers, g_bar)
         rep = apriori_estimate_check(
             base_sol, sol_bar, scenario.g, g_bar,
             beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c,
@@ -461,7 +470,7 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
 
     ok_pss = (is_predictable_strong_supermartingale(h, enumeration_check=False)
               and is_predictable_strong_supermartingale(hbar, enumeration_check=False))
-    tol = 0.0 if scenario.space.mode == "rational" else 1e-9
+    tol = _gate_tol(scenario, float_tol=1e-9)
     diff = p_sub(h, hbar, kind="predictable")
     sandwich_dev = 0.0
     for k in range(scenario.space.n_steps + 1):

@@ -127,10 +127,12 @@ class SolverParams:
     beta: float = 5.0
     eps: float = 0.5
     c: float = 2.0
-    tol: float = 0.0          # 0 means iterate to exact stabilization
-    max_iter: int | None = None  # None -> 10 * N * path_count
+    # outer-loop tolerance (floored at 1e-12) and the Picard oracle's stopping
+    # tolerance (0 means iterate to exact stabilization)
+    tol: float = 0.0
+    max_iter: int | None = None  # Picard oracle cap; None -> 10 * N * path_count
     max_outer: int = 50
-    divergence_bound: float = 1e9
+    divergence_bound: float = 1e9  # Picard oracle sup-norm bound
 
 
 @dataclass(frozen=True)

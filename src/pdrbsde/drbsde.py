@@ -1,6 +1,15 @@
-"""Doubly reflected solver: shifted barriers, coupled Picard scheme, assembly.
+"""Doubly reflected solver: one backward Dynkin sweep, with Picard as its oracle.
 
-Pipeline for a driver given as a process (no (y,z) dependence):
+Production path for a driver given as a process (no (y,z) dependence):
+``dynkin_recursion`` runs one backward sweep of the pinch rule
+Y = (pY+ v xi) ^ zeta on the slot grid (Neveu's discrete Dynkin-game
+recursion) and reads the other six components off Y.  ``solve_driver_process``
+runs it by default, and the outer loop for Lipschitz drivers calls it once
+per outer step.
+
+Oracle path (``solve_driver_process(..., order="jacobi"|"gauss-seidel")``,
+``--mode oracle``, ``--mode certificate`` and the tests), the paper's
+construction:
 
 1. ``shift_barriers``: subtract the plain predictable part
    X_k = E[xi_N + dt * sum_{j>=k} g_j | sigma_minus[k]] from both barriers;
@@ -16,8 +25,9 @@ Pipeline for a driver given as a process (no (y,z) dependence):
    which preserves A - A' and B - B' and makes the increment supports
    disjoint.
 
+Both paths give identical components in rational mode.
 ``verify_drbsde_solution`` re-checks every clause of the solution definition
-and is the acceptance oracle for the solver.
+and is the acceptance oracle for either.
 """
 
 from __future__ import annotations
@@ -97,17 +107,6 @@ class PicardTrace:
     monotone_violations: int = 0
     fixed_point_residual: float = 0.0
     order: str = "jacobi"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "deltas": [float(d) for d in self.deltas],
-            "sup_norms": [float(s) for s in self.sup_norms],
-            "monotone_violations": self.monotone_violations,
-            "fixed_point_residual": float(self.fixed_point_residual),
-            "order": self.order,
-        }
 
 
 @dataclass(frozen=True)
@@ -289,12 +288,10 @@ def assemble_solution(
     jbar: LadlagProcess,
     g: list,
     barriers: BarrierPair,
-    tol: float | None = None,
 ) -> SolutionSeptuple:
     """Build the full solution from a converged pair (J, Jbar)."""
     space = j.space
-    if tol is None:
-        tol = 0.0 if space.mode == "rational" else 1e-9
+    tol = 0.0 if space.mode == "rational" else 1e-9
     xi_t, zeta_t = shift_barriers(barriers, g)
     resid = fixed_point_residual(j, jbar, xi_t, zeta_t)
     if resid > tol:
@@ -386,7 +383,8 @@ def _jordan_reduce_pd(b_raw: LadlagProcess, b2_raw: LadlagProcess):
     )
 
 
-def _pd_from_jumps(space, jumps) -> LadlagProcess:
+def _pd_from_jumps(space, jumps, kind="purely-discontinuous-predictable") -> LadlagProcess:
+    """Cadlag running sum of instant jumps, no interval variation, validated as ``kind``."""
     n = space.n_steps
     run = space.zero()
     minus, mid, plus = [], [], []
@@ -396,27 +394,96 @@ def _pd_from_jumps(space, jumps) -> LadlagProcess:
         mid.append(list(run))
         if k < n:
             plus.append(list(run))
-    return from_slots(space, minus, mid, plus, kind="purely-discontinuous-predictable")
+    return from_slots(space, minus, mid, plus, kind=kind)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass Dynkin recursion (production path)
+
+
+def _clamp(xs, lo, hi) -> list:
+    return v.vmin(v.vmax(xs, lo), hi)
+
+
+def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
+    """All seven components from one backward sweep of the pinch rule.
+
+    With clamp(x, lo, hi) = min(max(x, lo), hi):
+
+        Y_N     = xi_N,  Y_{N-} = clamp(Y_N, xi_{N-}, zeta_{N-})
+        Y_{k+}  = clamp(E[Y_{(k+1)-} | sigma_mid[k]] + g_k dt, xi_{k+}, zeta_{k+})
+        Y_k     = clamp(E[Y_{k+} | sigma_minus[k]], xi_k, zeta_k)
+        Y_{k-}  = clamp(Y_k, xi_{k-}, zeta_{k-})          (Y_{0-} = Y_0)
+
+    and the rest is read off Y (these are the identities the verifier's
+    ``jump_identities`` clause checks):
+
+        Z_k          = E[Y_{(k+1)-} dW_k | sigma_mid[k]] / dt
+        dM_k         = Y_{k+} - E[Y_{k+} | sigma_minus[k]]   (instant jump only)
+        dA_k, dA'_k  = negative, positive part of Y_k - Y_{k-}
+        a_k, a'_k    = positive, negative part of
+                       Y_{k+} - E[Y_{(k+1)-} | sigma_mid[k]] - g_k dt   (interval)
+        dB_k, dB'_k  = positive, negative part of Y_k - E[Y_{k+} | sigma_minus[k]]
+
+    The inputs are taken as validated (``solve_driver_process`` does that);
+    A, A', B and B' are validated in their classes and M as a martingale.
+    """
+    xi, zeta = barriers.xi, barriers.zeta
+    space, n = xi.space, xi.n_steps
+    dt = space.dt
+    inv_dt = 1 / dt
+    zero = space.zero()
+    y_minus, y_mid, y_plus = [None] * (n + 1), [None] * (n + 1), [None] * n
+    z, drift = [None] * n, [None] * n
+    m_jumps, gap = [None] * n + [zero], [None] * n + [zero]
+    y_mid[n] = list(xi.mid[n])
+    y_minus[n] = _clamp(y_mid[n], xi.minus[n], zeta.minus[n])
+    for k in range(n - 1, -1, -1):
+        nxt = y_minus[k + 1]
+        cont = cond_expect(space, nxt, space.sigma_mid[k])
+        z[k] = v.smul(inv_dt, cond_expect(space, v.mul(nxt, space.dw[k]), space.sigma_mid[k]))
+        free = v.add(cont, v.smul(dt, g[k]))
+        y_plus[k] = _clamp(free, xi.plus[k], zeta.plus[k])
+        drift[k] = v.sub(y_plus[k], free)
+        proj = cond_expect(space, y_plus[k], space.sigma_minus[k])
+        m_jumps[k] = v.sub(y_plus[k], proj)
+        y_mid[k] = _clamp(proj, xi.mid[k], zeta.mid[k])
+        gap[k] = v.sub(y_mid[k], proj)
+        y_minus[k] = _clamp(y_mid[k], xi.minus[k], zeta.minus[k])
+    y_minus[0] = list(y_mid[0])
+
+    left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
+    return SolutionSeptuple(
+        y=from_slots(space, y_minus, y_mid, y_plus, kind="predictable", validate=False),
+        z=IntegrandProcess(space=space, z=tuple(z)),
+        m=_pd_from_jumps(space, m_jumps, kind="cadlag-martingale"),
+        a=_fv_from_increments(space, [v.neg_part(d) for d in left],
+                              [v.pos_part(d) for d in drift]),
+        b=_pd_from_jumps(space, [v.pos_part(d) for d in gap]),
+        a_prime=_fv_from_increments(space, [v.pos_part(d) for d in left],
+                                    [v.neg_part(d) for d in drift]),
+        b_prime=_pd_from_jumps(space, [v.neg_part(d) for d in gap]),
+    )
 
 
 def solve_driver_process(
     barriers: BarrierPair,
     g: list,
-    tol: float = 0.0,
-    max_iter: int | None = None,
-    order: str = "jacobi",
-    divergence_bound: float = 1e9,
-) -> tuple[SolutionSeptuple, PicardTrace]:
-    """Full pipeline for a process driver: shift, iterate, assemble."""
+    order: str | None = None,
+) -> tuple[SolutionSeptuple, PicardTrace | None]:
+    """Validate the inputs and solve for a process driver.
+
+    By default this is ``dynkin_recursion`` and the trace is None.  ``order``
+    ("jacobi" or "gauss-seidel") runs the Picard oracle instead: shift the
+    barriers, iterate to exact stabilization, assemble; its trace is returned.
+    """
     barriers.validate()
     validate_driver_process(barriers.xi.space, g)
+    if order is None:
+        return dynkin_recursion(barriers, g), None
     xi_t, zeta_t = shift_barriers(barriers, g)
-    j, jbar, trace = picard_coupled(
-        xi_t, zeta_t, tol=tol, max_iter=max_iter, order=order, divergence_bound=divergence_bound
-    )
-    assemble_tol = None if tol == 0 else max(float(tol) * 4, 1e-9)
-    sol = assemble_solution(j, jbar, g, barriers, tol=assemble_tol)
-    return sol, trace
+    j, jbar, trace = picard_coupled(xi_t, zeta_t, order=order)
+    return assemble_solution(j, jbar, g, barriers), trace
 
 
 # ---------------------------------------------------------------------------

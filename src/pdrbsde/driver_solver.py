@@ -1,8 +1,8 @@
 """General Lipschitz drivers: weighted norms and the outer fixed-point loop.
 
 The outer map freezes the driver along the current iterate, g_k :=
-driver(t_k, U_k, V_k), solves the resulting process-driver problem with the
-coupled Picard scheme, and reads the new iterate off the solution.  Under
+driver(t_k, U_k, V_k), solves the resulting process-driver problem with one
+backward Dynkin sweep, and reads the new iterate off the solution.  Under
 2K(1+T)eps^2(3 + 16c^2) < 1 with beta > 1/eps^2 the map contracts in the
 combined norm |||Y|||_beta^2 + ||Z||_beta^2; the observed per-step ratio is
 recorded and asserted < 1 rather than trusting any symbolic constant.
@@ -167,7 +167,6 @@ class OuterTrace:
     converged: bool = False
     deltas: list = field(default_factory=list)          # combined-norm deltas
     ratios: list = field(default_factory=list)          # per-step contraction ratios
-    inner_iterations: list = field(default_factory=list)
     contraction_modulus: float = 0.0
     base_norm: float = 0.0
     lipschitz_probe: float = 0.0
@@ -179,7 +178,6 @@ class OuterTrace:
             "converged": self.converged,
             "deltas": self.deltas,
             "ratios": self.ratios,
-            "inner_iterations": self.inner_iterations,
             "contraction_modulus": self.contraction_modulus,
             "base_norm": self.base_norm,
             "lipschitz_probe": self.lipschitz_probe,
@@ -192,8 +190,6 @@ def solve_general(
     params: ContractionParams,
     tol: float = 1e-12,
     max_outer: int = 50,
-    inner_tol: float = 0.0,
-    max_iter: int | None = None,
     probe_seed: int = 0,
 ) -> tuple[SolutionSeptuple, OuterTrace]:
     """Banach iteration: freeze the driver, solve, re-freeze, until fixed.
@@ -217,10 +213,7 @@ def solve_general(
     sol: SolutionSeptuple | None = None
     for it in range(1, max_outer + 1):
         g = driver.freeze(space, u, vz)
-        sol, inner = solve_driver_process(
-            barriers, g, tol=inner_tol, max_iter=max_iter
-        )
-        trace.inner_iterations.append(inner.iterations)
+        sol, _ = solve_driver_process(barriers, g)
         trace.frozen_g = g
         du = p_sub(sol.y, u, kind="predictable")
         dz = IntegrandProcess(

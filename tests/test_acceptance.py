@@ -63,17 +63,21 @@ def _line(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _solve_record(config) -> Record:
+    """Production solve, plus the Picard oracle's trace on the same driver
+    process (criterion 2 checks the oracle itself)."""
     sc = realize(config)
+    outer = None
     if sc.has_general_driver:
         params = ContractionParams(beta=config.params.beta, eps=config.params.eps,
                                    c=config.params.c)
         sol, outer = solve_general(sc.driver, sc.barriers, params, tol=1e-12)
         g = outer.frozen_g
-        xi_t, zeta_t = shift_barriers(sc.barriers, g)
-        _, _, trace = picard_coupled(xi_t, zeta_t)
-        return Record(config, sc, sol, g, trace, outer=outer)
-    sol, trace = solve_driver_process(sc.barriers, sc.g)
-    return Record(config, sc, sol, sc.g, trace)
+    else:
+        sol, _ = solve_driver_process(sc.barriers, sc.g)
+        g = sc.g
+    xi_t, zeta_t = shift_barriers(sc.barriers, g)
+    _, _, trace = picard_coupled(xi_t, zeta_t)
+    return Record(config, sc, sol, g, trace, outer=outer)
 
 
 @pytest.fixture(scope="module")

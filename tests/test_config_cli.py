@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -93,24 +94,59 @@ class TestCliModes:
         assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
 
     def test_divergence_cap_exits_three(self, tmp_path):
+        # The production solve is one backward sweep and has no cap; the caps
+        # left are the outer loop's max_outer and the Picard oracle's max_iter.
+        linear = write_scenario(tmp_path, template_doc(3, seed=7, max_outer=1), "linear.json")
+        assert main(["--mode", "solve", "--config", str(linear),
+                     "--out", str(tmp_path / "x")]) == 3
         cfg = write_scenario(tmp_path, template_doc(2, seed=7))
-        code = main(["--mode", "solve", "--config", str(cfg),
-                     "--out", str(tmp_path / "x"), "--max-iter", "1"])
-        assert code == 3
+        assert main(["--mode", "oracle", "--config", str(cfg),
+                     "--out", str(tmp_path / "y"), "--max-iter", "1"]) == 3
 
     def test_verify_roundtrip_and_corruption(self, tmp_path):
         cfg = write_scenario(tmp_path, template_doc(6, seed=11))
         out = tmp_path / "run"
         assert main(["--mode", "solve", "--config", str(cfg), "--out", str(out)]) == 0
         assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 0
-        # corrupt one Y value
+        # a process-driver dump is held to exact zero: one Y value moved by 1e-30 fails
         y_csv = out / "solution_Y.csv"
+        rows = [line.split(",") for line in y_csv.read_text().splitlines()]
+        cell = next(r for r in rows[1:] if r[1] == "mid")
+        cell[-1] = str(Fraction(cell[-1]) + Fraction(1, 10**30))
+        y_csv.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+        assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 4
+        # corrupt one Y value
         rows = y_csv.read_text().splitlines()
         head, first, rest = rows[0], rows[1], rows[2:]
         parts = first.split(",")
         parts[-1] = "1000"
         y_csv.write_text("\n".join([head, ",".join(parts)] + rest) + "\n", encoding="utf-8")
         assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 4
+
+    def test_linear_driver_solve_verify_certificate(self, tmp_path):
+        """A Banach fixed point is gated at 1e-10 by all three modes alike."""
+        cfg = generate_corpus(0, 4, tmp_path / "corpus")[3]
+        assert json.loads(cfg.read_text())["driver"]["kind"] == "linear"
+        out = tmp_path / "run"
+        for mode in ("solve", "verify", "certificate"):
+            assert main(["--mode", mode, "--config", str(cfg), "--out", str(out)]) == 0, mode
+        assert json.loads((out / "certificate.json").read_text())["pass"] is True
+
+    def test_off_grid_float_solve_verifies(self, tmp_path):
+        """sqrt(dt) irrational: the solution passes the 1e-10 float gate,
+        martingale check included."""
+        from pdrbsde.scenario import estimate_template
+
+        doc = estimate_template(1)
+        doc.update(grid={"N": 10, "T": "1/2"})
+        doc["marks"] = [dict(doc["marks"][0], instant=5)]
+        cfg = write_scenario(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main(["--mode", "solve", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["verification"]["pass"] is True
+        assert report["verification"]["max_residual"] <= 1e-10
+        assert report["trace"] == {}
 
     def test_oracle_mode(self, tmp_path):
         cfg = write_scenario(tmp_path, template_doc(1, seed=13))

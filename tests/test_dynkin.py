@@ -1,0 +1,81 @@
+"""The one-pass Dynkin recursion against the Picard oracle on the whole corpus.
+
+Rational mode: every component equal with zero tolerance, in both Picard
+orders, and for linear drivers the outer loop takes the same number of steps.
+Float mode: the same corpus re-realized agrees within 1e-10.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+
+import pytest
+
+import pdrbsde.driver_solver as driver_solver
+from pdrbsde.config import config_from_dict, load_config
+from pdrbsde.drbsde import dynkin_recursion, solve_driver_process
+from pdrbsde.driver_solver import ContractionParams, solve_general
+from pdrbsde.processes import sup_distance
+from pdrbsde.scenario import generate_corpus, realize
+
+FLOAT_TOL = 1e-10
+ORDERS = ("jacobi", "gauss-seidel")
+
+
+@pytest.fixture(scope="module")
+def corpus_configs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("dynkin_corpus")
+    return [load_config(str(p)) for p in generate_corpus(seed=0, count=50, out_dir=out)]
+
+
+def _solve_general(sc, monkeypatch, order=None):
+    """The outer loop, its inner solves run by the recursion or by Picard."""
+    cfg = sc.config
+    params = ContractionParams(beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c)
+    with monkeypatch.context() as mp:
+        if order is not None:
+            mp.setattr(driver_solver, "solve_driver_process",
+                       partial(solve_driver_process, order=order))
+        return solve_general(sc.driver, sc.barriers, params, tol=1e-12,
+                             max_outer=cfg.params.max_outer, probe_seed=cfg.seed)
+
+
+def _gap(s1, s2) -> float:
+    gap = max(float(sup_distance(getattr(s1, c), getattr(s2, c)))
+              for c in ("y", "m", "a", "b", "a_prime", "b_prime"))
+    return max([gap] + [abs(float(x - y)) for z1, z2 in zip(s1.z.z, s2.z.z)
+                        for x, y in zip(z1, z2)])
+
+
+def test_rational_corpus_matches_picard_exactly(corpus_configs, monkeypatch):
+    linear = 0
+    for cfg in corpus_configs:
+        sc = realize(cfg)
+        if sc.has_general_driver:
+            linear += 1
+            sol, trace = _solve_general(sc, monkeypatch)
+            for order in ORDERS:
+                oracle, oracle_trace = _solve_general(sc, monkeypatch, order)
+                assert sol == oracle, (cfg.name, order)
+                assert trace.iterations == oracle_trace.iterations, (cfg.name, order)
+            continue
+        sol = dynkin_recursion(sc.barriers, sc.g)
+        assert solve_driver_process(sc.barriers, sc.g) == (sol, None)
+        for order in ORDERS:
+            oracle, _ = solve_driver_process(sc.barriers, sc.g, order=order)
+            assert sol == oracle, (cfg.name, order)
+    assert linear == 10
+
+
+def test_float_corpus_matches_picard(corpus_configs, monkeypatch):
+    worst = 0.0
+    for cfg in corpus_configs:
+        sc = realize(config_from_dict(dict(cfg.to_json_dict(), arithmetic="float")))
+        if sc.has_general_driver:
+            sol, _ = _solve_general(sc, monkeypatch)
+            oracle, _ = _solve_general(sc, monkeypatch, "jacobi")
+        else:
+            sol = dynkin_recursion(sc.barriers, sc.g)
+            oracle, _ = solve_driver_process(sc.barriers, sc.g, order="jacobi")
+        worst = max(worst, _gap(sol, oracle))
+    assert worst <= FLOAT_TOL
