@@ -131,7 +131,7 @@ class OptionalSemimartingale:
 
     def as_process(self) -> LadlagProcess:
         minus, mid, plus = self.states()
-        return from_slots(self.space, minus, mid, plus, kind="optional", validate=False)
+        return from_slots(self.space, minus, mid, plus, kind="optional")
 
 
 def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> OptionalSemimartingale:

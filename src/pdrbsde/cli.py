@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import random
 import sys
 import time
@@ -30,12 +29,15 @@ from .calculus_checks import (
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .drbsde import (
     DivergenceError,
+    NotAFixedPointError,
     SolutionSeptuple,
+    assemble_solution,
     minimality_check,
     mokobodzki_certificate,
     random_nonneg_pss,
     shift_barriers,
     solve_driver_process,
+    validate_driver_process,
     verify_drbsde_solution,
 )
 from .driver_solver import (
@@ -46,7 +48,16 @@ from .driver_solver import (
     solve_general,
 )
 from .prob_space import FilteredSpace, build_space, dump_space_json
-from .processes import IntegrandProcess, LadlagProcess, from_slots, p_add, p_sub, sup_distance
+from .processes import (
+    IntegrandProcess,
+    LadlagProcess,
+    ProcessError,
+    from_slots,
+    is_predictable_strong_supermartingale,
+    p_add,
+    p_sub,
+    sup_distance,
+)
 from .reports import RunReport
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
 from .snell import snell_bruteforce, snell_envelope_slots
@@ -108,24 +119,8 @@ def _dispatch(args) -> int:
         files = sorted(cfg_path.glob("*.json"))
         if not files:
             raise ConfigError(f"no scenario files in {cfg_path}")
-        codes = _fan_out(args, files, out_dir)
-        return max(codes)
+        return max([_run_single(args, f, out_dir / f.stem) for f in files])
     return _run_single(args, cfg_path, out_dir)
-
-
-def _fan_out(args, files: list[Path], out_dir: Path) -> list[int]:
-    from concurrent.futures import ThreadPoolExecutor
-
-    workers = int(os.environ.get("PDRBSDE_THREADS", "1"))
-    workers = max(1, min(workers, len(files)))
-
-    def one(path: Path) -> int:
-        return _run_single(args, path, out_dir / path.stem)
-
-    if workers == 1:
-        return [one(f) for f in files]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, files))
 
 
 def _load(args, cfg_path: Path) -> ScenarioConfig:
@@ -173,8 +168,7 @@ def _solve_scenario(scenario: Scenario):
         )
         g = scenario.driver.freeze(scenario.space, sol.y, sol.z)
         return sol, g, {"outer": outer.to_json_dict()}
-    sol, _ = solve_driver_process(scenario.barriers, scenario.g)
-    return sol, scenario.g, {}
+    return solve_driver_process(scenario.barriers, scenario.g), scenario.g, {}
 
 
 def _gate_tol(scenario: Scenario, float_tol: float = 1e-10):
@@ -281,24 +275,51 @@ def _parse(space: FilteredSpace, s: str):
     return Fraction(s) if space.mode == "rational" else float(s)
 
 
+def _read_cells(space: FilteredSpace, path: Path, index: str, sizes: dict) -> dict:
+    """The values of a dumped CSV as ``{slot: [[value per path] per index]}``.
+
+    ``sizes`` gives each slot name its number of instants (or intervals); a
+    dump without a ``slot`` column has the one slot None.  Every cell must
+    appear exactly once: a malformed row, an unknown slot, an index out of
+    range, a duplicate or a missing cell is a ConfigError naming the file and
+    the row.
+    """
+    cells = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path.name} row {reader.line_num}"
+            slot = row.get("slot")
+            if slot not in sizes:
+                raise ConfigError(f"{where}: unknown slot {slot!r}")
+            try:
+                k, i = int(row[index]), int(row["path"])
+                val = _parse(space, row["value"])
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"{where}: unreadable row ({exc})") from None
+            if not (0 <= k < sizes[slot] and 0 <= i < space.n_paths):
+                raise ConfigError(f"{where}: {index} {k}, path {i} out of range")
+            if (slot, k, i) in cells:
+                raise ConfigError(f"{where}: duplicate row for {index} {k}, path {i}")
+            cells[slot, k, i] = val
+    for slot, size in sizes.items():
+        for k in range(size):
+            for i in range(space.n_paths):
+                if (slot, k, i) not in cells:
+                    name = "" if slot is None else f"slot {slot}, "
+                    raise ConfigError(f"{path.name}: missing row for {name}{index} {k}, path {i}")
+    return {slot: [[cells[slot, k, i] for i in range(space.n_paths)] for k in range(size)]
+            for slot, size in sizes.items()}
+
+
 def _load_process(space: FilteredSpace, path: Path, kind: str) -> LadlagProcess:
     n = space.n_steps
-    minus = [space.zero() for _ in range(n + 1)]
-    mid = [space.zero() for _ in range(n + 1)]
-    plus = [space.zero() for _ in range(n)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            k, i = int(row["instant"]), int(row["path"])
-            val = _parse(space, row["value"])
-            {"minus": minus, "mid": mid, "plus": plus}[row["slot"]][k][i] = val
-    return from_slots(space, minus, mid, plus, kind=kind, validate=False)
+    slots = _read_cells(space, path, "instant", {"minus": n + 1, "mid": n + 1, "plus": n})
+    return from_slots(space, slots["minus"], slots["mid"], slots["plus"], kind=kind)
 
 
 def _load_integrand(space: FilteredSpace, path: Path) -> IntegrandProcess:
-    z = [space.zero() for _ in range(space.n_steps)]
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            z[int(row["interval"])][int(row["path"])] = _parse(space, row["value"])
+    z = _read_cells(space, path, "interval", {None: space.n_steps})[None]
     return IntegrandProcess(space=space, z=tuple(z))
 
 
@@ -316,11 +337,14 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
         raise ConfigError(f"no dumped solution in {out_dir} (missing {missing})")
     procs = {n: _load_process(space, out_dir / f"solution_{n}.csv", kinds[n]) for n in _COMPONENTS}
     z = _load_integrand(space, out_dir / "solution_Z.csv")
-    g_rows = _load_integrand(space, out_dir / "driver_g.csv")
+    g = list(_load_integrand(space, out_dir / "driver_g.csv").z)
+    try:
+        validate_driver_process(space, g)
+    except ProcessError as exc:
+        raise ConfigError(f"driver_g.csv: {exc}") from None
     sol = SolutionSeptuple(y=procs["Y"], z=z, m=procs["M"], a=procs["A"], b=procs["B"],
                            a_prime=procs["A_prime"], b_prime=procs["B_prime"])
-    report = verify_drbsde_solution(list(g_rows.z), scenario.barriers, sol,
-                                    tol=_gate_tol(scenario))
+    report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     (out_dir / "verify_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"[{config.name}] verify: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -331,6 +355,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
+    """The production solution against the Picard oracle's, and the oracle's
+    dynamic program against the stopping-rule enumeration."""
     scenario = realize(config)
     space = scenario.space
     if space.n_paths > 64:
@@ -342,6 +368,20 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     tol = 0.0 if space.mode == "rational" else 1e-9
     j, jbar, _ = _picard_from_solution(scenario, g)
     mismatches = []
+    try:
+        oracle = assemble_solution(j, jbar, g, scenario.barriers)
+    except NotAFixedPointError as exc:
+        mismatches.append(f"picard: {exc}")
+    else:
+        gate = _gate_tol(scenario, float_tol=1e-9)
+        for name in ("y", "m", "a", "b", "a_prime", "b_prime"):
+            d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
+            if d > gate:
+                mismatches.append(f"{name}: solution vs picard differ by {d:g}")
+        d = max((abs(float(a - b)) for zs, zo in zip(sol.z.z, oracle.z.z)
+                 for a, b in zip(zs, zo)), default=0.0)
+        if d > gate:
+            mismatches.append(f"z: solution vs picard differ by {d:g}")
     for name, barrier, target in (
         ("lower", _kill_terminal(p_add(jbar, xi_t, kind="predictable")), j),
         ("upper", _kill_terminal(p_sub(j, zeta_t, kind="predictable")), jbar),
@@ -394,11 +434,11 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
             f"expected on coarse grids",
             file=sys.stderr,
         )
-    base_sol, _ = solve_driver_process(scenario.barriers, scenario.g)
+    base_sol = solve_driver_process(scenario.barriers, scenario.g)
     rows, violations = [], 0
     for i in range(pairs):
         g_bar = perturb_driver(scenario.space, scenario.g, seed=cfg.seed * 1000 + i)
-        sol_bar, _ = solve_driver_process(scenario.barriers, g_bar)
+        sol_bar = solve_driver_process(scenario.barriers, g_bar)
         rep = apriori_estimate_check(
             base_sol, sol_bar, scenario.g, g_bar,
             beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c,
@@ -466,10 +506,8 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
               kind="predictable"),
         xi_t, zeta_t,
     )
-    from .processes import is_predictable_strong_supermartingale
-
-    ok_pss = (is_predictable_strong_supermartingale(h, enumeration_check=False)
-              and is_predictable_strong_supermartingale(hbar, enumeration_check=False))
+    ok_pss = (is_predictable_strong_supermartingale(h)
+              and is_predictable_strong_supermartingale(hbar))
     tol = _gate_tol(scenario, float_tol=1e-9)
     diff = p_sub(h, hbar, kind="predictable")
     sandwich_dev = 0.0

@@ -4,12 +4,11 @@ Production path for a driver given as a process (no (y,z) dependence):
 ``dynkin_recursion`` runs one backward sweep of the pinch rule
 Y = (pY+ v xi) ^ zeta on the slot grid (Neveu's discrete Dynkin-game
 recursion) and reads the other six components off Y.  ``solve_driver_process``
-runs it by default, and the outer loop for Lipschitz drivers calls it once
-per outer step.
+runs it, and the outer loop for Lipschitz drivers calls it once per outer
+step.
 
-Oracle path (``solve_driver_process(..., order="jacobi"|"gauss-seidel")``,
-``--mode oracle``, ``--mode certificate`` and the tests), the paper's
-construction:
+Oracle path (``--mode oracle``, ``--mode certificate`` and the tests), the
+paper's construction:
 
 1. ``shift_barriers``: subtract the plain predictable part
    X_k = E[xi_N + dt * sum_{j>=k} g_j | sigma_minus[k]] from both barriers;
@@ -26,8 +25,10 @@ construction:
    disjoint.
 
 Both paths give identical components in rational mode.
-``verify_drbsde_solution`` re-checks every clause of the solution definition
-and is the acceptance oracle for either.
+``verify_drbsde_solution`` re-checks every clause of the solution definition,
+the component classes included, and is the acceptance oracle for either.
+Inputs are checked where they enter: ``BarrierPair`` checks itself when it is
+built, and ``solve_driver_process`` checks the driver.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ from .processes import (
     LadlagProcess,
     ProcessError,
     from_slots,
+    fv_from_increments,
     is_predictable_strong_supermartingale,
     martingale_from_terminal,
     orthogonal_decompose,
     p_add,
     p_sub,
+    pd_from_jumps,
     predictable_projection,
     sup_distance,
     validate_process,
@@ -75,12 +78,15 @@ class NotAFixedPointError(ValueError):
 
 @dataclass(frozen=True)
 class BarrierPair:
-    """Predictable admissible obstacles: xi <= zeta slotwise, equal at T."""
+    """Predictable admissible obstacles: xi <= zeta slotwise, equal at T.
+
+    Checked once, when built: a pair that exists is admissible.
+    """
 
     xi: LadlagProcess
     zeta: LadlagProcess
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         validate_process(self.xi)
         validate_process(self.zeta)
         n = self.xi.n_steps
@@ -134,10 +140,6 @@ def validate_driver_process(space: FilteredSpace, g: list) -> None:
             raise ProcessError(f"g[{k}] not sigma_mid[{k}]-measurable")
 
 
-def zero_driver(space: FilteredSpace) -> list:
-    return [space.zero() for _ in range(space.n_steps)]
-
-
 # ---------------------------------------------------------------------------
 # shifted barriers
 
@@ -163,7 +165,7 @@ def plain_part(space: FilteredSpace, terminal, g: list) -> LadlagProcess:
         minus.append(list(e_minus))
         if k < n:
             plus.append(cond_expect(space, stacks[k], space.sigma_mid[k]))
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")
 
 
 def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, LadlagProcess]:
@@ -192,7 +194,7 @@ def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
     space, n = proc.space, proc.n_steps
     mid = [list(proc.mid[k]) for k in range(n + 1)]
     mid[n] = space.zero()
-    return from_slots(space, proc.minus, mid, proc.plus, kind="predictable", validate=False)
+    return from_slots(space, proc.minus, mid, proc.plus, kind="predictable")
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +299,8 @@ def assemble_solution(
     if resid > tol:
         raise NotAFixedPointError(f"fixed-point residual {float(resid):g} above {tol:g}")
 
-    q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t, kind="predictable")), validate_input=False)
-    q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t, kind="predictable")), validate_input=False)
+    q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t, kind="predictable")))
+    q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t, kind="predictable")))
 
     x = plain_part(space, barriers.xi.mid[-1], g)
     n = space.n_steps
@@ -314,7 +316,6 @@ def assemble_solution(
         [v.sub(m_plain.mid[k], base) for k in range(n + 1)],
         [v.sub(m_plain.plus[k], base) for k in range(n)],
         kind="cadlag-martingale",
-        validate=False,
     )
     z_plain, m_orth_plain = orthogonal_decompose(m_plain)
 
@@ -351,23 +352,9 @@ def _jordan_reduce_fv(a_raw: LadlagProcess, a2_raw: LadlagProcess):
         ivls.append(v.pos_part(d))
         ivls2.append(v.neg_part(d))
     return (
-        _fv_from_increments(space, jumps, ivls),
-        _fv_from_increments(space, jumps2, ivls2),
+        fv_from_increments(space, jumps, ivls),
+        fv_from_increments(space, jumps2, ivls2),
     )
-
-
-def _fv_from_increments(space, jumps, intervals) -> LadlagProcess:
-    n = space.n_steps
-    run = space.zero()
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        minus.append(list(run))
-        run = v.add(run, jumps[k])
-        mid.append(list(run))
-        if k < n:
-            plus.append(list(run))
-            run = v.add(run, intervals[k])
-    return from_slots(space, minus, mid, plus, kind="finite-variation-predictable")
 
 
 def _jordan_reduce_pd(b_raw: LadlagProcess, b2_raw: LadlagProcess):
@@ -378,23 +365,9 @@ def _jordan_reduce_pd(b_raw: LadlagProcess, b2_raw: LadlagProcess):
         jumps.append(v.pos_part(d))
         jumps2.append(v.neg_part(d))
     return (
-        _pd_from_jumps(space, jumps),
-        _pd_from_jumps(space, jumps2),
+        pd_from_jumps(space, jumps),
+        pd_from_jumps(space, jumps2),
     )
-
-
-def _pd_from_jumps(space, jumps, kind="purely-discontinuous-predictable") -> LadlagProcess:
-    """Cadlag running sum of instant jumps, no interval variation, validated as ``kind``."""
-    n = space.n_steps
-    run = space.zero()
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        minus.append(list(run))
-        run = v.add(run, jumps[k])
-        mid.append(list(run))
-        if k < n:
-            plus.append(list(run))
-    return from_slots(space, minus, mid, plus, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +398,9 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
                        Y_{k+} - E[Y_{(k+1)-} | sigma_mid[k]] - g_k dt   (interval)
         dB_k, dB'_k  = positive, negative part of Y_k - E[Y_{k+} | sigma_minus[k]]
 
-    The inputs are taken as validated (``solve_driver_process`` does that);
-    A, A', B and B' are validated in their classes and M as a martingale.
+    The inputs are taken as checked (``BarrierPair`` and
+    ``solve_driver_process`` do that).  The outputs are not re-checked here:
+    ``verify_drbsde_solution`` holds them to their classes.
     """
     xi, zeta = barriers.xi, barriers.zeta
     space, n = xi.space, xi.n_steps
@@ -454,36 +428,22 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
 
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
     return SolutionSeptuple(
-        y=from_slots(space, y_minus, y_mid, y_plus, kind="predictable", validate=False),
+        y=from_slots(space, y_minus, y_mid, y_plus, kind="predictable"),
         z=IntegrandProcess(space=space, z=tuple(z)),
-        m=_pd_from_jumps(space, m_jumps, kind="cadlag-martingale"),
-        a=_fv_from_increments(space, [v.neg_part(d) for d in left],
-                              [v.pos_part(d) for d in drift]),
-        b=_pd_from_jumps(space, [v.pos_part(d) for d in gap]),
-        a_prime=_fv_from_increments(space, [v.pos_part(d) for d in left],
-                                    [v.neg_part(d) for d in drift]),
-        b_prime=_pd_from_jumps(space, [v.neg_part(d) for d in gap]),
+        m=pd_from_jumps(space, m_jumps, kind="cadlag-martingale"),
+        a=fv_from_increments(space, [v.neg_part(d) for d in left],
+                             [v.pos_part(d) for d in drift]),
+        b=pd_from_jumps(space, [v.pos_part(d) for d in gap]),
+        a_prime=fv_from_increments(space, [v.pos_part(d) for d in left],
+                                   [v.neg_part(d) for d in drift]),
+        b_prime=pd_from_jumps(space, [v.neg_part(d) for d in gap]),
     )
 
 
-def solve_driver_process(
-    barriers: BarrierPair,
-    g: list,
-    order: str | None = None,
-) -> tuple[SolutionSeptuple, PicardTrace | None]:
-    """Validate the inputs and solve for a process driver.
-
-    By default this is ``dynkin_recursion`` and the trace is None.  ``order``
-    ("jacobi" or "gauss-seidel") runs the Picard oracle instead: shift the
-    barriers, iterate to exact stabilization, assemble; its trace is returned.
-    """
-    barriers.validate()
+def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
+    """Check the driver process and solve with ``dynkin_recursion``."""
     validate_driver_process(barriers.xi.space, g)
-    if order is None:
-        return dynkin_recursion(barriers, g), None
-    xi_t, zeta_t = shift_barriers(barriers, g)
-    j, jbar, trace = picard_coupled(xi_t, zeta_t, order=order)
-    return assemble_solution(j, jbar, g, barriers), trace
+    return dynkin_recursion(barriers, g)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +558,6 @@ def mokobodzki_certificate(
     barriers: BarrierPair,
     g: list,
     solution: SolutionSeptuple | None = None,
-    **solve_kwargs,
 ) -> tuple[LadlagProcess, LadlagProcess]:
     """Nonnegative predictable strong supermartingales with xi <= H - Hbar <= zeta.
 
@@ -608,7 +567,7 @@ def mokobodzki_certificate(
     so that H - Hbar = Y pointwise.  Raises DivergenceError if the solve does.
     """
     if solution is None:
-        solution, _ = solve_driver_process(barriers, g, **solve_kwargs)
+        solution = solve_driver_process(barriers, g)
     space = barriers.xi.space
     xi_term = barriers.xi.mid[-1]
     h = _certificate_side(space, v.pos_part(xi_term), [v.pos_part(gk) for gk in g],
@@ -639,7 +598,7 @@ def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
             )
             plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")
 
 
 def minimality_check(
@@ -658,7 +617,7 @@ def minimality_check(
         # Fractions to floats inside the comparisons
         tol = 0 if space.mode == "rational" else 1e-10
     for proc, label in ((h, "H"), (hbar, "Hbar")):
-        if not is_predictable_strong_supermartingale(proc, enumeration_check=False):
+        if not is_predictable_strong_supermartingale(proc):
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
         if any(-x > tol for k in range(space.n_steps + 1) for x in proc.mid[k]):
             raise ProcessError(f"{label} is not nonnegative")
@@ -709,4 +668,4 @@ def random_nonneg_pss(space: FilteredSpace, rng, scale=1) -> LadlagProcess:
                        rand_nonneg(space.sigma_minus[k]))
         minus[k] = v.add(mid[k], rand_nonneg(space.sigma_minus[k]))
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")

@@ -213,7 +213,7 @@ def solve_general(
     sol: SolutionSeptuple | None = None
     for it in range(1, max_outer + 1):
         g = driver.freeze(space, u, vz)
-        sol, _ = solve_driver_process(barriers, g)
+        sol = solve_driver_process(barriers, g)
         trace.frozen_g = g
         du = p_sub(sol.y, u, kind="predictable")
         dz = IntegrandProcess(

@@ -97,17 +97,15 @@ class IntegrandProcess:
 # constructors
 
 
-def from_slots(space, minus, mid, plus, kind="optional", validate=True) -> LadlagProcess:
-    proc = LadlagProcess(
+def from_slots(space, minus, mid, plus, kind="optional") -> LadlagProcess:
+    """Process from its slot arrays, unchecked: ``validate_process`` checks ``kind``."""
+    return LadlagProcess(
         space=space,
         kind=kind,
         minus=tuple(list(x) for x in minus),
         mid=tuple(list(x) for x in mid),
         plus=tuple(list(x) for x in plus),
     )
-    if validate:
-        validate_process(proc)
-    return proc
 
 
 def from_cadlag_sequence(space, mids: Sequence, kind="predictable") -> LadlagProcess:
@@ -149,22 +147,6 @@ def p_sub(a: LadlagProcess, b: LadlagProcess, kind="optional") -> LadlagProcess:
     return _zip_with(v.sub, a, b, kind)
 
 
-def p_scale(c, a: LadlagProcess, kind=None) -> LadlagProcess:
-    n = a.n_steps
-    return from_slots(
-        a.space,
-        [v.smul(c, a.minus[k]) for k in range(n + 1)],
-        [v.smul(c, a.mid[k]) for k in range(n + 1)],
-        [v.smul(c, a.plus[k]) for k in range(n)],
-        kind=kind or a.kind,
-        validate=False,
-    )
-
-
-def p_max(a: LadlagProcess, b: LadlagProcess, kind="optional") -> LadlagProcess:
-    return _zip_with(v.vmax, a, b, kind)
-
-
 def _zip_with(op, a, b, kind):
     n = a.n_steps
     return from_slots(
@@ -173,7 +155,6 @@ def _zip_with(op, a, b, kind):
         [op(a.mid[k], b.mid[k]) for k in range(n + 1)],
         [op(a.plus[k], b.plus[k]) for k in range(n)],
         kind=kind,
-        validate=False,
     )
 
 
@@ -281,7 +262,7 @@ def predictable_projection(x: LadlagProcess) -> LadlagProcess:
     plus = [cond_expect(space, x.plus[k], space.sigma_minus[k]) for k in range(n)]
     minus = [list(x.minus[k]) for k in range(n + 1)]
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")
 
 
 def jumps(x: LadlagProcess) -> tuple[list, list]:
@@ -314,18 +295,13 @@ def is_martingale(m: LadlagProcess, tol=None) -> bool:
     return True
 
 
-def is_predictable_strong_supermartingale(
-    y: LadlagProcess, tol=None, enumeration_check: bool | None = None
-) -> bool:
+def is_predictable_strong_supermartingale(y: LadlagProcess, tol=None) -> bool:
     """Local slot inequalities for a predictable strong supermartingale.
 
     (i) minus[k] >= mid[k]; (ii) mid[k] >= E[plus[k] | sigma_minus[k]];
     (iii) plus[k] >= E[minus[k+1] | sigma_mid[k]].  Composing the three
     yields every pairwise stopping-time inequality, in particular the
     mid-to-mid one-step inequality mid[k] >= E[mid[k+1] | sigma_minus[k]].
-
-    On spaces of at most 64 paths the result is cross-checked against the
-    enumeration oracle (the slot Snell envelope of y must equal y).
     """
     space, n = y.space, y.n_steps
     if tol is None:
@@ -333,30 +309,17 @@ def is_predictable_strong_supermartingale(
     for k in range(n + 1):
         if not is_measurable(space, y.mid[k], space.sigma_minus[k]):
             return False
-    ok = True
     for k in range(n + 1):
         if any(a < b - tol for a, b in zip(y.minus[k], y.mid[k])):
-            ok = False
+            return False
     for k in range(n):
         p_proj = cond_expect(space, y.plus[k], space.sigma_minus[k])
         if any(a < b - tol for a, b in zip(y.mid[k], p_proj)):
-            ok = False
+            return False
         cont = cond_expect(space, y.minus[k + 1], space.sigma_mid[k])
         if any(a < b - tol for a, b in zip(y.plus[k], cont)):
-            ok = False
-    if enumeration_check is None:
-        enumeration_check = space.n_paths <= 64
-    if enumeration_check and space.n_paths <= 64:
-        from .snell import stopping_rule_count, snell_bruteforce
-
-        if stopping_rule_count(space) <= 200_000:
-            env = snell_bruteforce(y, validate_input=False)
-            dominated = sup_distance(env, y) <= tol
-            if dominated != ok:
-                raise ProcessError(
-                    "supermartingale fast path disagrees with stopping-time enumeration"
-                )
-    return ok
+            return False
+    return True
 
 
 def ito_integral(z: IntegrandProcess, space: FilteredSpace | None = None) -> LadlagProcess:
@@ -371,7 +334,7 @@ def ito_integral(z: IntegrandProcess, space: FilteredSpace | None = None) -> Lad
         nxt = v.add(plus[k], v.mul(z.z[k], space.dw[k]))
         minus.append(nxt)
         mid.append(list(nxt))
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale", validate=False)
+    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
 
 
 def orthogonal_decompose(m: LadlagProcess) -> tuple[IntegrandProcess, LadlagProcess]:
@@ -417,7 +380,7 @@ def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
         if k < n:
             plus.append(list(running))
             running = v.add(running, v.mul(a.interval_increment(k), b.interval_increment(k)))
-    return from_slots(space, minus, mid, plus, kind="optional", validate=False)
+    return from_slots(space, minus, mid, plus, kind="optional")
 
 
 def brownian_process(space: FilteredSpace) -> LadlagProcess:
@@ -436,28 +399,35 @@ def martingale_from_terminal(space: FilteredSpace, terminal: Sequence) -> Ladlag
     minus = [cond_expect(space, terminal, space.sigma_minus[k]) for k in range(n + 1)]
     mid = [cond_expect(space, terminal, space.sigma_mid[k]) for k in range(n + 1)]
     plus = [list(mid[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale", validate=False)
+    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
 
 
-def process_to_rows(x: LadlagProcess) -> list[tuple]:
-    """CSV rows: (instant, slot, path, value)."""
-    rows = []
-    for k in range(x.n_steps + 1):
-        for i, val in enumerate(x.minus[k]):
-            rows.append((k, "minus", i, val))
-        for i, val in enumerate(x.mid[k]):
-            rows.append((k, "mid", i, val))
-        if k < x.n_steps:
-            for i, val in enumerate(x.plus[k]):
-                rows.append((k, "plus", i, val))
-    return rows
+def fv_from_increments(space: FilteredSpace, jumps, intervals) -> LadlagProcess:
+    """Cadlag running sum of instant jumps and interval increments (the A class)."""
+    n = space.n_steps
+    run = space.zero()
+    minus, mid, plus = [], [], []
+    for k in range(n + 1):
+        minus.append(list(run))
+        run = v.add(run, jumps[k])
+        mid.append(list(run))
+        if k < n:
+            plus.append(list(run))
+            run = v.add(run, intervals[k])
+    return from_slots(space, minus, mid, plus, kind="finite-variation-predictable")
 
 
-def dump_process_csv(x: LadlagProcess, path: str) -> None:
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["instant", "slot", "path", "value"])
-        for row in process_to_rows(x):
-            writer.writerow([row[0], row[1], row[2], str(row[3])])
+def pd_from_jumps(space: FilteredSpace, jumps,
+                  kind="purely-discontinuous-predictable") -> LadlagProcess:
+    """Cadlag running sum of instant jumps with no interval variation (the B
+    class, or an orthogonal martingale moving only at instants)."""
+    n = space.n_steps
+    run = space.zero()
+    minus, mid, plus = [], [], []
+    for k in range(n + 1):
+        minus.append(list(run))
+        run = v.add(run, jumps[k])
+        mid.append(list(run))
+        if k < n:
+            plus.append(list(run))
+    return from_slots(space, minus, mid, plus, kind=kind)

@@ -19,7 +19,7 @@ from .config import ConfigError, ScenarioConfig, config_from_dict
 from .drbsde import BarrierPair
 from .driver_solver import LipschitzDriver, linear_driver
 from .prob_space import FilteredSpace, Partition, build_space
-from .processes import LadlagProcess, from_cadlag_sequence, from_slots
+from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
 
 
 @dataclass(frozen=True)
@@ -38,10 +38,9 @@ class Scenario:
 def realize(config: ScenarioConfig) -> Scenario:
     config.validate()
     space = build_space(config)
-    barriers = realize_barriers(space, config)
     try:
-        barriers.validate()
-    except Exception as exc:
+        barriers = realize_barriers(space, config)
+    except ProcessError as exc:  # raised by the BarrierPair check
         raise ConfigError(str(exc), cell="barriers") from exc
     g, driver = realize_driver(space, config)
     return Scenario(config=config, space=space, barriers=barriers, g=g, driver=driver)

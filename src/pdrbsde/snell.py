@@ -35,7 +35,10 @@ from .processes import (
     LadlagProcess,
     ProcessError,
     from_slots,
+    fv_from_increments,
+    is_predictable_strong_supermartingale,
     orthogonal_decompose,
+    pd_from_jumps,
     validate_process,
 )
 from .reports import ConditionReport, VerificationReport, condition_from_cells
@@ -103,24 +106,20 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
         mid[k] = v.vmax(barrier.mid[k], proj)
         minus[k] = v.vmax(barrier.minus[k], mid[k])
     minus[0] = list(mid[0])  # no time before 0
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")
 
 
-def pre_operator(barrier: LadlagProcess, validate_input: bool = True) -> RbsdeQuintuple:
+def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
     """Solve the one-barrier problem with driver 0 for a predictable barrier.
 
     Component extraction order: Mertens first (N, A, B), then the orthogonal
     decomposition of N into (Z, M).  The quintuple satisfies
     Y_k = xi_N - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-}) + A_N - A_k
     + B_{N^-} - B_{k^-} with zero residual, together with both Skorokhod
-    conditions.
+    conditions.  The barrier is not checked here (``validate_process`` does).
     """
-    if validate_input:
-        validate_process(barrier)
-        if barrier.kind not in ("predictable",):
-            raise ProcessError("pre_operator needs a predictable barrier")
     y = snell_envelope_slots(barrier)
-    n_mart, a, b = mertens_decompose(y, validate_input=False)
+    n_mart, a, b = mertens_decompose(y)
     base = n_mart.minus[0]
     shifted = from_slots(
         y.space,
@@ -128,7 +127,6 @@ def pre_operator(barrier: LadlagProcess, validate_input: bool = True) -> RbsdeQu
         [v.sub(n_mart.mid[k], base) for k in range(y.n_steps + 1)],
         [v.sub(n_mart.plus[k], base) for k in range(y.n_steps)],
         kind="cadlag-martingale",
-        validate=False,
     )
     z, m = orthogonal_decompose(shifted)
     return RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b)
@@ -139,7 +137,7 @@ def pre_operator(barrier: LadlagProcess, validate_input: bool = True) -> RbsdeQu
 
 
 def mertens_decompose(
-    vproc: LadlagProcess, validate_input: bool = True
+    vproc: LadlagProcess,
 ) -> tuple[LadlagProcess, LadlagProcess, LadlagProcess]:
     """V = N_{.^-} - A - B_{.^-} for a predictable strong supermartingale V.
 
@@ -149,11 +147,8 @@ def mertens_decompose(
     decomposition is unique and re-decomposing returns identical components.
     """
     space, n = vproc.space, vproc.n_steps
-    if validate_input:
-        from .processes import is_predictable_strong_supermartingale
-
-        if not is_predictable_strong_supermartingale(vproc, enumeration_check=False):
-            raise ProcessError("input is not a predictable strong supermartingale")
+    if not is_predictable_strong_supermartingale(vproc):
+        raise ProcessError("input is not a predictable strong supermartingale")
 
     zero = space.zero()
     jump_a = [vproc.left_jump(k) for k in range(n + 1)]
@@ -167,30 +162,12 @@ def mertens_decompose(
         for k in range(n)
     ]
 
-    a_mid, a_minus, a_plus = [], [], []
-    run = list(zero)
-    for k in range(n + 1):
-        a_minus.append(list(run))
-        run = v.add(run, jump_a[k])
-        a_mid.append(list(run))
-        if k < n:
-            a_plus.append(list(run))
-            run = v.add(run, ivl_a[k])
-    a = from_slots(space, a_minus, a_mid, a_plus, kind="finite-variation-predictable")
-
-    b_mid, b_minus, b_plus = [], [], []
-    run = list(zero)
-    for k in range(n + 1):
-        b_minus.append(list(run))
-        run = v.add(run, jump_b[k])
-        b_mid.append(list(run))
-        if k < n:
-            b_plus.append(list(run))
-    b = from_slots(space, b_minus, b_mid, b_plus, kind="purely-discontinuous-predictable")
+    a = fv_from_increments(space, jump_a, ivl_a)
+    b = pd_from_jumps(space, jump_b)
 
     n_minus, n_mid, n_plus = [], [], []
     for k in range(n + 1):
-        nm = v.add(v.add(vproc.mid[k], a_mid[k]), b_minus[k])
+        nm = v.add(v.add(vproc.mid[k], a.mid[k]), b.minus[k])
         n_minus.append(nm)
         dn = v.add(vproc.right_jump(k), jump_b[k]) if k < n else list(zero)
         n_mid.append(v.add(nm, dn))
@@ -234,11 +211,7 @@ def _children(space, positions, p, atom):
     return [c for c in nxt if c[0] in aset]
 
 
-def snell_bruteforce(
-    barrier: LadlagProcess,
-    cap: int = 2_000_000,
-    validate_input: bool = True,
-) -> LadlagProcess:
+def snell_bruteforce(barrier: LadlagProcess, cap: int = 2_000_000) -> LadlagProcess:
     """Value process by exhaustive enumeration of slot-grid stopping rules.
 
     For each start position and each atom of its decision partition, the
@@ -248,7 +221,7 @@ def snell_bruteforce(
     no dynamic-programming shortcut is involved.
     """
     space, n = barrier.space, barrier.n_steps
-    if validate_input and space.n_paths > 64:
+    if space.n_paths > 64:
         raise SnellEnumerationError(f"space has {space.n_paths} paths, oracle caps at 64")
     counts = _rule_counts(space)
     work = sum(counts.values())
@@ -293,7 +266,7 @@ def snell_bruteforce(
         else:
             plus[k] = out
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable", validate=False)
+    return from_slots(space, minus, mid, plus, kind="predictable")
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +417,7 @@ def _skorokhod_jump_b(name, b, y, barrier, lower: bool, tol) -> ConditionReport:
 
 
 def _class_condition(space, y, z, m, a, b, tol, a2=None, b2=None) -> ConditionReport:
-    from .processes import (
-        bracket,
-        brownian_process,
-        is_predictable_strong_supermartingale,
-        validate_integrand,
-    )
+    from .processes import bracket, brownian_process, validate_integrand
 
     problems: list[tuple[float, str]] = []
     for proc, kind, label in (
@@ -473,7 +441,7 @@ def _class_condition(space, y, z, m, a, b, tol, a2=None, b2=None) -> ConditionRe
     if a2 is None and b2 is None:
         # One-barrier case: the value process is itself a predictable strong
         # supermartingale (only downward reflection is present).
-        if not is_predictable_strong_supermartingale(y, enumeration_check=False):
+        if not is_predictable_strong_supermartingale(y):
             problems.append((1.0, "Y is not a predictable strong supermartingale"))
     br = bracket(m, brownian_process(space))
     dev = max(

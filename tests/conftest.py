@@ -72,21 +72,23 @@ def rand_on(space, partition, rng, scale=Fraction(2), signed=True):
 
 def random_predictable(space, rng, scale=Fraction(2)):
     """Random predictable ladlag process with free minus/plus slots."""
-    from pdrbsde.processes import from_slots
+    from pdrbsde.processes import from_slots, validate_process
 
     n = space.n_steps
     mid = [rand_on(space, space.sigma_minus[k], rng, scale) for k in range(n + 1)]
     minus = [list(mid[0])] + [rand_on(space, space.sigma_minus[k], rng, scale)
                               for k in range(1, n + 1)]
     plus = [rand_on(space, space.sigma_mid[k], rng, scale) for k in range(n)]
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    proc = from_slots(space, minus, mid, plus, kind="predictable")
+    validate_process(proc)
+    return proc
 
 
 def random_martingale(space, rng, scale=Fraction(1)):
     """Random square-integrable martingale with M_{0^-} = 0: dW-driven interval
     increments plus compensated mark jumps."""
     from pdrbsde import values as v
-    from pdrbsde.processes import from_slots
+    from pdrbsde.processes import from_slots, validate_process
     from pdrbsde.prob_space import cond_expect
 
     n = space.n_steps
@@ -105,4 +107,16 @@ def random_martingale(space, rng, scale=Fraction(1)):
             z = rand_on(space, space.sigma_mid[k], rng, scale)
             cur = v.add(cur, v.mul(z, space.dw[k]))
             minus.append(list(cur))
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    proc = from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    validate_process(proc)
+    return proc
+
+
+def picard_solution(barriers, g, order="jacobi"):
+    """The Picard oracle's solution of a process-driver problem: shift the
+    barriers, iterate in ``order`` to exact stabilization, assemble."""
+    from pdrbsde.drbsde import assemble_solution, picard_coupled, shift_barriers
+
+    xi_t, zeta_t = shift_barriers(barriers, g)
+    j, jbar, _ = picard_coupled(xi_t, zeta_t, order=order)
+    return assemble_solution(j, jbar, g, barriers)

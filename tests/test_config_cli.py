@@ -152,6 +152,24 @@ class TestCliModes:
         cfg = write_scenario(tmp_path, template_doc(1, seed=13))
         assert main(["--mode", "oracle", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
+    def test_oracle_mode_compares_the_solution(self, tmp_path, monkeypatch):
+        """A production solution one Y value off the Picard oracle's fails with exit 5."""
+        from pdrbsde import cli
+
+        solve = cli._solve_scenario
+
+        def moved(scenario):
+            sol, g, trace = solve(scenario)
+            sol.y.mid[0][0] += Fraction(1, 10**30)
+            return sol, g, trace
+
+        monkeypatch.setattr(cli, "_solve_scenario", moved)
+        cfg = write_scenario(tmp_path, template_doc(1, seed=13))
+        out = tmp_path / "o"
+        assert main(["--mode", "oracle", "--config", str(cfg), "--out", str(out)]) == 5
+        report = json.loads((out / "oracle_report.json").read_text())
+        assert [m.split(":")[0] for m in report["mismatches"]] == ["y"]
+
     def test_bundled_game_option_scenario_oracle(self, tmp_path):
         bundled = Path(__file__).resolve().parent.parent / "scenarios" / "game_option_2step.json"
         assert bundled.exists()
@@ -184,14 +202,53 @@ class TestCliModes:
         report = json.loads((out / "certificate.json").read_text())
         assert report["pass"] is True
 
-    def test_corpus_mode_and_fanout(self, tmp_path, monkeypatch):
+    def test_corpus_mode_and_fanout(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert main(["--mode", "corpus", "--count", "3", "--out", str(corpus), "--seed", "2"]) == 0
-        monkeypatch.setenv("PDRBSDE_THREADS", "2")
         out = tmp_path / "runs"
         assert main(["--mode", "solve", "--config", str(corpus), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "scenario_000", "scenario_001", "scenario_002"]
+
+
+def _drop_zero_rows(rows):
+    return rows[:1] + [r for r in rows[1:] if r[-1] != "0"]
+
+
+def _set(rows, row, col, value):
+    rows[row][col] = value
+    return rows
+
+
+# (file, edit of its rows, text the error names); the dumps are those of
+# scenario 002 of corpus seed 0: 16 paths, two steps, zero driver
+MALFORMED_DUMPS = {
+    "missing_rows": ("solution_B.csv", _drop_zero_rows, "missing row"),
+    "duplicate_row": ("solution_Y.csv", lambda rows: rows + [rows[5]], "duplicate row"),
+    "unknown_slot": ("solution_M.csv", lambda rows: _set(rows, 3, 1, "middle"), "unknown slot"),
+    "index_out_of_range": ("solution_A.csv", lambda rows: _set(rows, 3, 2, "16"),
+                           "out of range"),
+    "unparseable_value": ("solution_Y.csv", lambda rows: _set(rows, 7, 3, "abc"),
+                          "unreadable row"),
+    "unmeasurable_driver": ("driver_g.csv", lambda rows: _set(rows, 1, 2, "1"),
+                            "not sigma_mid[0]-measurable"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+def test_verify_rejects_malformed_dump(tmp_path, capsys, case):
+    """Every malformed dump ends in exit 2 with the file named, never a traceback."""
+    name, edit, message = MALFORMED_DUMPS[case]
+    cfg = generate_corpus(0, 3, tmp_path / "corpus")[2]
+    out = tmp_path / "run"
+    assert main(["--mode", "solve", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / name
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    path.write_text("\n".join(",".join(r) for r in edit(rows)) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err, err
 
 
 class TestDeterminism:

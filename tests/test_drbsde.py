@@ -37,6 +37,7 @@ from pdrbsde.processes import (
     sup_distance,
 )
 from pdrbsde.scenario import realize
+from pdrbsde.snell import snell_bruteforce
 
 F = Fraction
 
@@ -83,7 +84,7 @@ class TestShiftBarriers:
         zeta_mid = [list(x) for x in zeta.mid]
         zeta_mid[-1] = list(xi.mid[-1])
         zeta = from_slots(space_16, zeta.minus, zeta_mid, zeta.plus,
-                          kind="predictable", validate=False)
+                          kind="predictable")
         g = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
         xi_t, zeta_t = shift_barriers(BarrierPair(xi=xi, zeta=zeta), g)
         assert all(x == 0 for x in xi_t.mid[-1])
@@ -185,7 +186,7 @@ class TestAssemble:
     def test_touching_constant_barriers(self, space_8):
         pair = flat_pair(space_8, [space_8.constant(2)] * 3, [space_8.constant(2)] * 3)
         g = [space_8.zero()] * 2
-        sol, _ = solve_driver_process(pair, g)
+        sol = solve_driver_process(pair, g)
         assert sup_distance(sol.y, constant_process(space_8, 2)) == 0
         for comp in (sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
@@ -201,7 +202,7 @@ class TestAssemble:
             xi=_with_terminal(p_sub(x, wide, kind="predictable"), term),
             zeta=_with_terminal(p_add(x, wide, kind="predictable"), term),
         )
-        sol, _ = solve_driver_process(pair, g)
+        sol = solve_driver_process(pair, g)
         assert sup_distance(sol.y, x) == 0
         for comp in (sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
@@ -226,7 +227,7 @@ class TestAssemble:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            sol, _ = solve_driver_process(sc.barriers, sc.g)
+            sol = solve_driver_process(sc.barriers, sc.g)
             rep = verify_drbsde_solution(sc.g, sc.barriers, sol)
             assert rep.passed, rep.failures()
             assert rep.max_residual == 0
@@ -236,7 +237,7 @@ def _with_terminal(proc, term):
     mid = [list(x) for x in proc.mid]
     mid[-1] = list(term)
     minus = [list(x) for x in proc.minus]
-    return from_slots(proc.space, minus, mid, proc.plus, kind="predictable", validate=False)
+    return from_slots(proc.space, minus, mid, proc.plus, kind="predictable")
 
 
 class TestVerifier:
@@ -250,7 +251,7 @@ class TestVerifier:
             seed=23,
         )
         sc = realize(cfg)
-        sol, _ = solve_driver_process(sc.barriers, sc.g)
+        sol = solve_driver_process(sc.barriers, sc.g)
         # need a scenario where reflection actually acts somewhere
         assert not (is_zero(sol.a) and is_zero(sol.b) and is_zero(sol.a_prime)
                     and is_zero(sol.b_prime))
@@ -280,7 +281,7 @@ class TestVerifier:
                           kind="predictable")
         pair = BarrierPair(xi=xi, zeta=zeta)
         g = [space_2.constant(F(1, 4))]
-        sol, trace = solve_driver_process(pair, g)
+        sol = solve_driver_process(pair, g)
         assert sol.y.mid[0] == space_2.constant(F(3, 4))
         assert sol.y.mid[1] == [F(2), F(-2)]
         assert sol.y.minus[1] == [F(3), F(-2)]
@@ -308,7 +309,7 @@ class TestMarkAtTimeZero:
         sc = realize(cfg)
         assert len(sc.space.sigma_mid[0]) == 2 and sc.space.sigma_minus[0] == (
             tuple(range(sc.space.n_paths)),)
-        sol, _ = solve_driver_process(sc.barriers, sc.g)
+        sol = solve_driver_process(sc.barriers, sc.g)
         rep = verify_drbsde_solution(sc.g, sc.barriers, sol)
         assert rep.passed, rep.failures()
         jump0 = sol.m.left_jump(0)
@@ -347,7 +348,7 @@ class TestMutualSingularity:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            sol, _ = solve_driver_process(sc.barriers, sc.g)
+            sol = solve_driver_process(sc.barriers, sc.g)
             assert mutually_singular(sol.a, sol.a_prime)[0]
             assert mutually_singular(sol.b, sol.b_prime)[0]
 
@@ -369,7 +370,7 @@ class TestMokobodzki:
             xi=_with_terminal(p_sub(x, wide, kind="predictable"), term),
             zeta=_with_terminal(p_add(x, wide, kind="predictable"), term),
         )
-        sol, _ = solve_driver_process(pair, g)
+        sol = solve_driver_process(pair, g)
         for comp in (sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
         h, hbar = mokobodzki_certificate(pair, g, solution=sol)
@@ -387,10 +388,11 @@ class TestMokobodzki:
             seed=37,
         )
         sc = realize(cfg)
-        sol, _ = solve_driver_process(sc.barriers, sc.g)
+        sol = solve_driver_process(sc.barriers, sc.g)
         h, hbar = mokobodzki_certificate(sc.barriers, sc.g, solution=sol)
-        assert is_predictable_strong_supermartingale(h)
-        assert is_predictable_strong_supermartingale(hbar)
+        for proc in (h, hbar):
+            assert is_predictable_strong_supermartingale(proc)
+            assert sup_distance(snell_bruteforce(proc), proc) == 0
         diff = p_sub(h, hbar, kind="predictable")
         n = sc.space.n_steps
         for k in range(n + 1):

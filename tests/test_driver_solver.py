@@ -159,7 +159,7 @@ class TestSolveGeneral:
         # the map is constant: the first solve is already the fixed point
         assert trace.iterations == 2 and trace.deltas[-1] == 0.0
         g = [space_8.constant(c) for c in cvals]
-        direct, _ = solve_driver_process(pair, g)
+        direct = solve_driver_process(pair, g)
         assert sup_distance(sol.y, direct.y) == 0
 
     def test_pinned_barriers_linear_decay(self, space_8):
@@ -198,9 +198,9 @@ class TestSolveGeneral:
         g0 = sc.driver.freeze(sc.space, zero_process(sc.space, kind="predictable"),
                               IntegrandProcess(space=sc.space,
                                                z=tuple(sc.space.zero() for _ in range(8))))
-        sol1, _ = solve_driver_process(sc.barriers, g0)
+        sol1 = solve_driver_process(sc.barriers, g0)
         g1 = sc.driver.freeze(sc.space, sol1.y, sol1.z)
-        sol2, _ = solve_driver_process(sc.barriers, g1)
+        sol2 = solve_driver_process(sc.barriers, g1)
         rep = apriori_estimate_check(sol1, sol2, g0, g1, beta=5.0, eps=0.5, c=2.0)
         assert rep.z_m_holds
 

@@ -2,7 +2,9 @@
 
 Rational mode: every component equal with zero tolerance, in both Picard
 orders, and for linear drivers the outer loop takes the same number of steps.
-Float mode: the same corpus re-realized agrees within 1e-10.
+The recursion's outputs are held to their process classes here, since the
+solver does not re-check them.  Float mode: the same corpus re-realized agrees
+within 1e-10.
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from functools import partial
 import pytest
 
 import pdrbsde.driver_solver as driver_solver
+from conftest import picard_solution
 from pdrbsde.config import config_from_dict, load_config
 from pdrbsde.drbsde import dynkin_recursion, solve_driver_process
 from pdrbsde.driver_solver import ContractionParams, solve_general
-from pdrbsde.processes import sup_distance
+from pdrbsde.processes import sup_distance, validate_integrand, validate_process
 from pdrbsde.scenario import generate_corpus, realize
 
 FLOAT_TOL = 1e-10
@@ -35,9 +38,15 @@ def _solve_general(sc, monkeypatch, order=None):
     with monkeypatch.context() as mp:
         if order is not None:
             mp.setattr(driver_solver, "solve_driver_process",
-                       partial(solve_driver_process, order=order))
+                       partial(picard_solution, order=order))
         return solve_general(sc.driver, sc.barriers, params, tol=1e-12,
                              max_outer=cfg.params.max_outer, probe_seed=cfg.seed)
+
+
+def _check_classes(sol) -> None:
+    for comp in (sol.y, sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime):
+        validate_process(comp)
+    validate_integrand(sol.z)
 
 
 def _gap(s1, s2) -> float:
@@ -54,16 +63,17 @@ def test_rational_corpus_matches_picard_exactly(corpus_configs, monkeypatch):
         if sc.has_general_driver:
             linear += 1
             sol, trace = _solve_general(sc, monkeypatch)
+            _check_classes(sol)
             for order in ORDERS:
                 oracle, oracle_trace = _solve_general(sc, monkeypatch, order)
                 assert sol == oracle, (cfg.name, order)
                 assert trace.iterations == oracle_trace.iterations, (cfg.name, order)
             continue
         sol = dynkin_recursion(sc.barriers, sc.g)
-        assert solve_driver_process(sc.barriers, sc.g) == (sol, None)
+        _check_classes(sol)
+        assert solve_driver_process(sc.barriers, sc.g) == sol
         for order in ORDERS:
-            oracle, _ = solve_driver_process(sc.barriers, sc.g, order=order)
-            assert sol == oracle, (cfg.name, order)
+            assert sol == picard_solution(sc.barriers, sc.g, order), (cfg.name, order)
     assert linear == 10
 
 
@@ -76,6 +86,7 @@ def test_float_corpus_matches_picard(corpus_configs, monkeypatch):
             oracle, _ = _solve_general(sc, monkeypatch, "jacobi")
         else:
             sol = dynkin_recursion(sc.barriers, sc.g)
-            oracle, _ = solve_driver_process(sc.barriers, sc.g, order="jacobi")
+            oracle = picard_solution(sc.barriers, sc.g)
+        _check_classes(sol)
         worst = max(worst, _gap(sol, oracle))
     assert worst <= FLOAT_TOL

@@ -47,7 +47,9 @@ def compensated_mark_martingale(space, instant=1, hi=F(1), lo=F(-1)):
         if k < n:
             plus.append(list(cur))
             minus.append(list(cur))
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    m = from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    validate_process(m)
+    return m
 
 
 class TestPredictableProjection:
@@ -142,13 +144,23 @@ class TestIsMartingale:
             assert is_martingale(random_martingale(space_16, rng))
 
 
+def _pss_checked(y) -> bool:
+    """The slot inequalities, asserted to agree with the enumeration oracle:
+    y is a predictable strong supermartingale iff it is its own Snell envelope."""
+    from pdrbsde.snell import snell_bruteforce
+
+    fast = is_predictable_strong_supermartingale(y)
+    assert fast == (sup_distance(snell_bruteforce(y), y) == 0)
+    return fast
+
+
 class TestSupermartingale:
     def test_constant(self, space_8):
-        assert is_predictable_strong_supermartingale(constant_process(space_8, 2))
+        assert _pss_checked(constant_process(space_8, 2))
 
     def test_increasing_deterministic_fails(self, space_8):
         xi = from_cadlag_sequence(space_8, [space_8.constant(k) for k in range(3)])
-        assert not is_predictable_strong_supermartingale(xi)
+        assert not _pss_checked(xi)
 
     def test_pre_output_is_supermartingale(self, space_8):
         from pdrbsde.snell import snell_envelope_slots
@@ -156,17 +168,16 @@ class TestSupermartingale:
         rng = random.Random(4)
         for _ in range(5):
             y = snell_envelope_slots(random_predictable(space_8, rng))
-            # enumeration cross-check runs inside (space has 8 paths <= 64)
-            assert is_predictable_strong_supermartingale(y)
+            assert _pss_checked(y)
 
     def test_fast_path_agrees_with_enumeration_on_negatives(self, space_8):
         rng = random.Random(9)
         seen_false = 0
         for _ in range(10):
             y = random_predictable(space_8, rng)
-            if not is_predictable_strong_supermartingale(y):
+            if not _pss_checked(y):
                 seen_false += 1
-        assert seen_false > 0  # the cross-check inside would raise on disagreement
+        assert seen_false > 0
 
 
 class TestItoIntegral:
@@ -286,20 +297,21 @@ class TestClassValidation:
     def test_b_class_needs_zero_start(self, space_8):
         one = space_8.constant(1)
         with pytest.raises(ProcessError):
-            from_slots(space_8, [one, one, one], [one, one, one], [one, one],
-                       kind="purely-discontinuous-predictable")
+            validate_process(from_slots(space_8, [one, one, one], [one, one, one], [one, one],
+                                        kind="purely-discontinuous-predictable"))
 
     def test_b_class_may_jump_at_zero(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
         b = from_slots(space_8, [zero, one, one], [one, one, one], [one, one],
                        kind="purely-discontinuous-predictable")
+        validate_process(b)
         assert b.left_jump(0) == one
 
     def test_fv_class_rejects_negative_increment(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
         with pytest.raises(ProcessError):
-            from_slots(space_8, [zero, one, one], [zero, one, zero], [zero, one],
-                       kind="finite-variation-predictable")
+            validate_process(from_slots(space_8, [zero, one, one], [zero, one, zero], [zero, one],
+                                        kind="finite-variation-predictable"))
 
     def test_integrand_measurability_enforced(self, space_8):
         from pdrbsde.processes import validate_integrand

@@ -115,7 +115,7 @@ class TestOperatorProperties:
                 [rand_on(space_8, space_8.sigma_minus[k], rng, signed=False) for k in range(3)],
                 [rand_on(space_8, space_8.sigma_minus[k], rng, signed=False) for k in range(3)],
                 [rand_on(space_8, space_8.sigma_mid[k], rng, signed=False) for k in range(2)],
-                kind="optional", validate=False,
+                kind="optional",
             )
             xi2 = p_add(xi, bump, kind="predictable")
             y1, y2 = snell_envelope_slots(xi), snell_envelope_slots(xi2)
@@ -150,6 +150,7 @@ class TestOperatorProperties:
             h = p_add(y, random_nonneg_pss(space_8, rng), kind="predictable")
             # h is a supermartingale dominating xi; the envelope sits below it
             assert is_predictable_strong_supermartingale(h)
+            assert sup_distance(snell_bruteforce(h), h) == 0
             for k in range(3):
                 assert all(a <= b for a, b in zip(y.mid[k], h.mid[k]))
 
@@ -308,8 +309,7 @@ class TestVerifyRbsde:
         q = pre_operator(xi)
         bad_mid = [list(x) for x in q.y.mid]
         bad_mid[1] = v.add(bad_mid[1], space_8.constant(1))
-        bad_y = from_slots(space_8, q.y.minus, bad_mid, q.y.plus,
-                           kind="predictable", validate=False)
+        bad_y = from_slots(space_8, q.y.minus, bad_mid, q.y.plus, kind="predictable")
         rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=bad_y, z=q.z, m=q.m, a=q.a, b=q.b))
         assert not rep.passed
         assert not rep.condition("equation_residual").passed
