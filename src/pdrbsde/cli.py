@@ -60,7 +60,7 @@ from .processes import (
 )
 from .reports import RunReport
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
-from .snell import snell_bruteforce, snell_envelope_slots
+from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce, snell_envelope_slots
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -237,38 +237,26 @@ _COMPONENTS = ("Y", "M", "A", "B", "A_prime", "B_prime")
 
 
 def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
-    procs = {
-        "Y": sol.y, "M": sol.m, "A": sol.a, "B": sol.b,
-        "A_prime": sol.a_prime, "B_prime": sol.b_prime,
-    }
-    for name, proc in procs.items():
+    """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float."""
+    fmt = Fraction.__str__ if sol.y.space.mode == "rational" else float.__repr__
+
+    def write(fh, prefix: str, values) -> None:
+        fh.write("".join([f"{prefix}{i},{x}\r\n" for i, x in enumerate(map(fmt, values))]))
+
+    for name, proc in zip(_COMPONENTS, (sol.y, sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime)):
         with open(out_dir / f"solution_{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["instant", "slot", "path", "value"])
+            fh.write("instant,slot,path,value\r\n")
             n = proc.n_steps
             for k in range(n + 1):
-                for slot, arr in (("minus", proc.minus[k]), ("mid", proc.mid[k])):
-                    for i, val in enumerate(arr):
-                        writer.writerow([k, slot, i, _fmt(val)])
+                write(fh, f"{k},minus,", proc.minus[k])
+                write(fh, f"{k},mid,", proc.mid[k])
                 if k < n:
-                    for i, val in enumerate(proc.plus[k]):
-                        writer.writerow([k, "plus", i, _fmt(val)])
-    with open(out_dir / "solution_Z.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "path", "value"])
-        for k in range(sol.z.n_steps):
-            for i, val in enumerate(sol.z.z[k]):
-                writer.writerow([k, i, _fmt(val)])
-    with open(out_dir / "driver_g.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["interval", "path", "value"])
-        for k, gk in enumerate(g):
-            for i, val in enumerate(gk):
-                writer.writerow([k, i, _fmt(val)])
-
-
-def _fmt(x) -> str:
-    return str(x) if isinstance(x, Fraction) else repr(float(x))
+                    write(fh, f"{k},plus,", proc.plus[k])
+    for file, rows in (("solution_Z.csv", sol.z.z), ("driver_g.csv", g)):
+        with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
+            fh.write("interval,path,value\r\n")
+            for k, row in enumerate(rows):
+                write(fh, f"{k},", row)
 
 
 def _parse(space: FilteredSpace, s: str):
@@ -359,8 +347,10 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     dynamic program against the stopping-rule enumeration."""
     scenario = realize(config)
     space = scenario.space
-    if space.n_paths > 64:
-        raise ConfigError(f"oracle mode caps at 64 paths, space has {space.n_paths}")
+    try:
+        check_enumerable(space)
+    except SnellEnumerationError as exc:
+        raise ConfigError(f"oracle mode: {exc}") from None
     sol, g, _ = _solve_scenario(scenario)
     xi_t, zeta_t = shift_barriers(scenario.barriers, g)
     from .drbsde import _kill_terminal

@@ -45,6 +45,12 @@ def _as_fraction(x: Any, where: str) -> Fraction:
     raise ConfigError(f"cannot parse rational: {x!r}", where)
 
 
+def _as_int(x: Any, where: str) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"expected an integer, got {x!r}", where)
+    return x
+
+
 def _rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:
@@ -218,22 +224,26 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
+def _mark_spec(m: dict[str, Any], i: int) -> MarkSpec:
+    labels = m.get("labels")
+    if (not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
+            or len(set(labels)) != len(labels)):
+        raise ConfigError(f"labels must be a list of distinct strings, got {labels!r}",
+                          f"marks[{i}].labels")
+    return MarkSpec(
+        instant=_as_int(m.get("instant"), f"marks[{i}].instant"),
+        labels=tuple(labels),
+        probs=tuple(_as_fraction(p, f"marks[{i}].probs") for p in m.get("probs", ())),
+    )
+
+
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}", "schema")
     grid = doc.get("grid") or {}
-    n_steps = grid.get("N")
-    if not isinstance(n_steps, int) or n_steps < 1:
-        raise ConfigError(f"grid.N must be a positive integer, got {n_steps!r}", "grid.N")
+    n_steps = _as_int(grid.get("N"), "grid.N")
     t_horizon = _as_fraction(grid.get("T", 1), "grid.T")
-    marks = tuple(
-        MarkSpec(
-            instant=m["instant"],
-            labels=tuple(m["labels"]),
-            probs=tuple(_as_fraction(p, f"marks[{i}].probs") for p in m["probs"]),
-        )
-        for i, m in enumerate(doc.get("marks", []))
-    )
+    marks = tuple(_mark_spec(m, i) for i, m in enumerate(doc.get("marks", [])))
     b = doc.get("barriers") or {}
     d = doc.get("driver") or {"kind": "zero"}
     p = doc.get("params") or {}
@@ -242,8 +252,8 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         eps=float(p.get("eps", 0.5)),
         c=float(p.get("c", 2.0)),
         tol=float(p.get("tol", 0.0)),
-        max_iter=p.get("max_iter"),
-        max_outer=int(p.get("max_outer", 50)),
+        max_iter=None if p.get("max_iter") is None else _as_int(p["max_iter"], "params.max_iter"),
+        max_outer=_as_int(p.get("max_outer", 50), "params.max_outer"),
         divergence_bound=float(p.get("divergence_bound", 1e9)),
     )
     cfg = ScenarioConfig(

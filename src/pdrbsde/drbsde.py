@@ -54,15 +54,13 @@ from .processes import (
     sup_distance,
     validate_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_cells
+from .reports import ConditionReport, VerificationReport, condition_from_rows
 from .snell import (
-    _cellify,
     _class_condition,
     _domination_condition,
     _equation_condition,
     _skorokhod_interval,
-    _skorokhod_jump_a,
-    _skorokhod_jump_b,
+    _skorokhod_jump,
     pre_operator,
     snell_envelope_slots,
 )
@@ -462,11 +460,8 @@ def verify_drbsde_solution(
     y = s.y
     conds: list[ConditionReport] = []
 
-    cells = [
-        (abs(float(y.mid[n][i] - xi.mid[n][i])), f"instant={n},path={i}")
-        for i in range(space.n_paths)
-    ]
-    conds.append(condition_from_cells("terminal_value", cells, tol))
+    conds.append(condition_from_rows(
+        "terminal_value", [(f"instant={n}", v.sub(y.mid[n], xi.mid[n]))], tol))
 
     conds.append(_equation_condition(space, y, s.z, s.m, s.a, s.b, g=g, tol=tol,
                                      a2=s.a_prime, b2=s.b_prime))
@@ -476,53 +471,54 @@ def verify_drbsde_solution(
     conds.append(_skorokhod_interval("skorokhod_interval_A", s.a, y, xi, lower=True, tol=tol))
     conds.append(_skorokhod_interval("skorokhod_interval_A_prime", s.a_prime, y, zeta,
                                      lower=False, tol=tol))
-    conds.append(_skorokhod_jump_a("skorokhod_jump_A", s.a, y, xi, lower=True, tol=tol))
-    conds.append(_skorokhod_jump_a("skorokhod_jump_A_prime", s.a_prime, y, zeta,
-                                   lower=False, tol=tol))
-    conds.append(_skorokhod_jump_b("skorokhod_jump_B", s.b, y, xi, lower=True, tol=tol))
-    conds.append(_skorokhod_jump_b("skorokhod_jump_B_prime", s.b_prime, y, zeta,
-                                   lower=False, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_A", "jump_A", s.a, y.minus, xi.minus,
+                                 lower=True, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_A_prime", "jump_A", s.a_prime, y.minus,
+                                 zeta.minus, lower=False, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_B", "jump_B", s.b, y.mid, xi.mid,
+                                 lower=True, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_B_prime", "jump_B", s.b_prime, y.mid,
+                                 zeta.mid, lower=False, tol=tol))
 
     ok_a, _ = mutually_singular(s.a, s.a_prime)
     ok_b, _ = mutually_singular(s.b, s.b_prime)
     conds.append(ConditionReport("mutual_singularity_A", ok_a, 0.0 if ok_a else 1.0))
     conds.append(ConditionReport("mutual_singularity_B", ok_b, 0.0 if ok_b else 1.0))
 
-    conds.append(_jump_identity_condition(space, y, s, tol))
-    conds.append(_pinch_condition(space, y, xi, zeta, tol))
+    proj = predictable_projection(y)
+    conds.append(_jump_identity_condition(space, y, proj, s, tol))
+    conds.append(_pinch_condition(space, y, proj, xi, zeta, tol))
     conds.append(_class_condition(space, y, s.z, s.m, s.a, s.b, tol,
                                   a2=s.a_prime, b2=s.b_prime))
     return VerificationReport(conditions=tuple(conds))
 
 
-def _jump_identity_condition(space, y, s, tol) -> ConditionReport:
+def _jump_identity_condition(space, y, proj, s, tol) -> ConditionReport:
     """dA = (dY)^-, dA' = (dY)^+, dB = (pY+ - Y)^-, dB' = (pY+ - Y)^+."""
     n = space.n_steps
-    cells: list[tuple[float, str]] = []
-    proj = predictable_projection(y)
+    rows: list[tuple[str, list]] = []
     for k in range(n + 1):
         dy = y.left_jump(k)
-        cells += _cellify(v.sub(s.a.left_jump(k), v.neg_part(dy)), f"dA,instant={k}")
-        cells += _cellify(v.sub(s.a_prime.left_jump(k), v.pos_part(dy)), f"dA',instant={k}")
+        rows.append((f"dA,instant={k}", v.sub(s.a.left_jump(k), v.neg_part(dy))))
+        rows.append((f"dA',instant={k}", v.sub(s.a_prime.left_jump(k), v.pos_part(dy))))
         if k < n:
             gap = v.sub(proj.plus[k], y.mid[k])
-            cells += _cellify(v.sub(s.b.left_jump(k), v.neg_part(gap)), f"dB,instant={k}")
-            cells += _cellify(v.sub(s.b_prime.left_jump(k), v.pos_part(gap)), f"dB',instant={k}")
+            rows.append((f"dB,instant={k}", v.sub(s.b.left_jump(k), v.neg_part(gap))))
+            rows.append((f"dB',instant={k}", v.sub(s.b_prime.left_jump(k), v.pos_part(gap))))
         else:
-            cells += _cellify(s.b.left_jump(k), f"dB,instant={k}")
-            cells += _cellify(s.b_prime.left_jump(k), f"dB',instant={k}")
-    return condition_from_cells("jump_identities", cells, tol)
+            rows.append((f"dB,instant={k}", s.b.left_jump(k)))
+            rows.append((f"dB',instant={k}", s.b_prime.left_jump(k)))
+    return condition_from_rows("jump_identities", rows, tol)
 
 
-def _pinch_condition(space, y, xi, zeta, tol) -> ConditionReport:
+def _pinch_condition(space, y, proj, xi, zeta, tol) -> ConditionReport:
     """Y = (pY+ v xi) ^ zeta at every instant and path."""
-    n = space.n_steps
-    proj = predictable_projection(y)
-    cells: list[tuple[float, str]] = []
-    for k in range(n):
-        pinched = v.vmin(v.vmax(proj.plus[k], xi.mid[k]), zeta.mid[k])
-        cells += _cellify(v.sub(y.mid[k], pinched), f"pinch,instant={k}")
-    return condition_from_cells("value_pinching", cells, tol)
+    rows = [
+        (f"pinch,instant={k}",
+         v.sub(y.mid[k], v.vmin(v.vmax(proj.plus[k], xi.mid[k]), zeta.mid[k])))
+        for k in range(space.n_steps)
+    ]
+    return condition_from_rows("value_pinching", rows, tol)
 
 
 def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> tuple[bool, set]:

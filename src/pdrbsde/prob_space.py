@@ -303,4 +303,4 @@ def space_to_json_dict(space: FilteredSpace) -> dict:
 
 def dump_space_json(space: FilteredSpace, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_json_dict(space), fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(space_to_json_dict(space), sort_keys=True, indent=1))

@@ -55,17 +55,25 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
-def condition_from_cells(name: str, cells: list[tuple[float, str]], tol: float) -> ConditionReport:
-    """Build a condition from (residual, cell-label) pairs; residuals are >= 0."""
-    if not cells:
+def condition_from_rows(name: str, rows, tol: float) -> ConditionReport:
+    """Build a condition from ``(label, residuals)`` rows, one residual per path.
+
+    The worst cell is the first largest ``|residual|``, named ``label,path=i``.
+    """
+    worst, where = None, None
+    for label, res in rows:
+        mags = list(map(abs, map(float, res)))
+        if mags:
+            m = max(mags)
+            if worst is None or m > worst:
+                worst, where = m, (label, mags.index(m))
+    if worst is None:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
-    worst, label = max(cells, key=lambda rc: rc[0])
-    worst = float(worst)
     return ConditionReport(
         name=name,
         passed=worst <= tol,
         max_residual=worst,
-        worst_cell=label if worst > 0 else None,
+        worst_cell=f"{where[0]},path={where[1]}" if worst > 0 else None,
     )
 
 

@@ -41,7 +41,7 @@ from .processes import (
     pd_from_jumps,
     validate_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_cells
+from .reports import ConditionReport, VerificationReport, condition_from_rows
 
 
 class SnellEnumerationError(ValueError):
@@ -211,7 +211,17 @@ def _children(space, positions, p, atom):
     return [c for c in nxt if c[0] in aset]
 
 
-def snell_bruteforce(barrier: LadlagProcess, cap: int = 2_000_000) -> LadlagProcess:
+def check_enumerable(space: FilteredSpace) -> None:
+    """Raise SnellEnumerationError unless ``snell_bruteforce`` fits its caps:
+    at most 64 paths and 2,000,000 rule evaluations."""
+    if space.n_paths > 64:
+        raise SnellEnumerationError(f"space has {space.n_paths} paths, oracle caps at 64")
+    work = sum(_rule_counts(space).values())
+    if work > 2_000_000:
+        raise SnellEnumerationError(f"enumeration needs {work} rule evaluations, cap 2000000")
+
+
+def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
     """Value process by exhaustive enumeration of slot-grid stopping rules.
 
     For each start position and each atom of its decision partition, the
@@ -221,12 +231,7 @@ def snell_bruteforce(barrier: LadlagProcess, cap: int = 2_000_000) -> LadlagProc
     no dynamic-programming shortcut is involved.
     """
     space, n = barrier.space, barrier.n_steps
-    if space.n_paths > 64:
-        raise SnellEnumerationError(f"space has {space.n_paths} paths, oracle caps at 64")
-    counts = _rule_counts(space)
-    work = sum(counts.values())
-    if work > cap:
-        raise SnellEnumerationError(f"enumeration needs {work} rule evaluations, cap {cap}")
+    check_enumerable(space)
 
     positions = _positions(n)
     contribs: dict = {}
@@ -283,18 +288,17 @@ def verify_rbsde_solution(
     y, z, m, a, b = q.y, q.z, q.m, q.a, q.b
     conds: list[ConditionReport] = []
 
-    cells = [
-        (abs(float(y.mid[n][i] - barrier.mid[n][i])), f"instant={n},path={i}")
-        for i in range(space.n_paths)
-    ]
-    conds.append(condition_from_cells("terminal_value", cells, tol))
+    conds.append(condition_from_rows(
+        "terminal_value", [(f"instant={n}", v.sub(y.mid[n], barrier.mid[n]))], tol))
 
     conds.append(_equation_condition(space, y, z, m, a, b, g=None, tol=tol))
     conds.append(_domination_condition("barrier_domination", y, barrier, lower=True, tol=tol))
 
     conds.append(_skorokhod_interval("skorokhod_interval_A", a, y, barrier, lower=True, tol=tol))
-    conds.append(_skorokhod_jump_a("skorokhod_jump_A", a, y, barrier, lower=True, tol=tol))
-    conds.append(_skorokhod_jump_b("skorokhod_jump_B", b, y, barrier, lower=True, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_A", "jump_A", a, y.minus, barrier.minus,
+                                 lower=True, tol=tol))
+    conds.append(_skorokhod_jump("skorokhod_jump_B", "jump_B", b, y.mid, barrier.mid,
+                                 lower=True, tol=tol))
 
     conds.append(_class_condition(space, y, z, m, a, b, tol))
     return VerificationReport(conditions=tuple(conds))
@@ -314,26 +318,25 @@ def _equation_condition(space, y, z, m, a, b, g, tol, a2=None, b2=None) -> Condi
     is checked as well.
     """
     n = space.n_steps
-    cells: list[tuple[float, str]] = []
+    rows: list[tuple[str, list]] = []
     zero = space.zero()
     for k in range(n + 1):
         da = a.left_jump(k)
         da2 = a2.left_jump(k) if a2 is not None else zero
-        res = v.add(y.left_jump(k), v.sub(da, da2))
-        cells += _cellify(res, f"left_jump,instant={k}")
+        rows.append((f"left_jump,instant={k}", v.add(y.left_jump(k), v.sub(da, da2))))
     for k in range(n):
         db = b.left_jump(k)
         db2 = b2.left_jump(k) if b2 is not None else zero
         res = v.add(v.sub(y.right_jump(k), m.left_jump(k)), v.sub(db, db2))
-        cells += _cellify(res, f"right_jump,instant={k}")
+        rows.append((f"right_jump,instant={k}", res))
         zdw = v.mul(z.z[k], space.dw[k])
         gdt = v.smul(space.dt, g[k]) if g is not None else zero
         res = v.sub(y.interval_increment(k), zdw)
         res = v.add(res, gdt)
         res = v.add(res, v.sub(a.interval_increment(k),
                                a2.interval_increment(k) if a2 is not None else zero))
-        cells += _cellify(res, f"interval,k={k}")
-        cells += _cellify(m.interval_increment(k), f"orthogonal_interval,k={k}")
+        rows.append((f"interval,k={k}", res))
+        rows.append((f"orthogonal_interval,k={k}", m.interval_increment(k)))
 
     tail = list(zero)  # running backward sum of the right-hand side minus Y_N
     for k in range(n, -1, -1):
@@ -343,31 +346,27 @@ def _equation_condition(space, y, z, m, a, b, g, tol, a2=None, b2=None) -> Condi
         rhs = v.add(rhs, v.sub(v.sub(b.minus[n], b.minus[k]),
                                v.sub(b2.minus[n], b2.minus[k]) if b2 is not None else zero))
         rhs = v.sub(rhs, v.sub(m.minus[n], m.minus[k]))
-        cells += _cellify(v.sub(y.mid[k], rhs), f"integrated,instant={k}")
+        rows.append((f"integrated,instant={k}", v.sub(y.mid[k], rhs)))
         if k > 0:
             step = v.smul(space.dt, g[k - 1]) if g is not None else zero
             step = v.sub(step, v.mul(z.z[k - 1], space.dw[k - 1]))
             tail = v.add(tail, step)
-    return condition_from_cells("equation_residual", cells, tol)
+    return condition_from_rows("equation_residual", rows, tol)
 
 
 def _domination_condition(name, y, barrier, lower: bool, tol) -> ConditionReport:
     n = y.n_steps
-    cells: list[tuple[float, str]] = []
+    rows: list[tuple[str, list]] = []
     sgn = 1 if lower else -1
     for k in range(n + 1):
         gap = v.smul(sgn, v.sub(y.mid[k], barrier.mid[k]))
-        cells += _cellify(v.neg_part(gap), f"mid,instant={k}")
+        rows.append((f"mid,instant={k}", v.neg_part(gap)))
         gap = v.smul(sgn, v.sub(y.minus[k], barrier.minus[k]))
-        cells += _cellify(v.neg_part(gap), f"minus,instant={k}")
+        rows.append((f"minus,instant={k}", v.neg_part(gap)))
         if k < n:
             gap = v.smul(sgn, v.sub(y.plus[k], barrier.plus[k]))
-            cells += _cellify(v.neg_part(gap), f"plus,instant={k}")
-    return condition_from_cells(name, cells, tol)
-
-
-def _cellify(res, label) -> list[tuple[float, str]]:
-    return [(abs(float(r)), f"{label},path={i}") for i, r in enumerate(res)]
+            rows.append((f"plus,instant={k}", v.neg_part(gap)))
+    return condition_from_rows(name, rows, tol)
 
 
 def _skorokhod_interval(name, a, y, barrier, lower: bool, tol) -> ConditionReport:
@@ -377,43 +376,29 @@ def _skorokhod_interval(name, a, y, barrier, lower: bool, tol) -> ConditionRepor
     (k,+) and (k+1,-); an increment is admissible if the solution sits on the
     barrier at either of them.
     """
-    space, n = y.space, y.n_steps
+    n = y.n_steps
     sgn = 1 if lower else -1
-    cells: list[tuple[float, str]] = []
+    rows: list[tuple[str, list]] = []
     for k in range(n):
-        inc = a.interval_increment(k)
         gap_open = v.smul(sgn, v.sub(y.plus[k], barrier.plus[k]))
         gap_close = v.smul(sgn, v.sub(y.minus[k + 1], barrier.minus[k + 1]))
-        for i in range(space.n_paths):
-            r = inc[i] * min(max(gap_open[i], 0), max(gap_close[i], 0))
-            cells.append((abs(float(r)), f"interval,k={k},path={i}"))
-    return condition_from_cells(name, cells, tol)
+        rows.append((f"interval,k={k}", [
+            d * min(max(o, 0), max(c, 0))
+            for d, o, c in zip(a.interval_increment(k), gap_open, gap_close)
+        ]))
+    return condition_from_rows(name, rows, tol)
 
 
-def _skorokhod_jump_a(name, a, y, barrier, lower: bool, tol) -> ConditionReport:
-    n = y.n_steps
+def _skorokhod_jump(name, label, proc, y_slot, barrier_slot, lower: bool, tol) -> ConditionReport:
+    """The jump of ``proc`` at each instant may act only where Y sits on the
+    barrier in the given slot: the minus slot for A, the mid slot for B."""
     sgn = 1 if lower else -1
-    cells: list[tuple[float, str]] = []
-    for k in range(n + 1):
-        jump = a.left_jump(k)
-        gap = v.smul(sgn, v.sub(y.minus[k], barrier.minus[k]))
-        for i in range(len(jump)):
-            r = jump[i] * max(gap[i], 0)
-            cells.append((abs(float(r)), f"jump_A,instant={k},path={i}"))
-    return condition_from_cells(name, cells, tol)
-
-
-def _skorokhod_jump_b(name, b, y, barrier, lower: bool, tol) -> ConditionReport:
-    n = y.n_steps
-    sgn = 1 if lower else -1
-    cells: list[tuple[float, str]] = []
-    for k in range(n + 1):
-        jump = b.left_jump(k)
-        gap = v.smul(sgn, v.sub(y.mid[k], barrier.mid[k]))
-        for i in range(len(jump)):
-            r = jump[i] * max(gap[i], 0)
-            cells.append((abs(float(r)), f"jump_B,instant={k},path={i}"))
-    return condition_from_cells(name, cells, tol)
+    rows: list[tuple[str, list]] = []
+    for k, (yk, bk) in enumerate(zip(y_slot, barrier_slot)):
+        gap = v.smul(sgn, v.sub(yk, bk))
+        rows.append((f"{label},instant={k}",
+                     [d * max(x, 0) for d, x in zip(proc.left_jump(k), gap)]))
+    return condition_from_rows(name, rows, tol)
 
 
 def _class_condition(space, y, z, m, a, b, tol, a2=None, b2=None) -> ConditionReport:
@@ -449,4 +434,5 @@ def _class_condition(space, y, z, m, a, b, tol, a2=None, b2=None) -> ConditionRe
     )
     if dev > tol:
         problems.append((dev, "[M, W] != 0"))
-    return condition_from_cells("component_classes", problems, tol)
+    worst, where = max(problems, key=lambda p: p[0], default=(0.0, None))
+    return ConditionReport("component_classes", worst <= tol, worst, where)

@@ -120,3 +120,49 @@ def picard_solution(barriers, g, order="jacobi"):
     xi_t, zeta_t = shift_barriers(barriers, g)
     j, jbar, _ = picard_coupled(xi_t, zeta_t, order=order)
     return assemble_solution(j, jbar, g, barriers)
+
+
+def csv_writer_dump(out_dir, sol, g):
+    """The solution dump as ``csv.writer`` writes it, one ``writerow`` per
+    cell: the oracle for ``cli._dump_solution``."""
+    import csv
+
+    def fmt(x):
+        return str(x) if isinstance(x, Fraction) else repr(float(x))
+
+    procs = {"Y": sol.y, "M": sol.m, "A": sol.a, "B": sol.b,
+             "A_prime": sol.a_prime, "B_prime": sol.b_prime}
+    for name, proc in procs.items():
+        with open(out_dir / f"solution_{name}.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["instant", "slot", "path", "value"])
+            n = proc.n_steps
+            for k in range(n + 1):
+                for slot, arr in (("minus", proc.minus[k]), ("mid", proc.mid[k])):
+                    for i, val in enumerate(arr):
+                        writer.writerow([k, slot, i, fmt(val)])
+                if k < n:
+                    for i, val in enumerate(proc.plus[k]):
+                        writer.writerow([k, "plus", i, fmt(val)])
+    for file, rows in (("solution_Z.csv", sol.z.z), ("driver_g.csv", g)):
+        with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["interval", "path", "value"])
+            for k, row in enumerate(rows):
+                for i, val in enumerate(row):
+                    writer.writerow([k, i, fmt(val)])
+
+
+def cell_scan_condition(name, rows, tol):
+    """A condition from one ``(|residual|, label)`` tuple per cell and a flat
+    ``max`` over them: the oracle for ``reports.condition_from_rows``."""
+    from pdrbsde.reports import ConditionReport
+
+    cells = [(abs(float(r)), f"{label},path={i}") for label, res in rows
+             for i, r in enumerate(res)]
+    if not cells:
+        return ConditionReport(name=name, passed=True, max_residual=0.0)
+    worst, label = max(cells, key=lambda rc: rc[0])
+    worst = float(worst)
+    return ConditionReport(name=name, passed=worst <= tol, max_residual=worst,
+                           worst_cell=label if worst > 0 else None)

@@ -56,6 +56,34 @@ class TestConfig:
             })
 
 
+def _mark_doc(**mark) -> dict:
+    doc = template_doc(1)
+    doc["marks"] = [dict(doc["marks"][0], **mark)]
+    return doc
+
+
+# (scenario document, the cell the error names); each is one schema type error
+SCHEMA_TYPE_ERRORS = {
+    "instant_string": (_mark_doc(instant="1"), "marks[0].instant"),
+    "labels_duplicate": (_mark_doc(labels=["a", "a"]), "marks[0].labels"),
+    "labels_not_list": (_mark_doc(labels="ab"), "marks[0].labels"),
+    "labels_not_strings": (_mark_doc(labels=[0, 1]), "marks[0].labels"),
+    "max_iter_string": (template_doc(1, max_iter="ten"), "params.max_iter"),
+    "max_iter_fraction": (template_doc(1, max_iter=2.5), "params.max_iter"),
+    "max_outer_string": (template_doc(1, max_outer="50"), "params.max_outer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_TYPE_ERRORS))
+def test_schema_type_error_names_cell(tmp_path, capsys, case):
+    """A mistyped field exits 2 naming its cell, never a traceback or a solve."""
+    doc, cell = SCHEMA_TYPE_ERRORS[case]
+    assert doc["marks"] and doc["marks"][0]["labels"]  # template 1 has a mark
+    cfg = write_scenario(tmp_path, doc)
+    assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"[at {cell}]" in capsys.readouterr().err
+
+
 class TestCorpusGeneration:
     def test_deterministic_bytes(self, tmp_path):
         a = generate_corpus(3, 6, tmp_path / "a")
@@ -169,6 +197,24 @@ class TestCliModes:
         assert main(["--mode", "oracle", "--config", str(cfg), "--out", str(out)]) == 5
         report = json.loads((out / "oracle_report.json").read_text())
         assert [m.split(":")[0] for m in report["mismatches"]] == ["y"]
+
+    def test_oracle_rejects_enumeration_past_its_cap(self, tmp_path, capsys, monkeypatch):
+        """64 paths but 8.6e27 stopping-rule evaluations: exit 2 before any solve."""
+        from pdrbsde import cli
+        from pdrbsde.scenario import estimate_template
+
+        def no_solve(scenario):
+            raise AssertionError("oracle mode solved before checking the enumeration cap")
+
+        monkeypatch.setattr(cli, "_solve_scenario", no_solve)
+        doc = estimate_template(1)
+        doc.update(grid={"N": 5, "T": "5/4"}, arithmetic="rational",
+                   marks=[dict(doc["marks"][0], instant=2)])
+        cfg = write_scenario(tmp_path, doc)
+        out = tmp_path / "o"
+        assert main(["--mode", "oracle", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "rule evaluations" in capsys.readouterr().err
+        assert not (out / "oracle_report.json").exists()
 
     def test_bundled_game_option_scenario_oracle(self, tmp_path):
         bundled = Path(__file__).resolve().parent.parent / "scenarios" / "game_option_2step.json"
