@@ -43,7 +43,6 @@ from .snell import (
     snell_bruteforce,
     snell_envelope_slots,
     stopping_rule_count,
-    verify_rbsde_solution,
 )
 from .drbsde import (
     BarrierPair,
@@ -55,12 +54,11 @@ from .drbsde import (
     dynkin_recursion,
     mokobodzki_certificate,
     minimality_check,
-    mutually_singular,
     picard_coupled,
     shift_barriers,
     solve_driver_process,
-    verify_drbsde_solution,
 )
+from .verify import mutually_singular, verify_drbsde_solution, verify_rbsde_solution
 from .driver_solver import (
     ContractionError,
     ContractionParams,

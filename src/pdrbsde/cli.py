@@ -38,7 +38,6 @@ from .drbsde import (
     shift_barriers,
     solve_driver_process,
     validate_driver_process,
-    verify_drbsde_solution,
 )
 from .driver_solver import (
     ContractionError,
@@ -61,6 +60,7 @@ from .processes import (
 from .reports import RunReport
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
 from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce, snell_envelope_slots
+from .verify import verify_drbsde_solution
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -300,10 +300,11 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, sizes: dict) -> di
             for slot, size in sizes.items()}
 
 
-def _load_process(space: FilteredSpace, path: Path, kind: str) -> LadlagProcess:
+def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:
+    """A dumped process, unchecked: the verifier holds each component to its class."""
     n = space.n_steps
     slots = _read_cells(space, path, "instant", {"minus": n + 1, "mid": n + 1, "plus": n})
-    return from_slots(space, slots["minus"], slots["mid"], slots["plus"], kind=kind)
+    return from_slots(space, slots["minus"], slots["mid"], slots["plus"])
 
 
 def _load_integrand(space: FilteredSpace, path: Path) -> IntegrandProcess:
@@ -314,16 +315,10 @@ def _load_integrand(space: FilteredSpace, path: Path) -> IntegrandProcess:
 def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
     scenario = realize(config)
     space = scenario.space
-    kinds = {
-        "Y": "predictable", "M": "cadlag-martingale",
-        "A": "finite-variation-predictable", "B": "purely-discontinuous-predictable",
-        "A_prime": "finite-variation-predictable",
-        "B_prime": "purely-discontinuous-predictable",
-    }
     missing = [n for n in _COMPONENTS if not (out_dir / f"solution_{n}.csv").exists()]
     if missing:
         raise ConfigError(f"no dumped solution in {out_dir} (missing {missing})")
-    procs = {n: _load_process(space, out_dir / f"solution_{n}.csv", kinds[n]) for n in _COMPONENTS}
+    procs = {n: _load_process(space, out_dir / f"solution_{n}.csv") for n in _COMPONENTS}
     z = _load_integrand(space, out_dir / "solution_Z.csv")
     g = list(_load_integrand(space, out_dir / "driver_g.csv").z)
     try:

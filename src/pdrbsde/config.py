@@ -51,6 +51,21 @@ def _as_int(x: Any, where: str) -> int:
     return x
 
 
+def _as_float(x: Any, where: str) -> float:
+    if not isinstance(x, bool):
+        try:
+            return float(x)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"expected a number, got {x!r}", where)
+
+
+def _expect(x: Any, kind: type, where: str) -> Any:
+    if not isinstance(x, kind):
+        raise ConfigError(f"expected a {kind.__name__}, got {x!r}", where)
+    return x
+
+
 def _rational_sqrt(x: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if x < 0:
@@ -224,7 +239,8 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _mark_spec(m: dict[str, Any], i: int) -> MarkSpec:
+def _mark_spec(m: Any, i: int) -> MarkSpec:
+    m = _expect(m, dict, f"marks[{i}]")
     labels = m.get("labels")
     if (not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
             or len(set(labels)) != len(labels)):
@@ -238,34 +254,38 @@ def _mark_spec(m: dict[str, Any], i: int) -> MarkSpec:
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
+    doc = _expect(doc, dict, "document")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}", "schema")
-    grid = doc.get("grid") or {}
+    grid = _expect(doc.get("grid") or {}, dict, "grid")
     n_steps = _as_int(grid.get("N"), "grid.N")
     t_horizon = _as_fraction(grid.get("T", 1), "grid.T")
-    marks = tuple(_mark_spec(m, i) for i, m in enumerate(doc.get("marks", [])))
-    b = doc.get("barriers") or {}
-    d = doc.get("driver") or {"kind": "zero"}
-    p = doc.get("params") or {}
+    marks = _expect(doc.get("marks", []), list, "marks")
+    marks = tuple(_mark_spec(m, i) for i, m in enumerate(marks))
+    b = _expect(doc.get("barriers") or {}, dict, "barriers")
+    d = _expect(doc.get("driver") or {"kind": "zero"}, dict, "driver")
+    p = _expect(doc.get("params") or {}, dict, "params")
     params = SolverParams(
-        beta=float(p.get("beta", 5.0)),
-        eps=float(p.get("eps", 0.5)),
-        c=float(p.get("c", 2.0)),
-        tol=float(p.get("tol", 0.0)),
+        beta=_as_float(p.get("beta", 5.0), "params.beta"),
+        eps=_as_float(p.get("eps", 0.5), "params.eps"),
+        c=_as_float(p.get("c", 2.0), "params.c"),
+        tol=_as_float(p.get("tol", 0.0), "params.tol"),
         max_iter=None if p.get("max_iter") is None else _as_int(p["max_iter"], "params.max_iter"),
         max_outer=_as_int(p.get("max_outer", 50), "params.max_outer"),
-        divergence_bound=float(p.get("divergence_bound", 1e9)),
+        divergence_bound=_as_float(p.get("divergence_bound", 1e9), "params.divergence_bound"),
     )
     cfg = ScenarioConfig(
         name=str(doc.get("name", "scenario")),
         n_steps=n_steps,
         t_horizon=t_horizon,
         marks=marks,
-        barriers=BarrierSpec(kind=b.get("kind", "constant"), params=dict(b.get("params", {}))),
-        driver=DriverSpec(kind=d.get("kind", "zero"), params=dict(d.get("params", {}))),
+        barriers=BarrierSpec(kind=b.get("kind", "constant"),
+                             params=dict(_expect(b.get("params", {}), dict, "barriers.params"))),
+        driver=DriverSpec(kind=d.get("kind", "zero"),
+                          params=dict(_expect(d.get("params", {}), dict, "driver.params"))),
         params=params,
         arithmetic=str(doc.get("arithmetic", "float")),
-        seed=int(doc.get("seed", 0)),
+        seed=_as_int(doc.get("seed", 0), "seed"),
     )
     cfg.validate()
     return cfg

@@ -25,8 +25,9 @@ paper's construction:
    disjoint.
 
 Both paths give identical components in rational mode.
-``verify_drbsde_solution`` re-checks every clause of the solution definition,
-the component classes included, and is the acceptance oracle for either.
+``verify.verify_drbsde_solution`` re-checks every clause of the solution
+definition, the component classes included, and is the acceptance oracle for
+either.
 Inputs are checked where they enter: ``BarrierPair`` checks itself when it is
 built, and ``solve_driver_process`` checks the driver.
 """
@@ -50,20 +51,13 @@ from .processes import (
     p_add,
     p_sub,
     pd_from_jumps,
-    predictable_projection,
     sup_distance,
     validate_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_rows
-from .snell import (
-    _class_condition,
-    _domination_condition,
-    _equation_condition,
-    _skorokhod_interval,
-    _skorokhod_jump,
-    pre_operator,
-    snell_envelope_slots,
-)
+from .snell import pre_operator, snell_envelope_slots
+
+# Kept only because bench/tracing.py wraps the verifier by this module.
+from .verify import verify_drbsde_solution  # noqa: F401
 
 
 class DivergenceError(RuntimeError):
@@ -89,15 +83,11 @@ class BarrierPair:
         validate_process(self.zeta)
         n = self.xi.n_steps
         for k in range(n + 1):
-            if any(a > b for a, b in zip(self.xi.mid[k], self.zeta.mid[k])):
-                i = next(i for i, (a, b) in enumerate(zip(self.xi.mid[k], self.zeta.mid[k])) if a > b)
-                raise ProcessError(f"xi > zeta at mid slot, instant={k}, path={i}")
-            if any(a > b for a, b in zip(self.xi.minus[k], self.zeta.minus[k])):
-                i = next(i for i, (a, b) in enumerate(zip(self.xi.minus[k], self.zeta.minus[k])) if a > b)
-                raise ProcessError(f"xi > zeta at minus slot, instant={k}, path={i}")
-            if k < n and any(a > b for a, b in zip(self.xi.plus[k], self.zeta.plus[k])):
-                i = next(i for i, (a, b) in enumerate(zip(self.xi.plus[k], self.zeta.plus[k])) if a > b)
-                raise ProcessError(f"xi > zeta at plus slot, instant={k}, path={i}")
+            for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
+                lower, upper = getattr(self.xi, slot)[k], getattr(self.zeta, slot)[k]
+                i = next((i for i, (a, b) in enumerate(zip(lower, upper)) if a > b), None)
+                if i is not None:
+                    raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, path={i}")
         if self.xi.mid[n] != self.zeta.mid[n]:
             raise ProcessError("barriers must coincide at the terminal instant")
 
@@ -445,108 +435,6 @@ def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
 
 
 # ---------------------------------------------------------------------------
-# verification
-
-
-def verify_drbsde_solution(
-    g: list, barriers: BarrierPair, s: SolutionSeptuple, tol: float | None = None
-) -> VerificationReport:
-    """Every clause of the solution definition, with per-cell residuals."""
-    space = barriers.xi.space
-    n = space.n_steps
-    if tol is None:
-        tol = 0.0 if space.mode == "rational" else 1e-10
-    xi, zeta = barriers.xi, barriers.zeta
-    y = s.y
-    conds: list[ConditionReport] = []
-
-    conds.append(condition_from_rows(
-        "terminal_value", [(f"instant={n}", v.sub(y.mid[n], xi.mid[n]))], tol))
-
-    conds.append(_equation_condition(space, y, s.z, s.m, s.a, s.b, g=g, tol=tol,
-                                     a2=s.a_prime, b2=s.b_prime))
-    conds.append(_domination_condition("barrier_sandwich_lower", y, xi, lower=True, tol=tol))
-    conds.append(_domination_condition("barrier_sandwich_upper", y, zeta, lower=False, tol=tol))
-
-    conds.append(_skorokhod_interval("skorokhod_interval_A", s.a, y, xi, lower=True, tol=tol))
-    conds.append(_skorokhod_interval("skorokhod_interval_A_prime", s.a_prime, y, zeta,
-                                     lower=False, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_A", "jump_A", s.a, y.minus, xi.minus,
-                                 lower=True, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_A_prime", "jump_A", s.a_prime, y.minus,
-                                 zeta.minus, lower=False, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_B", "jump_B", s.b, y.mid, xi.mid,
-                                 lower=True, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_B_prime", "jump_B", s.b_prime, y.mid,
-                                 zeta.mid, lower=False, tol=tol))
-
-    ok_a, _ = mutually_singular(s.a, s.a_prime)
-    ok_b, _ = mutually_singular(s.b, s.b_prime)
-    conds.append(ConditionReport("mutual_singularity_A", ok_a, 0.0 if ok_a else 1.0))
-    conds.append(ConditionReport("mutual_singularity_B", ok_b, 0.0 if ok_b else 1.0))
-
-    proj = predictable_projection(y)
-    conds.append(_jump_identity_condition(space, y, proj, s, tol))
-    conds.append(_pinch_condition(space, y, proj, xi, zeta, tol))
-    conds.append(_class_condition(space, y, s.z, s.m, s.a, s.b, tol,
-                                  a2=s.a_prime, b2=s.b_prime))
-    return VerificationReport(conditions=tuple(conds))
-
-
-def _jump_identity_condition(space, y, proj, s, tol) -> ConditionReport:
-    """dA = (dY)^-, dA' = (dY)^+, dB = (pY+ - Y)^-, dB' = (pY+ - Y)^+."""
-    n = space.n_steps
-    rows: list[tuple[str, list]] = []
-    for k in range(n + 1):
-        dy = y.left_jump(k)
-        rows.append((f"dA,instant={k}", v.sub(s.a.left_jump(k), v.neg_part(dy))))
-        rows.append((f"dA',instant={k}", v.sub(s.a_prime.left_jump(k), v.pos_part(dy))))
-        if k < n:
-            gap = v.sub(proj.plus[k], y.mid[k])
-            rows.append((f"dB,instant={k}", v.sub(s.b.left_jump(k), v.neg_part(gap))))
-            rows.append((f"dB',instant={k}", v.sub(s.b_prime.left_jump(k), v.pos_part(gap))))
-        else:
-            rows.append((f"dB,instant={k}", s.b.left_jump(k)))
-            rows.append((f"dB',instant={k}", s.b_prime.left_jump(k)))
-    return condition_from_rows("jump_identities", rows, tol)
-
-
-def _pinch_condition(space, y, proj, xi, zeta, tol) -> ConditionReport:
-    """Y = (pY+ v xi) ^ zeta at every instant and path."""
-    rows = [
-        (f"pinch,instant={k}",
-         v.sub(y.mid[k], v.vmin(v.vmax(proj.plus[k], xi.mid[k]), zeta.mid[k])))
-        for k in range(space.n_steps)
-    ]
-    return condition_from_rows("value_pinching", rows, tol)
-
-
-def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> tuple[bool, set]:
-    """Disjointness of increment supports over (cell, path) pairs.
-
-    Cells are instant jumps and interval increments; D is the support of the
-    first process's increments, the witness set of the singularity.
-    """
-    n = p.n_steps
-    support_p, support_q = set(), set()
-    for k in range(n + 1):
-        for i, x in enumerate(p.left_jump(k)):
-            if x != 0:
-                support_p.add(("jump", k, i))
-        for i, x in enumerate(q.left_jump(k)):
-            if x != 0:
-                support_q.add(("jump", k, i))
-    for k in range(n):
-        for i, x in enumerate(p.interval_increment(k)):
-            if x != 0:
-                support_p.add(("interval", k, i))
-        for i, x in enumerate(q.interval_increment(k)):
-            if x != 0:
-                support_q.add(("interval", k, i))
-    return support_p.isdisjoint(support_q), support_p
-
-
-# ---------------------------------------------------------------------------
 # Mokobodzki certificates and minimality
 
 
@@ -623,19 +511,7 @@ def minimality_check(
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
         if any(d - z > tol for d, z in zip(diff.mid[k], zeta_t.mid[k])):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
-    return _dominated(j, h, tol) and _dominated(jbar, hbar, tol)
-
-
-def _dominated(small: LadlagProcess, big: LadlagProcess, tol) -> bool:
-    n = small.n_steps
-    for k in range(n + 1):
-        if any(a - b > tol for a, b in zip(small.mid[k], big.mid[k])):
-            return False
-        if any(a - b > tol for a, b in zip(small.minus[k], big.minus[k])):
-            return False
-        if k < n and any(a - b > tol for a, b in zip(small.plus[k], big.plus[k])):
-            return False
-    return True
+    return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
 
 
 def random_nonneg_pss(space: FilteredSpace, rng, scale=1) -> LadlagProcess:

@@ -33,7 +33,8 @@ class VerificationReport:
 
     @property
     def max_residual(self) -> float:
-        return max((c.max_residual for c in self.conditions), default=0.0)
+        mags = [c.max_residual for c in self.conditions]
+        return mags[worst_index(mags)] if mags else 0.0
 
     def condition(self, name: str) -> ConditionReport:
         for c in self.conditions:
@@ -55,25 +56,37 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
+def worst_index(mags: list) -> int:
+    """Index of the worst of nonnegative residuals: the first NaN if there is
+    one (a NaN never compares greater, so ``max`` alone would pass it over),
+    else the first largest."""
+    total = sum(mags)
+    if total != total:
+        return next(i for i, x in enumerate(mags) if x != x)
+    return mags.index(max(mags))
+
+
 def condition_from_rows(name: str, rows, tol: float) -> ConditionReport:
     """Build a condition from ``(label, residuals)`` rows, one residual per path.
 
-    The worst cell is the first largest ``|residual|``, named ``label,path=i``.
+    The worst cell is the first NaN ``|residual|``, else the first largest,
+    named ``label,path=i``.  A NaN fails the condition.  ``rows`` is read
+    once, so it may be a generator.
     """
-    worst, where = None, None
+    row_worst = []  # (|residual|, label, path) of each row's worst cell
     for label, res in rows:
         mags = list(map(abs, map(float, res)))
         if mags:
-            m = max(mags)
-            if worst is None or m > worst:
-                worst, where = m, (label, mags.index(m))
-    if worst is None:
+            i = worst_index(mags)
+            row_worst.append((mags[i], label, i))
+    if not row_worst:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
+    top, label, i = row_worst[worst_index([r[0] for r in row_worst])]
     return ConditionReport(
         name=name,
-        passed=worst <= tol,
-        max_residual=worst,
-        worst_cell=f"{where[0]},path={where[1]}" if worst > 0 else None,
+        passed=top <= tol,
+        max_residual=top,
+        worst_cell=f"{label},path={i}" if top != 0 else None,
     )
 
 

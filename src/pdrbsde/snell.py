@@ -20,7 +20,8 @@ interval increment a_k = Y_{k^+} - E[Y_{(k+1)^-}|sigma_mid[k]] (binds at the
 plus slot opening the interval).
 
 ``snell_bruteforce`` enumerates every stopping rule on the slot grid and is
-the independent oracle for the dynamic program.
+the independent oracle for the dynamic program.  ``verify.verify_rbsde_solution``
+checks a quintuple against the one-barrier definition.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from .processes import (
     is_predictable_strong_supermartingale,
     orthogonal_decompose,
     pd_from_jumps,
-    validate_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_rows
 
 
 class SnellEnumerationError(ValueError):
@@ -272,167 +271,3 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
             plus[k] = out
     minus[0] = list(mid[0])
     return from_slots(space, minus, mid, plus, kind="predictable")
-
-
-# ---------------------------------------------------------------------------
-# verification
-
-
-def verify_rbsde_solution(
-    barrier: LadlagProcess, q: RbsdeQuintuple, tol: float | None = None
-) -> VerificationReport:
-    """Check every clause of the one-barrier definition, reporting residuals."""
-    space, n = barrier.space, barrier.n_steps
-    if tol is None:
-        tol = 0.0 if space.mode == "rational" else 1e-10
-    y, z, m, a, b = q.y, q.z, q.m, q.a, q.b
-    conds: list[ConditionReport] = []
-
-    conds.append(condition_from_rows(
-        "terminal_value", [(f"instant={n}", v.sub(y.mid[n], barrier.mid[n]))], tol))
-
-    conds.append(_equation_condition(space, y, z, m, a, b, g=None, tol=tol))
-    conds.append(_domination_condition("barrier_domination", y, barrier, lower=True, tol=tol))
-
-    conds.append(_skorokhod_interval("skorokhod_interval_A", a, y, barrier, lower=True, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_A", "jump_A", a, y.minus, barrier.minus,
-                                 lower=True, tol=tol))
-    conds.append(_skorokhod_jump("skorokhod_jump_B", "jump_B", b, y.mid, barrier.mid,
-                                 lower=True, tol=tol))
-
-    conds.append(_class_condition(space, y, z, m, a, b, tol))
-    return VerificationReport(conditions=tuple(conds))
-
-
-def _equation_condition(space, y, z, m, a, b, g, tol, a2=None, b2=None) -> ConditionReport:
-    """Slot-by-slot balance of the backward equation.
-
-    Left jumps:  dY_k + dA_k - dA'_k = 0.
-    Right jumps: d+Y_k - dM_k + dB_k - dB'_k = 0.
-    Intervals:   Y_{(k+1)^-} - Y_{k^+} - Z_k dW_k + g_k dt + a_k - a'_k = 0,
-    and the orthogonal part must carry no interval variation.  The integrated
-    form at every instant,
-    Y_k = Y_N + sum_{j>=k} g_j dt - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-})
-          + (A_N - A_k) - (A'_N - A'_k) + (B_{N^-} - B_{k^-})
-          - (B'_{N^-} - B'_{k^-}),
-    is checked as well.
-    """
-    n = space.n_steps
-    rows: list[tuple[str, list]] = []
-    zero = space.zero()
-    for k in range(n + 1):
-        da = a.left_jump(k)
-        da2 = a2.left_jump(k) if a2 is not None else zero
-        rows.append((f"left_jump,instant={k}", v.add(y.left_jump(k), v.sub(da, da2))))
-    for k in range(n):
-        db = b.left_jump(k)
-        db2 = b2.left_jump(k) if b2 is not None else zero
-        res = v.add(v.sub(y.right_jump(k), m.left_jump(k)), v.sub(db, db2))
-        rows.append((f"right_jump,instant={k}", res))
-        zdw = v.mul(z.z[k], space.dw[k])
-        gdt = v.smul(space.dt, g[k]) if g is not None else zero
-        res = v.sub(y.interval_increment(k), zdw)
-        res = v.add(res, gdt)
-        res = v.add(res, v.sub(a.interval_increment(k),
-                               a2.interval_increment(k) if a2 is not None else zero))
-        rows.append((f"interval,k={k}", res))
-        rows.append((f"orthogonal_interval,k={k}", m.interval_increment(k)))
-
-    tail = list(zero)  # running backward sum of the right-hand side minus Y_N
-    for k in range(n, -1, -1):
-        rhs = v.add(y.mid[n], tail)
-        rhs = v.add(rhs, v.sub(v.sub(a.mid[n], a.mid[k]),
-                               v.sub(a2.mid[n], a2.mid[k]) if a2 is not None else zero))
-        rhs = v.add(rhs, v.sub(v.sub(b.minus[n], b.minus[k]),
-                               v.sub(b2.minus[n], b2.minus[k]) if b2 is not None else zero))
-        rhs = v.sub(rhs, v.sub(m.minus[n], m.minus[k]))
-        rows.append((f"integrated,instant={k}", v.sub(y.mid[k], rhs)))
-        if k > 0:
-            step = v.smul(space.dt, g[k - 1]) if g is not None else zero
-            step = v.sub(step, v.mul(z.z[k - 1], space.dw[k - 1]))
-            tail = v.add(tail, step)
-    return condition_from_rows("equation_residual", rows, tol)
-
-
-def _domination_condition(name, y, barrier, lower: bool, tol) -> ConditionReport:
-    n = y.n_steps
-    rows: list[tuple[str, list]] = []
-    sgn = 1 if lower else -1
-    for k in range(n + 1):
-        gap = v.smul(sgn, v.sub(y.mid[k], barrier.mid[k]))
-        rows.append((f"mid,instant={k}", v.neg_part(gap)))
-        gap = v.smul(sgn, v.sub(y.minus[k], barrier.minus[k]))
-        rows.append((f"minus,instant={k}", v.neg_part(gap)))
-        if k < n:
-            gap = v.smul(sgn, v.sub(y.plus[k], barrier.plus[k]))
-            rows.append((f"plus,instant={k}", v.neg_part(gap)))
-    return condition_from_rows(name, rows, tol)
-
-
-def _skorokhod_interval(name, a, y, barrier, lower: bool, tol) -> ConditionReport:
-    """Interval increments may act only when the interval touches the barrier.
-
-    The open interval (t_k, t_{k+1}) is represented by its two limit slots
-    (k,+) and (k+1,-); an increment is admissible if the solution sits on the
-    barrier at either of them.
-    """
-    n = y.n_steps
-    sgn = 1 if lower else -1
-    rows: list[tuple[str, list]] = []
-    for k in range(n):
-        gap_open = v.smul(sgn, v.sub(y.plus[k], barrier.plus[k]))
-        gap_close = v.smul(sgn, v.sub(y.minus[k + 1], barrier.minus[k + 1]))
-        rows.append((f"interval,k={k}", [
-            d * min(max(o, 0), max(c, 0))
-            for d, o, c in zip(a.interval_increment(k), gap_open, gap_close)
-        ]))
-    return condition_from_rows(name, rows, tol)
-
-
-def _skorokhod_jump(name, label, proc, y_slot, barrier_slot, lower: bool, tol) -> ConditionReport:
-    """The jump of ``proc`` at each instant may act only where Y sits on the
-    barrier in the given slot: the minus slot for A, the mid slot for B."""
-    sgn = 1 if lower else -1
-    rows: list[tuple[str, list]] = []
-    for k, (yk, bk) in enumerate(zip(y_slot, barrier_slot)):
-        gap = v.smul(sgn, v.sub(yk, bk))
-        rows.append((f"{label},instant={k}",
-                     [d * max(x, 0) for d, x in zip(proc.left_jump(k), gap)]))
-    return condition_from_rows(name, rows, tol)
-
-
-def _class_condition(space, y, z, m, a, b, tol, a2=None, b2=None) -> ConditionReport:
-    from .processes import bracket, brownian_process, validate_integrand
-
-    problems: list[tuple[float, str]] = []
-    for proc, kind, label in (
-        (y, "predictable", "Y"),
-        (m, "cadlag-martingale", "M"),
-        (a, "finite-variation-predictable", "A"),
-        (b, "purely-discontinuous-predictable", "B"),
-        (a2, "finite-variation-predictable", "A'"),
-        (b2, "purely-discontinuous-predictable", "B'"),
-    ):
-        if proc is None:
-            continue
-        try:
-            validate_process(proc.with_kind(kind) if proc.kind != kind else proc)
-        except ProcessError as exc:
-            problems.append((1.0, f"{label}: {exc}"))
-    try:
-        validate_integrand(z)
-    except ProcessError as exc:
-        problems.append((1.0, f"Z: {exc}"))
-    if a2 is None and b2 is None:
-        # One-barrier case: the value process is itself a predictable strong
-        # supermartingale (only downward reflection is present).
-        if not is_predictable_strong_supermartingale(y):
-            problems.append((1.0, "Y is not a predictable strong supermartingale"))
-    br = bracket(m, brownian_process(space))
-    dev = max(
-        (abs(float(x)) for k in range(space.n_steps + 1) for x in br.mid[k]), default=0.0
-    )
-    if dev > tol:
-        problems.append((dev, "[M, W] != 0"))
-    worst, where = max(problems, key=lambda p: p[0], default=(0.0, None))
-    return ConditionReport("component_classes", worst <= tol, worst, where)

@@ -43,14 +43,15 @@ def vmin(a: Sequence, b: Sequence) -> RV:
 
 
 def pos_part(a: Sequence) -> RV:
+    """Elementwise (x)^+ = max(x, 0); a NaN stays NaN."""
     zero = _zero_like(a)
-    return [x if x > zero else zero for x in a]
+    return [zero if x <= zero else x for x in a]
 
 
 def neg_part(a: Sequence) -> RV:
-    """Elementwise (x)^- = max(-x, 0)."""
+    """Elementwise (x)^- = max(-x, 0); a NaN stays NaN."""
     zero = _zero_like(a)
-    return [-x if x < zero else zero for x in a]
+    return [zero if x >= zero else -x for x in a]
 
 
 def sup_abs(a: Sequence) -> Value:

@@ -29,7 +29,6 @@ from pdrbsde.drbsde import (
     random_nonneg_pss,
     shift_barriers,
     solve_driver_process,
-    verify_drbsde_solution,
 )
 from pdrbsde.driver_solver import ContractionParams, solve_general
 from pdrbsde.prob_space import build_space, cond_expect
@@ -41,6 +40,7 @@ from pdrbsde.processes import (
 )
 from pdrbsde.scenario import estimate_template, generate_corpus, perturb_driver, realize
 from pdrbsde.snell import pre_operator, snell_bruteforce
+from pdrbsde.verify import verify_drbsde_solution
 
 CORPUS_SIZE = 50
 FLOAT_TOL = 1e-10

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +63,12 @@ def _mark_doc(**mark) -> dict:
     return doc
 
 
+def _field_doc(section: str, value) -> dict:
+    doc = template_doc(1)
+    doc[section] = dict(doc[section], params=value)
+    return doc
+
+
 # (scenario document, the cell the error names); each is one schema type error
 SCHEMA_TYPE_ERRORS = {
     "instant_string": (_mark_doc(instant="1"), "marks[0].instant"),
@@ -71,6 +78,15 @@ SCHEMA_TYPE_ERRORS = {
     "max_iter_string": (template_doc(1, max_iter="ten"), "params.max_iter"),
     "max_iter_fraction": (template_doc(1, max_iter=2.5), "params.max_iter"),
     "max_outer_string": (template_doc(1, max_outer="50"), "params.max_outer"),
+    "mark_not_object": (template_doc(1) | {"marks": [1]}, "marks[0]"),
+    "seed_string": (template_doc(1) | {"seed": "x"}, "seed"),
+    "beta_string": (template_doc(1, beta="abc"), "params.beta"),
+    "eps_string": (template_doc(1, eps="abc"), "params.eps"),
+    "c_list": (template_doc(1, c=[2]), "params.c"),
+    "tol_null": (template_doc(1, tol=None), "params.tol"),
+    "divergence_bound_bool": (template_doc(1, divergence_bound=True), "params.divergence_bound"),
+    "barrier_params_list": (_field_doc("barriers", [1, 2]), "barriers.params"),
+    "driver_params_list": (_field_doc("driver", ["a"]), "driver.params"),
 }
 
 
@@ -78,7 +94,7 @@ SCHEMA_TYPE_ERRORS = {
 def test_schema_type_error_names_cell(tmp_path, capsys, case):
     """A mistyped field exits 2 naming its cell, never a traceback or a solve."""
     doc, cell = SCHEMA_TYPE_ERRORS[case]
-    assert doc["marks"] and doc["marks"][0]["labels"]  # template 1 has a mark
+    assert corpus_templates()[1]["marks"][0]["labels"]  # template 1 has a mark
     cfg = write_scenario(tmp_path, doc)
     assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"[at {cell}]" in capsys.readouterr().err
@@ -295,6 +311,26 @@ def test_verify_rejects_malformed_dump(tmp_path, capsys, case):
     assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert name in err and message in err, err
+
+
+def test_verify_fails_nan_in_float_dump(tmp_path):
+    """A nan read from a float dump fails every residual condition its cell
+    enters, not only the class checks."""
+    cfg = generate_corpus(0, 3, tmp_path / "corpus")[2]
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg), "--out", str(out), "--arithmetic", "float"]
+    assert main(["--mode", "solve", *argv]) == 0
+    path = out / "solution_Y.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    next(r for r in rows[1:] if r[:3] == ["1", "mid", "5"])[3] = "nan"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    assert main(["--mode", "verify", *argv]) == 4
+    report = json.loads((out / "verify_report.json").read_text())
+    failed = {c["condition"]: c["worst_cell"] for c in report["conditions"] if not c["pass"]}
+    assert failed["equation_residual"] == "left_jump,instant=1,path=5"
+    assert failed["barrier_sandwich_lower"] == "mid,instant=1,path=5"
+    assert failed["value_pinching"] == "pinch,instant=1,path=5"
+    assert math.isnan(report["max_residual"])
 
 
 class TestDeterminism:

@@ -17,13 +17,11 @@ from pdrbsde.drbsde import (
     assemble_solution,
     minimality_check,
     mokobodzki_certificate,
-    mutually_singular,
     picard_coupled,
     plain_part,
     random_nonneg_pss,
     shift_barriers,
     solve_driver_process,
-    verify_drbsde_solution,
 )
 from pdrbsde.processes import (
     ProcessError,
@@ -38,6 +36,7 @@ from pdrbsde.processes import (
 )
 from pdrbsde.scenario import realize
 from pdrbsde.snell import snell_bruteforce
+from pdrbsde.verify import mutually_singular, verify_drbsde_solution
 
 F = Fraction
 

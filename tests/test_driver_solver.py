@@ -10,7 +10,7 @@ import pytest
 
 from conftest import make_config, make_space, rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
-from pdrbsde.drbsde import BarrierPair, solve_driver_process, verify_drbsde_solution
+from pdrbsde.drbsde import BarrierPair, solve_driver_process
 from pdrbsde.driver_solver import (
     ContractionParams,
     LipschitzDriver,
@@ -32,6 +32,7 @@ from pdrbsde.processes import (
 )
 from pdrbsde.prob_space import expectation
 from pdrbsde.scenario import realize
+from pdrbsde.verify import verify_drbsde_solution
 
 F = Fraction
 

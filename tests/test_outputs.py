@@ -4,14 +4,15 @@ they replaced: equal reports (worst cells included) and byte-equal dumps."""
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import cell_scan_condition, csv_writer_dump
-from pdrbsde import cli, drbsde, snell
+from pdrbsde import cli, verify
 from pdrbsde.config import config_from_dict
-from pdrbsde.reports import condition_from_rows
+from pdrbsde.reports import ConditionReport, VerificationReport, condition_from_rows
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
 
 DUMPS = ("solution_Y.csv", "solution_M.csv", "solution_A.csv", "solution_B.csv",
@@ -20,11 +21,20 @@ DUMPS = ("solution_Y.csv", "solution_M.csv", "solution_A.csv", "solution_B.csv",
 
 def _verify_both_ways(monkeypatch, scenario, g, sol):
     tol = cli._gate_tol(scenario)
-    rows = drbsde.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
+    rows = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
+    scanned = []
+
+    def oracle(name, rows, tol):
+        scanned.append(name)
+        return cell_scan_condition(name, rows, tol)
+
     with monkeypatch.context() as m:
-        m.setattr(snell, "condition_from_rows", cell_scan_condition)
-        m.setattr(drbsde, "condition_from_rows", cell_scan_condition)
-        cells = drbsde.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
+        m.setattr(verify, "condition_from_rows", oracle)
+        cells = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
+    # every residual condition went through the oracle, and so did the [M, W]
+    # deviation inside component_classes; the other conditions have no rows
+    not_rows = {"mutual_singularity_A", "mutual_singularity_B", "component_classes"}
+    assert scanned == [c.name for c in cells.conditions if c.name not in not_rows] + ["[M, W]"]
     return rows, cells
 
 
@@ -92,3 +102,32 @@ def test_all_zero_has_no_worst_cell(rows):
     cond = condition_from_rows("zero", rows, 0)
     assert cond == cell_scan_condition("zero", rows, 0)
     assert (cond.passed, cond.max_residual, cond.worst_cell) == (True, 0.0, None)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("rows, cell", [
+    ([("a", [NAN, 2.0])], "a,path=0"),
+    ([("a", [0.0, NAN])], "a,path=1"),
+    ([("a", [1.0, NAN, 5.0, NAN])], "a,path=1"),
+    ([("a", [0.0, 7.0]), ("b", [Fraction(1), NAN]), ("c", [NAN, 9.0])], "b,path=1"),
+], ids=["first_cell", "after_zero", "later_in_row", "later_row"])
+def test_nan_residual_fails_its_condition(rows, cell):
+    """A NaN never compares greater, yet it is the worst cell wherever it sits."""
+    cond = condition_from_rows("nan", rows, 1e-10)
+    assert (cond.passed, cond.worst_cell) == (False, cell)
+    assert math.isnan(cond.max_residual)
+    report = VerificationReport((ConditionReport("ok", True, 3.0), cond))
+    assert not report.passed and math.isnan(report.max_residual)
+
+
+def test_nan_bracket_deviation_fails_component_classes():
+    doc = estimate_template(1)
+    doc.update(grid={"N": 4, "T": "1/4"}, marks=[dict(doc["marks"][0], instant=2)])
+    scenario = realize(config_from_dict(doc))
+    sol, g, _ = cli._solve_scenario(scenario)
+    sol.m.mid[2][-1] = NAN
+    cond = verify.verify_drbsde_solution(g, scenario.barriers, sol).condition("component_classes")
+    assert (cond.passed, cond.worst_cell) == (False, "[M, W] != 0")
+    assert math.isnan(cond.max_residual)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import MARK_HALF, make_space, rand_on, random_predictable
 from pdrbsde import values as v
+from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
 from pdrbsde.processes import (
     IntegrandProcess,
     constant_process,
@@ -20,6 +21,7 @@ from pdrbsde.processes import (
     is_predictable_strong_supermartingale,
     p_add,
     sup_distance,
+    zero_process,
 )
 from pdrbsde.snell import (
     RbsdeQuintuple,
@@ -29,8 +31,8 @@ from pdrbsde.snell import (
     snell_bruteforce,
     snell_envelope_slots,
     stopping_rule_count,
-    verify_rbsde_solution,
 )
+from pdrbsde.verify import verify_drbsde_solution, verify_rbsde_solution
 
 F = Fraction
 
@@ -335,3 +337,40 @@ class TestVerifyRbsde:
         assert sup_distance(q.y, y) == 0
         assert q.z.z[0] == z.z[0]
         assert sup_distance(q.a, a) == 0
+
+
+SHARED_CONDITIONS = ("terminal_value", "equation_residual", "skorokhod_interval_A",
+                     "skorokhod_jump_A", "skorokhod_jump_B")
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["solved", "moved"])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_one_barrier_clauses_match_two_barrier_clauses(mode, moved):
+    """A one-barrier solution is a two-barrier one with zeta = Y and
+    A' = B' = 0: both verifiers report the clauses they share alike."""
+    space = make_space(2, "1/2", marks=[MARK_HALF], arithmetic=mode)
+    xi = random_predictable(space, random.Random(47))
+    q = pre_operator(xi)
+    pair = BarrierPair(xi=xi, zeta=from_slots(space, q.y.minus, q.y.mid, q.y.plus,
+                                              kind="predictable"))
+    if moved:  # Y lifted off the barrier everywhere, and one cell moved further
+        delta = F(1, 7) if mode == "rational" else 1 / 7
+        for row in (*q.y.minus, *q.y.mid, *q.y.plus):
+            row[:] = [x + delta for x in row]
+        q.y.mid[1][0] += delta
+    septuple = SolutionSeptuple(
+        y=q.y, z=q.z, m=q.m, a=q.a, b=q.b,
+        a_prime=zero_process(space, kind="finite-variation-predictable"),
+        b_prime=zero_process(space, kind="purely-discontinuous-predictable"))
+    one = verify_rbsde_solution(xi, q)
+    two = verify_drbsde_solution([space.zero()] * space.n_steps, pair, septuple)
+
+    def seen(report, name):
+        c = report.condition(name)
+        return c.passed, c.max_residual, c.worst_cell
+
+    for name in SHARED_CONDITIONS:
+        assert seen(one, name) == seen(two, name), name
+    assert seen(one, "barrier_domination") == seen(two, "barrier_sandwich_lower")
+    assert two.passed != moved, two.failures()
+    assert all(one.condition(name).passed != moved for name in SHARED_CONDITIONS)
