@@ -359,19 +359,16 @@ def _one(space: FilteredSpace):
 def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
     """Random decomposition: dW-driven interval martingale part, mark-driven
     compensated jumps, signed adapted A increments, signed B jumps."""
-    from .prob_space import cond_expect
+    from .prob_space import cond_expect, spread
 
     n = space.n_steps
 
     def draw(partition, signed=True) -> list:
-        out = space.zero()
-        for atom in partition:
-            val = Fraction(rng.randint(-8, 8) if signed else rng.randint(0, 8), 4)
-            if space.mode == "float":
-                val = float(val)
-            for i in atom:
-                out[i] = val
-        return out
+        vals = [Fraction(rng.randint(-8, 8) if signed else rng.randint(0, 8), 4)
+                for _ in partition]
+        if space.mode == "float":
+            vals = [float(x) for x in vals]
+        return spread(space, partition, vals)
 
     m_interval = []
     for k in range(n):

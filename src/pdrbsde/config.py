@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -51,13 +52,23 @@ def _as_int(x: Any, where: str) -> int:
     return x
 
 
+def _as_count(x: Any, where: str) -> int:
+    n = _as_int(x, where)
+    if n < 1:
+        raise ConfigError(f"expected an integer >= 1, got {n}", where)
+    return n
+
+
 def _as_float(x: Any, where: str) -> float:
     if not isinstance(x, bool):
         try:
-            return float(x)
+            f = float(x)
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"expected a number, got {x!r}", where)
+        else:
+            if math.isfinite(f):
+                return f
+    raise ConfigError(f"expected a finite number, got {x!r}", where)
 
 
 def _expect(x: Any, kind: type, where: str) -> Any:
@@ -78,8 +89,6 @@ def _rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def _isqrt_exact(n: int) -> int | None:
-    import math
-
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -270,8 +279,8 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         eps=_as_float(p.get("eps", 0.5), "params.eps"),
         c=_as_float(p.get("c", 2.0), "params.c"),
         tol=_as_float(p.get("tol", 0.0), "params.tol"),
-        max_iter=None if p.get("max_iter") is None else _as_int(p["max_iter"], "params.max_iter"),
-        max_outer=_as_int(p.get("max_outer", 50), "params.max_outer"),
+        max_iter=None if p.get("max_iter") is None else _as_count(p["max_iter"], "params.max_iter"),
+        max_outer=_as_count(p.get("max_outer", 50), "params.max_outer"),
         divergence_bound=_as_float(p.get("divergence_bound", 1e9), "params.divergence_bound"),
     )
     cfg = ScenarioConfig(

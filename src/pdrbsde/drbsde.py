@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect
+from .prob_space import FilteredSpace, cond_expect, spread
 from .processes import (
     IntegrandProcess,
     LadlagProcess,
@@ -519,14 +519,10 @@ def random_nonneg_pss(space: FilteredSpace, rng, scale=1) -> LadlagProcess:
     n = space.n_steps
 
     def rand_nonneg(partition):
-        out = space.zero()
-        for atom in partition:
-            val = Fraction(rng.randint(0, 8), 4) * scale
-            if space.mode == "float":
-                val = float(val)
-            for i in atom:
-                out[i] = val
-        return out
+        vals = [Fraction(rng.randint(0, 8), 4) * scale for _ in partition]
+        if space.mode == "float":
+            vals = [float(x) for x in vals]
+        return spread(space, partition, vals)
 
     mid: list = [None] * (n + 1)
     minus: list = [None] * (n + 1)

@@ -118,13 +118,10 @@ def beta_norm_s2p(xi: LadlagProcess, beta: float) -> float:
     and exhaust the per-path values, so the essential supremum over grid
     stopping times is the pathwise maximum over mid slots."""
     space = xi.space
+    growth = [math.exp(beta * space.time_float(k)) for k in range(space.n_steps + 1)]
     out = 0.0
-    for i in range(space.n_paths):
-        best = max(
-            math.exp(beta * space.time_float(k)) * float(xi.mid[k][i]) ** 2
-            for k in range(space.n_steps + 1)
-        )
-        out += float(space.weights[i]) * best
+    for w, path in zip(space.weights, zip(*xi.mid)):
+        out += float(w) * max(e * float(x) ** 2 for e, x in zip(growth, path))
     return out
 
 

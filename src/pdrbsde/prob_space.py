@@ -13,6 +13,17 @@ sigma_minus[k+1] = sigma_mid[k] v sigma(dW_k).  Any informative mark makes the
 filtration non quasi-left continuous: martingales may then jump at the (fully
 predictable) grid instants.
 
+The space is a product tree.  Its levels are the revelations in time order
+(the mark at t_k if any, then dW_k), and path i's outcomes are the
+mixed-radix digits of i in that order, most significant first: at a level
+with `branching` outcomes and `inner` paths below each outcome, path i takes
+outcome (i // inner) % branching, counting a mark's labels in their given
+order and dW_k as +sqrt(dt) before -sqrt(dt).  So every atom of
+sigma_minus[k] and sigma_mid[k] is a contiguous run of
+n_paths // (histories revealed) paths, atoms are listed in path order, and
+the partitions nest by construction.  Only this module relies on that
+layout; others copy per-atom values onto paths with ``spread``.
+
 A random variable is a plain per-path value list (see values.py);
 measurability with respect to a partition means constancy on each atom.
 """
@@ -23,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence
 
 from .config import ConfigError, ScenarioConfig, _rational_sqrt
 from .values import RV
@@ -123,100 +134,63 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
         s = math.sqrt(float(dt))
 
     mark_at = {m.instant: m for m in config.marks}
+    n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)
 
-    # Each path is grown as (weight, mark_labels, dw_signs).
-    paths: list[tuple[Fraction, tuple[str, ...], tuple[int, ...]]] = [
-        (Fraction(1), (), ())
-    ]
-    mark_cols: list[int | None] = []  # column index into mark_labels, per instant
+    # One weight per node of the tree revealed so far, in path order, so
+    # len(nodes) is the number of atoms at each level.
+    nodes = [Fraction(1)]
     half = Fraction(1, 2)
+    dw, marks, sigma_minus, sigma_mid = [], [], [], []
     for k in range(n + 1):
+        sigma_minus.append(_blocks(n_paths, len(nodes)))
         spec = mark_at.get(k)
         if spec is None:
-            mark_cols.append(None)
+            marks.append(None)
         else:
-            mark_cols.append(len(paths[0][1]))
-            paths = [
-                (w * p, labels + (lab,), signs)
-                for (w, labels, signs) in paths
-                for lab, p in zip(spec.labels, spec.probs)
-            ]
+            marks.append(_column(n_paths, len(nodes), spec.labels))
+            nodes = [w * p for w in nodes for p in spec.probs]
+        sigma_mid.append(_blocks(n_paths, len(nodes)))
         if k < n:
-            paths = [
-                (w * half, labels, signs + (sign,))
-                for (w, labels, signs) in paths
-                for sign in (+1, -1)
-            ]
+            dw.append(_column(n_paths, len(nodes), (s, -s)))
+            nodes = [w * half for w in nodes for _ in range(2)]
 
-    weights_q = [w for w, _, _ in paths]
-    total = sum(weights_q, Fraction(0))
+    total = sum(nodes, Fraction(0))
     if total != 1:
         raise SpaceError(f"path weights sum to {total}, expected exactly 1")
-
-    n_paths = len(paths)
-    if rational:
-        weights = tuple(weights_q)
-        dw = tuple(
-            tuple(s * signs[k] for (_, _, signs) in paths) for k in range(n)
-        )
-    else:
-        weights = tuple(float(w) for w in weights_q)
-        dw = tuple(
-            tuple(s * signs[k] for (_, _, signs) in paths) for k in range(n)
-        )
-
-    marks = tuple(
-        tuple(labels[mark_cols[k]] for (_, labels, _) in paths)
-        if mark_cols[k] is not None
-        else None
-        for k in range(n + 1)
-    )
-
-    # Partitions: group by the revealed history prefix.
-    def key_minus(k: int, idx: int):
-        _, labels, signs = paths[idx]
-        n_marks = sum(1 for j in range(k) if mark_cols[j] is not None)
-        return (labels[:n_marks], signs[:k])
-
-    def key_mid(k: int, idx: int):
-        _, labels, signs = paths[idx]
-        n_marks = sum(1 for j in range(k + 1) if mark_cols[j] is not None)
-        return (labels[:n_marks], signs[:k])
-
-    sigma_minus = tuple(_group(n_paths, lambda i, k=k: key_minus(k, i)) for k in range(n + 1))
-    sigma_mid = tuple(_group(n_paths, lambda i, k=k: key_mid(k, i)) for k in range(n + 1))
 
     space = FilteredSpace(
         mode=config.arithmetic,
         n_steps=n,
         t_horizon=config.t_horizon,
-        weights=weights,
-        dw=dw,
-        marks=marks,
-        sigma_minus=sigma_minus,
-        sigma_mid=sigma_mid,
+        weights=tuple(nodes) if rational else tuple(float(w) for w in nodes),
+        dw=tuple(dw),
+        marks=tuple(marks),
+        sigma_minus=tuple(sigma_minus),
+        sigma_mid=tuple(sigma_mid),
     )
     validate_space(space)
     return space
 
 
-def _group(n_paths: int, key) -> Partition:
-    atoms: dict[Any, list[int]] = {}
-    for i in range(n_paths):
-        atoms.setdefault(key(i), []).append(i)
-    return tuple(tuple(a) for a in atoms.values())
+def _blocks(n_paths: int, n_atoms: int) -> Partition:
+    """The partition into n_atoms equal runs of consecutive paths."""
+    size = n_paths // n_atoms
+    return tuple(tuple(range(j, j + size)) for j in range(0, n_paths, size))
+
+
+def _column(n_paths: int, n_atoms: int, outcomes: Sequence) -> tuple:
+    """Per-path outcome of the level revealed below n_atoms atoms: each atom's
+    block splits into one equal run per outcome, in order."""
+    run: list = []
+    for x in outcomes:
+        run += [x] * (n_paths // (n_atoms * len(outcomes)))
+    return tuple(run * n_atoms)
 
 
 def validate_space(space: FilteredSpace) -> None:
-    """Check every structural invariant of the filtration lattice."""
+    """Check that dW_k is a centred binary increment of variance dt on every
+    atom of sigma_mid[k]; the lattice nests by construction."""
     n = space.n_steps
-    if space.sigma_minus[0] != (tuple(range(space.n_paths)),):
-        raise SpaceError("sigma_minus[0] must be the trivial partition")
-    for k in range(n + 1):
-        if not refines(space.sigma_mid[k], space.sigma_minus[k]):
-            raise SpaceError(f"sigma_mid[{k}] does not refine sigma_minus[{k}]")
-        if k < n and not refines(space.sigma_minus[k + 1], space.sigma_mid[k]):
-            raise SpaceError(f"sigma_minus[{k+1}] does not refine sigma_mid[{k}]")
     tol = 0 if space.mode == "rational" else 1e-12
     for k in range(n):
         for atom in space.sigma_mid[k]:
@@ -231,14 +205,6 @@ def validate_space(space: FilteredSpace) -> None:
                 raise SpaceError(f"E[dW_{k}^2|atom] = {m2} != dt")
             if len({space.dw[k][i] for i in atom}) != 2:
                 raise SpaceError(f"dW_{k} not binary on an atom of sigma_mid[{k}]")
-
-
-def refines(fine: Partition, coarse: Partition) -> bool:
-    owner = {}
-    for j, atom in enumerate(coarse):
-        for i in atom:
-            owner[i] = j
-    return all(len({owner[i] for i in atom}) == 1 for atom in fine)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +237,18 @@ def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) 
     return all(
         all(values[i] == values[atom[0]] for i in atom) for atom in partition
     )
+
+
+def spread(space: FilteredSpace, partition: Partition, per_atom_values: Sequence) -> RV:
+    """The variable equal to per_atom_values[j] on the j-th atom of one of the
+    space's partitions."""
+    if len(per_atom_values) != len(partition):
+        raise SpaceError(f"{len(per_atom_values)} values for {len(partition)} atoms")
+    size = space.n_paths // len(partition)
+    out: RV = []
+    for x in per_atom_values:
+        out += [x] * size
+    return out
 
 
 # ---------------------------------------------------------------------------

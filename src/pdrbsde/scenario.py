@@ -18,7 +18,7 @@ from . import values as v
 from .config import ConfigError, ScenarioConfig, config_from_dict
 from .drbsde import BarrierPair
 from .driver_solver import LipschitzDriver, linear_driver
-from .prob_space import FilteredSpace, Partition, build_space
+from .prob_space import FilteredSpace, Partition, build_space, spread
 from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
 
 
@@ -64,12 +64,7 @@ def _rand_nonneg(rng: random.Random, scale: Fraction) -> Fraction:
 
 
 def _on_partition(space: FilteredSpace, partition: Partition, draw) -> list:
-    out = space.zero()
-    for atom in partition:
-        val = _conv(space, draw())
-        for i in atom:
-            out[i] = val
-    return out
+    return spread(space, partition, [_conv(space, draw()) for _ in partition])
 
 
 # ---------------------------------------------------------------------------
@@ -278,12 +273,7 @@ def _spread(space, partition, per_atom) -> list:
         raise ConfigError(
             f"table row has {len(per_atom)} entries for {len(partition)} atoms", "barriers"
         )
-    out = space.zero()
-    for atom, raw in zip(partition, per_atom):
-        val = _conv(space, Fraction(str(raw)))
-        for i in atom:
-            out[i] = val
-    return out
+    return spread(space, partition, [_conv(space, Fraction(str(raw))) for raw in per_atom])
 
 
 # ---------------------------------------------------------------------------

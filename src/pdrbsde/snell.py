@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect
+from .prob_space import FilteredSpace, cond_expect, spread
 from .processes import (
     IntegrandProcess,
     LadlagProcess,
@@ -258,11 +258,8 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
     plus: list = [None] * n
     for p, pos in enumerate(positions):
         k, slot = pos
-        out = space.zero()
-        for atom in _partition_at(space, pos):
-            val = value(p, atom)
-            for i in atom:
-                out[i] = val
+        part = _partition_at(space, pos)
+        out = spread(space, part, [value(p, atom) for atom in part])
         if slot == "-":
             minus[k] = out
         elif slot == "m":

@@ -78,7 +78,7 @@ def verify_drbsde_solution(
     tol = _default_tol(xi, tol)
     conds = _side_conditions(g, y, s.z, s.m, sides, tol)
     for name, p, q in (("A", s.a, s.a_prime), ("B", s.b, s.b_prime)):
-        ok, _ = mutually_singular(p, q)
+        ok = mutually_singular(p, q)
         conds.append(ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0))
     proj = predictable_projection(y)
     conds.append(condition_from_rows("jump_identities", _jump_identity_rows(y, proj, s), tol))
@@ -243,19 +243,21 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
     return ConditionReport("component_classes", worst_dev <= tol, worst_dev, where)
 
 
-def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> tuple[bool, set]:
+def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> bool:
     """Disjointness of increment supports over (cell, path) pairs.
 
-    Cells are instant jumps and interval increments; D is the support of the
-    first process's increments, the witness set of the singularity.
+    Cells are instant jumps and interval increments; the processes are
+    mutually singular unless both move on the same path in the same cell.
+    Stops at the first cell they share.
     """
-    support_p = _support(p)
-    return support_p.isdisjoint(_support(q)), support_p
+    return not any(x != 0 and y != 0
+                   for dp, dq in zip(_increments(p), _increments(q))
+                   for x, y in zip(dp, dq))
 
 
-def _support(p: LadlagProcess) -> set:
-    n = p.n_steps
-    cells = {("jump", k, i) for k in range(n + 1) for i, x in enumerate(p.left_jump(k)) if x != 0}
-    cells.update(("interval", k, i) for k in range(n)
-                 for i, x in enumerate(p.interval_increment(k)) if x != 0)
-    return cells
+def _increments(p: LadlagProcess):
+    """Left jump at each instant and increment over each interval, in time order."""
+    for k in range(p.n_steps + 1):
+        yield p.left_jump(k)
+        if k < p.n_steps:
+            yield p.interval_increment(k)

@@ -85,6 +85,14 @@ SCHEMA_TYPE_ERRORS = {
     "c_list": (template_doc(1, c=[2]), "params.c"),
     "tol_null": (template_doc(1, tol=None), "params.tol"),
     "divergence_bound_bool": (template_doc(1, divergence_bound=True), "params.divergence_bound"),
+    "beta_nan": (template_doc(1, beta="nan"), "params.beta"),
+    "eps_inf": (template_doc(1, eps="inf"), "params.eps"),
+    "c_minus_inf": (template_doc(1, c="-inf"), "params.c"),
+    "tol_nan": (template_doc(1, tol="nan"), "params.tol"),
+    "divergence_bound_inf": (template_doc(1, divergence_bound="inf"), "params.divergence_bound"),
+    "max_iter_zero": (template_doc(1, max_iter=0), "params.max_iter"),
+    "max_outer_zero": (template_doc(1, max_outer=0), "params.max_outer"),
+    "max_outer_negative": (template_doc(1, max_outer=-3), "params.max_outer"),
     "barrier_params_list": (_field_doc("barriers", [1, 2]), "barriers.params"),
     "driver_params_list": (_field_doc("driver", ["a"]), "driver.params"),
 }

@@ -316,24 +316,55 @@ class TestMarkAtTimeZero:
         assert sum(w * x for w, x in zip(sc.space.weights, jump0)) == 0
 
 
+def _moving_on(space, cells):
+    """Process with a unit increment on each (kind, instant, path) cell."""
+    n, step = space.n_steps, space.zero()
+    minus, mid, plus = [], [], []
+    for k in range(n + 1):
+        if k:
+            step = [x + (("interval", k - 1, i) in cells) for i, x in enumerate(plus[-1])]
+        minus.append(step)
+        mid.append([x + (("jump", k, i) in cells) for i, x in enumerate(step)])
+        if k < n:
+            plus.append(list(mid[-1]))
+    return from_slots(space, minus, mid, plus)
+
+
 class TestMutualSingularity:
+    @pytest.mark.parametrize("p_cells, q_cells, singular", [
+        # one shared jump cell among disjoint ones
+        ({("jump", 1, 3), ("jump", 2, 0)}, {("jump", 1, 3), ("interval", 1, 0)}, False),
+        # one shared interval cell among disjoint ones
+        ({("interval", 0, 5), ("jump", 1, 2)}, {("interval", 0, 5), ("jump", 1, 4)}, False),
+        # same instants and intervals, different paths; and jump vs interval
+        ({("jump", 1, 3), ("interval", 0, 5), ("jump", 0, 1)},
+         {("jump", 1, 2), ("interval", 0, 4), ("interval", 0, 1)}, True),
+    ], ids=["shared_jump", "shared_interval", "disjoint"])
+    def test_single_cell_decides(self, space_8, p_cells, q_cells, singular):
+        p, q = _moving_on(space_8, p_cells), _moving_on(space_8, q_cells)
+        n = space_8.n_steps
+        for cells, x in ((p_cells, p), (q_cells, q)):  # each moves exactly on its cells
+            support = {("jump", k, i) for k in range(n + 1)
+                       for i, d in enumerate(x.left_jump(k)) if d}
+            support |= {("interval", k, i) for k in range(n)
+                        for i, d in enumerate(x.interval_increment(k)) if d}
+            assert support == cells
+        assert mutually_singular(p, q) is singular
+        assert mutually_singular(q, p) is singular
+
     def test_disjoint_instants(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
         p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one],
                        kind="purely-discontinuous-predictable")  # jumps at instant 1
         q = from_slots(space_8, [zero, one, one], [one, one, one], [one, one],
                        kind="purely-discontinuous-predictable")  # jumps at instant 0
-        ok, witness = mutually_singular(p, q)
-        assert ok
-        assert all(cell[0] == "jump" and cell[1] == 1 for cell in witness)
-        assert len(witness) == space_8.n_paths
+        assert mutually_singular(p, q) is True
 
     def test_shared_cell_fails(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
         p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one],
                        kind="purely-discontinuous-predictable")
-        ok, _ = mutually_singular(p, p)
-        assert not ok
+        assert mutually_singular(p, p) is False
 
     def test_jordan_outputs_always_singular(self):
         rng = random.Random(29)
@@ -348,8 +379,8 @@ class TestMutualSingularity:
             )
             sc = realize(cfg)
             sol = solve_driver_process(sc.barriers, sc.g)
-            assert mutually_singular(sol.a, sol.a_prime)[0]
-            assert mutually_singular(sol.b, sol.b_prime)[0]
+            assert mutually_singular(sol.a, sol.a_prime)
+            assert mutually_singular(sol.b, sol.b_prime)
 
 
 class TestMokobodzki:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -10,16 +12,121 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MARK_HALF, make_config, make_space
-from pdrbsde.config import ConfigError
+from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
+    FilteredSpace,
+    SpaceError,
     build_space,
     cond_expect,
     expectation,
     is_measurable,
-    refines,
+    spread,
 )
+from pdrbsde.scenario import estimate_template, generate_corpus
 
 F = Fraction
+
+
+def refines(fine, coarse) -> bool:
+    owner = {}
+    for j, atom in enumerate(coarse):
+        for i in atom:
+            owner[i] = j
+    return all(len({owner[i] for i in atom}) == 1 for atom in fine)
+
+
+def build_space_by_grouping(config) -> FilteredSpace:
+    """Oracle for ``build_space``: grow each path as (weight, labels, signs),
+    then group paths by their revealed history and check that the groups nest."""
+    n = config.n_steps
+    rational = config.arithmetic == "rational"
+    s = _rational_sqrt(config.dt) if rational else math.sqrt(float(config.dt))
+    mark_at = {m.instant: m for m in config.marks}
+    paths = [(F(1), (), ())]
+    mark_cols = []
+    for k in range(n + 1):
+        spec = mark_at.get(k)
+        if spec is None:
+            mark_cols.append(None)
+        else:
+            mark_cols.append(len(paths[0][1]))
+            paths = [(w * p, labels + (lab,), signs)
+                     for (w, labels, signs) in paths
+                     for lab, p in zip(spec.labels, spec.probs)]
+        if k < n:
+            paths = [(w * F(1, 2), labels, signs + (sign,))
+                     for (w, labels, signs) in paths for sign in (+1, -1)]
+    assert sum(w for w, _, _ in paths) == 1
+
+    def group(key):
+        atoms = {}
+        for i in range(len(paths)):
+            atoms.setdefault(key(i), []).append(i)
+        return tuple(tuple(a) for a in atoms.values())
+
+    def history(k, i, through_mark):
+        _, labels, signs = paths[i]
+        n_marks = sum(1 for j in range(k + through_mark) if mark_cols[j] is not None)
+        return labels[:n_marks], signs[:k]
+
+    space = FilteredSpace(
+        mode=config.arithmetic,
+        n_steps=n,
+        t_horizon=config.t_horizon,
+        weights=tuple(w if rational else float(w) for w, _, _ in paths),
+        dw=tuple(tuple(s * signs[k] for _, _, signs in paths) for k in range(n)),
+        marks=tuple(None if mark_cols[k] is None
+                    else tuple(labels[mark_cols[k]] for _, labels, _ in paths)
+                    for k in range(n + 1)),
+        sigma_minus=tuple(group(lambda i, k=k: history(k, i, 0)) for k in range(n + 1)),
+        sigma_mid=tuple(group(lambda i, k=k: history(k, i, 1)) for k in range(n + 1)),
+    )
+    assert space.sigma_minus[0] == (tuple(range(space.n_paths)),)
+    for k in range(n + 1):
+        assert refines(space.sigma_mid[k], space.sigma_minus[k])
+        if k < n:
+            assert refines(space.sigma_minus[k + 1], space.sigma_mid[k])
+    return space
+
+
+def _corpus_configs(tmp_path, seed):
+    for path in generate_corpus(seed, 50, tmp_path / str(seed)):
+        cfg = load_config(str(path))
+        yield cfg
+        yield config_from_dict(dict(cfg.to_json_dict(), arithmetic="float"))
+
+
+def _ladder_configs():
+    """The float-ladder rungs (dt = 1/16, mark at N/2), the off-grid rung and N = 12."""
+    for n, t in ((6, "3/8"), (8, "1/2"), (10, "5/8"), (10, "1/2"), (12, "1/2")):
+        doc = estimate_template(1)
+        doc.update(grid={"N": n, "T": t})
+        doc["marks"] = [dict(doc["marks"][0], instant=n // 2)]
+        yield config_from_dict(doc)
+
+
+def _edge_mark_configs():
+    yield make_config(2, "1/2", marks=[MARK_HALF | {"instant": 0}])
+    yield make_config(2, "1/2", marks=[{"instant": 1, "labels": ["only"], "probs": ["1"]}])
+    yield make_config(3, "3/4", marks=[
+        {"instant": 1, "labels": ["a", "b", "c"], "probs": ["1/2", "1/3", "1/6"]},
+        {"instant": 2, "labels": ["x", "y"], "probs": ["1/4", "3/4"]},
+        {"instant": 3, "labels": ["u", "v"], "probs": ["2/5", "3/5"]},
+    ], arithmetic="float")
+
+
+@pytest.mark.parametrize("family", ["corpus_0", "corpus_3", "ladder", "edge_marks"])
+def test_build_space_matches_key_grouping(tmp_path, family):
+    configs = {
+        "corpus_0": lambda: _corpus_configs(tmp_path, 0),
+        "corpus_3": lambda: _corpus_configs(tmp_path, 3),
+        "ladder": _ladder_configs,
+        "edge_marks": _edge_mark_configs,
+    }[family]()
+    for cfg in configs:
+        have, want = build_space(cfg), build_space_by_grouping(cfg)
+        for f in fields(FilteredSpace):
+            assert getattr(have, f.name) == getattr(want, f.name), (cfg.name, f.name)
 
 
 class TestBuildSpace:
@@ -138,6 +245,30 @@ class TestCondExpect:
             lhs = cond_expect(space, cond_expect(space, x, fine), coarse)
             rhs = cond_expect(space, x, coarse)
             assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(lhs, rhs))
+
+
+class TestSpread:
+    def test_multi_label_mark_lands_on_its_paths(self):
+        space = make_space(2, "1/2", marks=[
+            {"instant": 1, "labels": ["a", "b", "c"], "probs": ["1/2", "1/4", "1/4"]},
+        ])
+        part = space.sigma_mid[1]  # dW_0 then the mark: 6 atoms of 2 paths
+        assert len(part) == 6
+        # mixed-radix digits in revelation order: dW_0, the mark, dW_1
+        assert space.marks[1] == ("a", "a", "b", "b", "c", "c") * 2
+        assert [1 if d > 0 else -1 for d in space.dw[1]] == [1, -1] * 6
+        x = spread(space, part, [F(j) for j in range(6)])
+        for j, atom in enumerate(part):
+            assert [x[i] for i in atom] == [F(j)] * len(atom)
+            assert len({space.dw[0][i] for i in atom}) == 1
+            assert len({space.marks[1][i] for i in atom}) == 1
+        assert x == [F(j // 2) for j in range(space.n_paths)]
+        assert is_measurable(space, x, part)
+        assert not is_measurable(space, x, space.sigma_minus[1])
+
+    def test_rejects_wrong_value_count(self, space_4):
+        with pytest.raises(SpaceError):
+            spread(space_4, space_4.sigma_mid[1], [F(1)])
 
 
 class TestIsMeasurable:
