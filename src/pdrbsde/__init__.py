@@ -34,6 +34,7 @@ from .processes import (
     jumps,
     orthogonal_decompose,
     predictable_projection,
+    running_sum,
 )
 from .snell import (
     RbsdeQuintuple,

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import values as v
+from .config import ConfigError
 from .drbsde import SolutionSeptuple
 from .driver_solver import beta_norm_h2, beta_norm_m2, beta_norm_s2p
 from .prob_space import FilteredSpace
@@ -24,8 +25,8 @@ from .processes import (
     IntegrandProcess,
     LadlagProcess,
     ProcessError,
-    from_slots,
     p_sub,
+    running_sum,
 )
 
 
@@ -114,24 +115,22 @@ class OptionalSemimartingale:
 
     # state trajectories ------------------------------------------------
 
-    def states(self) -> tuple[list, list, list]:
+    def states(self) -> tuple[tuple, tuple, tuple]:
         """(minus, mid, plus) slot values of the reconstructed process."""
-        space, n = self.space, self.space.n_steps
-        minus, mid, plus = [], [], []
-        cur = list(self.x0)
-        for k in range(n + 1):
-            minus.append(list(cur))
-            cur = v.add(cur, self.a_jump[k])        # left jump
-            mid.append(list(cur))
-            if k < n:
-                cur = v.add(cur, v.add(self.m_jump[k], self.b_jump[k]))  # right jump
-                plus.append(list(cur))
-                cur = v.add(cur, v.add(self.m_interval[k], self.a_interval[k]))
-        return minus, mid, plus
+        p = self.as_process()
+        return p.minus, p.mid, p.plus
 
     def as_process(self) -> LadlagProcess:
-        minus, mid, plus = self.states()
-        return from_slots(self.space, minus, mid, plus, kind="optional")
+        """A's left jumps, then the right jumps of B + M, then the interval
+        parts of M and A, summed from X_0 in time order."""
+        n = self.space.n_steps
+        return running_sum(
+            self.space,
+            left=self.a_jump,
+            right=[v.add(self.m_jump[k], self.b_jump[k]) for k in range(n)],
+            interval=[v.add(self.m_interval[k], self.a_interval[k]) for k in range(n)],
+            start=self.x0,
+        )
 
 
 def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> OptionalSemimartingale:
@@ -456,7 +455,7 @@ def apriori_estimate_check(
     constant that would make it hold.
     """
     if beta <= 1 / eps**2:
-        raise ValueError(f"need beta > 1/eps^2 = {1 / eps ** 2:g}, got {beta:g}")
+        raise ConfigError(f"need beta > 1/eps^2 = {1 / eps ** 2:g}, got {beta:g}", "params.beta")
     space = s.y.space
     g_diff = IntegrandProcess(
         space=space, z=tuple(v.sub(g[k], g_bar[k]) for k in range(space.n_steps))
@@ -464,8 +463,8 @@ def apriori_estimate_check(
     z_diff = IntegrandProcess(
         space=space, z=tuple(v.sub(s.z.z[k], s_bar.z.z[k]) for k in range(space.n_steps))
     )
-    m_diff = p_sub(s.m, s_bar.m, kind="cadlag-martingale")
-    y_diff = p_sub(s.y, s_bar.y, kind="predictable")
+    m_diff = p_sub(s.m, s_bar.m)
+    y_diff = p_sub(s.y, s_bar.y)
 
     lhs1 = beta_norm_h2(z_diff, beta) + beta_norm_m2(m_diff, beta)
     rhs1 = eps**2 * beta_norm_h2(g_diff, beta)

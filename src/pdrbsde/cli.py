@@ -37,7 +37,6 @@ from .drbsde import (
     random_nonneg_pss,
     shift_barriers,
     solve_driver_process,
-    validate_driver_process,
 )
 from .driver_solver import (
     ContractionError,
@@ -56,6 +55,7 @@ from .processes import (
     p_add,
     p_sub,
     sup_distance,
+    validate_integrand,
 )
 from .reports import RunReport
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
@@ -322,7 +322,7 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
     z = _load_integrand(space, out_dir / "solution_Z.csv")
     g = list(_load_integrand(space, out_dir / "driver_g.csv").z)
     try:
-        validate_driver_process(space, g)
+        validate_integrand(space, g, "g")
     except ProcessError as exc:
         raise ConfigError(f"driver_g.csv: {exc}") from None
     sol = SolutionSeptuple(y=procs["Y"], z=z, m=procs["M"], a=procs["A"], b=procs["B"],
@@ -368,8 +368,8 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
         if d > gate:
             mismatches.append(f"z: solution vs picard differ by {d:g}")
     for name, barrier, target in (
-        ("lower", _kill_terminal(p_add(jbar, xi_t, kind="predictable")), j),
-        ("upper", _kill_terminal(p_sub(j, zeta_t, kind="predictable")), jbar),
+        ("lower", _kill_terminal(p_add(jbar, xi_t)), j),
+        ("upper", _kill_terminal(p_sub(j, zeta_t)), jbar),
     ):
         dp = snell_envelope_slots(barrier)
         brute = snell_bruteforce(barrier)
@@ -485,16 +485,14 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     j, jbar, _ = _picard_from_solution(scenario, g)
     ok_min = minimality_check(
         j, jbar,
-        p_add(j, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}")),
-              kind="predictable"),
-        p_add(jbar, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}")),
-              kind="predictable"),
+        p_add(j, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}"))),
+        p_add(jbar, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}"))),
         xi_t, zeta_t,
     )
     ok_pss = (is_predictable_strong_supermartingale(h)
               and is_predictable_strong_supermartingale(hbar))
     tol = _gate_tol(scenario, float_tol=1e-9)
-    diff = p_sub(h, hbar, kind="predictable")
+    diff = p_sub(h, hbar)
     sandwich_dev = 0.0
     for k in range(scenario.space.n_steps + 1):
         for i in range(scenario.space.n_paths):

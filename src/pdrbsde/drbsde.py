@@ -44,15 +44,16 @@ from .processes import (
     LadlagProcess,
     ProcessError,
     from_slots,
-    fv_from_increments,
     is_predictable_strong_supermartingale,
     martingale_from_terminal,
     orthogonal_decompose,
     p_add,
     p_sub,
-    pd_from_jumps,
+    running_sum,
     sup_distance,
+    validate_integrand,
     validate_process,
+    zero_process,
 )
 from .snell import pre_operator, snell_envelope_slots
 
@@ -72,15 +73,16 @@ class NotAFixedPointError(ValueError):
 class BarrierPair:
     """Predictable admissible obstacles: xi <= zeta slotwise, equal at T.
 
-    Checked once, when built: a pair that exists is admissible.
+    Checked once, when built: a pair that exists is admissible, and both
+    barriers are predictable.
     """
 
     xi: LadlagProcess
     zeta: LadlagProcess
 
     def __post_init__(self) -> None:
-        validate_process(self.xi)
-        validate_process(self.zeta)
+        validate_process(self.xi, "predictable")
+        validate_process(self.zeta, "predictable")
         n = self.xi.n_steps
         for k in range(n + 1):
             for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
@@ -115,20 +117,6 @@ class SolutionSeptuple:
 
 
 # ---------------------------------------------------------------------------
-# driver processes
-
-
-def validate_driver_process(space: FilteredSpace, g: list) -> None:
-    from .prob_space import is_measurable
-
-    if len(g) != space.n_steps:
-        raise ProcessError("driver process needs one value sequence per interval")
-    for k in range(space.n_steps):
-        if not is_measurable(space, g[k], space.sigma_mid[k]):
-            raise ProcessError(f"g[{k}] not sigma_mid[{k}]-measurable")
-
-
-# ---------------------------------------------------------------------------
 # shifted barriers
 
 
@@ -153,7 +141,7 @@ def plain_part(space: FilteredSpace, terminal, g: list) -> LadlagProcess:
         minus.append(list(e_minus))
         if k < n:
             plus.append(cond_expect(space, stacks[k], space.sigma_mid[k]))
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)
 
 
 def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, LadlagProcess]:
@@ -163,15 +151,8 @@ def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, Ladla
     conditional expectation); it is pinned to exact zero so float rounding on
     non-dyadic weights cannot leak into the iteration.
     """
-    space = barriers.xi.space
-    x = plain_part(space, barriers.xi.mid[-1], g)
-    xi_t = p_sub(barriers.xi, x, kind="predictable")
-    zeta_t = p_sub(barriers.zeta, x, kind="predictable")
-    for shifted in (xi_t, zeta_t):
-        zero = space.zero()
-        for i in range(space.n_paths):
-            shifted.mid[-1][i] = zero[i]
-    return xi_t, zeta_t
+    x = plain_part(barriers.xi.space, barriers.xi.mid[-1], g)
+    return _kill_terminal(p_sub(barriers.xi, x)), _kill_terminal(p_sub(barriers.zeta, x))
 
 
 def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
@@ -182,7 +163,7 @@ def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
     space, n = proc.space, proc.n_steps
     mid = [list(proc.mid[k]) for k in range(n + 1)]
     mid[n] = space.zero()
-    return from_slots(space, proc.minus, mid, proc.plus, kind="predictable")
+    return from_slots(space, proc.minus, mid, proc.plus)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +195,13 @@ def picard_coupled(
             raise ProcessError(f"shifted barriers out of order at instant {k}")
     if max_iter is None:
         max_iter = 10 * max(1, n) * space.n_paths
-    from .processes import zero_process
-
-    j = zero_process(space, kind="predictable")
-    jbar = zero_process(space, kind="predictable")
+    j = zero_process(space)
+    jbar = zero_process(space)
     trace = PicardTrace(order=order)
     for it in range(1, max_iter + 1):
-        j_new = snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t, kind="predictable")))
+        j_new = snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t)))
         src = j_new if order == "gauss-seidel" else j
-        jbar_new = snell_envelope_slots(_kill_terminal(p_sub(src, zeta_t, kind="predictable")))
+        jbar_new = snell_envelope_slots(_kill_terminal(p_sub(src, zeta_t)))
         delta = max(sup_distance(j_new, j), sup_distance(jbar_new, jbar))
         if _min_slot_gap(j_new, j) < 0 or _min_slot_gap(jbar_new, jbar) < 0:
             trace.monotone_violations += 1
@@ -247,8 +226,8 @@ def picard_coupled(
 
 
 def fixed_point_residual(j, jbar, xi_t, zeta_t):
-    r1 = sup_distance(j, snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t, kind="predictable"))))
-    r2 = sup_distance(jbar, snell_envelope_slots(_kill_terminal(p_sub(j, zeta_t, kind="predictable"))))
+    r1 = sup_distance(j, snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t))))
+    r2 = sup_distance(jbar, snell_envelope_slots(_kill_terminal(p_sub(j, zeta_t))))
     return max(r1, r2)
 
 
@@ -287,8 +266,8 @@ def assemble_solution(
     if resid > tol:
         raise NotAFixedPointError(f"fixed-point residual {float(resid):g} above {tol:g}")
 
-    q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t, kind="predictable")))
-    q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t, kind="predictable")))
+    q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t)))
+    q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t)))
 
     x = plain_part(space, barriers.xi.mid[-1], g)
     n = space.n_steps
@@ -303,7 +282,6 @@ def assemble_solution(
         [v.sub(m_plain.minus[k], base) for k in range(n + 1)],
         [v.sub(m_plain.mid[k], base) for k in range(n + 1)],
         [v.sub(m_plain.plus[k], base) for k in range(n)],
-        kind="cadlag-martingale",
     )
     z_plain, m_orth_plain = orthogonal_decompose(m_plain)
 
@@ -313,48 +291,30 @@ def assemble_solution(
             v.add(v.sub(q_low.z.z[k], q_up.z.z[k]), z_plain.z[k]) for k in range(n)
         ),
     )
-    m_total = p_add(p_sub(q_low.m, q_up.m, kind="cadlag-martingale"), m_orth_plain,
-                    kind="cadlag-martingale")
+    m_total = p_add(p_sub(q_low.m, q_up.m), m_orth_plain)
 
-    y = p_add(p_sub(j, jbar, kind="predictable"), x, kind="predictable")
+    y = p_add(p_sub(j, jbar), x)
 
-    a, a_prime = _jordan_reduce_fv(q_low.a, q_up.a)
-    b, b_prime = _jordan_reduce_pd(q_low.b, q_up.b)
+    a, a_prime = _jordan_reduce(q_low.a, q_up.a)
+    b, b_prime = _jordan_reduce(q_low.b, q_up.b)
     return SolutionSeptuple(y=y, z=z_total, m=m_total, a=a, b=b, a_prime=a_prime, b_prime=b_prime)
 
 
-def _jordan_reduce_fv(a_raw: LadlagProcess, a2_raw: LadlagProcess):
+def _jordan_reduce(p: LadlagProcess, q: LadlagProcess):
     """Cellwise positive/negative parts of the increment difference.
 
-    Preserves A - A' while making the increment supports disjoint, which is
-    exactly the mutual-singularity reduction.
+    Preserves p - q while making the increment supports disjoint, which is
+    exactly the mutual-singularity reduction.  On B processes the interval
+    differences are exact zeros, so the interval rows add nothing.
     """
-    space, n = a_raw.space, a_raw.n_steps
-    jumps, jumps2, ivls, ivls2 = [], [], [], []
-    for k in range(n + 1):
-        d = v.sub(a_raw.left_jump(k), a2_raw.left_jump(k))
-        jumps.append(v.pos_part(d))
-        jumps2.append(v.neg_part(d))
-    for k in range(n):
-        d = v.sub(a_raw.interval_increment(k), a2_raw.interval_increment(k))
-        ivls.append(v.pos_part(d))
-        ivls2.append(v.neg_part(d))
+    n = p.n_steps
+    jumps = [v.sub(p.left_jump(k), q.left_jump(k)) for k in range(n + 1)]
+    ivls = [v.sub(p.interval_increment(k), q.interval_increment(k)) for k in range(n)]
     return (
-        fv_from_increments(space, jumps, ivls),
-        fv_from_increments(space, jumps2, ivls2),
-    )
-
-
-def _jordan_reduce_pd(b_raw: LadlagProcess, b2_raw: LadlagProcess):
-    space, n = b_raw.space, b_raw.n_steps
-    jumps, jumps2 = [], []
-    for k in range(n + 1):
-        d = v.sub(b_raw.left_jump(k), b2_raw.left_jump(k))
-        jumps.append(v.pos_part(d))
-        jumps2.append(v.neg_part(d))
-    return (
-        pd_from_jumps(space, jumps),
-        pd_from_jumps(space, jumps2),
+        running_sum(p.space, left=[v.pos_part(d) for d in jumps],
+                    interval=[v.pos_part(d) for d in ivls]),
+        running_sum(p.space, left=[v.neg_part(d) for d in jumps],
+                    interval=[v.neg_part(d) for d in ivls]),
     )
 
 
@@ -416,21 +376,21 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
 
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
     return SolutionSeptuple(
-        y=from_slots(space, y_minus, y_mid, y_plus, kind="predictable"),
+        y=from_slots(space, y_minus, y_mid, y_plus),
         z=IntegrandProcess(space=space, z=tuple(z)),
-        m=pd_from_jumps(space, m_jumps, kind="cadlag-martingale"),
-        a=fv_from_increments(space, [v.neg_part(d) for d in left],
-                             [v.pos_part(d) for d in drift]),
-        b=pd_from_jumps(space, [v.pos_part(d) for d in gap]),
-        a_prime=fv_from_increments(space, [v.pos_part(d) for d in left],
-                                   [v.neg_part(d) for d in drift]),
-        b_prime=pd_from_jumps(space, [v.neg_part(d) for d in gap]),
+        m=running_sum(space, left=m_jumps),
+        a=running_sum(space, left=[v.neg_part(d) for d in left],
+                      interval=[v.pos_part(d) for d in drift]),
+        b=running_sum(space, left=[v.pos_part(d) for d in gap]),
+        a_prime=running_sum(space, left=[v.pos_part(d) for d in left],
+                            interval=[v.neg_part(d) for d in drift]),
+        b_prime=running_sum(space, left=[v.neg_part(d) for d in gap]),
     )
 
 
 def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     """Check the driver process and solve with ``dynkin_recursion``."""
-    validate_driver_process(barriers.xi.space, g)
+    validate_integrand(barriers.xi.space, g, "g")
     return dynkin_recursion(barriers, g)
 
 
@@ -482,7 +442,7 @@ def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
             )
             plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)
 
 
 def minimality_check(
@@ -505,7 +465,7 @@ def minimality_check(
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
         if any(-x > tol for k in range(space.n_steps + 1) for x in proc.mid[k]):
             raise ProcessError(f"{label} is not nonnegative")
-    diff = p_sub(h, hbar, kind="predictable")
+    diff = p_sub(h, hbar)
     for k in range(space.n_steps + 1):
         if any(x - d > tol for d, x in zip(diff.mid[k], xi_t.mid[k])):
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
@@ -536,4 +496,4 @@ def random_nonneg_pss(space: FilteredSpace, rng, scale=1) -> LadlagProcess:
                        rand_nonneg(space.sigma_minus[k]))
         minus[k] = v.add(mid[k], rand_nonneg(space.sigma_minus[k]))
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import values as v
+from .config import ConfigError
 from .drbsde import BarrierPair, SolutionSeptuple, solve_driver_process
 from .prob_space import FilteredSpace, expectation
 from .processes import IntegrandProcess, LadlagProcess, p_sub
@@ -92,10 +93,11 @@ class ContractionParams:
 
     def validate(self, lipschitz_k: float, t_horizon: float) -> None:
         if self.beta <= 1 / self.eps**2:
-            raise ValueError(f"need beta > 1/eps^2 = {1 / self.eps ** 2:g}, got beta = {self.beta:g}")
+            raise ConfigError(f"need beta > 1/eps^2 = {1 / self.eps ** 2:g}, got beta = {self.beta:g}",
+                              "params.beta")
         m = self.modulus(lipschitz_k, t_horizon)
         if m >= 1:
-            raise ValueError(f"contraction modulus 2K(1+T)eps^2(3+16c^2) = {m:g} >= 1")
+            raise ConfigError(f"contraction modulus 2K(1+T)eps^2(3+16c^2) = {m:g} >= 1", "params")
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +207,14 @@ def solve_general(
 
     from .processes import zero_integrand, zero_process
 
-    u = zero_process(space, kind="predictable")
+    u = zero_process(space)
     vz = zero_integrand(space)
     sol: SolutionSeptuple | None = None
     for it in range(1, max_outer + 1):
         g = driver.freeze(space, u, vz)
         sol = solve_driver_process(barriers, g)
         trace.frozen_g = g
-        du = p_sub(sol.y, u, kind="predictable")
+        du = p_sub(sol.y, u)
         dz = IntegrandProcess(
             space=space, z=tuple(v.sub(sol.z.z[k], vz.z[k]) for k in range(space.n_steps))
         )

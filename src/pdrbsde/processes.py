@@ -8,7 +8,11 @@ increment of a martingale is proportional to dW_k, so the orthogonal component
 of any martingale moves only through instant jumps — jumps at predictable
 times, the phenomenon the whole artifact is built to exhibit.
 
-Measurability contract per kind:
+A ``LadlagProcess`` holds its space and its three slot arrays, nothing else:
+it carries no class.  Processes are built by ``from_slots`` (the slots given)
+or ``running_sum`` (the slots of a sum of jumps and interval increments), and
+``validate_process(proc, kind)`` checks that a process lies in the named
+class:
 
 * optional: minus[k] is sigma_minus[k]-measurable; mid[k] and plus[k] are
   sigma_mid[k]-measurable.
@@ -26,7 +30,7 @@ Measurability contract per kind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -55,7 +59,6 @@ class ProcessError(ValueError):
 @dataclass(frozen=True)
 class LadlagProcess:
     space: FilteredSpace
-    kind: str
     minus: tuple   # length N+1, each an RV
     mid: tuple     # length N+1
     plus: tuple    # length N
@@ -63,9 +66,6 @@ class LadlagProcess:
     @property
     def n_steps(self) -> int:
         return self.space.n_steps
-
-    def terminal(self) -> list:
-        return list(self.mid[-1])
 
     def left_jump(self, k: int) -> list:
         return v.sub(self.mid[k], self.minus[k])
@@ -76,9 +76,6 @@ class LadlagProcess:
     def interval_increment(self, k: int) -> list:
         """Change across the open interval (t_k, t_{k+1})."""
         return v.sub(self.minus[k + 1], self.plus[k])
-
-    def with_kind(self, kind: str) -> "LadlagProcess":
-        return replace(self, kind=kind)
 
 
 @dataclass(frozen=True)
@@ -97,18 +94,17 @@ class IntegrandProcess:
 # constructors
 
 
-def from_slots(space, minus, mid, plus, kind="optional") -> LadlagProcess:
-    """Process from its slot arrays, unchecked: ``validate_process`` checks ``kind``."""
+def from_slots(space, minus, mid, plus) -> LadlagProcess:
+    """Process from its slot arrays, unchecked: ``validate_process`` checks a class."""
     return LadlagProcess(
         space=space,
-        kind=kind,
         minus=tuple(list(x) for x in minus),
         mid=tuple(list(x) for x in mid),
         plus=tuple(list(x) for x in plus),
     )
 
 
-def from_cadlag_sequence(space, mids: Sequence, kind="predictable") -> LadlagProcess:
+def from_cadlag_sequence(space, mids: Sequence) -> LadlagProcess:
     """Step process from per-instant values: value mids[k] on [t_k, t_{k+1}).
 
     Slots: mid[k] = plus[k] = mids[k], minus[k] = mids[k-1]; the change shows
@@ -118,17 +114,43 @@ def from_cadlag_sequence(space, mids: Sequence, kind="predictable") -> LadlagPro
     mid = [list(mids[k]) for k in range(n + 1)]
     minus = [list(mids[0])] + [list(mids[k - 1]) for k in range(1, n + 1)]
     plus = [list(mids[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus, kind=kind)
+    return from_slots(space, minus, mid, plus)
 
 
-def constant_process(space, value, kind="predictable") -> LadlagProcess:
+def constant_process(space, value) -> LadlagProcess:
     c = space.constant(value)
     n = space.n_steps
-    return from_slots(space, [c] * (n + 1), [c] * (n + 1), [c] * n, kind=kind)
+    return from_slots(space, [c] * (n + 1), [c] * (n + 1), [c] * n)
 
 
-def zero_process(space, kind="optional") -> LadlagProcess:
-    return constant_process(space, 0, kind=kind)
+def zero_process(space) -> LadlagProcess:
+    return constant_process(space, 0)
+
+
+def running_sum(space: FilteredSpace, left=None, interval=None, right=None,
+                start=None) -> LadlagProcess:
+    """Process started at ``start`` (zero by default) that moves, in time order,
+    by ``left[k]`` from minus to mid at instant k, by ``right[k]`` from mid to
+    plus, and by ``interval[k]`` across (t_k, t_{k+1}).
+
+    A sequence left out means no movement there: with ``left`` and
+    ``interval`` only, the result is cadlag.
+    """
+    n = space.n_steps
+    run = space.zero() if start is None else start
+    minus, mid, plus = [], [], []
+    for k in range(n + 1):
+        minus.append(run)
+        if left is not None:
+            run = v.add(run, left[k])
+        mid.append(run)
+        if k < n:
+            if right is not None:
+                run = v.add(run, right[k])
+            plus.append(run)
+            if interval is not None:
+                run = v.add(run, interval[k])
+    return from_slots(space, minus, mid, plus)
 
 
 def zero_integrand(space) -> IntegrandProcess:
@@ -139,22 +161,21 @@ def zero_integrand(space) -> IntegrandProcess:
 # slot arithmetic
 
 
-def p_add(a: LadlagProcess, b: LadlagProcess, kind="optional") -> LadlagProcess:
-    return _zip_with(v.add, a, b, kind)
+def p_add(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
+    return _zip_with(v.add, a, b)
 
 
-def p_sub(a: LadlagProcess, b: LadlagProcess, kind="optional") -> LadlagProcess:
-    return _zip_with(v.sub, a, b, kind)
+def p_sub(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
+    return _zip_with(v.sub, a, b)
 
 
-def _zip_with(op, a, b, kind):
+def _zip_with(op, a, b):
     n = a.n_steps
     return from_slots(
         a.space,
         [op(a.minus[k], b.minus[k]) for k in range(n + 1)],
         [op(a.mid[k], b.mid[k]) for k in range(n + 1)],
         [op(a.plus[k], b.plus[k]) for k in range(n)],
-        kind=kind,
     )
 
 
@@ -174,10 +195,11 @@ def sup_distance(a: LadlagProcess, b: LadlagProcess):
 # class validation
 
 
-def validate_process(proc: LadlagProcess) -> None:
+def validate_process(proc: LadlagProcess, kind: str) -> None:
+    """Raise ``ProcessError`` unless ``proc`` lies in the class ``kind``."""
     space, n = proc.space, proc.n_steps
-    if proc.kind not in KINDS:
-        raise ProcessError(f"unknown kind {proc.kind!r}")
+    if kind not in KINDS:
+        raise ProcessError(f"unknown kind {kind!r}")
     if len(proc.minus) != n + 1 or len(proc.mid) != n + 1 or len(proc.plus) != n:
         raise ProcessError("slot arrays have wrong lengths")
 
@@ -189,7 +211,7 @@ def validate_process(proc: LadlagProcess) -> None:
         if k < n and not is_measurable(space, proc.plus[k], space.sigma_mid[k]):
             raise ProcessError(f"plus[{k}] not sigma_mid[{k}]-measurable")
 
-    predictable_like = proc.kind in (
+    predictable_like = kind in (
         "predictable",
         "finite-variation-predictable",
         "purely-discontinuous-predictable",
@@ -199,12 +221,12 @@ def validate_process(proc: LadlagProcess) -> None:
             if not is_measurable(space, proc.mid[k], space.sigma_minus[k]):
                 raise ProcessError(f"mid[{k}] not sigma_minus[{k}]-measurable (predictable)")
 
-    if proc.kind in _CADLAG_KINDS:
+    if kind in _CADLAG_KINDS:
         for k in range(n):
             if proc.plus[k] != proc.mid[k]:
                 raise ProcessError(f"cadlag violated at plus[{k}]")
 
-    if proc.kind == "purely-discontinuous-predictable":
+    if kind == "purely-discontinuous-predictable":
         if any(x != 0 for x in proc.minus[0]):
             raise ProcessError("B-class needs slot_minus[0] = 0")
         for k in range(n):
@@ -213,7 +235,7 @@ def validate_process(proc: LadlagProcess) -> None:
         for k in range(n + 1):
             if any(x < 0 for x in proc.left_jump(k)):
                 raise ProcessError(f"B-class jump negative at instant {k}")
-    elif proc.kind == "finite-variation-predictable":
+    elif kind == "finite-variation-predictable":
         if any(x != 0 for x in proc.mid[0]) or any(x != 0 for x in proc.minus[0]):
             raise ProcessError("A-class needs A_0 = 0")
         for k in range(n):
@@ -232,19 +254,21 @@ def validate_process(proc: LadlagProcess) -> None:
         # optional / predictable / martingale: no time before 0, so the left
         # limit at 0 is the value itself (martingales may carry a zero-mean
         # jump at 0 when a mark lives there).
-        if proc.kind != "cadlag-martingale" and proc.minus[0] != proc.mid[0]:
+        if kind != "cadlag-martingale" and proc.minus[0] != proc.mid[0]:
             raise ProcessError("slot_minus[0] must equal slot_mid[0]")
 
-    if proc.kind == "cadlag-martingale" and not is_martingale(proc):
+    if kind == "cadlag-martingale" and not is_martingale(proc):
         raise ProcessError("martingale increment conditions violated")
 
 
-def validate_integrand(zp: IntegrandProcess) -> None:
-    if len(zp.z) != zp.space.n_steps:
-        raise ProcessError("integrand has wrong length")
-    for k in range(zp.space.n_steps):
-        if not is_measurable(zp.space, zp.z[k], zp.space.sigma_mid[k]):
-            raise ProcessError(f"z[{k}] not sigma_mid[{k}]-measurable")
+def validate_integrand(space: FilteredSpace, rows: Sequence, name: str = "z") -> None:
+    """N rows, row k sigma_mid[k]-measurable: an integrand ``z`` on the open
+    intervals, or a driver process ``g``."""
+    if len(rows) != space.n_steps:
+        raise ProcessError(f"{name} needs one row per interval, got {len(rows)}")
+    for k in range(space.n_steps):
+        if not is_measurable(space, rows[k], space.sigma_mid[k]):
+            raise ProcessError(f"{name}[{k}] not sigma_mid[{k}]-measurable")
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +286,7 @@ def predictable_projection(x: LadlagProcess) -> LadlagProcess:
     plus = [cond_expect(space, x.plus[k], space.sigma_minus[k]) for k in range(n)]
     minus = [list(x.minus[k]) for k in range(n + 1)]
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)
 
 
 def jumps(x: LadlagProcess) -> tuple[list, list]:
@@ -325,16 +349,7 @@ def is_predictable_strong_supermartingale(y: LadlagProcess, tol=None) -> bool:
 def ito_integral(z: IntegrandProcess, space: FilteredSpace | None = None) -> LadlagProcess:
     """Cadlag martingale with interval increments z[k] dW_k and no jumps."""
     space = space or z.space
-    n = space.n_steps
-    minus = [space.zero()]
-    mid = [space.zero()]
-    plus = []
-    for k in range(n):
-        plus.append(list(mid[k]))
-        nxt = v.add(plus[k], v.mul(z.z[k], space.dw[k]))
-        minus.append(nxt)
-        mid.append(list(nxt))
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    return running_sum(space, interval=[v.mul(z.z[k], space.dw[k]) for k in range(space.n_steps)])
 
 
 def orthogonal_decompose(m: LadlagProcess) -> tuple[IntegrandProcess, LadlagProcess]:
@@ -358,7 +373,7 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[IntegrandProcess, LadlagProc
                     cond_expect(space, prod, space.sigma_mid[k]))
         zs.append(zk)
     z = IntegrandProcess(space=space, z=tuple(zs))
-    nrem = p_sub(m, ito_integral(z, space), kind="cadlag-martingale")
+    nrem = p_sub(m, ito_integral(z, space))
     return z, nrem
 
 
@@ -369,18 +384,12 @@ def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
     instant jumps; the running sum is a cadlag process whose jump at k is
     the product of the two jumps at k.
     """
-    space, n = a.space, a.n_steps
-    running = space.zero()
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        jump_prod = v.mul(a.left_jump(k), b.left_jump(k))
-        minus.append(list(running))
-        running = v.add(running, jump_prod)
-        mid.append(list(running))
-        if k < n:
-            plus.append(list(running))
-            running = v.add(running, v.mul(a.interval_increment(k), b.interval_increment(k)))
-    return from_slots(space, minus, mid, plus, kind="optional")
+    n = a.n_steps
+    return running_sum(
+        a.space,
+        left=[v.mul(a.left_jump(k), b.left_jump(k)) for k in range(n + 1)],
+        interval=[v.mul(a.interval_increment(k), b.interval_increment(k)) for k in range(n)],
+    )
 
 
 def brownian_process(space: FilteredSpace) -> LadlagProcess:
@@ -399,35 +408,5 @@ def martingale_from_terminal(space: FilteredSpace, terminal: Sequence) -> Ladlag
     minus = [cond_expect(space, terminal, space.sigma_minus[k]) for k in range(n + 1)]
     mid = [cond_expect(space, terminal, space.sigma_mid[k]) for k in range(n + 1)]
     plus = [list(mid[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus, kind="cadlag-martingale")
+    return from_slots(space, minus, mid, plus)
 
-
-def fv_from_increments(space: FilteredSpace, jumps, intervals) -> LadlagProcess:
-    """Cadlag running sum of instant jumps and interval increments (the A class)."""
-    n = space.n_steps
-    run = space.zero()
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        minus.append(list(run))
-        run = v.add(run, jumps[k])
-        mid.append(list(run))
-        if k < n:
-            plus.append(list(run))
-            run = v.add(run, intervals[k])
-    return from_slots(space, minus, mid, plus, kind="finite-variation-predictable")
-
-
-def pd_from_jumps(space: FilteredSpace, jumps,
-                  kind="purely-discontinuous-predictable") -> LadlagProcess:
-    """Cadlag running sum of instant jumps with no interval variation (the B
-    class, or an orthogonal martingale moving only at instants)."""
-    n = space.n_steps
-    run = space.zero()
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        minus.append(list(run))
-        run = v.add(run, jumps[k])
-        mid.append(list(run))
-        if k < n:
-            plus.append(list(run))
-    return from_slots(space, minus, mid, plus, kind=kind)

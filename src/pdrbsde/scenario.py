@@ -152,7 +152,6 @@ def _game_option_barriers(space, params) -> BarrierPair:
         [list(m) for m in xi_mids],
         [list(m) for m in xi_mids],
         [list(xi_mids[k]) for k in range(n)],
-        kind="predictable",
     )
     zeta_mids = [
         v.add(xi_mids[k], space.constant(penalties[k])) if k < n else list(xi_mids[k])
@@ -163,7 +162,6 @@ def _game_option_barriers(space, params) -> BarrierPair:
         [list(m) for m in zeta_mids],
         [list(m) for m in zeta_mids],
         [list(zeta_mids[k]) for k in range(n)],
-        kind="predictable",
     )
     return BarrierPair(xi=xi, zeta=zeta)
 
@@ -201,7 +199,7 @@ def _random_barriers(space, params, seed) -> BarrierPair:
                   _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, scale)))
             for k in range(n)
         ]
-    xi = from_slots(space, xi_minus, xi_mid, xi_plus, kind="predictable")
+    xi = from_slots(space, xi_minus, xi_mid, xi_plus)
 
     def gap_draw():
         if touching and rng.random() < Fraction(1, 3):
@@ -244,7 +242,7 @@ def _random_barriers(space, params, seed) -> BarrierPair:
             for k in range(n)
         ]
     zeta_plus = [v.vmax(zeta_plus[k], xi_plus[k]) for k in range(n)]
-    zeta = from_slots(space, zeta_minus, zeta_mid, zeta_plus, kind="predictable")
+    zeta = from_slots(space, zeta_minus, zeta_mid, zeta_plus)
     return BarrierPair(xi=xi, zeta=zeta)
 
 
@@ -263,7 +261,7 @@ def _table_barriers(space, params) -> BarrierPair:
             if "plus" in side
             else [list(mid[k]) for k in range(n)]
         )
-        return from_slots(space, minus, mid, plus, kind="predictable")
+        return from_slots(space, minus, mid, plus)
 
     return BarrierPair(xi=build(params["lower"]), zeta=build(params["upper"]))
 

@@ -36,10 +36,9 @@ from .processes import (
     LadlagProcess,
     ProcessError,
     from_slots,
-    fv_from_increments,
     is_predictable_strong_supermartingale,
     orthogonal_decompose,
-    pd_from_jumps,
+    running_sum,
 )
 
 
@@ -105,7 +104,7 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
         mid[k] = v.vmax(barrier.mid[k], proj)
         minus[k] = v.vmax(barrier.minus[k], mid[k])
     minus[0] = list(mid[0])  # no time before 0
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)
 
 
 def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
@@ -125,7 +124,6 @@ def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
         [v.sub(n_mart.minus[k], base) for k in range(y.n_steps + 1)],
         [v.sub(n_mart.mid[k], base) for k in range(y.n_steps + 1)],
         [v.sub(n_mart.plus[k], base) for k in range(y.n_steps)],
-        kind="cadlag-martingale",
     )
     z, m = orthogonal_decompose(shifted)
     return RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b)
@@ -161,8 +159,8 @@ def mertens_decompose(
         for k in range(n)
     ]
 
-    a = fv_from_increments(space, jump_a, ivl_a)
-    b = pd_from_jumps(space, jump_b)
+    a = running_sum(space, left=jump_a, interval=ivl_a)
+    b = running_sum(space, left=jump_b)
 
     n_minus, n_mid, n_plus = [], [], []
     for k in range(n + 1):
@@ -172,7 +170,7 @@ def mertens_decompose(
         n_mid.append(v.add(nm, dn))
         if k < n:
             n_plus.append(list(n_mid[k]))
-    nart = from_slots(space, n_minus, n_mid, n_plus, kind="cadlag-martingale")
+    nart = from_slots(space, n_minus, n_mid, n_plus)
     return nart, a, b
 
 
@@ -267,4 +265,4 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
         else:
             plus[k] = out
     minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)

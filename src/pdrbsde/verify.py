@@ -226,11 +226,11 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
     problems: list[tuple[float, str]] = []
     for proc, kind, label in procs:
         try:
-            validate_process(proc.with_kind(kind))
+            validate_process(proc, kind)
         except ProcessError as exc:
             problems.append((1.0, f"{label}: {exc}"))
     try:
-        validate_integrand(z)
+        validate_integrand(z.space, z.z)
     except ProcessError as exc:
         problems.append((1.0, f"Z: {exc}"))
     if supermartingale and not is_predictable_strong_supermartingale(y):

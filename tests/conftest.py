@@ -79,8 +79,8 @@ def random_predictable(space, rng, scale=Fraction(2)):
     minus = [list(mid[0])] + [rand_on(space, space.sigma_minus[k], rng, scale)
                               for k in range(1, n + 1)]
     plus = [rand_on(space, space.sigma_mid[k], rng, scale) for k in range(n)]
-    proc = from_slots(space, minus, mid, plus, kind="predictable")
-    validate_process(proc)
+    proc = from_slots(space, minus, mid, plus)
+    validate_process(proc, "predictable")
     return proc
 
 
@@ -107,8 +107,8 @@ def random_martingale(space, rng, scale=Fraction(1)):
             z = rand_on(space, space.sigma_mid[k], rng, scale)
             cur = v.add(cur, v.mul(z, space.dw[k]))
             minus.append(list(cur))
-    proc = from_slots(space, minus, mid, plus, kind="cadlag-martingale")
-    validate_process(proc)
+    proc = from_slots(space, minus, mid, plus)
+    validate_process(proc, "cadlag-martingale")
     return proc
 
 

@@ -233,7 +233,7 @@ def test_criterion_8_mokobodzki_and_minimality(corpus):
             assert is_predictable_strong_supermartingale(proc), rec.config.name
             # the enumeration oracle agrees: proc is its own Snell envelope
             assert sup_distance(snell_bruteforce(proc), proc) == 0, rec.config.name
-        diff = p_sub(h, hbar, kind="predictable")
+        diff = p_sub(h, hbar)
         n = sc.space.n_steps
         for k in range(n + 1):
             assert all(a <= d <= b for a, d, b in
@@ -249,7 +249,7 @@ def test_criterion_8_mokobodzki_and_minimality(corpus):
             s = random_nonneg_pss(sc.space, rng)
             assert minimality_check(
                 j, jbar,
-                p_add(j, s, kind="predictable"), p_add(jbar, s, kind="predictable"),
+                p_add(j, s), p_add(jbar, s),
                 xi_t, zeta_t,
             ), rec.config.name
     _line(8, "mokobodzki necessity and minimality", True,

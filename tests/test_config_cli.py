@@ -12,7 +12,7 @@ import pytest
 from conftest import make_config
 from pdrbsde.cli import main
 from pdrbsde.config import ConfigError, config_from_dict, load_config
-from pdrbsde.scenario import corpus_templates, generate_corpus, realize
+from pdrbsde.scenario import corpus_templates, estimate_template, generate_corpus, realize
 
 
 def write_scenario(tmp_path: Path, doc: dict, name="scenario.json") -> Path:
@@ -105,6 +105,31 @@ def test_schema_type_error_names_cell(tmp_path, capsys, case):
     assert corpus_templates()[1]["marks"][0]["labels"]  # template 1 has a mark
     cfg = write_scenario(tmp_path, doc)
     assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"[at {cell}]" in capsys.readouterr().err
+
+
+# (mode, edit of the scenario document, the cell the error names): contraction
+# parameters that well-typed configs can still get wrong; the outer loop of a
+# linear driver (corpus-0 scenario 003) and the a-priori estimate check them
+CONTRACTION_ERRORS = {
+    "solve_beta_below_bound": ("solve", lambda d: d["params"].update(beta=1), "params.beta"),
+    "solve_c_modulus": ("solve", lambda d: d["params"].update(c=100), "params"),
+    "solve_driver_a_modulus": ("solve", lambda d: d["driver"]["params"].update(a="5"), "params"),
+    "estimate_beta_below_bound": ("estimate", lambda d: d["params"].update(beta=1), "params.beta"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACTION_ERRORS))
+def test_contraction_params_exit_two(tmp_path, capsys, case):
+    mode, edit, cell = CONTRACTION_ERRORS[case]
+    if mode == "solve":
+        doc = json.loads(generate_corpus(0, 4, tmp_path / "corpus")[3].read_text())
+        assert doc["driver"]["kind"] == "linear"
+    else:
+        doc = estimate_template(0)
+    edit(doc)
+    cfg = write_scenario(tmp_path, doc)
+    assert main(["--mode", mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"[at {cell}]" in capsys.readouterr().err
 
 

@@ -52,6 +52,17 @@ def is_zero(proc) -> bool:
     return all(all(x == 0 for x in proc.mid[k]) for k in range(n + 1))
 
 
+class TestBarrierPair:
+    def test_rejects_barrier_that_sees_the_mark(self, space_8):
+        """A barrier is predictable: its value at t_1 may not use the mark
+        revealed at t_1."""
+        zero, labels = space_8.zero(), space_8.marks[1]
+        seen = [F(1) if lab == labels[0] else F(0) for lab in labels]
+        xi = from_slots(space_8, [zero, zero, seen], [zero, seen, seen], [zero, seen])
+        with pytest.raises(ProcessError, match="predictable"):
+            BarrierPair(xi=xi, zeta=xi)
+
+
 class TestShiftBarriers:
     def test_martingale_type_barrier_shifts_to_zero(self, space_8):
         rng = random.Random(3)
@@ -63,9 +74,8 @@ class TestShiftBarriers:
             [list(m.minus[k]) for k in range(n + 1)],
             [list(m.minus[k]) for k in range(n + 1)],
             [list(m.mid[k]) for k in range(n)],
-            kind="predictable",
         )
-        pair = BarrierPair(xi=xi, zeta=p_add(xi, constant_process(space_8, 0), kind="predictable"))
+        pair = BarrierPair(xi=xi, zeta=p_add(xi, constant_process(space_8, 0)))
         g = [space_8.zero() for _ in range(n)]
         xi_t, _ = shift_barriers(pair, g)
         assert is_zero(xi_t)
@@ -79,11 +89,10 @@ class TestShiftBarriers:
     def test_terminal_values_vanish(self, space_16):
         rng = random.Random(5)
         xi = random_predictable(space_16, rng)
-        zeta = p_add(xi, constant_process(space_16, 2), kind="predictable")
+        zeta = p_add(xi, constant_process(space_16, 2))
         zeta_mid = [list(x) for x in zeta.mid]
         zeta_mid[-1] = list(xi.mid[-1])
-        zeta = from_slots(space_16, zeta.minus, zeta_mid, zeta.plus,
-                          kind="predictable")
+        zeta = from_slots(space_16, zeta.minus, zeta_mid, zeta.plus)
         g = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
         xi_t, zeta_t = shift_barriers(BarrierPair(xi=xi, zeta=zeta), g)
         assert all(x == 0 for x in xi_t.mid[-1])
@@ -106,7 +115,7 @@ class TestShiftBarriers:
                 )
                 assert all(x.mid[k][i] == total / w for i in atom)
         xi_t, _ = shift_barriers(BarrierPair(xi=xi, zeta=p_add(
-            xi, constant_process(space_8, 0), kind="predictable")), g)
+            xi, constant_process(space_8, 0))), g)
         for k in range(3):
             assert xi_t.mid[k] == v.sub(xi.mid[k], x.mid[k])
 
@@ -198,8 +207,8 @@ class TestAssemble:
         x = plain_part(space_16, term, g)
         wide = constant_process(space_16, 50)
         pair = BarrierPair(
-            xi=_with_terminal(p_sub(x, wide, kind="predictable"), term),
-            zeta=_with_terminal(p_add(x, wide, kind="predictable"), term),
+            xi=_with_terminal(p_sub(x, wide), term),
+            zeta=_with_terminal(p_add(x, wide), term),
         )
         sol = solve_driver_process(pair, g)
         assert sup_distance(sol.y, x) == 0
@@ -236,7 +245,7 @@ def _with_terminal(proc, term):
     mid = [list(x) for x in proc.mid]
     mid[-1] = list(term)
     minus = [list(x) for x in proc.minus]
-    return from_slots(proc.space, minus, mid, proc.plus, kind="predictable")
+    return from_slots(proc.space, minus, mid, proc.plus)
 
 
 class TestVerifier:
@@ -273,11 +282,9 @@ class TestVerifier:
         dA_1 = (1, 0), everything else zero.
         """
         zero = space_2.zero()
-        xi = from_slots(space_2, [zero, [F(3), F(-2)]], [zero, [F(2), F(-2)]], [zero],
-                        kind="predictable")
+        xi = from_slots(space_2, [zero, [F(3), F(-2)]], [zero, [F(2), F(-2)]], [zero])
         zeta = from_slots(space_2, [space_2.constant(1), [F(3), F(0)]],
-                          [space_2.constant(1), [F(2), F(-2)]], [space_2.constant(1)],
-                          kind="predictable")
+                          [space_2.constant(1), [F(2), F(-2)]], [space_2.constant(1)])
         pair = BarrierPair(xi=xi, zeta=zeta)
         g = [space_2.constant(F(1, 4))]
         sol = solve_driver_process(pair, g)
@@ -354,16 +361,13 @@ class TestMutualSingularity:
 
     def test_disjoint_instants(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
-        p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one],
-                       kind="purely-discontinuous-predictable")  # jumps at instant 1
-        q = from_slots(space_8, [zero, one, one], [one, one, one], [one, one],
-                       kind="purely-discontinuous-predictable")  # jumps at instant 0
+        p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one])  # jumps at instant 1
+        q = from_slots(space_8, [zero, one, one], [one, one, one], [one, one])  # jumps at instant 0
         assert mutually_singular(p, q) is True
 
     def test_shared_cell_fails(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
-        p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one],
-                       kind="purely-discontinuous-predictable")
+        p = from_slots(space_8, [zero, zero, one], [zero, one, one], [zero, one])
         assert mutually_singular(p, p) is False
 
     def test_jordan_outputs_always_singular(self):
@@ -397,15 +401,15 @@ class TestMokobodzki:
         x = plain_part(space_8, term, g)
         wide = constant_process(space_8, 30)
         pair = BarrierPair(
-            xi=_with_terminal(p_sub(x, wide, kind="predictable"), term),
-            zeta=_with_terminal(p_add(x, wide, kind="predictable"), term),
+            xi=_with_terminal(p_sub(x, wide), term),
+            zeta=_with_terminal(p_add(x, wide), term),
         )
         sol = solve_driver_process(pair, g)
         for comp in (sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
         h, hbar = mokobodzki_certificate(pair, g, solution=sol)
         # positive and negative parts of the plain solution
-        diff = p_sub(h, hbar, kind="predictable")
+        diff = p_sub(h, hbar)
         assert sup_distance(diff, sol.y) == 0
 
     def test_random_scenario_certificate(self):
@@ -423,7 +427,7 @@ class TestMokobodzki:
         for proc in (h, hbar):
             assert is_predictable_strong_supermartingale(proc)
             assert sup_distance(snell_bruteforce(proc), proc) == 0
-        diff = p_sub(h, hbar, kind="predictable")
+        diff = p_sub(h, hbar)
         n = sc.space.n_steps
         for k in range(n + 1):
             assert all(a <= d <= b for a, d, b in
@@ -456,20 +460,20 @@ class TestMinimality:
     def test_shifted_pair(self):
         sc, xi_t, zeta_t, j, jbar = self._solved()
         one = constant_process(sc.space, 1)
-        assert minimality_check(j, jbar, p_add(j, one, kind="predictable"),
-                                p_add(jbar, one, kind="predictable"), xi_t, zeta_t)
+        assert minimality_check(j, jbar, p_add(j, one),
+                                p_add(jbar, one), xi_t, zeta_t)
 
     def test_random_dominating_pairs(self):
         sc, xi_t, zeta_t, j, jbar = self._solved()
         rng = random.Random(43)
         for _ in range(10):
             s = random_nonneg_pss(sc.space, rng)
-            h = p_add(j, s, kind="predictable")
-            hbar = p_add(jbar, s, kind="predictable")
+            h = p_add(j, s)
+            hbar = p_add(jbar, s)
             assert minimality_check(j, jbar, h, hbar, xi_t, zeta_t)
 
     def test_precondition_violation_reported(self):
         sc, xi_t, zeta_t, j, jbar = self._solved()
-        bad = p_sub(j, constant_process(sc.space, 100), kind="predictable")
+        bad = p_sub(j, constant_process(sc.space, 100))
         with pytest.raises(ProcessError):
             minimality_check(j, jbar, bad, jbar, xi_t, zeta_t)

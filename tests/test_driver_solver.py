@@ -110,7 +110,7 @@ class TestNorms:
         assert beta_norm_s2p(xi, beta) == pytest.approx(want, rel=1e-12)
 
     def test_m2_zero(self, space_8):
-        assert beta_norm_m2(constant_process(space_8, 0, kind="cadlag-martingale"), 4.0) == 0.0
+        assert beta_norm_m2(constant_process(space_8, 0), 4.0) == 0.0
 
     def test_m2_brownian_beta_zero(self, space_8):
         w = brownian_process(space_8)
@@ -196,7 +196,7 @@ class TestSolveGeneral:
         doc = estimate_template(9)
         doc["driver"] = {"kind": "linear", "params": {"a": "1/100", "b": "1/100", "c": "1/4"}}
         sc = realize(config_from_dict(doc))
-        g0 = sc.driver.freeze(sc.space, zero_process(sc.space, kind="predictable"),
+        g0 = sc.driver.freeze(sc.space, zero_process(sc.space),
                               IntegrandProcess(space=sc.space,
                                                z=tuple(sc.space.zero() for _ in range(8))))
         sol1 = solve_driver_process(sc.barriers, g0)

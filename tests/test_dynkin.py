@@ -44,9 +44,11 @@ def _solve_general(sc, monkeypatch, order=None):
 
 
 def _check_classes(sol) -> None:
-    for comp in (sol.y, sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime):
-        validate_process(comp)
-    validate_integrand(sol.z)
+    fv, pd = "finite-variation-predictable", "purely-discontinuous-predictable"
+    for comp, kind in ((sol.y, "predictable"), (sol.m, "cadlag-martingale"), (sol.a, fv),
+                       (sol.b, pd), (sol.a_prime, fv), (sol.b_prime, pd)):
+        validate_process(comp, kind)
+    validate_integrand(sol.z.space, sol.z.z)
 
 
 def _gap(s1, s2) -> float:

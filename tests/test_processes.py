@@ -25,6 +25,7 @@ from pdrbsde.processes import (
     orthogonal_decompose,
     p_sub,
     predictable_projection,
+    running_sum,
     sup_distance,
     validate_process,
 )
@@ -47,8 +48,8 @@ def compensated_mark_martingale(space, instant=1, hi=F(1), lo=F(-1)):
         if k < n:
             plus.append(list(cur))
             minus.append(list(cur))
-    m = from_slots(space, minus, mid, plus, kind="cadlag-martingale")
-    validate_process(m)
+    m = from_slots(space, minus, mid, plus)
+    validate_process(m, "cadlag-martingale")
     return m
 
 
@@ -72,7 +73,7 @@ class TestPredictableProjection:
         minus[0] = list(mid[0])
         # force slot_minus[0] = slot_mid[0] on the optional process
         mid[0] = list(minus[0])
-        x = from_slots(space_8, minus, mid, plus, kind="optional")
+        x = from_slots(space_8, minus, mid, plus)
         proj = predictable_projection(x)
         for k in range(n + 1):
             # oracle: per-atom weighted averages, computed directly
@@ -107,7 +108,6 @@ class TestJumps:
             [zero, zero, one],
             [zero, one, one],
             [zero, one],
-            kind="purely-discontinuous-predictable",
         )
         left, _ = jumps(b)
         assert left[1] == one
@@ -129,7 +129,6 @@ class TestIsMartingale:
             [v.add(w.minus[k], drift.minus[k]) for k in range(n + 1)],
             [v.add(w.mid[k], drift.mid[k]) for k in range(n + 1)],
             [v.add(w.plus[k], drift.plus[k]) for k in range(n)],
-            kind="optional",
         )
         assert not is_martingale(bad)
 
@@ -235,7 +234,6 @@ class TestOrthogonalDecompose:
                 [v.add(ito_integral(z).minus[k], rest.minus[k]) for k in range(3)],
                 [v.add(ito_integral(z).mid[k], rest.mid[k]) for k in range(3)],
                 [v.add(ito_integral(z).plus[k], rest.plus[k]) for k in range(2)],
-                kind="cadlag-martingale",
             )
             assert sup_distance(recon, m) == 0
             br = bracket(rest, brownian_process(space_16))
@@ -252,7 +250,6 @@ class TestOrthogonalDecompose:
             [v.add(ito_integral(z1).minus[k], n1.minus[k]) for k in range(3)],
             [v.add(ito_integral(z1).mid[k], n1.mid[k]) for k in range(3)],
             [v.add(ito_integral(z1).plus[k], n1.plus[k]) for k in range(2)],
-            kind="cadlag-martingale",
         )
         z2, n2 = orthogonal_decompose(rebuilt)
         assert all(z1.z[k] == z2.z[k] for k in range(2))
@@ -273,7 +270,7 @@ class TestBracket:
 
     def test_bracket_with_zero(self, space_8):
         w = brownian_process(space_8)
-        br = bracket(w, constant_process(space_8, 0, kind="cadlag-martingale"))
+        br = bracket(w, constant_process(space_8, 0))
         assert all(all(x == 0 for x in br.mid[k]) for k in range(3))
 
     def test_disjoint_increment_supports(self, space_4):
@@ -293,29 +290,61 @@ class TestBracket:
             assert lhs == rhs
 
 
+class TestRunningSum:
+    @pytest.mark.parametrize("moves", [
+        ("left",),
+        ("left", "interval"),
+        ("interval",),
+        ("right", "start"),
+        ("left", "right", "interval", "start"),
+    ], ids="+".join)
+    def test_moves_by_exactly_its_rows(self, space_16, moves):
+        rng = random.Random(len(moves))
+        n = space_16.n_steps
+        rows = {
+            "left": [rand_on(space_16, space_16.sigma_minus[k], rng) for k in range(n + 1)],
+            "right": [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(n)],
+            "interval": [rand_on(space_16, space_16.sigma_minus[k + 1], rng) for k in range(n)],
+            "start": rand_on(space_16, space_16.sigma_minus[0], rng),
+        }
+        given = {name: rows[name] for name in moves}
+        p = running_sum(space_16, **given)
+        zero = space_16.zero()
+        assert p.minus[0] == given.get("start", zero)
+        for k in range(n + 1):
+            assert p.left_jump(k) == (rows["left"][k] if "left" in given else zero)
+        for k in range(n):
+            assert p.right_jump(k) == (rows["right"][k] if "right" in given else zero)
+            assert p.interval_increment(k) == (
+                rows["interval"][k] if "interval" in given else zero)
+
+
 class TestClassValidation:
+    def test_rejects_unknown_class(self, space_8):
+        with pytest.raises(ProcessError, match="unknown"):
+            validate_process(constant_process(space_8, 0), "adapted")
+
     def test_b_class_needs_zero_start(self, space_8):
         one = space_8.constant(1)
         with pytest.raises(ProcessError):
-            validate_process(from_slots(space_8, [one, one, one], [one, one, one], [one, one],
-                                        kind="purely-discontinuous-predictable"))
+            validate_process(from_slots(space_8, [one, one, one], [one, one, one], [one, one]),
+                             "purely-discontinuous-predictable")
 
     def test_b_class_may_jump_at_zero(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
-        b = from_slots(space_8, [zero, one, one], [one, one, one], [one, one],
-                       kind="purely-discontinuous-predictable")
-        validate_process(b)
+        b = from_slots(space_8, [zero, one, one], [one, one, one], [one, one])
+        validate_process(b, "purely-discontinuous-predictable")
         assert b.left_jump(0) == one
 
     def test_fv_class_rejects_negative_increment(self, space_8):
         zero, one = space_8.zero(), space_8.constant(1)
         with pytest.raises(ProcessError):
-            validate_process(from_slots(space_8, [zero, one, one], [zero, one, zero], [zero, one],
-                                        kind="finite-variation-predictable"))
+            validate_process(from_slots(space_8, [zero, one, one], [zero, one, zero], [zero, one]),
+                             "finite-variation-predictable")
 
     def test_integrand_measurability_enforced(self, space_8):
         from pdrbsde.processes import validate_integrand
 
         bad = IntegrandProcess(space=space_8, z=(list(space_8.dw[0]), space_8.zero()))
         with pytest.raises(ProcessError):
-            validate_integrand(bad)
+            validate_integrand(space_8, bad.z)

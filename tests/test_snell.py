@@ -117,9 +117,8 @@ class TestOperatorProperties:
                 [rand_on(space_8, space_8.sigma_minus[k], rng, signed=False) for k in range(3)],
                 [rand_on(space_8, space_8.sigma_minus[k], rng, signed=False) for k in range(3)],
                 [rand_on(space_8, space_8.sigma_mid[k], rng, signed=False) for k in range(2)],
-                kind="optional",
             )
-            xi2 = p_add(xi, bump, kind="predictable")
+            xi2 = p_add(xi, bump)
             y1, y2 = snell_envelope_slots(xi), snell_envelope_slots(xi2)
             for k in range(3):
                 assert all(a <= b for a, b in zip(y1.mid[k], y2.mid[k]))
@@ -149,7 +148,7 @@ class TestOperatorProperties:
         xi = random_predictable(space_8, rng)
         y = snell_envelope_slots(xi)
         for _ in range(5):
-            h = p_add(y, random_nonneg_pss(space_8, rng), kind="predictable")
+            h = p_add(y, random_nonneg_pss(space_8, rng))
             # h is a supermartingale dominating xi; the envelope sits below it
             assert is_predictable_strong_supermartingale(h)
             assert sup_distance(snell_bruteforce(h), h) == 0
@@ -173,7 +172,7 @@ def _barrier_from_ints(space, nums) -> "LadlagProcess":
     mid = [draw(space.sigma_minus[0]), draw(space.sigma_minus[1])]
     minus = [list(mid[0]), draw(space.sigma_minus[1])]
     plus = [draw(space.sigma_mid[0])]
-    return from_slots(space, minus, mid, plus, kind="predictable")
+    return from_slots(space, minus, mid, plus)
 
 
 class TestOperatorLaws:
@@ -256,7 +255,6 @@ class TestMertens:
             [list(m.minus[k]) for k in range(n + 1)],
             [list(m.minus[k]) for k in range(n + 1)],
             [list(m.mid[k]) for k in range(n)],
-            kind="predictable",
         )
         nart, a, b = mertens_decompose(shifted)
         assert is_zero(a) and is_zero(b)
@@ -311,7 +309,7 @@ class TestVerifyRbsde:
         q = pre_operator(xi)
         bad_mid = [list(x) for x in q.y.mid]
         bad_mid[1] = v.add(bad_mid[1], space_8.constant(1))
-        bad_y = from_slots(space_8, q.y.minus, bad_mid, q.y.plus, kind="predictable")
+        bad_y = from_slots(space_8, q.y.minus, bad_mid, q.y.plus)
         rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=bad_y, z=q.z, m=q.m, a=q.a, b=q.b))
         assert not rep.passed
         assert not rep.condition("equation_residual").passed
@@ -320,16 +318,12 @@ class TestVerifyRbsde:
         """Solved by hand per atom: barrier 0 at t_0, (2, -2) at t_1 with a
         left peak (3, -2); value 1/2 at t_0, left reflection eats the peak."""
         zero, half = space_2.zero(), space_2.constant(F(1, 2))
-        xi = from_slots(space_2, [zero, [F(3), F(-2)]], [zero, [F(2), F(-2)]], [zero],
-                        kind="predictable")
-        y = from_slots(space_2, [half, [F(3), F(-2)]], [half, [F(2), F(-2)]], [half],
-                       kind="predictable")
-        a = from_slots(space_2, [zero, zero], [zero, [F(1), F(0)]], [zero],
-                       kind="finite-variation-predictable")
-        b = from_slots(space_2, [zero, zero], [zero, zero], [zero],
-                       kind="purely-discontinuous-predictable")
+        xi = from_slots(space_2, [zero, [F(3), F(-2)]], [zero, [F(2), F(-2)]], [zero])
+        y = from_slots(space_2, [half, [F(3), F(-2)]], [half, [F(2), F(-2)]], [half])
+        a = from_slots(space_2, [zero, zero], [zero, [F(1), F(0)]], [zero])
+        b = from_slots(space_2, [zero, zero], [zero, zero], [zero])
         z = IntegrandProcess(space=space_2, z=(space_2.constant(F(5, 2)),))
-        m = constant_process(space_2, 0, kind="cadlag-martingale")
+        m = constant_process(space_2, 0)
         rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b))
         assert rep.passed, rep.failures()
         # and the solver reproduces exactly the hand solution
@@ -351,8 +345,7 @@ def test_one_barrier_clauses_match_two_barrier_clauses(mode, moved):
     space = make_space(2, "1/2", marks=[MARK_HALF], arithmetic=mode)
     xi = random_predictable(space, random.Random(47))
     q = pre_operator(xi)
-    pair = BarrierPair(xi=xi, zeta=from_slots(space, q.y.minus, q.y.mid, q.y.plus,
-                                              kind="predictable"))
+    pair = BarrierPair(xi=xi, zeta=from_slots(space, q.y.minus, q.y.mid, q.y.plus))
     if moved:  # Y lifted off the barrier everywhere, and one cell moved further
         delta = F(1, 7) if mode == "rational" else 1 / 7
         for row in (*q.y.minus, *q.y.mid, *q.y.plus):
@@ -360,8 +353,8 @@ def test_one_barrier_clauses_match_two_barrier_clauses(mode, moved):
         q.y.mid[1][0] += delta
     septuple = SolutionSeptuple(
         y=q.y, z=q.z, m=q.m, a=q.a, b=q.b,
-        a_prime=zero_process(space, kind="finite-variation-predictable"),
-        b_prime=zero_process(space, kind="purely-discontinuous-predictable"))
+        a_prime=zero_process(space),
+        b_prime=zero_process(space))
     one = verify_rbsde_solution(xi, q)
     two = verify_drbsde_solution([space.zero()] * space.n_steps, pair, septuple)
 
