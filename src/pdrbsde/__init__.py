@@ -20,7 +20,6 @@ from .prob_space import (
     is_measurable,
 )
 from .processes import (
-    IntegrandProcess,
     LadlagProcess,
     ProcessError,
     bracket,

@@ -17,17 +17,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import values as v
-from .config import ConfigError
 from .drbsde import SolutionSeptuple
-from .driver_solver import beta_norm_h2, beta_norm_m2, beta_norm_s2p
+from .driver_solver import beta_norm_h2, beta_norm_m2, beta_norm_s2p, check_beta
 from .prob_space import FilteredSpace
-from .processes import (
-    IntegrandProcess,
-    LadlagProcess,
-    ProcessError,
-    p_sub,
-    running_sum,
-)
+from .processes import LadlagProcess, ProcessError, p_sub, running_sum
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +92,7 @@ class OptionalSemimartingale:
         space, n = self.space, self.space.n_steps
         if any(x != 0 for x in self.a_jump[0]):
             raise ProcessError("A_0 = 0 forces a vanishing left jump at instant 0")
-        tol = 0 if space.mode == "rational" else 1e-12
+        tol = space.slack
         for k in range(n):
             if v.sup_abs(cond_expect(space, self.m_interval[k], space.sigma_mid[k])) > tol:
                 raise ProcessError(f"martingale interval increment {k} not conditionally centered")
@@ -162,9 +155,6 @@ class ChangeOfVariablesReport:
     rhs: list               # per instant: per-path sum of the five terms
     terms: dict             # named running totals, same shape
     max_deviation: float
-
-    def passed(self, tol: float = 0.0) -> bool:
-        return self.max_deviation <= tol
 
 
 def galchouk_lenglart_check(
@@ -274,9 +264,6 @@ class WeightedSquareReport:
     terms: dict              # name -> per-instant per-path running totals
     lhs: list                # per-instant per-path w_t Y_t^2 - w_0 Y_0^2
     max_deviation: float
-
-    def passed(self, tol: float = 0.0) -> bool:
-        return self.max_deviation <= tol
 
 
 def corollary_expansion(
@@ -445,32 +432,27 @@ def apriori_estimate_check(
     beta: float,
     eps: float,
     c: float,
-    tol: float = 1e-12,
 ) -> EstimateReport:
     """Compare the component distances of two solutions sharing barriers.
 
     Asserts ||Z - Zbar||^2_beta + ||M - Mbar||^2_{M^2 beta} against
     eps^2 ||g - gbar||^2_beta, and reports the Y-distance ratio against
     2 eps^2 (1 + 8c^2) ||g - gbar||^2_beta together with the smallest
-    constant that would make it hold.
+    constant that would make it hold, the first within 1e-12.
     """
-    if beta <= 1 / eps**2:
-        raise ConfigError(f"need beta > 1/eps^2 = {1 / eps ** 2:g}, got {beta:g}", "params.beta")
+    check_beta(beta, eps)
     space = s.y.space
-    g_diff = IntegrandProcess(
-        space=space, z=tuple(v.sub(g[k], g_bar[k]) for k in range(space.n_steps))
-    )
-    z_diff = IntegrandProcess(
-        space=space, z=tuple(v.sub(s.z.z[k], s_bar.z.z[k]) for k in range(space.n_steps))
-    )
+    g_diff = [v.sub(g[k], g_bar[k]) for k in range(space.n_steps)]
+    z_diff = [v.sub(s.z[k], s_bar.z[k]) for k in range(space.n_steps)]
     m_diff = p_sub(s.m, s_bar.m)
     y_diff = p_sub(s.y, s_bar.y)
 
-    lhs1 = beta_norm_h2(z_diff, beta) + beta_norm_m2(m_diff, beta)
-    rhs1 = eps**2 * beta_norm_h2(g_diff, beta)
+    g_norm = beta_norm_h2(space, g_diff, beta)
+    lhs1 = beta_norm_h2(space, z_diff, beta) + beta_norm_m2(m_diff, beta)
+    rhs1 = eps**2 * g_norm
     lhs2 = beta_norm_s2p(y_diff, beta)
-    rhs2 = 2 * eps**2 * (1 + 8 * c**2) * beta_norm_h2(g_diff, beta)
-    base = 2 * eps**2 * beta_norm_h2(g_diff, beta)
+    rhs2 = 2 * eps**2 * (1 + 8 * c**2) * g_norm
+    base = 2 * eps**2 * g_norm
     if base > 0:
         emp = math.sqrt(max(0.0, (lhs2 / base - 1) / 8))
     else:
@@ -478,7 +460,7 @@ def apriori_estimate_check(
     return EstimateReport(
         z_m_lhs=lhs1,
         z_m_rhs=rhs1,
-        z_m_holds=lhs1 <= rhs1 + tol,
+        z_m_holds=lhs1 <= rhs1 + 1e-12,
         y_lhs=lhs2,
         y_rhs=rhs2,
         y_ratio=(lhs2 / rhs2) if rhs2 > 0 else 0.0,

@@ -43,11 +43,11 @@ from .driver_solver import (
     ContractionParams,
     beta_norm_h2,
     beta_norm_s2p,
+    check_beta,
     solve_general,
 )
 from .prob_space import FilteredSpace, build_space, dump_space_json
 from .processes import (
-    IntegrandProcess,
     LadlagProcess,
     ProcessError,
     from_slots,
@@ -70,15 +70,19 @@ EXIT_ORACLE = 5
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    return _exit_code("", _dispatch, _build_parser().parse_args(argv))
+
+
+def _exit_code(where: str, run, *args) -> int:
+    """``run(*args)``, with the errors a run can end in mapped to their exit
+    codes and printed to stderr after ``where``."""
     try:
-        return _dispatch(args)
+        return run(*args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{where}config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, ContractionError) as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
+        print(f"{where}divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
 
 
@@ -119,7 +123,9 @@ def _dispatch(args) -> int:
         files = sorted(cfg_path.glob("*.json"))
         if not files:
             raise ConfigError(f"no scenario files in {cfg_path}")
-        return max([_run_single(args, f, out_dir / f.stem) for f in files])
+        # one failed scenario does not stop the others
+        return max([_exit_code(f"{f.name}: ", _run_single, args, f, out_dir / f.stem)
+                    for f in files])
     return _run_single(args, cfg_path, out_dir)
 
 
@@ -222,7 +228,7 @@ def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
 
     return {
         "y_s2p_beta": beta_norm_s2p(sol.y, beta),
-        "z_h2_beta": beta_norm_h2(sol.z, beta),
+        "z_h2_beta": beta_norm_h2(sol.y.space, sol.z, beta),
         "y0": _y0(sol.y),
         "sup": {"Y": sup(sol.y), "M": sup(sol.m), "A": sup(sol.a), "B": sup(sol.b),
                 "A_prime": sup(sol.a_prime), "B_prime": sup(sol.b_prime)},
@@ -252,7 +258,7 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
                 write(fh, f"{k},mid,", proc.mid[k])
                 if k < n:
                     write(fh, f"{k},plus,", proc.plus[k])
-    for file, rows in (("solution_Z.csv", sol.z.z), ("driver_g.csv", g)):
+    for file, rows in (("solution_Z.csv", sol.z), ("driver_g.csv", g)):
         with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
             fh.write("interval,path,value\r\n")
             for k, row in enumerate(rows):
@@ -307,9 +313,9 @@ def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:
     return from_slots(space, slots["minus"], slots["mid"], slots["plus"])
 
 
-def _load_integrand(space: FilteredSpace, path: Path) -> IntegrandProcess:
-    z = _read_cells(space, path, "interval", {None: space.n_steps})[None]
-    return IntegrandProcess(space=space, z=tuple(z))
+def _load_rows(space: FilteredSpace, path: Path) -> list:
+    """A dumped integrand or driver: one row per interval, unchecked."""
+    return _read_cells(space, path, "interval", {None: space.n_steps})[None]
 
 
 def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
@@ -319,8 +325,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
     if missing:
         raise ConfigError(f"no dumped solution in {out_dir} (missing {missing})")
     procs = {n: _load_process(space, out_dir / f"solution_{n}.csv") for n in _COMPONENTS}
-    z = _load_integrand(space, out_dir / "solution_Z.csv")
-    g = list(_load_integrand(space, out_dir / "driver_g.csv").z)
+    z = _load_rows(space, out_dir / "solution_Z.csv")
+    g = _load_rows(space, out_dir / "driver_g.csv")
     try:
         validate_integrand(space, g, "g")
     except ProcessError as exc:
@@ -363,7 +369,7 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
             d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
             if d > gate:
                 mismatches.append(f"{name}: solution vs picard differ by {d:g}")
-        d = max((abs(float(a - b)) for zs, zo in zip(sol.z.z, oracle.z.z)
+        d = max((abs(float(a - b)) for zs, zo in zip(sol.z, oracle.z)
                  for a, b in zip(zs, zo)), default=0.0)
         if d > gate:
             mismatches.append(f"z: solution vs picard differ by {d:g}")
@@ -401,6 +407,7 @@ def _picard_from_solution(scenario: Scenario, g: list):
 
 
 def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
+    check_beta(config.params.beta, config.params.eps)
     scenario = realize(config)
     if scenario.has_general_driver:
         raise ConfigError("estimate mode needs a process driver (zero or table)")

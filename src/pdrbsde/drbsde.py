@@ -40,7 +40,6 @@ from fractions import Fraction
 from . import values as v
 from .prob_space import FilteredSpace, cond_expect, spread
 from .processes import (
-    IntegrandProcess,
     LadlagProcess,
     ProcessError,
     from_slots,
@@ -99,16 +98,14 @@ class PicardTrace:
     iterations: int = 0
     converged: bool = False
     deltas: list = field(default_factory=list)
-    sup_norms: list = field(default_factory=list)
     monotone_violations: int = 0
     fixed_point_residual: float = 0.0
-    order: str = "jacobi"
 
 
 @dataclass(frozen=True)
 class SolutionSeptuple:
     y: LadlagProcess             # predictable
-    z: IntegrandProcess
+    z: list                      # N rows, row k sigma_mid[k]-measurable
     m: LadlagProcess             # orthogonal martingale
     a: LadlagProcess             # lower reflection, right-continuous part
     b: LadlagProcess             # lower reflection, purely discontinuous part
@@ -187,7 +184,7 @@ def picard_coupled(
     converge to the same minimal solution.
     """
     space, n = xi_t.space, xi_t.n_steps
-    slack = 0 if space.mode == "rational" else 1e-12
+    slack = space.slack
     if any(abs(x) > slack for x in xi_t.mid[n]) or any(abs(x) > slack for x in zeta_t.mid[n]):
         raise ProcessError("shifted barriers must vanish at the terminal instant")
     for k in range(n + 1):
@@ -197,7 +194,7 @@ def picard_coupled(
         max_iter = 10 * max(1, n) * space.n_paths
     j = zero_process(space)
     jbar = zero_process(space)
-    trace = PicardTrace(order=order)
+    trace = PicardTrace()
     for it in range(1, max_iter + 1):
         j_new = snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t)))
         src = j_new if order == "gauss-seidel" else j
@@ -207,7 +204,6 @@ def picard_coupled(
             trace.monotone_violations += 1
         sup = max(float(_sup_norm(j_new)), float(_sup_norm(jbar_new)))
         trace.deltas.append(float(delta))
-        trace.sup_norms.append(sup)
         trace.iterations = it
         j, jbar = j_new, jbar_new
         if sup > divergence_bound:
@@ -243,9 +239,7 @@ def _min_slot_gap(new: LadlagProcess, old: LadlagProcess):
 
 
 def _sup_norm(proc: LadlagProcess):
-    n = proc.n_steps
-    m = max(v.sup_abs(proc.mid[k]) for k in range(n + 1))
-    return m
+    return max(v.sup_abs(x) for x in proc.mid)
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +279,7 @@ def assemble_solution(
     )
     z_plain, m_orth_plain = orthogonal_decompose(m_plain)
 
-    z_total = IntegrandProcess(
-        space=space,
-        z=tuple(
-            v.add(v.sub(q_low.z.z[k], q_up.z.z[k]), z_plain.z[k]) for k in range(n)
-        ),
-    )
+    z_total = [v.add(v.sub(q_low.z[k], q_up.z[k]), z_plain[k]) for k in range(n)]
     m_total = p_add(p_sub(q_low.m, q_up.m), m_orth_plain)
 
     y = p_add(p_sub(j, jbar), x)
@@ -377,7 +366,7 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
     return SolutionSeptuple(
         y=from_slots(space, y_minus, y_mid, y_plus),
-        z=IntegrandProcess(space=space, z=tuple(z)),
+        z=z,
         m=running_sum(space, left=m_jumps),
         a=running_sum(space, left=[v.neg_part(d) for d in left],
                       interval=[v.pos_part(d) for d in drift]),
@@ -452,14 +441,12 @@ def minimality_check(
     hbar: LadlagProcess,
     xi_t: LadlagProcess,
     zeta_t: LadlagProcess,
-    tol: float | None = None,
 ) -> bool:
     """J <= H and Jbar <= Hbar slotwise, for any admissible dominating pair."""
     space = j.space
-    if tol is None:
-        # integer zero in rational mode: a float literal would coerce exact
-        # Fractions to floats inside the comparisons
-        tol = 0 if space.mode == "rational" else 1e-10
+    # integer zero in rational mode: a float literal would coerce exact
+    # Fractions to floats inside the comparisons
+    tol = 0 if space.mode == "rational" else 1e-10
     for proc, label in ((h, "H"), (hbar, "Hbar")):
         if not is_predictable_strong_supermartingale(proc):
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
@@ -474,12 +461,12 @@ def minimality_check(
     return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
 
 
-def random_nonneg_pss(space: FilteredSpace, rng, scale=1) -> LadlagProcess:
+def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
     """Random nonnegative predictable strong supermartingale, slack at every link."""
     n = space.n_steps
 
     def rand_nonneg(partition):
-        vals = [Fraction(rng.randint(0, 8), 4) * scale for _ in partition]
+        vals = [Fraction(rng.randint(0, 8), 4) for _ in partition]
         if space.mode == "float":
             vals = [float(x) for x in vals]
         return spread(space, partition, vals)

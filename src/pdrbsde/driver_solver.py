@@ -20,7 +20,7 @@ from . import values as v
 from .config import ConfigError
 from .drbsde import BarrierPair, SolutionSeptuple, solve_driver_process
 from .prob_space import FilteredSpace, expectation
-from .processes import IntegrandProcess, LadlagProcess, p_sub
+from .processes import LadlagProcess, p_sub, zero_process
 
 
 class ContractionError(RuntimeError):
@@ -37,27 +37,26 @@ class LipschitzDriver:
 
     evaluate: Callable
     lipschitz_k: float
-    label: str = "driver"
 
-    def freeze(self, space: FilteredSpace, u: LadlagProcess, z: IntegrandProcess) -> list:
+    def freeze(self, space: FilteredSpace, u: LadlagProcess, z: list) -> list:
         out = []
         for k in range(space.n_steps):
             t = space.time(k)
             out.append(
-                [self.evaluate(k, t, u.mid[k][i], z.z[k][i]) for i in range(space.n_paths)]
+                [self.evaluate(k, t, u.mid[k][i], z[k][i]) for i in range(space.n_paths)]
             )
         return out
 
-    def probe_lipschitz(self, space: FilteredSpace, seed: int = 0, pairs_per_instant: int = 32,
-                        scale: float = 4.0) -> float:
-        """Sampled certification of the Lipschitz bound; returns the worst ratio."""
+    def probe_lipschitz(self, space: FilteredSpace, seed: int = 0) -> float:
+        """Sampled certification of the Lipschitz bound, at 32 pairs of points
+        in [-4, 4]^2 per instant; returns the worst ratio."""
         rng = random.Random(f"lipschitz-probe:{seed}")
         worst = 0.0
         for k in range(space.n_steps):
             t = space.time(k)
-            for _ in range(pairs_per_instant):
-                y1, y2 = (rng.uniform(-scale, scale) for _ in range(2))
-                z1, z2 = (rng.uniform(-scale, scale) for _ in range(2))
+            for _ in range(32):
+                y1, y2 = (rng.uniform(-4.0, 4.0) for _ in range(2))
+                z1, z2 = (rng.uniform(-4.0, 4.0) for _ in range(2))
                 denom = abs(y1 - y2) + abs(z1 - z2)
                 if denom == 0:
                     continue
@@ -79,7 +78,7 @@ def linear_driver(a, b, c_table: list, lipschitz_k=None) -> LipschitzDriver:
     def evaluate(k, t, y, z, _a=a, _b=b, _c=c_table):
         return _a * y + _b * z + _c[k]
 
-    return LipschitzDriver(evaluate=evaluate, lipschitz_k=float(k_decl), label="linear")
+    return LipschitzDriver(evaluate=evaluate, lipschitz_k=float(k_decl))
 
 
 @dataclass(frozen=True)
@@ -92,26 +91,30 @@ class ContractionParams:
         return 2 * lipschitz_k * (1 + t_horizon) * self.eps**2 * (3 + 16 * self.c**2)
 
     def validate(self, lipschitz_k: float, t_horizon: float) -> None:
-        if self.beta <= 1 / self.eps**2:
-            raise ConfigError(f"need beta > 1/eps^2 = {1 / self.eps ** 2:g}, got beta = {self.beta:g}",
-                              "params.beta")
+        check_beta(self.beta, self.eps)
         m = self.modulus(lipschitz_k, t_horizon)
         if m >= 1:
             raise ConfigError(f"contraction modulus 2K(1+T)eps^2(3+16c^2) = {m:g} >= 1", "params")
+
+
+def check_beta(beta: float, eps: float) -> None:
+    """The weighted norms and the a-priori estimates need beta > 1/eps^2."""
+    if beta <= 1 / eps**2:
+        raise ConfigError(f"need beta > 1/eps^2 = {1 / eps ** 2:g}, got beta = {beta:g}",
+                          "params.beta")
 
 
 # ---------------------------------------------------------------------------
 # beta-weighted norms (evaluated in float; see README on exactness)
 
 
-def beta_norm_h2(phi: IntegrandProcess, beta: float) -> float:
-    """E[ sum_k e^{beta t_k} phi_k^2 dt ]."""
-    space = phi.space
+def beta_norm_h2(space: FilteredSpace, rows: list, beta: float) -> float:
+    """E[ sum_k e^{beta t_k} phi_k^2 dt ] over N rows phi_k."""
     dt = float(space.t_horizon) / space.n_steps
     total = 0.0
     for k in range(space.n_steps):
         w = math.exp(beta * space.time_float(k))
-        total += w * dt * float(expectation(space, [float(x) ** 2 for x in phi.z[k]]))
+        total += w * dt * float(expectation(space, [float(x) ** 2 for x in rows[k]]))
     return total
 
 
@@ -205,20 +208,16 @@ def solve_general(
         lipschitz_probe=driver.probe_lipschitz(space, seed=probe_seed),
     )
 
-    from .processes import zero_integrand, zero_process
-
     u = zero_process(space)
-    vz = zero_integrand(space)
+    vz = [space.zero()] * space.n_steps
     sol: SolutionSeptuple | None = None
     for it in range(1, max_outer + 1):
         g = driver.freeze(space, u, vz)
         sol = solve_driver_process(barriers, g)
         trace.frozen_g = g
         du = p_sub(sol.y, u)
-        dz = IntegrandProcess(
-            space=space, z=tuple(v.sub(sol.z.z[k], vz.z[k]) for k in range(space.n_steps))
-        )
-        delta = beta_norm_s2p(du, params.beta) + beta_norm_h2(dz, params.beta)
+        dz = [v.sub(sol.z[k], vz[k]) for k in range(space.n_steps)]
+        delta = beta_norm_s2p(du, params.beta) + beta_norm_h2(space, dz, params.beta)
         trace.deltas.append(delta)
         if len(trace.deltas) >= 2 and trace.deltas[-2] > 0:
             trace.ratios.append(delta / trace.deltas[-2])

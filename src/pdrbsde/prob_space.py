@@ -55,7 +55,7 @@ class FilteredSpace:
     ----------
     mode:        "rational" or "float"; sets the value backend everywhere.
     weights:     strictly positive path probabilities, summing to one.
-    dw:          dw[k][path] in {+sqrt_dt, -sqrt_dt}, for k = 0..N-1.
+    dw:          dw[k][path] in {+sqrt(dt), -sqrt(dt)}, for k = 0..N-1.
     marks:       marks[k] is None or a per-path label list, for k = 0..N.
     sigma_minus: partition representing F_{t_k^-}, k = 0..N.
     sigma_mid:   partition representing F_{t_k} (= F_{t_k^+}), k = 0..N.
@@ -80,12 +80,10 @@ class FilteredSpace:
         return d if self.mode == "rational" else float(d)
 
     @property
-    def sqrt_dt(self):
-        if self.mode == "rational":
-            s = _rational_sqrt(self.t_horizon / self.n_steps)
-            assert s is not None
-            return s
-        return math.sqrt(float(self.t_horizon) / self.n_steps)
+    def slack(self):
+        """How far a float identity may miss; the int 0 in rational mode, so
+        comparisons against it keep Fractions exact."""
+        return 0 if self.mode == "rational" else 1e-12
 
     def time(self, k: int):
         """Grid instant t_k in the value backend."""
@@ -188,23 +186,20 @@ def _column(n_paths: int, n_atoms: int, outcomes: Sequence) -> tuple:
 
 
 def validate_space(space: FilteredSpace) -> None:
-    """Check that dW_k is a centred binary increment of variance dt on every
-    atom of sigma_mid[k]; the lattice nests by construction."""
-    n = space.n_steps
-    tol = 0 if space.mode == "rational" else 1e-12
-    for k in range(n):
-        for atom in space.sigma_mid[k]:
-            w = sum(space.weights[i] for i in atom)
-            if w <= 0:
-                raise SpaceError("atom of zero probability")
-            m1 = sum(space.weights[i] * space.dw[k][i] for i in atom) / w
-            m2 = sum(space.weights[i] * space.dw[k][i] ** 2 for i in atom) / w
-            if abs(m1) > tol:
-                raise SpaceError(f"E[dW_{k}|atom] = {m1} != 0")
-            if abs(m2 - space.dt) > tol * max(1, abs(space.dt)):
-                raise SpaceError(f"E[dW_{k}^2|atom] = {m2} != dt")
-            if len({space.dw[k][i] for i in atom}) != 2:
-                raise SpaceError(f"dW_{k} not binary on an atom of sigma_mid[{k}]")
+    """Check that each dW_k takes two outcomes, centred with variance dt.
+
+    The build gives every atom of sigma_mid[k] both outcomes with equal
+    weight, so this covers every atom; the lattice nests by construction."""
+    for k, column in enumerate(space.dw):
+        outcomes = set(column)
+        if len(outcomes) != 2:
+            raise SpaceError(f"dW_{k} not binary")
+        up, down = outcomes
+        mean, second = (up + down) / 2, (up * up + down * down) / 2
+        if abs(mean) > space.slack:
+            raise SpaceError(f"E[dW_{k}] = {mean} != 0")
+        if abs(second - space.dt) > space.slack * max(1, abs(space.dt)):
+            raise SpaceError(f"E[dW_{k}^2] = {second} != dt")
 
 
 # ---------------------------------------------------------------------------

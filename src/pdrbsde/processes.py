@@ -31,7 +31,6 @@ class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from . import values as v
@@ -76,18 +75,6 @@ class LadlagProcess:
     def interval_increment(self, k: int) -> list:
         """Change across the open interval (t_k, t_{k+1})."""
         return v.sub(self.minus[k + 1], self.plus[k])
-
-
-@dataclass(frozen=True)
-class IntegrandProcess:
-    """Integrand over the open intervals: z[k] acts on (t_k, t_{k+1})."""
-
-    space: FilteredSpace
-    z: tuple  # length N, each an RV sigma_mid[k]-measurable
-
-    @property
-    def n_steps(self) -> int:
-        return self.space.n_steps
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +138,6 @@ def running_sum(space: FilteredSpace, left=None, interval=None, right=None,
             if interval is not None:
                 run = v.add(run, interval[k])
     return from_slots(space, minus, mid, plus)
-
-
-def zero_integrand(space) -> IntegrandProcess:
-    return IntegrandProcess(space=space, z=tuple(space.zero() for _ in range(space.n_steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +279,7 @@ def jumps(x: LadlagProcess) -> tuple[list, list]:
     return left, right
 
 
-def is_martingale(m: LadlagProcess, tol=None) -> bool:
+def is_martingale(m: LadlagProcess) -> bool:
     """Conditional increments vanish across both lattice links.
 
     Interval link: E[minus[k+1] - plus[k] | sigma_mid[k]] = 0.
@@ -304,22 +287,20 @@ def is_martingale(m: LadlagProcess, tol=None) -> bool:
     sigma_minus[k]] = 0.  Requires a cadlag slot layout.
     """
     space, n = m.space, m.n_steps
-    if tol is None:
-        tol = 0 if space.mode == "rational" else 1e-12
     for k in range(n):
         if m.plus[k] != m.mid[k]:
             return False
         inc = cond_expect(space, m.interval_increment(k), space.sigma_mid[k])
-        if v.sup_abs(inc) > tol:
+        if v.sup_abs(inc) > space.slack:
             return False
     for k in range(n + 1):
         jump = cond_expect(space, m.left_jump(k), space.sigma_minus[k])
-        if v.sup_abs(jump) > tol:
+        if v.sup_abs(jump) > space.slack:
             return False
     return True
 
 
-def is_predictable_strong_supermartingale(y: LadlagProcess, tol=None) -> bool:
+def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:
     """Local slot inequalities for a predictable strong supermartingale.
 
     (i) minus[k] >= mid[k]; (ii) mid[k] >= E[plus[k] | sigma_minus[k]];
@@ -328,8 +309,7 @@ def is_predictable_strong_supermartingale(y: LadlagProcess, tol=None) -> bool:
     mid-to-mid one-step inequality mid[k] >= E[mid[k+1] | sigma_minus[k]].
     """
     space, n = y.space, y.n_steps
-    if tol is None:
-        tol = 0 if space.mode == "rational" else 1e-12
+    tol = space.slack
     for k in range(n + 1):
         if not is_measurable(space, y.mid[k], space.sigma_minus[k]):
             return False
@@ -346,13 +326,12 @@ def is_predictable_strong_supermartingale(y: LadlagProcess, tol=None) -> bool:
     return True
 
 
-def ito_integral(z: IntegrandProcess, space: FilteredSpace | None = None) -> LadlagProcess:
+def ito_integral(space: FilteredSpace, z: Sequence) -> LadlagProcess:
     """Cadlag martingale with interval increments z[k] dW_k and no jumps."""
-    space = space or z.space
-    return running_sum(space, interval=[v.mul(z.z[k], space.dw[k]) for k in range(space.n_steps)])
+    return running_sum(space, interval=[v.mul(z[k], space.dw[k]) for k in range(space.n_steps)])
 
 
-def orthogonal_decompose(m: LadlagProcess) -> tuple[IntegrandProcess, LadlagProcess]:
+def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
     """Split a square-integrable martingale into dW-integral plus orthogonal rest.
 
     With binary increments, every zero-mean interval increment is a multiple
@@ -366,15 +345,11 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[IntegrandProcess, LadlagProc
         raise ProcessError("orthogonal decomposition needs M_{0^-} = 0")
     if not is_martingale(m):
         raise ProcessError("input fails the martingale increment conditions")
-    zs = []
-    for k in range(n):
-        prod = v.mul(m.interval_increment(k), space.dw[k])
-        zk = v.smul(1 / space.dt if space.mode == "float" else Fraction(1) / space.dt,
-                    cond_expect(space, prod, space.sigma_mid[k]))
-        zs.append(zk)
-    z = IntegrandProcess(space=space, z=tuple(zs))
-    nrem = p_sub(m, ito_integral(z, space))
-    return z, nrem
+    inv_dt = 1 / space.dt
+    z = [v.smul(inv_dt, cond_expect(space, v.mul(m.interval_increment(k), space.dw[k]),
+                                    space.sigma_mid[k]))
+         for k in range(n)]
+    return z, p_sub(m, ito_integral(space, z))
 
 
 def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
@@ -394,8 +369,7 @@ def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
 
 def brownian_process(space: FilteredSpace) -> LadlagProcess:
     """The discrete Brownian surrogate W itself: unit integrand, no jumps."""
-    ones = IntegrandProcess(space=space, z=tuple(space.constant(1) for _ in range(space.n_steps)))
-    return ito_integral(ones, space)
+    return ito_integral(space, [space.constant(1)] * space.n_steps)
 
 
 def martingale_from_terminal(space: FilteredSpace, terminal: Sequence) -> LadlagProcess:

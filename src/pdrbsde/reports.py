@@ -101,10 +101,9 @@ class RunReport:
     norms: dict = field(default_factory=dict)
     verification: VerificationReport | None = None
     trace: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
-    def to_json_dict(self, include_timings: bool = True) -> dict[str, Any]:
+    def to_json_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "mode": self.mode,
             "scenario": self.scenario,
@@ -114,13 +113,11 @@ class RunReport:
             "y0": self.y0,
             "norms": self.norms,
             "trace": self.trace,
+            "timings": self.timings,
         }
-        doc.update(self.extra)
         if self.verification is not None:
             doc["verification"] = self.verification.to_json_dict()
-        if include_timings:
-            doc["timings"] = self.timings
         return doc
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timings), sort_keys=True, indent=1)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)

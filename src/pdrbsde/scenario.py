@@ -416,10 +416,12 @@ def estimate_template(seed: int) -> dict:
     }
 
 
-def perturb_driver(space: FilteredSpace, g: list, seed: int, scale=Fraction(1, 4)) -> list:
-    """Seeded sigma_mid-measurable perturbation of a process driver."""
+def perturb_driver(space: FilteredSpace, g: list, seed: int) -> list:
+    """Seeded sigma_mid-measurable perturbation of a process driver, by
+    multiples of 1/32 in [-1/2, 1/2]."""
     rng = random.Random(f"perturb:{seed}")
     out = []
+    scale = Fraction(1, 4)
     for k in range(space.n_steps):
         bump = _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, scale))
         out.append(v.add(g[k], bump))

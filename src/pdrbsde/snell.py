@@ -32,7 +32,6 @@ from fractions import Fraction
 from . import values as v
 from .prob_space import FilteredSpace, cond_expect, spread
 from .processes import (
-    IntegrandProcess,
     LadlagProcess,
     ProcessError,
     from_slots,
@@ -51,7 +50,7 @@ class RbsdeQuintuple:
     """Solution of the one-barrier predictable reflected problem, driver 0."""
 
     y: LadlagProcess            # predictable
-    z: IntegrandProcess
+    z: list                     # N rows, row k sigma_mid[k]-measurable
     m: LadlagProcess            # orthogonal martingale, [M, W] = 0
     a: LadlagProcess            # finite-variation-predictable
     b: LadlagProcess            # purely-discontinuous-predictable

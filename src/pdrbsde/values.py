@@ -14,10 +14,6 @@ Value = Fraction | float
 RV = list  # list[Value], one entry per path
 
 
-def const(n_paths: int, v) -> RV:
-    return [v] * n_paths
-
-
 def add(a: Sequence, b: Sequence) -> RV:
     return [x + y for x, y in zip(a, b, strict=True)]
 

@@ -141,7 +141,7 @@ def _equation_rows(g, y, z, m, sides):
         res = v.sub(y.right_jump(k), m.left_jump(k))
         res = v.add(res, _net(sides, lambda s: s.b.left_jump(k)))
         yield f"right_jump,instant={k}", res
-        res = v.sub(y.interval_increment(k), v.mul(z.z[k], space.dw[k]))
+        res = v.sub(y.interval_increment(k), v.mul(z[k], space.dw[k]))
         res = v.add(res, v.smul(space.dt, g[k]))
         res = v.add(res, _net(sides, lambda s: s.a.interval_increment(k)))
         yield f"interval,k={k}", res
@@ -155,7 +155,7 @@ def _equation_rows(g, y, z, m, sides):
         rhs = v.sub(rhs, v.sub(m.minus[n], m.minus[k]))
         yield f"integrated,instant={k}", v.sub(y.mid[k], rhs)
         if k > 0:
-            step = v.sub(v.smul(space.dt, g[k - 1]), v.mul(z.z[k - 1], space.dw[k - 1]))
+            step = v.sub(v.smul(space.dt, g[k - 1]), v.mul(z[k - 1], space.dw[k - 1]))
             tail = v.add(tail, step)
 
 
@@ -230,7 +230,7 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
         except ProcessError as exc:
             problems.append((1.0, f"{label}: {exc}"))
     try:
-        validate_integrand(z.space, z.z)
+        validate_integrand(y.space, z)
     except ProcessError as exc:
         problems.append((1.0, f"Z: {exc}"))
     if supermartingale and not is_predictable_strong_supermartingale(y):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 import pytest
@@ -144,7 +143,7 @@ def csv_writer_dump(out_dir, sol, g):
                 if k < n:
                     for i, val in enumerate(proc.plus[k]):
                         writer.writerow([k, "plus", i, fmt(val)])
-    for file, rows in (("solution_Z.csv", sol.z.z), ("driver_g.csv", g)):
+    for file, rows in (("solution_Z.csv", sol.z), ("driver_g.csv", g)):
         with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["interval", "path", "value"])

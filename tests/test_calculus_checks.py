@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, make_space, picard_solution, rand_on
+from conftest import make_config, make_space, picard_solution
 from pdrbsde import values as v
 from pdrbsde.calculus_checks import (
     OptionalSemimartingale,
@@ -19,8 +19,7 @@ from pdrbsde.calculus_checks import (
     random_semimartingale,
     semimartingale_from_weights,
 )
-from pdrbsde.drbsde import BarrierPair, solve_driver_process
-from pdrbsde.processes import from_cadlag_sequence
+from pdrbsde.drbsde import solve_driver_process
 from pdrbsde.scenario import perturb_driver, realize
 
 F = Fraction

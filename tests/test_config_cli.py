@@ -110,7 +110,8 @@ def test_schema_type_error_names_cell(tmp_path, capsys, case):
 
 # (mode, edit of the scenario document, the cell the error names): contraction
 # parameters that well-typed configs can still get wrong; the outer loop of a
-# linear driver (corpus-0 scenario 003) and the a-priori estimate check them
+# linear driver (corpus-0 scenario 003) and the a-priori estimate check them,
+# before any solve
 CONTRACTION_ERRORS = {
     "solve_beta_below_bound": ("solve", lambda d: d["params"].update(beta=1), "params.beta"),
     "solve_c_modulus": ("solve", lambda d: d["params"].update(c=100), "params"),
@@ -120,7 +121,12 @@ CONTRACTION_ERRORS = {
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACTION_ERRORS))
-def test_contraction_params_exit_two(tmp_path, capsys, case):
+def test_contraction_params_exit_two(tmp_path, capsys, monkeypatch, case):
+    from pdrbsde import cli, driver_solver
+
+    solves = []
+    for module in (cli, driver_solver):
+        monkeypatch.setattr(module, "solve_driver_process", lambda *a: solves.append(a))
     mode, edit, cell = CONTRACTION_ERRORS[case]
     if mode == "solve":
         doc = json.loads(generate_corpus(0, 4, tmp_path / "corpus")[3].read_text())
@@ -131,6 +137,7 @@ def test_contraction_params_exit_two(tmp_path, capsys, case):
     cfg = write_scenario(tmp_path, doc)
     assert main(["--mode", mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"[at {cell}]" in capsys.readouterr().err
+    assert solves == []
 
 
 class TestCorpusGeneration:
@@ -304,6 +311,18 @@ class TestCliModes:
         assert main(["--mode", "solve", "--config", str(corpus), "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == [
             "scenario_000", "scenario_001", "scenario_002"]
+
+    def test_directory_run_carries_on_past_a_failed_scenario(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        paths = generate_corpus(0, 3, corpus)
+        doc = json.loads(paths[1].read_text())
+        doc["params"]["max_outer"] = 0
+        paths[1].write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "runs"
+        assert main(["--mode", "solve", "--config", str(corpus), "--out", str(out)]) == 2
+        assert "scenario_001.json: config error:" in capsys.readouterr().err
+        assert (out / "scenario_000" / "report.json").exists()
+        assert (out / "scenario_002" / "report.json").exists()
 
 
 def _drop_zero_rows(rows):

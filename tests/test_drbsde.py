@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, make_space, rand_on, random_predictable
+from conftest import make_config, rand_on, random_predictable
 from pdrbsde import values as v
 from pdrbsde.drbsde import (
     BarrierPair,
@@ -198,7 +198,7 @@ class TestAssemble:
         assert sup_distance(sol.y, constant_process(space_8, 2)) == 0
         for comp in (sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
-        assert all(all(x == 0 for x in zk) for zk in sol.z.z)
+        assert all(all(x == 0 for x in zk) for zk in sol.z)
 
     def test_unconstrained_case_reduces_to_plain_part(self, space_16):
         rng = random.Random(15)
@@ -291,7 +291,7 @@ class TestVerifier:
         assert sol.y.mid[0] == space_2.constant(F(3, 4))
         assert sol.y.mid[1] == [F(2), F(-2)]
         assert sol.y.minus[1] == [F(3), F(-2)]
-        assert sol.z.z[0] == space_2.constant(F(5, 2))
+        assert sol.z[0] == space_2.constant(F(5, 2))
         assert sol.a.left_jump(1) == [F(1), F(0)]
         for comp in (sol.m, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)

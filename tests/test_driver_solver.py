@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, make_space, rand_on, random_martingale, random_predictable
+from conftest import make_config, rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, solve_driver_process
 from pdrbsde.driver_solver import (
@@ -22,11 +22,9 @@ from pdrbsde.driver_solver import (
     solve_general,
 )
 from pdrbsde.processes import (
-    IntegrandProcess,
     brownian_process,
     constant_process,
     from_cadlag_sequence,
-    from_slots,
     sup_distance,
     zero_process,
 )
@@ -39,27 +37,24 @@ F = Fraction
 
 class TestNorms:
     def test_h2_constant_beta_zero(self, space_8):
-        phi = IntegrandProcess(space=space_8, z=tuple(space_8.constant(3) for _ in range(2)))
-        assert beta_norm_h2(phi, 0.0) == pytest.approx(9 * float(space_8.t_horizon))
+        phi = [space_8.constant(3) for _ in range(2)]
+        assert beta_norm_h2(space_8, phi, 0.0) == pytest.approx(9 * float(space_8.t_horizon))
 
     def test_h2_zero(self, space_8):
-        phi = IntegrandProcess(space=space_8, z=tuple(space_8.zero() for _ in range(2)))
-        assert beta_norm_h2(phi, 5.0) == 0.0
+        phi = [space_8.zero() for _ in range(2)]
+        assert beta_norm_h2(space_8, phi, 5.0) == 0.0
 
     def test_h2_matches_hand_sum(self, space_8):
         rng = random.Random(3)
-        phi = IntegrandProcess(
-            space=space_8,
-            z=tuple(rand_on(space_8, space_8.sigma_mid[k], rng) for k in range(2)),
-        )
+        phi = [rand_on(space_8, space_8.sigma_mid[k], rng) for k in range(2)]
         beta = 3.0
         dt = float(space_8.t_horizon) / 2
         want = sum(
-            float(space_8.weights[i]) * math.exp(beta * k * dt) * float(phi.z[k][i]) ** 2 * dt
+            float(space_8.weights[i]) * math.exp(beta * k * dt) * float(phi[k][i]) ** 2 * dt
             for k in range(2)
             for i in range(space_8.n_paths)
         )
-        assert beta_norm_h2(phi, beta) == pytest.approx(want, rel=1e-12)
+        assert beta_norm_h2(space_8, phi, beta) == pytest.approx(want, rel=1e-12)
 
     def test_s2p_constant(self, space_8):
         xi = constant_process(space_8, 3)
@@ -197,8 +192,7 @@ class TestSolveGeneral:
         doc["driver"] = {"kind": "linear", "params": {"a": "1/100", "b": "1/100", "c": "1/4"}}
         sc = realize(config_from_dict(doc))
         g0 = sc.driver.freeze(sc.space, zero_process(sc.space),
-                              IntegrandProcess(space=sc.space,
-                                               z=tuple(sc.space.zero() for _ in range(8))))
+                              [sc.space.zero() for _ in range(8)])
         sol1 = solve_driver_process(sc.barriers, g0)
         g1 = sc.driver.freeze(sc.space, sol1.y, sol1.z)
         sol2 = solve_driver_process(sc.barriers, g1)

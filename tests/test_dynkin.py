@@ -48,13 +48,13 @@ def _check_classes(sol) -> None:
     for comp, kind in ((sol.y, "predictable"), (sol.m, "cadlag-martingale"), (sol.a, fv),
                        (sol.b, pd), (sol.a_prime, fv), (sol.b_prime, pd)):
         validate_process(comp, kind)
-    validate_integrand(sol.z.space, sol.z.z)
+    validate_integrand(sol.y.space, sol.z)
 
 
 def _gap(s1, s2) -> float:
     gap = max(float(sup_distance(getattr(s1, c), getattr(s2, c)))
               for c in ("y", "m", "a", "b", "a_prime", "b_prime"))
-    return max([gap] + [abs(float(x - y)) for z1, z2 in zip(s1.z.z, s2.z.z)
+    return max([gap] + [abs(float(x - y)) for z1, z2 in zip(s1.z, s2.z)
                         for x, y in zip(z1, z2)])
 
 

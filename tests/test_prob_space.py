@@ -127,6 +127,20 @@ def test_build_space_matches_key_grouping(tmp_path, family):
         have, want = build_space(cfg), build_space_by_grouping(cfg)
         for f in fields(FilteredSpace):
             assert getattr(have, f.name) == getattr(want, f.name), (cfg.name, f.name)
+        assert_increment_moments(have)
+
+
+def assert_increment_moments(space):
+    """dW_k is binary, centred and of variance dt on every atom of
+    sigma_mid[k]: exactly in rational mode, within ``space.slack`` in float."""
+    for k in range(space.n_steps):
+        for atom in space.sigma_mid[k]:
+            w = sum(space.weights[i] for i in atom)
+            m1 = sum(space.weights[i] * space.dw[k][i] for i in atom) / w
+            m2 = sum(space.weights[i] * space.dw[k][i] ** 2 for i in atom) / w
+            assert abs(m1) <= space.slack
+            assert abs(m2 - space.dt) <= space.slack * max(1, space.dt)
+            assert len({space.dw[k][i] for i in atom}) == 2
 
 
 class TestBuildSpace:
@@ -151,12 +165,8 @@ class TestBuildSpace:
             if k < space_16.n_steps:
                 assert refines(space_16.sigma_minus[k + 1], space_16.sigma_mid[k])
         # increments are conditionally centered with the right second moment
-        for k in range(space_16.n_steps):
-            for atom in space_16.sigma_mid[k]:
-                w = sum(space_16.weights[i] for i in atom)
-                assert sum(space_16.weights[i] * space_16.dw[k][i] for i in atom) == 0
-                m2 = sum(space_16.weights[i] * space_16.dw[k][i] ** 2 for i in atom) / w
-                assert m2 == space_16.dt
+        assert space_16.slack == 0
+        assert_increment_moments(space_16)
 
     def test_no_informative_mark_is_qlc(self, space_2):
         assert space_2.is_quasi_left_continuous

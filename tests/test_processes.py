@@ -11,7 +11,6 @@ from conftest import rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
 from pdrbsde.prob_space import cond_expect, expectation
 from pdrbsde.processes import (
-    IntegrandProcess,
     ProcessError,
     bracket,
     brownian_process,
@@ -23,7 +22,6 @@ from pdrbsde.processes import (
     ito_integral,
     jumps,
     orthogonal_decompose,
-    p_sub,
     predictable_projection,
     running_sum,
     sup_distance,
@@ -181,47 +179,41 @@ class TestSupermartingale:
 
 class TestItoIntegral:
     def test_zero_integrand(self, space_8):
-        z = IntegrandProcess(space=space_8, z=tuple(space_8.zero() for _ in range(2)))
-        assert sup_distance(ito_integral(z), constant_process(space_8, 0)) == 0
+        z = [space_8.zero() for _ in range(2)]
+        assert sup_distance(ito_integral(space_8, z), constant_process(space_8, 0)) == 0
 
     def test_unit_integrand_is_brownian(self, space_8):
-        ones = IntegrandProcess(space=space_8, z=tuple(space_8.constant(1) for _ in range(2)))
-        w = ito_integral(ones)
+        ones = [space_8.constant(1) for _ in range(2)]
+        w = ito_integral(space_8, ones)
         assert sup_distance(w, brownian_process(space_8)) == 0
         assert w.mid[2] == [a + b for a, b in zip(space_8.dw[0], space_8.dw[1])]
 
     def test_random_integrand_martingale_and_bracket(self, space_16):
         rng = random.Random(21)
-        z = IntegrandProcess(
-            space=space_16,
-            z=tuple(rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)),
-        )
-        i = ito_integral(z)
+        z = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
+        i = ito_integral(space_16, z)
         assert is_martingale(i)
         br = bracket(i, brownian_process(space_16))
         # oracle: direct summation of z dt over elapsed intervals
         for k in range(space_16.n_steps + 1):
             expected = space_16.zero()
             for j in range(k):
-                expected = v.add(expected, v.smul(space_16.dt, z.z[j]))
+                expected = v.add(expected, v.smul(space_16.dt, z[j]))
             assert br.mid[k] == expected
 
 
 class TestOrthogonalDecompose:
     def test_pure_integral_returns_itself(self, space_8):
         rng = random.Random(2)
-        z0 = IntegrandProcess(
-            space=space_8,
-            z=tuple(rand_on(space_8, space_8.sigma_mid[k], rng) for k in range(2)),
-        )
-        z, rest = orthogonal_decompose(ito_integral(z0))
-        assert all(z.z[k] == z0.z[k] for k in range(2))
+        z0 = [rand_on(space_8, space_8.sigma_mid[k], rng) for k in range(2)]
+        z, rest = orthogonal_decompose(ito_integral(space_8, z0))
+        assert all(z[k] == z0[k] for k in range(2))
         assert sup_distance(rest, constant_process(space_8, 0)) == 0
 
     def test_mark_jump_martingale_is_fully_orthogonal(self, space_4):
         m = compensated_mark_martingale(space_4)
         z, rest = orthogonal_decompose(m)
-        assert all(all(x == 0 for x in zk) for zk in z.z)
+        assert all(all(x == 0 for x in zk) for zk in z)
         assert sup_distance(rest, m) == 0
 
     def test_mixed_martingale_exact_reconstruction(self, space_16):
@@ -231,9 +223,9 @@ class TestOrthogonalDecompose:
             z, rest = orthogonal_decompose(m)
             recon = from_slots(
                 space_16,
-                [v.add(ito_integral(z).minus[k], rest.minus[k]) for k in range(3)],
-                [v.add(ito_integral(z).mid[k], rest.mid[k]) for k in range(3)],
-                [v.add(ito_integral(z).plus[k], rest.plus[k]) for k in range(2)],
+                [v.add(ito_integral(space_16, z).minus[k], rest.minus[k]) for k in range(3)],
+                [v.add(ito_integral(space_16, z).mid[k], rest.mid[k]) for k in range(3)],
+                [v.add(ito_integral(space_16, z).plus[k], rest.plus[k]) for k in range(2)],
             )
             assert sup_distance(recon, m) == 0
             br = bracket(rest, brownian_process(space_16))
@@ -247,12 +239,12 @@ class TestOrthogonalDecompose:
         z1, n1 = orthogonal_decompose(m)
         rebuilt = from_slots(
             space_16,
-            [v.add(ito_integral(z1).minus[k], n1.minus[k]) for k in range(3)],
-            [v.add(ito_integral(z1).mid[k], n1.mid[k]) for k in range(3)],
-            [v.add(ito_integral(z1).plus[k], n1.plus[k]) for k in range(2)],
+            [v.add(ito_integral(space_16, z1).minus[k], n1.minus[k]) for k in range(3)],
+            [v.add(ito_integral(space_16, z1).mid[k], n1.mid[k]) for k in range(3)],
+            [v.add(ito_integral(space_16, z1).plus[k], n1.plus[k]) for k in range(2)],
         )
         z2, n2 = orthogonal_decompose(rebuilt)
-        assert all(z1.z[k] == z2.z[k] for k in range(2))
+        assert all(z1[k] == z2[k] for k in range(2))
         assert sup_distance(n1, n2) == 0
 
     def test_rejects_non_martingale(self, space_8):
@@ -276,9 +268,9 @@ class TestBracket:
     def test_disjoint_increment_supports(self, space_4):
         # oracle: integral moves on intervals, mark martingale at instants
         rng = random.Random(7)
-        z = IntegrandProcess(space=space_4, z=(rand_on(space_4, space_4.sigma_mid[0], rng),))
+        z = [rand_on(space_4, space_4.sigma_mid[0], rng)]
         m = compensated_mark_martingale(space_4)
-        br = bracket(ito_integral(z), m)
+        br = bracket(ito_integral(space_4, z), m)
         assert all(all(x == 0 for x in br.mid[k]) for k in range(2))
 
     def test_expected_bracket_is_second_moment(self, space_16):
@@ -345,6 +337,6 @@ class TestClassValidation:
     def test_integrand_measurability_enforced(self, space_8):
         from pdrbsde.processes import validate_integrand
 
-        bad = IntegrandProcess(space=space_8, z=(list(space_8.dw[0]), space_8.zero()))
+        bad = [list(space_8.dw[0]), space_8.zero()]
         with pytest.raises(ProcessError):
-            validate_integrand(space_8, bad.z)
+            validate_integrand(space_8, bad)

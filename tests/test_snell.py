@@ -13,11 +13,9 @@ from conftest import MARK_HALF, make_space, rand_on, random_predictable
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
 from pdrbsde.processes import (
-    IntegrandProcess,
     constant_process,
     from_cadlag_sequence,
     from_slots,
-    is_martingale,
     is_predictable_strong_supermartingale,
     p_add,
     sup_distance,
@@ -48,7 +46,7 @@ class TestPreOperator:
     def test_constant_barrier(self, space_8):
         q = pre_operator(constant_process(space_8, F(5, 2)))
         assert sup_distance(q.y, constant_process(space_8, F(5, 2))) == 0
-        assert all(all(x == 0 for x in zk) for zk in q.z.z)
+        assert all(all(x == 0 for x in zk) for zk in q.z)
         assert is_zero(q.m) and is_zero(q.a) and is_zero(q.b)
 
     def test_deterministic_barrier_running_max(self, space_8):
@@ -322,14 +320,14 @@ class TestVerifyRbsde:
         y = from_slots(space_2, [half, [F(3), F(-2)]], [half, [F(2), F(-2)]], [half])
         a = from_slots(space_2, [zero, zero], [zero, [F(1), F(0)]], [zero])
         b = from_slots(space_2, [zero, zero], [zero, zero], [zero])
-        z = IntegrandProcess(space=space_2, z=(space_2.constant(F(5, 2)),))
+        z = [space_2.constant(F(5, 2))]
         m = constant_process(space_2, 0)
         rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b))
         assert rep.passed, rep.failures()
         # and the solver reproduces exactly the hand solution
         q = pre_operator(xi)
         assert sup_distance(q.y, y) == 0
-        assert q.z.z[0] == z.z[0]
+        assert q.z[0] == z[0]
         assert sup_distance(q.a, a) == 0
 
 
