@@ -111,7 +111,7 @@ class OptionalSemimartingale:
     def states(self) -> tuple[tuple, tuple, tuple]:
         """(minus, mid, plus) slot values of the reconstructed process."""
         p = self.as_process()
-        return p.minus, p.mid, p.plus
+        return p.minus_rows, p.mid_rows, p.plus_rows
 
     def as_process(self) -> LadlagProcess:
         """A's left jumps, then the right jumps of B + M, then the interval
@@ -151,8 +151,8 @@ def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> Opti
 
 @dataclass
 class ChangeOfVariablesReport:
-    lhs: list               # per instant: per-path F(X_t) - F(X_0)
-    rhs: list               # per instant: per-path sum of the five terms
+    lhs: list               # per instant: the row F(X_t) - F(X_0)
+    rhs: list               # per instant: the row sum of the five terms
     terms: dict             # named running totals, same shape
     max_deviation: float
 
@@ -185,8 +185,12 @@ def galchouk_lenglart_check(
     def state(slot: int, k: int) -> list:
         return [s[slot][k] for s in slots]  # list over components of RVs
 
+    def points(st) -> list:
+        """The components' joint values, one point per atom of the finest."""
+        return list(zip(*v.align(*st)))
+
     def fval(st) -> list:
-        return [f([comp[i] for comp in st]) for i in range(space.n_paths)]
+        return [f(p) for p in points(st)]
 
     def term_accumulate(acc, vals):
         return v.add(acc, vals)
@@ -203,7 +207,7 @@ def galchouk_lenglart_check(
         # left jump at k (skipped at k = 0: there is no time before 0)
         if k > 0:
             pre = state(0, k)
-            grad_vals = [[g([comp[i] for comp in pre]) for i in range(space.n_paths)] for g in grads]
+            grad_vals = [[g(p) for p in points(pre)] for g in grads]
             total_jump = [comp.a_jump[k] for comp in components]
             for c_idx in range(len(components)):
                 t1 = term_accumulate(t1, v.mul(grad_vals[c_idx], total_jump[c_idx]))
@@ -223,7 +227,7 @@ def galchouk_lenglart_check(
 
         # right jump at k
         pre = state(1, k)
-        grad_vals = [[g([comp[i] for comp in pre]) for i in range(space.n_paths)] for g in grads]
+        grad_vals = [[g(p) for p in points(pre)] for g in grads]
         jumps = [v.add(comp.b_jump[k], comp.m_jump[k]) for comp in components]
         for c_idx in range(len(components)):
             t2 = term_accumulate(t2, v.mul(grad_vals[c_idx], jumps[c_idx]))
@@ -235,7 +239,7 @@ def galchouk_lenglart_check(
 
         # interval transition (t_k, t_{k+1})
         pre = state(2, k)
-        grad_vals = [[g([comp[i] for comp in pre]) for i in range(space.n_paths)] for g in grads]
+        grad_vals = [[g(p) for p in points(pre)] for g in grads]
         incs = [v.add(comp.m_interval[k], comp.a_interval[k]) for comp in components]
         for c_idx, comp in enumerate(components):
             t1 = term_accumulate(t1, v.mul(grad_vals[c_idx], comp.a_interval[k]))
@@ -261,8 +265,8 @@ def galchouk_lenglart_check(
 
 @dataclass
 class WeightedSquareReport:
-    terms: dict              # name -> per-instant per-path running totals
-    lhs: list                # per-instant per-path w_t Y_t^2 - w_0 Y_0^2
+    terms: dict              # name -> per-instant rows of running totals
+    lhs: list                # per-instant rows w_t Y_t^2 - w_0 Y_0^2
     max_deviation: float
 
 
@@ -306,11 +310,12 @@ def corollary_expansion(
     wminus, _, wplus = wproc.states()
     yminus, _, yplus = y.states()
     for k in range(1, n + 1):
-        gw = [grad_w([wplus[k - 1][i], yplus[k - 1][i]]) for i in range(space.n_paths)]
-        gy = [grad_y([wplus[k - 1][i], yplus[k - 1][i]]) for i in range(space.n_paths)]
+        before = list(zip(*v.align(wplus[k - 1], yplus[k - 1])))
+        gw = [grad_w(p) for p in before]
+        gy = [grad_y(p) for p in before]
         run_drift = v.add(run_drift, v.mul(gw, wproc.a_interval[k - 1]))
         run_a = v.add(run_a, v.mul(gy, y.a_interval[k - 1]))
-        gy2 = [grad_y([wminus[k][i], yminus[k][i]]) for i in range(space.n_paths)]
+        gy2 = [grad_y(p) for p in zip(*v.align(wminus[k], yminus[k]))]
         run_a = v.add(run_a, v.mul(gy2, y.a_jump[k]))
         drift.append(list(run_drift))
         a_int.append(list(run_a))
@@ -351,7 +356,7 @@ def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
 
     def draw(partition, signed=True) -> list:
         vals = [Fraction(rng.randint(-8, 8) if signed else rng.randint(0, 8), 4)
-                for _ in partition]
+                for _ in range(len(partition))]
         if space.mode == "float":
             vals = [float(x) for x in vals]
         return spread(space, partition, vals)
@@ -359,7 +364,7 @@ def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
     m_interval = []
     for k in range(n):
         z = draw(space.sigma_mid[k])
-        m_interval.append(v.mul(z, space.dw[k]))
+        m_interval.append(v.mul(z, space.dw_rows[k]))
     m_jump = []
     for k in range(n):
         raw = draw(space.sigma_mid[k])

@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+from . import values as v
 from .calculus_checks import (
     apriori_estimate_check,
     galchouk_lenglart_check,
@@ -46,7 +47,7 @@ from .driver_solver import (
     check_beta,
     solve_general,
 )
-from .prob_space import FilteredSpace, build_space, dump_space_json
+from .prob_space import FilteredSpace, build_space, dump_space_json, is_measurable
 from .processes import (
     LadlagProcess,
     ProcessError,
@@ -174,7 +175,7 @@ def _solve_scenario(scenario: Scenario):
         )
         g = scenario.driver.freeze(scenario.space, sol.y, sol.z)
         return sol, g, {"outer": outer.to_json_dict()}
-    return solve_driver_process(scenario.barriers, scenario.g), scenario.g, {}
+    return solve_driver_process(scenario.barriers, scenario.g_rows), scenario.g_rows, {}
 
 
 def _gate_tol(scenario: Scenario, float_tol: float = 1e-10):
@@ -215,16 +216,14 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _y0(y: LadlagProcess):
-    return float(y.mid[0][0])
+    return float(y.mid_rows[0][0])
 
 
 def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
     beta = config.params.beta
 
     def sup(proc) -> float:
-        return max(
-            abs(float(x)) for k in range(proc.n_steps + 1) for x in proc.mid[k]
-        )
+        return max(abs(float(x)) for row in proc.mid_rows for x in row)
 
     return {
         "y_s2p_beta": beta_norm_s2p(sol.y, beta),
@@ -243,21 +242,27 @@ _COMPONENTS = ("Y", "M", "A", "B", "A_prime", "B_prime")
 
 
 def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
-    """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float."""
-    fmt = Fraction.__str__ if sol.y.space.mode == "rational" else float.__repr__
+    """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float.
 
-    def write(fh, prefix: str, values) -> None:
-        fh.write("".join([f"{prefix}{i},{x}\r\n" for i, x in enumerate(map(fmt, values))]))
+    Each atom's value is formatted once and written for every path of its
+    block."""
+    space = sol.y.space
+    fmt = Fraction.__str__ if space.mode == "rational" else float.__repr__
+    paths = [f"{i}," for i in range(space.n_paths)]
+
+    def write(fh, prefix: str, row) -> None:
+        cells = v.expand([f"{x}\r\n" for x in map(fmt, row)], space.n_paths)
+        fh.write("".join([prefix + i + x for i, x in zip(paths, cells)]))
 
     for name, proc in zip(_COMPONENTS, (sol.y, sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime)):
         with open(out_dir / f"solution_{name}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("instant,slot,path,value\r\n")
             n = proc.n_steps
             for k in range(n + 1):
-                write(fh, f"{k},minus,", proc.minus[k])
-                write(fh, f"{k},mid,", proc.mid[k])
+                write(fh, f"{k},minus,", proc.minus_rows[k])
+                write(fh, f"{k},mid,", proc.mid_rows[k])
                 if k < n:
-                    write(fh, f"{k},plus,", proc.plus[k])
+                    write(fh, f"{k},plus,", proc.plus_rows[k])
     for file, rows in (("solution_Z.csv", sol.z), ("driver_g.csv", g)):
         with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
             fh.write("interval,path,value\r\n")
@@ -269,53 +274,69 @@ def _parse(space: FilteredSpace, s: str):
     return Fraction(s) if space.mode == "rational" else float(s)
 
 
-def _read_cells(space: FilteredSpace, path: Path, index: str, sizes: dict) -> dict:
-    """The values of a dumped CSV as ``{slot: [[value per path] per index]}``.
+def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) -> dict:
+    """The rows of a dumped CSV as ``{slot: [row per index]}``.
 
-    ``sizes`` gives each slot name its number of instants (or intervals); a
-    dump without a ``slot`` column has the one slot None.  Every cell must
-    appear exactly once: a malformed row, an unknown slot, an index out of
-    range, a duplicate or a missing cell is a ConfigError naming the file and
-    the row.
+    ``partitions`` gives each slot name the partition of each of its instants
+    (or intervals); a dump without a ``slot`` column has the one slot None.
+    Every cell must appear exactly once: a malformed row, an unknown slot, an
+    index out of range, a duplicate or a missing cell is a ConfigError naming
+    the file and the row.  A row constant on the atoms of its partition is
+    kept once per atom, any other row once per path.
     """
-    cells = {}
+    n_paths = space.n_paths
+    cells = {slot: [[None] * n_paths for _ in parts] for slot, parts in partitions.items()}
+    filled = 0
+    parsed = {}  # text -> value, so that a repeated value is parsed once
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             where = f"{path.name} row {reader.line_num}"
             slot = row.get("slot")
-            if slot not in sizes:
+            if slot not in cells:
                 raise ConfigError(f"{where}: unknown slot {slot!r}")
             try:
                 k, i = int(row[index]), int(row["path"])
-                val = _parse(space, row["value"])
+                val = parsed.get(row["value"])
+                if val is None:
+                    val = _parse(space, row["value"])
+                    if val == val:  # a NaN stays a value of its own
+                        parsed[row["value"]] = val
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"{where}: unreadable row ({exc})") from None
-            if not (0 <= k < sizes[slot] and 0 <= i < space.n_paths):
+            rows = cells[slot]
+            if not (0 <= k < len(rows) and 0 <= i < n_paths):
                 raise ConfigError(f"{where}: {index} {k}, path {i} out of range")
-            if (slot, k, i) in cells:
+            if rows[k][i] is not None:
                 raise ConfigError(f"{where}: duplicate row for {index} {k}, path {i}")
-            cells[slot, k, i] = val
-    for slot, size in sizes.items():
-        for k in range(size):
-            for i in range(space.n_paths):
-                if (slot, k, i) not in cells:
-                    name = "" if slot is None else f"slot {slot}, "
-                    raise ConfigError(f"{path.name}: missing row for {name}{index} {k}, path {i}")
-    return {slot: [[cells[slot, k, i] for i in range(space.n_paths)] for k in range(size)]
-            for slot, size in sizes.items()}
+            rows[k][i] = val
+            filled += 1
+    if filled < sum(map(len, cells.values())) * n_paths:
+        slot, k, i = next((slot, k, i) for slot, rows in cells.items()
+                          for k, row in enumerate(rows) for i, x in enumerate(row) if x is None)
+        name = "" if slot is None else f"slot {slot}, "
+        raise ConfigError(f"{path.name}: missing row for {name}{index} {k}, path {i}")
+    return {slot: [_collapse(space, row, part) for row, part in zip(rows, partitions[slot])]
+            for slot, rows in cells.items()}
+
+
+def _collapse(space: FilteredSpace, row: list, partition) -> list:
+    """The row once per atom of the partition if it is measurable there, else as it is."""
+    return row[::len(row) // len(partition)] if is_measurable(space, row, partition) else row
 
 
 def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:
     """A dumped process, unchecked: the verifier holds each component to its class."""
     n = space.n_steps
-    slots = _read_cells(space, path, "instant", {"minus": n + 1, "mid": n + 1, "plus": n})
+    slots = _read_cells(space, path, "instant", {"minus": space.sigma_minus,
+                                                 "mid": space.sigma_mid,
+                                                 "plus": space.sigma_mid[:n]})
     return from_slots(space, slots["minus"], slots["mid"], slots["plus"])
 
 
 def _load_rows(space: FilteredSpace, path: Path) -> list:
     """A dumped integrand or driver: one row per interval, unchecked."""
-    return _read_cells(space, path, "interval", {None: space.n_steps})[None]
+    return _read_cells(space, path, "interval", {None: space.sigma_mid[:space.n_steps]})[None]
 
 
 def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
@@ -369,8 +390,8 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
             d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
             if d > gate:
                 mismatches.append(f"{name}: solution vs picard differ by {d:g}")
-        d = max((abs(float(a - b)) for zs, zo in zip(sol.z, oracle.z)
-                 for a, b in zip(zs, zo)), default=0.0)
+        d = max((abs(float(x)) for zs, zo in zip(sol.z, oracle.z) for x in v.sub(zs, zo)),
+                default=0.0)
         if d > gate:
             mismatches.append(f"z: solution vs picard differ by {d:g}")
     for name, barrier, target in (
@@ -426,13 +447,14 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
             f"expected on coarse grids",
             file=sys.stderr,
         )
-    base_sol = solve_driver_process(scenario.barriers, scenario.g)
+    g = scenario.g_rows
+    base_sol = solve_driver_process(scenario.barriers, g)
     rows, violations = [], 0
     for i in range(pairs):
-        g_bar = perturb_driver(scenario.space, scenario.g, seed=cfg.seed * 1000 + i)
+        g_bar = perturb_driver(scenario.space, g, seed=cfg.seed * 1000 + i)
         sol_bar = solve_driver_process(scenario.barriers, g_bar)
         rep = apriori_estimate_check(
-            base_sol, sol_bar, scenario.g, g_bar,
+            base_sol, sol_bar, g, g_bar,
             beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c,
         )
         rows.append(rep.to_json_dict())
@@ -502,14 +524,13 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     diff = p_sub(h, hbar)
     sandwich_dev = 0.0
     for k in range(scenario.space.n_steps + 1):
-        for i in range(scenario.space.n_paths):
-            lo = float(scenario.barriers.xi.mid[k][i] - diff.mid[k][i])
-            hi = float(diff.mid[k][i] - scenario.barriers.zeta.mid[k][i])
-            sandwich_dev = max(sandwich_dev, lo, hi)
+        lows = v.sub(scenario.barriers.xi.mid_rows[k], diff.mid_rows[k])
+        highs = v.sub(diff.mid_rows[k], scenario.barriers.zeta.mid_rows[k])
+        sandwich_dev = max(sandwich_dev, *map(float, lows), *map(float, highs))
     ok = ok_pss and ok_min and sandwich_dev <= tol
     doc = {"scenario": config.name, "supermartingales": ok_pss,
            "sandwich_deviation": sandwich_dev, "minimality": ok_min, "pass": ok,
-           "h0": float(h.mid[0][0]), "hbar0": float(hbar.mid[0][0])}
+           "h0": float(h.mid_rows[0][0]), "hbar0": float(hbar.mid_rows[0][0])}
     (out_dir / "certificate.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"[{config.name}] certificate: {'PASS' if ok else 'FAIL'}")

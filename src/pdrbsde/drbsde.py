@@ -82,14 +82,16 @@ class BarrierPair:
     def __post_init__(self) -> None:
         validate_process(self.xi, "predictable")
         validate_process(self.zeta, "predictable")
-        n = self.xi.n_steps
+        n, n_paths = self.xi.n_steps, self.xi.space.n_paths
         for k in range(n + 1):
             for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
-                lower, upper = getattr(self.xi, slot)[k], getattr(self.zeta, slot)[k]
-                i = next((i for i, (a, b) in enumerate(zip(lower, upper)) if a > b), None)
-                if i is not None:
-                    raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, path={i}")
-        if self.xi.mid[n] != self.zeta.mid[n]:
+                lower, upper = v.align(getattr(self.xi, f"{slot}_rows")[k],
+                                       getattr(self.zeta, f"{slot}_rows")[k])
+                j = next((j for j, (a, b) in enumerate(zip(lower, upper)) if a > b), None)
+                if j is not None:
+                    raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, "
+                                       f"path={j * n_paths // len(lower)}")
+        if not v.eq(self.xi.mid_rows[n], self.zeta.mid_rows[n]):
             raise ProcessError("barriers must coincide at the terminal instant")
 
 
@@ -148,7 +150,7 @@ def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, Ladla
     conditional expectation); it is pinned to exact zero so float rounding on
     non-dyadic weights cannot leak into the iteration.
     """
-    x = plain_part(barriers.xi.space, barriers.xi.mid[-1], g)
+    x = plain_part(barriers.xi.space, barriers.xi.mid_rows[-1], g)
     return _kill_terminal(p_sub(barriers.xi, x)), _kill_terminal(p_sub(barriers.zeta, x))
 
 
@@ -158,9 +160,9 @@ def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
     The left limit at T belongs to the strict past and is kept.
     """
     space, n = proc.space, proc.n_steps
-    mid = [list(proc.mid[k]) for k in range(n + 1)]
+    mid = [list(proc.mid_rows[k]) for k in range(n + 1)]
     mid[n] = space.zero()
-    return from_slots(space, proc.minus, mid, proc.plus)
+    return from_slots(space, proc.minus_rows, mid, proc.plus_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +187,10 @@ def picard_coupled(
     """
     space, n = xi_t.space, xi_t.n_steps
     slack = space.slack
-    if any(abs(x) > slack for x in xi_t.mid[n]) or any(abs(x) > slack for x in zeta_t.mid[n]):
+    if any(abs(x) > slack for x in (*xi_t.mid_rows[n], *zeta_t.mid_rows[n])):
         raise ProcessError("shifted barriers must vanish at the terminal instant")
     for k in range(n + 1):
-        if any(a > b + slack for a, b in zip(xi_t.mid[k], zeta_t.mid[k])):
+        if any(a > b + slack for a, b in zip(*v.align(xi_t.mid_rows[k], zeta_t.mid_rows[k]))):
             raise ProcessError(f"shifted barriers out of order at instant {k}")
     if max_iter is None:
         max_iter = 10 * max(1, n) * space.n_paths
@@ -231,15 +233,15 @@ def _min_slot_gap(new: LadlagProcess, old: LadlagProcess):
     n = new.n_steps
     gaps = []
     for k in range(n + 1):
-        gaps += v.sub(new.mid[k], old.mid[k])
-        gaps += v.sub(new.minus[k], old.minus[k])
+        gaps += v.sub(new.mid_rows[k], old.mid_rows[k])
+        gaps += v.sub(new.minus_rows[k], old.minus_rows[k])
         if k < n:
-            gaps += v.sub(new.plus[k], old.plus[k])
+            gaps += v.sub(new.plus_rows[k], old.plus_rows[k])
     return min(gaps)
 
 
 def _sup_norm(proc: LadlagProcess):
-    return max(v.sup_abs(x) for x in proc.mid)
+    return max(v.sup_abs(x) for x in proc.mid_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +265,19 @@ def assemble_solution(
     q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t)))
     q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t)))
 
-    x = plain_part(space, barriers.xi.mid[-1], g)
+    x = plain_part(space, barriers.xi.mid_rows[-1], g)
     n = space.n_steps
     dt = space.dt
-    s0 = list(barriers.xi.mid[-1])
+    s0 = list(barriers.xi.mid_rows[-1])
     for k in range(n):
         s0 = v.add(s0, v.smul(dt, g[k]))
     m_plain = martingale_from_terminal(space, s0)
-    base = m_plain.minus[0]
+    base = m_plain.minus_rows[0]
     m_plain = from_slots(
         space,
-        [v.sub(m_plain.minus[k], base) for k in range(n + 1)],
-        [v.sub(m_plain.mid[k], base) for k in range(n + 1)],
-        [v.sub(m_plain.plus[k], base) for k in range(n)],
+        [v.sub(m_plain.minus_rows[k], base) for k in range(n + 1)],
+        [v.sub(m_plain.mid_rows[k], base) for k in range(n + 1)],
+        [v.sub(m_plain.plus_rows[k], base) for k in range(n)],
     )
     z_plain, m_orth_plain = orthogonal_decompose(m_plain)
 
@@ -347,20 +349,20 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     y_minus, y_mid, y_plus = [None] * (n + 1), [None] * (n + 1), [None] * n
     z, drift = [None] * n, [None] * n
     m_jumps, gap = [None] * n + [zero], [None] * n + [zero]
-    y_mid[n] = list(xi.mid[n])
-    y_minus[n] = _clamp(y_mid[n], xi.minus[n], zeta.minus[n])
+    y_mid[n] = list(xi.mid_rows[n])
+    y_minus[n] = _clamp(y_mid[n], xi.minus_rows[n], zeta.minus_rows[n])
     for k in range(n - 1, -1, -1):
         nxt = y_minus[k + 1]
         cont = cond_expect(space, nxt, space.sigma_mid[k])
-        z[k] = v.smul(inv_dt, cond_expect(space, v.mul(nxt, space.dw[k]), space.sigma_mid[k]))
+        z[k] = v.smul(inv_dt, cond_expect(space, v.mul(nxt, space.dw_rows[k]), space.sigma_mid[k]))
         free = v.add(cont, v.smul(dt, g[k]))
-        y_plus[k] = _clamp(free, xi.plus[k], zeta.plus[k])
+        y_plus[k] = _clamp(free, xi.plus_rows[k], zeta.plus_rows[k])
         drift[k] = v.sub(y_plus[k], free)
         proj = cond_expect(space, y_plus[k], space.sigma_minus[k])
         m_jumps[k] = v.sub(y_plus[k], proj)
-        y_mid[k] = _clamp(proj, xi.mid[k], zeta.mid[k])
+        y_mid[k] = _clamp(proj, xi.mid_rows[k], zeta.mid_rows[k])
         gap[k] = v.sub(y_mid[k], proj)
-        y_minus[k] = _clamp(y_mid[k], xi.minus[k], zeta.minus[k])
+        y_minus[k] = _clamp(y_mid[k], xi.minus_rows[k], zeta.minus_rows[k])
     y_minus[0] = list(y_mid[0])
 
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
@@ -402,7 +404,7 @@ def mokobodzki_certificate(
     if solution is None:
         solution = solve_driver_process(barriers, g)
     space = barriers.xi.space
-    xi_term = barriers.xi.mid[-1]
+    xi_term = barriers.xi.mid_rows[-1]
     h = _certificate_side(space, v.pos_part(xi_term), [v.pos_part(gk) for gk in g],
                           solution.a, solution.b)
     hbar = _certificate_side(space, v.neg_part(xi_term), [v.neg_part(gk) for gk in g],
@@ -419,15 +421,16 @@ def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
     for k in range(n - 1, -1, -1):
         run = v.add(run, v.smul(dt, g_part[k]))
         tails[k] = list(run)
+    a_end, b_end = a.mid_rows[n], b.minus_rows[n]
     minus, mid, plus = [], [], []
     for k in range(n + 1):
-        core = v.add(tails[k], v.add(v.sub(a.mid[n], a.mid[k]), v.sub(b.minus[n], b.minus[k])))
+        core = v.add(tails[k], v.add(v.sub(a_end, a.mid_rows[k]), v.sub(b_end, b.minus_rows[k])))
         mid_k = cond_expect(space, core, space.sigma_minus[k])
         mid.append(mid_k)
         minus.append(v.add(mid_k, a.left_jump(k)))
         if k < n:
             core_plus = v.add(
-                tails[k], v.add(v.sub(a.mid[n], a.mid[k]), v.sub(b.minus[n], b.mid[k]))
+                tails[k], v.add(v.sub(a_end, a.mid_rows[k]), v.sub(b_end, b.mid_rows[k]))
             )
             plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
     minus[0] = list(mid[0])
@@ -450,13 +453,13 @@ def minimality_check(
     for proc, label in ((h, "H"), (hbar, "Hbar")):
         if not is_predictable_strong_supermartingale(proc):
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
-        if any(-x > tol for k in range(space.n_steps + 1) for x in proc.mid[k]):
+        if any(-x > tol for k in range(space.n_steps + 1) for x in proc.mid_rows[k]):
             raise ProcessError(f"{label} is not nonnegative")
     diff = p_sub(h, hbar)
     for k in range(space.n_steps + 1):
-        if any(x - d > tol for d, x in zip(diff.mid[k], xi_t.mid[k])):
+        if any(x - d > tol for d, x in zip(*v.align(diff.mid_rows[k], xi_t.mid_rows[k]))):
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
-        if any(d - z > tol for d, z in zip(diff.mid[k], zeta_t.mid[k])):
+        if any(d - z > tol for d, z in zip(*v.align(diff.mid_rows[k], zeta_t.mid_rows[k]))):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
     return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
 
@@ -466,7 +469,7 @@ def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
     n = space.n_steps
 
     def rand_nonneg(partition):
-        vals = [Fraction(rng.randint(0, 8), 4) for _ in partition]
+        vals = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
         if space.mode == "float":
             vals = [float(x) for x in vals]
         return spread(space, partition, vals)

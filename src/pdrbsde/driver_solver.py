@@ -42,9 +42,8 @@ class LipschitzDriver:
         out = []
         for k in range(space.n_steps):
             t = space.time(k)
-            out.append(
-                [self.evaluate(k, t, u.mid[k][i], z[k][i]) for i in range(space.n_paths)]
-            )
+            out.append([self.evaluate(k, t, y, zz)
+                        for y, zz in zip(*v.align(u.mid_rows[k], z[k]))])
         return out
 
     def probe_lipschitz(self, space: FilteredSpace, seed: int = 0) -> float:
@@ -121,12 +120,16 @@ def beta_norm_h2(space: FilteredSpace, rows: list, beta: float) -> float:
 def beta_norm_s2p(xi: LadlagProcess, beta: float) -> float:
     """E[ max_k e^{beta t_k} xi_k^2 ]: constant stopping times are predictable
     and exhaust the per-path values, so the essential supremum over grid
-    stopping times is the pathwise maximum over mid slots."""
+    stopping times is the pathwise maximum over mid slots, taken on the atoms
+    of the finest of them."""
     space = xi.space
-    growth = [math.exp(beta * space.time_float(k)) for k in range(space.n_steps + 1)]
+    mids = v.align(*xi.mid_rows)
+    weighted = [[e * float(x) ** 2 for x in row]
+                for e, row in zip((math.exp(beta * space.time_float(k))
+                                   for k in range(space.n_steps + 1)), mids)]
     out = 0.0
-    for w, path in zip(space.weights, zip(*xi.mid)):
-        out += float(w) * max(e * float(x) ** 2 for e, x in zip(growth, path))
+    for w, best in zip(space.partition_of(mids[0]).weights, map(max, *weighted)):
+        out += float(w) * best
     return out
 
 
@@ -149,10 +152,7 @@ def beta_norm_m2(m: LadlagProcess, beta: float) -> float:
 def base_norm_h2(driver: LipschitzDriver, space: FilteredSpace) -> float:
     """Finiteness witness ||g(., 0, 0)||^2 in the unweighted H^2 norm."""
     zero = 0 if space.mode == "float" else Fraction(0)
-    g0 = [
-        [driver.evaluate(k, space.time(k), zero, zero) for _ in range(space.n_paths)]
-        for k in range(space.n_steps)
-    ]
+    g0 = [[driver.evaluate(k, space.time(k), zero, zero)] for k in range(space.n_steps)]
     dt = float(space.t_horizon) / space.n_steps
     return sum(
         dt * float(expectation(space, [float(x) ** 2 for x in gk])) for gk in g0

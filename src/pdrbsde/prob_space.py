@@ -21,58 +21,123 @@ outcome (i // inner) % branching, counting a mark's labels in their given
 order and dW_k as +sqrt(dt) before -sqrt(dt).  So every atom of
 sigma_minus[k] and sigma_mid[k] is a contiguous run of
 n_paths // (histories revealed) paths, atoms are listed in path order, and
-the partitions nest by construction.  Only this module relies on that
-layout; others copy per-atom values onto paths with ``spread``.
+the partitions nest by construction.
 
-A random variable is a plain per-path value list (see values.py);
-measurability with respect to a partition means constancy on each atom.
+A random variable is a row (see values.py): one value per atom of a
+partition it is measurable for, so its length names the partition.  A
+``Partition`` holds one weight per atom; its atoms, as tuples of path
+indices, are made only when asked for, at the boundaries (``space.json``, the
+stopping-rule oracle and readers outside the program).  Measurability with respect to a
+partition means constancy on each of its atoms: a row no finer than the
+partition is measurable by its length alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import cached_property
+from operator import add, mul, truediv
 
+from . import values as v
 from .config import ConfigError, ScenarioConfig, _rational_sqrt
 from .values import RV
-
-Atom = tuple[int, ...]
-Partition = tuple[Atom, ...]
 
 
 class SpaceError(ValueError):
     """Violation of a filtered-space construction invariant."""
 
 
-@dataclass(frozen=True)
+class Partition(Sequence):
+    """A partition of the paths into equal runs of consecutive paths, one
+    weight per run.  As a sequence it lists its atoms, each a tuple of path
+    indices, so it compares equal to the same atoms given as tuples."""
+
+    __slots__ = ("weights", "n_paths")
+
+    def __init__(self, weights, n_paths: int) -> None:
+        self.weights = tuple(weights)  # one probability per atom
+        self.n_paths = n_paths
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, j: int) -> tuple:
+        size = self.n_paths // len(self.weights)
+        start = range(0, self.n_paths, size)[j]
+        return tuple(range(start, start + size))
+
+    def __iter__(self):
+        size = self.n_paths // len(self.weights)
+        return (tuple(range(j, j + size)) for j in range(0, self.n_paths, size))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"Partition({len(self)} atoms of {self.n_paths} paths)"
+
+
+@dataclass(frozen=True, eq=False)
 class FilteredSpace:
     """Immutable finite filtered probability space.
 
     Attributes
     ----------
     mode:        "rational" or "float"; sets the value backend everywhere.
-    weights:     strictly positive path probabilities, summing to one.
-    dw:          dw[k][path] in {+sqrt(dt), -sqrt(dt)}, for k = 0..N-1.
-    marks:       marks[k] is None or a per-path label list, for k = 0..N.
-    sigma_minus: partition representing F_{t_k^-}, k = 0..N.
-    sigma_mid:   partition representing F_{t_k} (= F_{t_k^+}), k = 0..N.
+    sigma_minus: the partition representing F_{t_k^-}, k = 0..N.
+    sigma_mid:   the partition representing F_{t_k} (= F_{t_k^+}), k = 0..N;
+                 sigma_mid[N] has one atom per path.
+    dw_rows:     dw_rows[k] is dW_k in {+sqrt(dt), -sqrt(dt)} on each atom of
+                 sigma_minus[k+1], for k = 0..N-1.
+    mark_rows:   mark_rows[k] is None, or the label of the mark revealed at
+                 t_k on each atom of sigma_mid[k].
+
+    ``weights``, ``dw`` and ``marks`` are the per-path views.
     """
 
     mode: str
     n_steps: int
     t_horizon: Fraction
-    weights: tuple
-    dw: tuple
-    marks: tuple
     sigma_minus: tuple
     sigma_mid: tuple
+    dw_rows: tuple
+    mark_rows: tuple
 
     @property
     def n_paths(self) -> int:
-        return len(self.weights)
+        return len(self.sigma_mid[-1])
+
+    @property
+    def weights(self) -> tuple:
+        """Strictly positive path probabilities, summing to one."""
+        return self.sigma_mid[-1].weights
+
+    @cached_property
+    def dw(self) -> tuple:
+        """dw[k][path], for k = 0..N-1."""
+        return tuple(on_paths(self, row) for row in self.dw_rows)
+
+    @cached_property
+    def marks(self) -> tuple:
+        """marks[k] is None or a per-path label tuple, for k = 0..N."""
+        return tuple(None if row is None else on_paths(self, row) for row in self.mark_rows)
+
+    @cached_property
+    def _partitions(self) -> dict:
+        return {len(p): p for p in (*self.sigma_minus, *self.sigma_mid)}
+
+    def partition_of(self, row) -> Partition:
+        """The partition a row is given on: the one with len(row) atoms."""
+        try:
+            return self._partitions[len(row)]
+        except KeyError:
+            raise SpaceError(f"no partition has {len(row)} atoms") from None
 
     @property
     def dt(self):
@@ -102,12 +167,10 @@ class FilteredSpace:
         )
 
     def zero(self) -> RV:
-        z = Fraction(0) if self.mode == "rational" else 0.0
-        return [z] * self.n_paths
+        return [Fraction(0) if self.mode == "rational" else 0.0]
 
     def constant(self, v) -> RV:
-        c = Fraction(v) if self.mode == "rational" else float(v)
-        return [c] * self.n_paths
+        return [Fraction(v) if self.mode == "rational" else float(v)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,22 +197,25 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
     mark_at = {m.instant: m for m in config.marks}
     n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)
 
+    def level(nodes) -> Partition:
+        return Partition(nodes if rational else map(float, nodes), n_paths)
+
     # One weight per node of the tree revealed so far, in path order, so
     # len(nodes) is the number of atoms at each level.
     nodes = [Fraction(1)]
     half = Fraction(1, 2)
-    dw, marks, sigma_minus, sigma_mid = [], [], [], []
+    dw_rows, mark_rows, sigma_minus, sigma_mid = [], [], [], []
     for k in range(n + 1):
-        sigma_minus.append(_blocks(n_paths, len(nodes)))
+        sigma_minus.append(level(nodes))
         spec = mark_at.get(k)
         if spec is None:
-            marks.append(None)
+            mark_rows.append(None)
         else:
-            marks.append(_column(n_paths, len(nodes), spec.labels))
+            mark_rows.append(tuple(spec.labels) * len(nodes))
             nodes = [w * p for w in nodes for p in spec.probs]
-        sigma_mid.append(_blocks(n_paths, len(nodes)))
+        sigma_mid.append(level(nodes))
         if k < n:
-            dw.append(_column(n_paths, len(nodes), (s, -s)))
+            dw_rows.append((s, -s) * len(nodes))
             nodes = [w * half for w in nodes for _ in range(2)]
 
     total = sum(nodes, Fraction(0))
@@ -160,38 +226,26 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
         mode=config.arithmetic,
         n_steps=n,
         t_horizon=config.t_horizon,
-        weights=tuple(nodes) if rational else tuple(float(w) for w in nodes),
-        dw=tuple(dw),
-        marks=tuple(marks),
         sigma_minus=tuple(sigma_minus),
         sigma_mid=tuple(sigma_mid),
+        dw_rows=tuple(dw_rows),
+        mark_rows=tuple(mark_rows),
     )
     validate_space(space)
     return space
-
-
-def _blocks(n_paths: int, n_atoms: int) -> Partition:
-    """The partition into n_atoms equal runs of consecutive paths."""
-    size = n_paths // n_atoms
-    return tuple(tuple(range(j, j + size)) for j in range(0, n_paths, size))
-
-
-def _column(n_paths: int, n_atoms: int, outcomes: Sequence) -> tuple:
-    """Per-path outcome of the level revealed below n_atoms atoms: each atom's
-    block splits into one equal run per outcome, in order."""
-    run: list = []
-    for x in outcomes:
-        run += [x] * (n_paths // (n_atoms * len(outcomes)))
-    return tuple(run * n_atoms)
 
 
 def validate_space(space: FilteredSpace) -> None:
     """Check that each dW_k takes two outcomes, centred with variance dt.
 
     The build gives every atom of sigma_mid[k] both outcomes with equal
-    weight, so this covers every atom; the lattice nests by construction."""
-    for k, column in enumerate(space.dw):
-        outcomes = set(column)
+    weight, so this covers every atom; the lattice nests by construction.
+    Every atom must have positive probability, so that conditional
+    expectations are defined."""
+    if min(space.weights) <= 0:
+        raise SpaceError("a path has zero probability")
+    for k, row in enumerate(space.dw_rows):
+        outcomes = set(row)
         if len(outcomes) != 2:
             raise SpaceError(f"dW_{k} not binary")
         up, down = outcomes
@@ -207,43 +261,52 @@ def validate_space(space: FilteredSpace) -> None:
 
 
 def cond_expect(space: FilteredSpace, values: Sequence, partition: Partition) -> RV:
-    """E[X | partition]: the probability-weighted average on each atom.
+    """E[X | partition] as a row on the partition's atoms: on each atom, the
+    probability-weighted average of the row's entries below it.
 
-    The result is constant on each atom; the tower property against any
-    coarser partition holds exactly in rational mode.
+    The tower property against any coarser partition holds exactly in
+    rational mode.
     """
-    out = list(values)
-    for atom in partition:
-        w = sum(space.weights[i] for i in atom)
-        if w <= 0:
-            raise SpaceError("conditional expectation on a zero-probability atom")
-        avg = sum(space.weights[i] * values[i] for i in atom) / w
-        for i in atom:
-            out[i] = avg
-    return out
+    m, size = len(partition), len(values)
+    if size <= m:
+        return list(v.expand(values, m))
+    weights = space.partition_of(values).weights
+    # an atom's entries are values[j * step + i], i < step; sum over i
+    step = size // m
+    num = list(map(mul, weights[0::step], values[0::step]))
+    den = weights[0::step]
+    for i in range(1, step):
+        num = list(map(add, num, map(mul, weights[i::step], values[i::step])))
+        den = list(map(add, den, weights[i::step]))
+    return list(map(truediv, num, den))
 
 
 def expectation(space: FilteredSpace, values: Sequence):
-    return sum(w * v for w, v in zip(space.weights, values))
+    return sum(map(mul, space.partition_of(values).weights, values))
 
 
 def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) -> bool:
-    """True iff the variable is constant on every atom of the partition."""
-    return all(
-        all(values[i] == values[atom[0]] for i in atom) for atom in partition
-    )
+    """True iff the variable is constant on every atom of the partition.
+
+    A row no finer than the partition is, unless it holds a NaN: a NaN is
+    unequal to itself, so it is measurable for no partition."""
+    if space.mode != "rational" and any(map(math.isnan, values)):
+        return False
+    step = len(values) // len(partition)
+    return step <= 1 or all(values[i::step] == values[0::step] for i in range(1, step))
 
 
 def spread(space: FilteredSpace, partition: Partition, per_atom_values: Sequence) -> RV:
     """The variable equal to per_atom_values[j] on the j-th atom of one of the
-    space's partitions."""
+    space's partitions: that row itself, once its length is checked."""
     if len(per_atom_values) != len(partition):
         raise SpaceError(f"{len(per_atom_values)} values for {len(partition)} atoms")
-    size = space.n_paths // len(partition)
-    out: RV = []
-    for x in per_atom_values:
-        out += [x] * size
-    return out
+    return list(per_atom_values)
+
+
+def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
+    """The row with one entry per path: the per-path view at the boundaries."""
+    return tuple(v.expand(row, space.n_paths))
 
 
 # ---------------------------------------------------------------------------
@@ -252,22 +315,23 @@ def spread(space: FilteredSpace, partition: Partition, per_atom_values: Sequence
 
 def space_to_json_dict(space: FilteredSpace) -> dict:
     """Dump paths with weights and the per-instant atom lists."""
+    n = space.n_steps
+    signs = [on_paths(space, [1 if d > 0 else -1 for d in row]) for row in space.dw_rows]
+    marks = {str(k): on_paths(space, row)
+             for k, row in enumerate(space.mark_rows) if row is not None}
+    rational = space.mode == "rational"
     return {
         "mode": space.mode,
-        "N": space.n_steps,
+        "N": n,
         "T": str(space.t_horizon),
         "paths": [
             {
                 "index": i,
-                "weight": str(space.weights[i]) if space.mode == "rational" else space.weights[i],
-                "dw_signs": [1 if space.dw[k][i] > 0 else -1 for k in range(space.n_steps)],
-                "marks": {
-                    str(k): space.marks[k][i]
-                    for k in range(space.n_steps + 1)
-                    if space.marks[k] is not None
-                },
+                "weight": str(w) if rational else w,
+                "dw_signs": [signs[k][i] for k in range(n)],
+                "marks": {k: labels[i] for k, labels in marks.items()},
             }
-            for i in range(space.n_paths)
+            for i, w in enumerate(space.weights)
         ],
         "sigma_minus": [[list(a) for a in p] for p in space.sigma_minus],
         "sigma_mid": [[list(a) for a in p] for p in space.sigma_mid],

@@ -2,14 +2,20 @@
 
 A process is stored as three per-instant slots: ``minus[k]`` (left limit at
 t_k), ``mid[k]`` (value at t_k) and ``plus[k]`` (right limit at t_k; absent at
-the terminal instant).  Interval evolution is carried between ``plus[k]`` and
+the terminal instant).  Each slot is a row (see values.py), one value per
+atom: ``minus_rows[k]`` on the atoms of sigma_minus[k] or a coarser partition,
+``mid_rows[k]`` and ``plus_rows[k]`` on those of sigma_mid[k] or coarser,
+unless the process came in from outside as finer rows.  ``minus``, ``mid``
+and ``plus`` are per-path views of the rows, made on first use, for readers
+outside the program.  Interval evolution is carried between ``plus[k]`` and
 ``minus[k+1]``; with binary Brownian increments every zero-mean interval
 increment of a martingale is proportional to dW_k, so the orthogonal component
 of any martingale moves only through instant jumps — jumps at predictable
 times, the phenomenon the whole artifact is built to exhibit.
 
 A ``LadlagProcess`` holds its space and its three slot arrays, nothing else:
-it carries no class.  Processes are built by ``from_slots`` (the slots given)
+it carries no class, and two processes are equal when their slots are equal
+as random variables.  Processes are built by ``from_slots`` (the slots given)
 or ``running_sum`` (the slots of a sum of jumps and interval increments), and
 ``validate_process(proc, kind)`` checks that a process lies in the named
 class:
@@ -31,10 +37,11 @@ class:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect, is_measurable
+from .prob_space import FilteredSpace, cond_expect, is_measurable, on_paths
 
 KINDS = (
     "optional",
@@ -55,26 +62,46 @@ class ProcessError(ValueError):
     """Violation of a process class invariant."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LadlagProcess:
     space: FilteredSpace
-    minus: tuple   # length N+1, each an RV
-    mid: tuple     # length N+1
-    plus: tuple    # length N
+    minus_rows: tuple   # length N+1, each a row
+    mid_rows: tuple     # length N+1
+    plus_rows: tuple    # length N
 
     @property
     def n_steps(self) -> int:
         return self.space.n_steps
 
+    @cached_property
+    def minus(self) -> tuple:
+        return tuple(on_paths(self.space, r) for r in self.minus_rows)
+
+    @cached_property
+    def mid(self) -> tuple:
+        return tuple(on_paths(self.space, r) for r in self.mid_rows)
+
+    @cached_property
+    def plus(self) -> tuple:
+        return tuple(on_paths(self.space, r) for r in self.plus_rows)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LadlagProcess):
+            return NotImplemented
+        return self.space is other.space and all(
+            len(a) == len(b) and all(map(v.eq, a, b))
+            for a, b in ((self.minus_rows, other.minus_rows), (self.mid_rows, other.mid_rows),
+                         (self.plus_rows, other.plus_rows)))
+
     def left_jump(self, k: int) -> list:
-        return v.sub(self.mid[k], self.minus[k])
+        return v.sub(self.mid_rows[k], self.minus_rows[k])
 
     def right_jump(self, k: int) -> list:
-        return v.sub(self.plus[k], self.mid[k])
+        return v.sub(self.plus_rows[k], self.mid_rows[k])
 
     def interval_increment(self, k: int) -> list:
         """Change across the open interval (t_k, t_{k+1})."""
-        return v.sub(self.minus[k + 1], self.plus[k])
+        return v.sub(self.minus_rows[k + 1], self.plus_rows[k])
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +109,12 @@ class LadlagProcess:
 
 
 def from_slots(space, minus, mid, plus) -> LadlagProcess:
-    """Process from its slot arrays, unchecked: ``validate_process`` checks a class."""
+    """Process from its slot rows, unchecked: ``validate_process`` checks a class."""
     return LadlagProcess(
         space=space,
-        minus=tuple(list(x) for x in minus),
-        mid=tuple(list(x) for x in mid),
-        plus=tuple(list(x) for x in plus),
+        minus_rows=tuple(list(x) for x in minus),
+        mid_rows=tuple(list(x) for x in mid),
+        plus_rows=tuple(list(x) for x in plus),
     )
 
 
@@ -98,10 +125,7 @@ def from_cadlag_sequence(space, mids: Sequence) -> LadlagProcess:
     up as a left jump at each instant and intervals carry no variation.
     """
     n = space.n_steps
-    mid = [list(mids[k]) for k in range(n + 1)]
-    minus = [list(mids[0])] + [list(mids[k - 1]) for k in range(1, n + 1)]
-    plus = [list(mids[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus)
+    return from_slots(space, [mids[0], *mids[:n]], mids[:n + 1], mids[:n])
 
 
 def constant_process(space, value) -> LadlagProcess:
@@ -153,12 +177,11 @@ def p_sub(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
 
 
 def _zip_with(op, a, b):
-    n = a.n_steps
     return from_slots(
         a.space,
-        [op(a.minus[k], b.minus[k]) for k in range(n + 1)],
-        [op(a.mid[k], b.mid[k]) for k in range(n + 1)],
-        [op(a.plus[k], b.plus[k]) for k in range(n)],
+        list(map(op, a.minus_rows, b.minus_rows)),
+        list(map(op, a.mid_rows, b.mid_rows)),
+        list(map(op, a.plus_rows, b.plus_rows)),
     )
 
 
@@ -166,11 +189,11 @@ def sup_distance(a: LadlagProcess, b: LadlagProcess):
     """Max absolute slot difference over all instants and paths."""
     n = a.n_steps
     d = max(
-        max(v.sup_abs(v.sub(a.minus[k], b.minus[k])) for k in range(n + 1)),
-        max(v.sup_abs(v.sub(a.mid[k], b.mid[k])) for k in range(n + 1)),
+        max(v.sup_abs(v.sub(a.minus_rows[k], b.minus_rows[k])) for k in range(n + 1)),
+        max(v.sup_abs(v.sub(a.mid_rows[k], b.mid_rows[k])) for k in range(n + 1)),
     )
     if n:
-        d = max(d, max(v.sup_abs(v.sub(a.plus[k], b.plus[k])) for k in range(n)))
+        d = max(d, max(v.sup_abs(v.sub(a.plus_rows[k], b.plus_rows[k])) for k in range(n)))
     return d
 
 
@@ -183,15 +206,15 @@ def validate_process(proc: LadlagProcess, kind: str) -> None:
     space, n = proc.space, proc.n_steps
     if kind not in KINDS:
         raise ProcessError(f"unknown kind {kind!r}")
-    if len(proc.minus) != n + 1 or len(proc.mid) != n + 1 or len(proc.plus) != n:
+    if len(proc.minus_rows) != n + 1 or len(proc.mid_rows) != n + 1 or len(proc.plus_rows) != n:
         raise ProcessError("slot arrays have wrong lengths")
 
     for k in range(n + 1):
-        if not is_measurable(space, proc.minus[k], space.sigma_minus[k]):
+        if not is_measurable(space, proc.minus_rows[k], space.sigma_minus[k]):
             raise ProcessError(f"minus[{k}] not sigma_minus[{k}]-measurable")
-        if not is_measurable(space, proc.mid[k], space.sigma_mid[k]):
+        if not is_measurable(space, proc.mid_rows[k], space.sigma_mid[k]):
             raise ProcessError(f"mid[{k}] not sigma_mid[{k}]-measurable")
-        if k < n and not is_measurable(space, proc.plus[k], space.sigma_mid[k]):
+        if k < n and not is_measurable(space, proc.plus_rows[k], space.sigma_mid[k]):
             raise ProcessError(f"plus[{k}] not sigma_mid[{k}]-measurable")
 
     predictable_like = kind in (
@@ -201,25 +224,25 @@ def validate_process(proc: LadlagProcess, kind: str) -> None:
     )
     if predictable_like:
         for k in range(n + 1):
-            if not is_measurable(space, proc.mid[k], space.sigma_minus[k]):
+            if not is_measurable(space, proc.mid_rows[k], space.sigma_minus[k]):
                 raise ProcessError(f"mid[{k}] not sigma_minus[{k}]-measurable (predictable)")
 
     if kind in _CADLAG_KINDS:
         for k in range(n):
-            if proc.plus[k] != proc.mid[k]:
+            if not v.eq(proc.plus_rows[k], proc.mid_rows[k]):
                 raise ProcessError(f"cadlag violated at plus[{k}]")
 
     if kind == "purely-discontinuous-predictable":
-        if any(x != 0 for x in proc.minus[0]):
+        if any(x != 0 for x in proc.minus_rows[0]):
             raise ProcessError("B-class needs slot_minus[0] = 0")
         for k in range(n):
-            if proc.minus[k + 1] != proc.plus[k]:
+            if not v.eq(proc.minus_rows[k + 1], proc.plus_rows[k]):
                 raise ProcessError(f"B-class has interval variation on ({k},{k+1})")
         for k in range(n + 1):
             if any(x < 0 for x in proc.left_jump(k)):
                 raise ProcessError(f"B-class jump negative at instant {k}")
     elif kind == "finite-variation-predictable":
-        if any(x != 0 for x in proc.mid[0]) or any(x != 0 for x in proc.minus[0]):
+        if any(x != 0 for x in proc.mid_rows[0]) or any(x != 0 for x in proc.minus_rows[0]):
             raise ProcessError("A-class needs A_0 = 0")
         for k in range(n):
             inc = proc.interval_increment(k)
@@ -237,7 +260,7 @@ def validate_process(proc: LadlagProcess, kind: str) -> None:
         # optional / predictable / martingale: no time before 0, so the left
         # limit at 0 is the value itself (martingales may carry a zero-mean
         # jump at 0 when a mark lives there).
-        if kind != "cadlag-martingale" and proc.minus[0] != proc.mid[0]:
+        if kind != "cadlag-martingale" and not v.eq(proc.minus_rows[0], proc.mid_rows[0]):
             raise ProcessError("slot_minus[0] must equal slot_mid[0]")
 
     if kind == "cadlag-martingale" and not is_martingale(proc):
@@ -265,9 +288,9 @@ def predictable_projection(x: LadlagProcess) -> LadlagProcess:
     projection of the right limit, the quantity entering the jump identities.
     """
     space, n = x.space, x.n_steps
-    mid = [cond_expect(space, x.mid[k], space.sigma_minus[k]) for k in range(n + 1)]
-    plus = [cond_expect(space, x.plus[k], space.sigma_minus[k]) for k in range(n)]
-    minus = [list(x.minus[k]) for k in range(n + 1)]
+    mid = [cond_expect(space, x.mid_rows[k], space.sigma_minus[k]) for k in range(n + 1)]
+    plus = [cond_expect(space, x.plus_rows[k], space.sigma_minus[k]) for k in range(n)]
+    minus = [list(x.minus_rows[k]) for k in range(n + 1)]
     minus[0] = list(mid[0])
     return from_slots(space, minus, mid, plus)
 
@@ -288,7 +311,7 @@ def is_martingale(m: LadlagProcess) -> bool:
     """
     space, n = m.space, m.n_steps
     for k in range(n):
-        if m.plus[k] != m.mid[k]:
+        if not v.eq(m.plus_rows[k], m.mid_rows[k]):
             return False
         inc = cond_expect(space, m.interval_increment(k), space.sigma_mid[k])
         if v.sup_abs(inc) > space.slack:
@@ -311,24 +334,24 @@ def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:
     space, n = y.space, y.n_steps
     tol = space.slack
     for k in range(n + 1):
-        if not is_measurable(space, y.mid[k], space.sigma_minus[k]):
+        if not is_measurable(space, y.mid_rows[k], space.sigma_minus[k]):
             return False
     for k in range(n + 1):
-        if any(a < b - tol for a, b in zip(y.minus[k], y.mid[k])):
+        if any(a < b - tol for a, b in zip(*v.align(y.minus_rows[k], y.mid_rows[k]))):
             return False
     for k in range(n):
-        p_proj = cond_expect(space, y.plus[k], space.sigma_minus[k])
-        if any(a < b - tol for a, b in zip(y.mid[k], p_proj)):
+        p_proj = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
+        if any(a < b - tol for a, b in zip(*v.align(y.mid_rows[k], p_proj))):
             return False
-        cont = cond_expect(space, y.minus[k + 1], space.sigma_mid[k])
-        if any(a < b - tol for a, b in zip(y.plus[k], cont)):
+        cont = cond_expect(space, y.minus_rows[k + 1], space.sigma_mid[k])
+        if any(a < b - tol for a, b in zip(*v.align(y.plus_rows[k], cont))):
             return False
     return True
 
 
 def ito_integral(space: FilteredSpace, z: Sequence) -> LadlagProcess:
     """Cadlag martingale with interval increments z[k] dW_k and no jumps."""
-    return running_sum(space, interval=[v.mul(z[k], space.dw[k]) for k in range(space.n_steps)])
+    return running_sum(space, interval=list(map(v.mul, z, space.dw_rows)))
 
 
 def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
@@ -341,12 +364,12 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
     the jumps at (predictable) grid instants, and [N, W] = 0 cell by cell.
     """
     space, n = m.space, m.n_steps
-    if any(x != 0 for x in m.minus[0]):
+    if any(x != 0 for x in m.minus_rows[0]):
         raise ProcessError("orthogonal decomposition needs M_{0^-} = 0")
     if not is_martingale(m):
         raise ProcessError("input fails the martingale increment conditions")
     inv_dt = 1 / space.dt
-    z = [v.smul(inv_dt, cond_expect(space, v.mul(m.interval_increment(k), space.dw[k]),
+    z = [v.smul(inv_dt, cond_expect(space, v.mul(m.interval_increment(k), space.dw_rows[k]),
                                     space.sigma_mid[k]))
          for k in range(n)]
     return z, p_sub(m, ito_integral(space, z))

@@ -66,19 +66,21 @@ def worst_index(mags: list) -> int:
     return mags.index(max(mags))
 
 
-def condition_from_rows(name: str, rows, tol: float) -> ConditionReport:
-    """Build a condition from ``(label, residuals)`` rows, one residual per path.
+def condition_from_rows(name: str, rows, tol: float, n_paths: int | None = None
+                        ) -> ConditionReport:
+    """Build a condition from ``(label, residuals)`` rows, each a row of a
+    space of ``n_paths`` paths (one residual per path if ``n_paths`` is None).
 
     The worst cell is the first NaN ``|residual|``, else the first largest,
-    named ``label,path=i``.  A NaN fails the condition.  ``rows`` is read
-    once, so it may be a generator.
+    named ``label,path=i`` by the first path i of its atom.  A NaN fails the
+    condition.  ``rows`` is read once, so it may be a generator.
     """
     row_worst = []  # (|residual|, label, path) of each row's worst cell
     for label, res in rows:
         mags = list(map(abs, map(float, res)))
         if mags:
-            i = worst_index(mags)
-            row_worst.append((mags[i], label, i))
+            j = worst_index(mags)
+            row_worst.append((mags[j], label, j if n_paths is None else j * n_paths // len(mags)))
     if not row_worst:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
     top, label, i = row_worst[worst_index([r[0] for r in row_worst])]

@@ -12,13 +12,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import values as v
 from .config import ConfigError, ScenarioConfig, config_from_dict
 from .drbsde import BarrierPair
 from .driver_solver import LipschitzDriver, linear_driver
-from .prob_space import FilteredSpace, Partition, build_space, spread
+from .prob_space import FilteredSpace, Partition, build_space, on_paths, spread
 from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
 
 
@@ -27,12 +28,19 @@ class Scenario:
     config: ScenarioConfig
     space: FilteredSpace
     barriers: BarrierPair
-    g: list | None                  # process driver (zero/table kinds)
+    g_rows: list | None             # process driver (zero/table kinds), one row per interval
     driver: LipschitzDriver | None  # general driver (linear kind)
 
     @property
     def has_general_driver(self) -> bool:
         return self.driver is not None
+
+    @cached_property
+    def g(self) -> tuple | None:
+        """The process driver with one value per path on each interval."""
+        if self.g_rows is None:
+            return None
+        return tuple(on_paths(self.space, row) for row in self.g_rows)
 
 
 def realize(config: ScenarioConfig) -> Scenario:
@@ -43,7 +51,7 @@ def realize(config: ScenarioConfig) -> Scenario:
     except ProcessError as exc:  # raised by the BarrierPair check
         raise ConfigError(str(exc), cell="barriers") from exc
     g, driver = realize_driver(space, config)
-    return Scenario(config=config, space=space, barriers=barriers, g=g, driver=driver)
+    return Scenario(config=config, space=space, barriers=barriers, g_rows=g, driver=driver)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +64,15 @@ def _conv(space: FilteredSpace, x: Fraction):
 
 def _rand_fraction(rng: random.Random, scale: Fraction) -> Fraction:
     # dyadic rationals keep denominators small under exact arithmetic
-    return Fraction(rng.randint(-16, 16), 8) * scale
+    return Fraction(rng.randint(-16, 16) * scale.numerator, 8 * scale.denominator)
 
 
 def _rand_nonneg(rng: random.Random, scale: Fraction) -> Fraction:
-    return Fraction(rng.randint(0, 16), 8) * scale
+    return Fraction(rng.randint(0, 16) * scale.numerator, 8 * scale.denominator)
 
 
 def _on_partition(space: FilteredSpace, partition: Partition, draw) -> list:
-    return spread(space, partition, [_conv(space, draw()) for _ in partition])
+    return spread(space, partition, [_conv(space, draw()) for _ in range(len(partition))])
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +141,12 @@ def _game_option_barriers(space, params) -> BarrierPair:
     dt = space.t_horizon / space.n_steps
     base = _conv(space, Fraction(1) + drift * dt)
     vol_c = _conv(space, vol)
-    s_paths = [space.constant(spot)]
+    s_rows = [space.constant(spot)]
     for k in range(n):
-        factor = [base + vol_c * space.dw[k][i] for i in range(space.n_paths)]
+        factor = [base + vol_c * d for d in space.dw_rows[k]]
         if any(float(f) <= 0 for f in factor):
             raise ConfigError("underlying factor not positive; reduce vol or dt", "barriers")
-        s_paths.append(v.mul(s_paths[-1], factor))
+        s_rows.append(v.mul(s_rows[-1], factor))
 
     def payoff(s_rv):
         k = _conv(space, strike)
@@ -146,7 +154,7 @@ def _game_option_barriers(space, params) -> BarrierPair:
             return [max(x - k, 0 * x) for x in s_rv]
         return [max(k - x, 0 * x) for x in s_rv]
 
-    xi_mids = [payoff(s_paths[k]) for k in range(n + 1)]
+    xi_mids = [payoff(s_rows[k]) for k in range(n + 1)]
     xi = from_slots(
         space,
         [list(m) for m in xi_mids],
@@ -418,7 +426,8 @@ def estimate_template(seed: int) -> dict:
 
 def perturb_driver(space: FilteredSpace, g: list, seed: int) -> list:
     """Seeded sigma_mid-measurable perturbation of a process driver, by
-    multiples of 1/32 in [-1/2, 1/2]."""
+    multiples of 1/32 in [-1/2, 1/2]: per-path rows for a per-path ``g``,
+    atom rows for atom rows."""
     rng = random.Random(f"perturb:{seed}")
     out = []
     scale = Fraction(1, 4)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect, spread
+from .prob_space import FilteredSpace, cond_expect, on_paths, spread
 from .processes import (
     LadlagProcess,
     ProcessError,
@@ -76,12 +76,10 @@ def _partition_at(space: FilteredSpace, pos: tuple[int, str]):
 
 
 def _reward_at(barrier: LadlagProcess, pos: tuple[int, str]):
+    """The barrier's slot at a position, one value per path."""
     k, slot = pos
-    if slot == "-":
-        return barrier.minus[k]
-    if slot == "m":
-        return barrier.mid[k]
-    return barrier.plus[k]
+    rows = {"-": barrier.minus_rows, "m": barrier.mid_rows, "+": barrier.plus_rows}[slot]
+    return on_paths(barrier.space, rows[k])
 
 
 # ---------------------------------------------------------------------------
@@ -94,14 +92,14 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
     mid: list = [None] * (n + 1)
     minus: list = [None] * (n + 1)
     plus: list = [None] * n
-    mid[n] = list(barrier.mid[n])
-    minus[n] = v.vmax(barrier.minus[n], mid[n])
+    mid[n] = list(barrier.mid_rows[n])
+    minus[n] = v.vmax(barrier.minus_rows[n], mid[n])
     for k in range(n - 1, -1, -1):
         cont = cond_expect(space, minus[k + 1], space.sigma_mid[k])
-        plus[k] = v.vmax(barrier.plus[k], cont)
+        plus[k] = v.vmax(barrier.plus_rows[k], cont)
         proj = cond_expect(space, plus[k], space.sigma_minus[k])
-        mid[k] = v.vmax(barrier.mid[k], proj)
-        minus[k] = v.vmax(barrier.minus[k], mid[k])
+        mid[k] = v.vmax(barrier.mid_rows[k], proj)
+        minus[k] = v.vmax(barrier.minus_rows[k], mid[k])
     minus[0] = list(mid[0])  # no time before 0
     return from_slots(space, minus, mid, plus)
 
@@ -117,12 +115,12 @@ def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
     """
     y = snell_envelope_slots(barrier)
     n_mart, a, b = mertens_decompose(y)
-    base = n_mart.minus[0]
+    base = n_mart.minus_rows[0]
     shifted = from_slots(
         y.space,
-        [v.sub(n_mart.minus[k], base) for k in range(y.n_steps + 1)],
-        [v.sub(n_mart.mid[k], base) for k in range(y.n_steps + 1)],
-        [v.sub(n_mart.plus[k], base) for k in range(y.n_steps)],
+        [v.sub(n_mart.minus_rows[k], base) for k in range(y.n_steps + 1)],
+        [v.sub(n_mart.mid_rows[k], base) for k in range(y.n_steps + 1)],
+        [v.sub(n_mart.plus_rows[k], base) for k in range(y.n_steps)],
     )
     z, m = orthogonal_decompose(shifted)
     return RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b)
@@ -150,11 +148,11 @@ def mertens_decompose(
     jump_a = [vproc.left_jump(k) for k in range(n + 1)]
     jump_a = [v.smul(-1, j) for j in jump_a]              # dA_k = V_{k^-} - V_k
     jump_b = [
-        v.sub(vproc.mid[k], cond_expect(space, vproc.plus[k], space.sigma_minus[k]))
+        v.sub(vproc.mid_rows[k], cond_expect(space, vproc.plus_rows[k], space.sigma_minus[k]))
         for k in range(n)
     ] + [list(zero)]                                      # dB_k = V_k - pV^+_k
     ivl_a = [
-        v.sub(vproc.plus[k], cond_expect(space, vproc.minus[k + 1], space.sigma_mid[k]))
+        v.sub(vproc.plus_rows[k], cond_expect(space, vproc.minus_rows[k + 1], space.sigma_mid[k]))
         for k in range(n)
     ]
 
@@ -163,7 +161,7 @@ def mertens_decompose(
 
     n_minus, n_mid, n_plus = [], [], []
     for k in range(n + 1):
-        nm = v.add(v.add(vproc.mid[k], a.mid[k]), b.minus[k])
+        nm = v.add(v.add(vproc.mid_rows[k], a.mid_rows[k]), b.minus_rows[k])
         n_minus.append(nm)
         dn = v.add(vproc.right_jump(k), jump_b[k]) if k < n else list(zero)
         n_mid.append(v.add(nm, dn))

@@ -1,29 +1,77 @@
-"""Elementwise helpers for per-path value sequences.
+"""Elementwise helpers for rows: random variables stored once per atom.
 
-A random variable on a finite path space is represented as a plain list with
-one entry per path; entries are ``Fraction`` in rational mode and ``float`` in
-float mode.  Every helper is backend-agnostic.
+A random variable on a finite path space is a *row*: a list with one entry
+per atom of a partition it is measurable for, entries ``Fraction`` in
+rational mode and ``float`` in float mode.  Every partition of the space
+splits the paths into equal runs of consecutive paths (see prob_space.py),
+so a row of length m is constant on blocks of n_paths // m paths, and any two
+row lengths divide one another.  A row with one entry per path is a row too.
+
+The binary helpers align two rows by repeating each entry of the shorter one
+``len(long) // len(short)`` times; ``eq`` is the one row equality.  Every
+helper is backend-agnostic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Sequence
 
 Value = Fraction | float
-RV = list  # list[Value], one entry per path
+RV = list  # list[Value], one entry per atom
+
+
+def expand(row: Sequence, size: int) -> Sequence:
+    """The row on ``size`` atoms: each entry repeated size // len(row) times."""
+    times, rest = divmod(size, len(row))
+    if rest or not times:
+        raise ValueError(f"a row of {len(row)} entries does not align with {size}")
+    if times == 1:
+        return row
+    if times > len(row):
+        return list(chain.from_iterable(map(repeat, row, repeat(times, len(row)))))
+    out = [None] * size  # few copies of a long row: fill one stride at a time
+    for i in range(times):
+        out[i::times] = row
+    return out
+
+
+def align(*rows: Sequence) -> list:
+    """The rows on the atoms of the finest of them."""
+    size = max(map(len, rows))
+    return [expand(r, size) for r in rows]
+
+
+def _pair(a: Sequence, b: Sequence):
+    """``align`` for two rows, without its cost on the hot path of every
+    binary helper."""
+    if len(a) == len(b):
+        return a, b
+    if len(a) < len(b):
+        return expand(a, len(b)), b
+    return a, expand(b, len(a))
+
+
+def eq(a: Sequence, b: Sequence) -> bool:
+    """Equality of two rows as random variables: equal entries once aligned."""
+    a, b = _pair(a, b)
+    return list(a) == list(b)
 
 
 def add(a: Sequence, b: Sequence) -> RV:
-    return [x + y for x, y in zip(a, b, strict=True)]
+    a, b = _pair(a, b)
+    return [x + y for x, y in zip(a, b)]
 
 
 def sub(a: Sequence, b: Sequence) -> RV:
-    return [x - y for x, y in zip(a, b, strict=True)]
+    a, b = _pair(a, b)
+    return [x - y for x, y in zip(a, b)]
 
 
 def mul(a: Sequence, b: Sequence) -> RV:
-    return [x * y for x, y in zip(a, b, strict=True)]
+    a, b = _pair(a, b)
+    return [x * y for x, y in zip(a, b)]
 
 
 def smul(c, a: Sequence) -> RV:
@@ -31,11 +79,13 @@ def smul(c, a: Sequence) -> RV:
 
 
 def vmax(a: Sequence, b: Sequence) -> RV:
-    return [x if x >= y else y for x, y in zip(a, b, strict=True)]
+    a, b = _pair(a, b)
+    return [x if x >= y else y for x, y in zip(a, b)]
 
 
 def vmin(a: Sequence, b: Sequence) -> RV:
-    return [x if x <= y else y for x, y in zip(a, b, strict=True)]
+    a, b = _pair(a, b)
+    return [x if x <= y else y for x, y in zip(a, b)]
 
 
 def pos_part(a: Sequence) -> RV:

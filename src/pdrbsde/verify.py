@@ -10,7 +10,7 @@ one side with a driver of zeros.  Each condition names its worst cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import TYPE_CHECKING
 
 from . import values as v
@@ -59,7 +59,7 @@ def verify_rbsde_solution(
     zero_driver = [barrier.space.zero()] * barrier.n_steps
     tol = _default_tol(barrier, tol)
     return VerificationReport(conditions=(
-        *_side_conditions(zero_driver, q.y, q.z, q.m, sides, tol),
+        *_side_conditions(zero_driver, q.y, q.z, q.m, sides, _checker(q.y, tol)),
         # driver 0 and a lower barrier only: Y is itself a predictable strong
         # supermartingale
         _class_condition(q.y, q.z, q.m, sides, tol, supermartingale=True),
@@ -76,13 +76,14 @@ def verify_drbsde_solution(
         Side(zeta, s.a_prime, s.b_prime, -1, "barrier_sandwich_upper", "_prime", "'"),
     )
     tol = _default_tol(xi, tol)
-    conds = _side_conditions(g, y, s.z, s.m, sides, tol)
+    check = _checker(y, tol)
+    conds = _side_conditions(g, y, s.z, s.m, sides, check)
     for name, p, q in (("A", s.a, s.a_prime), ("B", s.b, s.b_prime)):
         ok = mutually_singular(p, q)
         conds.append(ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0))
     proj = predictable_projection(y)
-    conds.append(condition_from_rows("jump_identities", _jump_identity_rows(y, proj, s), tol))
-    conds.append(condition_from_rows("value_pinching", _pinch_rows(y, proj, xi, zeta), tol))
+    conds.append(check("jump_identities", _jump_identity_rows(y, proj, s)))
+    conds.append(check("value_pinching", _pinch_rows(y, proj, xi, zeta)))
     conds.append(_class_condition(y, s.z, s.m, sides, tol, supermartingale=False))
     return VerificationReport(conditions=tuple(conds))
 
@@ -93,22 +94,26 @@ def _default_tol(barrier: LadlagProcess, tol: float | None) -> float:
     return 0.0 if barrier.space.mode == "rational" else 1e-10
 
 
-def _side_conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
+def _checker(y: LadlagProcess, tol: float):
+    """``condition_from_rows`` for rows of Y's space, held to ``tol``."""
+    return partial(condition_from_rows, tol=tol, n_paths=y.space.n_paths)
+
+
+def _side_conditions(g, y, z, m, sides, check) -> list[ConditionReport]:
     """The clauses every reflected problem shares, in report order; each
     per-side clause is listed once per side.  The barriers agree at T, so
     the first side's gives the terminal value."""
-    n, terminal = y.n_steps, sides[0].barrier.mid[-1]
+    n, terminal = y.n_steps, sides[0].barrier.mid_rows[-1]
     return [
-        condition_from_rows("terminal_value", [(f"instant={n}", v.sub(y.mid[n], terminal))], tol),
-        condition_from_rows("equation_residual", _equation_rows(g, y, z, m, sides), tol),
-        *(condition_from_rows(s.domination, _domination_rows(y, s), tol) for s in sides),
-        *(condition_from_rows(f"skorokhod_interval_A{s.suffix}", _interval_rows(y, s), tol)
+        check("terminal_value", [(f"instant={n}", v.sub(y.mid_rows[n], terminal))]),
+        check("equation_residual", _equation_rows(g, y, z, m, sides)),
+        *(check(s.domination, _domination_rows(y, s)) for s in sides),
+        *(check(f"skorokhod_interval_A{s.suffix}", _interval_rows(y, s)) for s in sides),
+        *(check(f"skorokhod_jump_A{s.suffix}",
+                _jump_rows("jump_A", s.a, y.minus_rows, s.barrier.minus_rows, s.sign))
           for s in sides),
-        *(condition_from_rows(f"skorokhod_jump_A{s.suffix}",
-                              _jump_rows("jump_A", s.a, y.minus, s.barrier.minus, s.sign), tol)
-          for s in sides),
-        *(condition_from_rows(f"skorokhod_jump_B{s.suffix}",
-                              _jump_rows("jump_B", s.b, y.mid, s.barrier.mid, s.sign), tol)
+        *(check(f"skorokhod_jump_B{s.suffix}",
+                _jump_rows("jump_B", s.b, y.mid_rows, s.barrier.mid_rows, s.sign))
           for s in sides),
     ]
 
@@ -141,7 +146,7 @@ def _equation_rows(g, y, z, m, sides):
         res = v.sub(y.right_jump(k), m.left_jump(k))
         res = v.add(res, _net(sides, lambda s: s.b.left_jump(k)))
         yield f"right_jump,instant={k}", res
-        res = v.sub(y.interval_increment(k), v.mul(z[k], space.dw[k]))
+        res = v.sub(y.interval_increment(k), v.mul(z[k], space.dw_rows[k]))
         res = v.add(res, v.smul(space.dt, g[k]))
         res = v.add(res, _net(sides, lambda s: s.a.interval_increment(k)))
         yield f"interval,k={k}", res
@@ -149,13 +154,13 @@ def _equation_rows(g, y, z, m, sides):
 
     tail = space.zero()  # running backward sum of the right-hand side minus Y_N
     for k in range(n, -1, -1):
-        rhs = v.add(y.mid[n], tail)
-        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.a.mid[n], s.a.mid[k])))
-        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.b.minus[n], s.b.minus[k])))
-        rhs = v.sub(rhs, v.sub(m.minus[n], m.minus[k]))
-        yield f"integrated,instant={k}", v.sub(y.mid[k], rhs)
+        rhs = v.add(y.mid_rows[n], tail)
+        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.a.mid_rows[n], s.a.mid_rows[k])))
+        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.b.minus_rows[n], s.b.minus_rows[k])))
+        rhs = v.sub(rhs, v.sub(m.minus_rows[n], m.minus_rows[k]))
+        yield f"integrated,instant={k}", v.sub(y.mid_rows[k], rhs)
         if k > 0:
-            step = v.sub(v.smul(space.dt, g[k - 1]), v.mul(z[k - 1], space.dw[k - 1]))
+            step = v.sub(v.smul(space.dt, g[k - 1]), v.mul(z[k - 1], space.dw_rows[k - 1]))
             tail = v.add(tail, step)
 
 
@@ -168,7 +173,7 @@ def _domination_rows(y, side):
     x, n = side.barrier, y.n_steps
     for k in range(n + 1):
         for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
-            gap = _gap(side.sign, getattr(y, slot)[k], getattr(x, slot)[k])
+            gap = _gap(side.sign, getattr(y, f"{slot}_rows")[k], getattr(x, f"{slot}_rows")[k])
             yield f"{slot},instant={k}", v.neg_part(gap)
 
 
@@ -181,11 +186,11 @@ def _interval_rows(y, side):
     """
     x = side.barrier
     for k in range(y.n_steps):
-        gap_open = _gap(side.sign, y.plus[k], x.plus[k])
-        gap_close = _gap(side.sign, y.minus[k + 1], x.minus[k + 1])
+        gap_open = _gap(side.sign, y.plus_rows[k], x.plus_rows[k])
+        gap_close = _gap(side.sign, y.minus_rows[k + 1], x.minus_rows[k + 1])
         yield f"interval,k={k}", [
             d * min(max(o, 0), max(c, 0))
-            for d, o, c in zip(side.a.interval_increment(k), gap_open, gap_close)
+            for d, o, c in zip(*v.align(side.a.interval_increment(k), gap_open, gap_close))
         ]
 
 
@@ -194,7 +199,7 @@ def _jump_rows(label, proc, y_slot, barrier_slot, sign):
     barrier in the given slot: the minus slot for A, the mid slot for B."""
     for k, (yk, xk) in enumerate(zip(y_slot, barrier_slot)):
         yield f"{label},instant={k}", [
-            d * max(x, 0) for d, x in zip(proc.left_jump(k), _gap(sign, yk, xk))]
+            d * max(x, 0) for d, x in zip(*v.align(proc.left_jump(k), _gap(sign, yk, xk)))]
 
 
 def _jump_identity_rows(y, proj, s):
@@ -204,7 +209,8 @@ def _jump_identity_rows(y, proj, s):
         dy = y.left_jump(k)
         yield f"dA,instant={k}", v.sub(s.a.left_jump(k), v.neg_part(dy))
         yield f"dA',instant={k}", v.sub(s.a_prime.left_jump(k), v.pos_part(dy))
-        gap = v.sub(proj.plus[k], y.mid[k]) if k < n else y.space.zero()  # no B jump at T
+        # no B jump at T
+        gap = v.sub(proj.plus_rows[k], y.mid_rows[k]) if k < n else y.space.zero()
         yield f"dB,instant={k}", v.sub(s.b.left_jump(k), v.neg_part(gap))
         yield f"dB',instant={k}", v.sub(s.b_prime.left_jump(k), v.pos_part(gap))
 
@@ -212,8 +218,8 @@ def _jump_identity_rows(y, proj, s):
 def _pinch_rows(y, proj, xi, zeta):
     """Y = (pY+ v xi) ^ zeta at every instant and path."""
     for k in range(y.n_steps):
-        yield (f"pinch,instant={k}",
-               v.sub(y.mid[k], v.vmin(v.vmax(proj.plus[k], xi.mid[k]), zeta.mid[k])))
+        pinched = v.vmin(v.vmax(proj.plus_rows[k], xi.mid_rows[k]), zeta.mid_rows[k])
+        yield f"pinch,instant={k}", v.sub(y.mid_rows[k], pinched)
 
 
 def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionReport:
@@ -236,7 +242,7 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
     if supermartingale and not is_predictable_strong_supermartingale(y):
         problems.append((1.0, "Y is not a predictable strong supermartingale"))
     br = bracket(m, brownian_process(y.space))
-    dev = condition_from_rows("[M, W]", enumerate(br.mid), tol).max_residual
+    dev = _checker(y, tol)("[M, W]", enumerate(br.mid_rows)).max_residual
     if not dev <= tol:
         problems.append((dev, "[M, W] != 0"))
     worst_dev, where = problems[worst_index([p for p, _ in problems])] if problems else (0.0, None)
@@ -252,7 +258,7 @@ def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> bool:
     """
     return not any(x != 0 and y != 0
                    for dp, dq in zip(_increments(p), _increments(q))
-                   for x, y in zip(dp, dq))
+                   for x, y in zip(*v.align(dp, dq)))
 
 
 def _increments(p: LadlagProcess):

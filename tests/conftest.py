@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pdrbsde.config import config_from_dict
-from pdrbsde.prob_space import build_space
+from pdrbsde.prob_space import build_space, on_paths, spread
 
 
 def make_config(n_steps, t_horizon, marks=(), barriers=None, driver=None,
@@ -59,14 +59,37 @@ def space_8():
 
 
 def rand_on(space, partition, rng, scale=Fraction(2), signed=True):
-    out = space.zero()
-    for atom in partition:
+    """A random row on the partition's atoms."""
+    vals = []
+    for _ in range(len(partition)):
         val = Fraction(rng.randint(-8 if signed else 0, 8), 4) * scale
-        if space.mode == "float":
-            val = float(val)
-        for i in atom:
-            out[i] = val
-    return out
+        vals.append(float(val) if space.mode == "float" else val)
+    return spread(space, partition, vals)
+
+
+def set_cell(proc, slot, k, i, value):
+    """The process with the value of path i in slot row k set to ``value``;
+    that row becomes one value per path, so path i moves alone."""
+    from pdrbsde.processes import from_slots
+
+    rows = {name: list(getattr(proc, f"{name}_rows")) for name in ("minus", "mid", "plus")}
+    row = list(on_paths(proc.space, rows[slot][k]))
+    row[i] = value
+    rows[slot][k] = row
+    return from_slots(proc.space, rows["minus"], rows["mid"], rows["plus"])
+
+
+def move_cells(sol, delta):
+    """The solution with a few Y and A values moved, so that most conditions
+    see nonzero residuals."""
+    from dataclasses import replace
+
+    n, y = sol.y.n_steps, sol.y
+    y = set_cell(y, "mid", 0, 0, y.mid[0][0] + delta)
+    y = set_cell(y, "mid", n // 2, -1, y.mid[n // 2][-1] - delta)
+    y = set_cell(y, "plus", 0, -1, y.plus[0][-1] + delta)
+    a = set_cell(sol.a, "mid", n, 0, sol.a.mid[n][0] + delta)
+    return replace(sol, y=y, a=a)
 
 
 def random_predictable(space, rng, scale=Fraction(2)):
@@ -104,7 +127,7 @@ def random_martingale(space, rng, scale=Fraction(1)):
         if k < n:
             plus.append(list(cur))
             z = rand_on(space, space.sigma_mid[k], rng, scale)
-            cur = v.add(cur, v.mul(z, space.dw[k]))
+            cur = v.add(cur, v.mul(z, space.dw_rows[k]))
             minus.append(list(cur))
     proc = from_slots(space, minus, mid, plus)
     validate_process(proc, "cadlag-martingale")
@@ -148,17 +171,18 @@ def csv_writer_dump(out_dir, sol, g):
             writer = csv.writer(fh)
             writer.writerow(["interval", "path", "value"])
             for k, row in enumerate(rows):
-                for i, val in enumerate(row):
+                for i, val in enumerate(on_paths(sol.y.space, row)):
                     writer.writerow([k, i, fmt(val)])
 
 
-def cell_scan_condition(name, rows, tol):
-    """A condition from one ``(|residual|, label)`` tuple per cell and a flat
+def cell_scan_condition(name, rows, tol, n_paths=None):
+    """A condition from one ``(|residual|, label)`` tuple per path and a flat
     ``max`` over them: the oracle for ``reports.condition_from_rows``."""
+    from pdrbsde import values as v
     from pdrbsde.reports import ConditionReport
 
     cells = [(abs(float(r)), f"{label},path={i}") for label, res in rows
-             for i, r in enumerate(res)]
+             for i, r in enumerate(v.expand(res, n_paths) if n_paths and res else res)]
     if not cells:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
     worst, label = max(cells, key=lambda rc: rc[0])

@@ -74,8 +74,8 @@ def _solve_record(config) -> Record:
         sol, outer = solve_general(sc.driver, sc.barriers, params, tol=1e-12)
         g = outer.frozen_g
     else:
-        sol = solve_driver_process(sc.barriers, sc.g)
-        g = sc.g
+        sol = solve_driver_process(sc.barriers, sc.g_rows)
+        g = sc.g_rows
     xi_t, zeta_t = shift_barriers(sc.barriers, g)
     _, _, trace = picard_coupled(xi_t, zeta_t)
     return Record(config, sc, sol, g, trace, outer=outer)
@@ -169,11 +169,11 @@ def test_criterion_5_apriori_estimate_sweep():
     worst_ratio = 0.0
     for seed in (3, 11):
         sc = realize(config_from_dict(estimate_template(seed)))
-        base = solve_driver_process(sc.barriers, sc.g)
+        base = solve_driver_process(sc.barriers, sc.g_rows)
         for i in range(pairs_per_scenario):
-            g_bar = perturb_driver(sc.space, sc.g, seed=seed * 1000 + i)
+            g_bar = perturb_driver(sc.space, sc.g_rows, seed=seed * 1000 + i)
             sol_bar = solve_driver_process(sc.barriers, g_bar)
-            rep = apriori_estimate_check(base, sol_bar, sc.g, g_bar,
+            rep = apriori_estimate_check(base, sol_bar, sc.g_rows, g_bar,
                                          beta=5.0, eps=0.5, c=2.0)
             if not rep.z_m_holds:
                 violations += 1

@@ -124,11 +124,11 @@ class TestCorollary:
             arithmetic="float", seed=61,
         )
         sc = realize(cfg)
-        s1 = solve_driver_process(sc.barriers, sc.g)
-        g2 = perturb_driver(sc.space, sc.g, seed=99)
+        s1 = solve_driver_process(sc.barriers, sc.g_rows)
+        g2 = perturb_driver(sc.space, sc.g_rows, seed=99)
         s2 = solve_driver_process(sc.barriers, g2)
         space = sc.space
-        gd = [v.sub(sc.g[k], g2[k]) for k in range(2)]
+        gd = [v.sub(sc.g_rows[k], g2[k]) for k in range(2)]
         yd = OptionalSemimartingale(
             space=space,
             x0=v.sub(s1.y.mid[0], s2.y.mid[0]),
@@ -185,9 +185,9 @@ class TestAprioriEstimate:
 
     def test_identical_drivers_give_exact_zero(self):
         sc = realize(self._scenario(arithmetic="rational"))
-        s1 = solve_driver_process(sc.barriers, sc.g)
-        s2 = picard_solution(sc.barriers, sc.g, "gauss-seidel")
-        rep = apriori_estimate_check(s1, s2, sc.g, sc.g, beta=5.0, eps=0.5, c=2.0)
+        s1 = solve_driver_process(sc.barriers, sc.g_rows)
+        s2 = picard_solution(sc.barriers, sc.g_rows, "gauss-seidel")
+        rep = apriori_estimate_check(s1, s2, sc.g_rows, sc.g_rows, beta=5.0, eps=0.5, c=2.0)
         assert rep.z_m_lhs == 0 and rep.y_lhs == 0 and rep.z_m_holds
 
     def test_perturbed_driver_holds_strictly_on_fine_grid(self):
@@ -195,10 +195,10 @@ class TestAprioriEstimate:
         from pdrbsde.scenario import estimate_template
 
         sc = realize(config_from_dict(estimate_template(5)))
-        s1 = solve_driver_process(sc.barriers, sc.g)
-        g2 = perturb_driver(sc.space, sc.g, seed=123)
+        s1 = solve_driver_process(sc.barriers, sc.g_rows)
+        g2 = perturb_driver(sc.space, sc.g_rows, seed=123)
         s2 = solve_driver_process(sc.barriers, g2)
-        rep = apriori_estimate_check(s1, s2, sc.g, g2, beta=5.0, eps=0.5, c=2.0)
+        rep = apriori_estimate_check(s1, s2, sc.g_rows, g2, beta=5.0, eps=0.5, c=2.0)
         assert rep.z_m_holds and rep.z_m_lhs < rep.z_m_rhs
         assert rep.empirical_c >= 0
 
@@ -216,14 +216,14 @@ class TestAprioriEstimate:
         g_bar = [list(gk) for gk in sc.g]
         for i in range(sc.space.n_paths):
             g_bar[1][i] = 1.0 if sc.space.marks[1][i] == "a" else -1.0
-        s1 = solve_driver_process(sc.barriers, sc.g)
+        s1 = solve_driver_process(sc.barriers, sc.g_rows)
         s2 = solve_driver_process(sc.barriers, g_bar)
-        rep = apriori_estimate_check(s1, s2, sc.g, g_bar, beta=5.0, eps=0.5, c=2.0)
+        rep = apriori_estimate_check(s1, s2, sc.g_rows, g_bar, beta=5.0, eps=0.5, c=2.0)
         assert not rep.z_m_holds
         assert rep.z_m_lhs / rep.z_m_rhs == pytest.approx(4.0)  # dt / eps^2
 
     def test_precondition_beta(self):
         sc = realize(self._scenario())
-        s1 = solve_driver_process(sc.barriers, sc.g)
+        s1 = solve_driver_process(sc.barriers, sc.g_rows)
         with pytest.raises(ValueError):
-            apriori_estimate_check(s1, s1, sc.g, sc.g, beta=3.9, eps=0.5, c=2.0)
+            apriori_estimate_check(s1, s1, sc.g_rows, sc.g_rows, beta=3.9, eps=0.5, c=2.0)

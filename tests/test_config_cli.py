@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import make_config
+from conftest import make_config, set_cell
 from pdrbsde.cli import main
 from pdrbsde.config import ConfigError, config_from_dict, load_config
 from pdrbsde.scenario import corpus_templates, estimate_template, generate_corpus, realize
@@ -244,8 +245,8 @@ class TestCliModes:
 
         def moved(scenario):
             sol, g, trace = solve(scenario)
-            sol.y.mid[0][0] += Fraction(1, 10**30)
-            return sol, g, trace
+            y = set_cell(sol.y, "mid", 0, 0, sol.y.mid[0][0] + Fraction(1, 10**30))
+            return replace(sol, y=y), g, trace
 
         monkeypatch.setattr(cli, "_solve_scenario", moved)
         cfg = write_scenario(tmp_path, template_doc(1, seed=13))
@@ -383,6 +384,38 @@ def test_verify_fails_nan_in_float_dump(tmp_path):
     assert failed["barrier_sandwich_lower"] == "mid,instant=1,path=5"
     assert failed["value_pinching"] == "pinch,instant=1,path=5"
     assert math.isnan(report["max_residual"])
+
+
+def test_verify_fails_non_measurable_dumped_component(tmp_path):
+    """A dumped M whose left limit at t_1 differs on one path of an atom of
+    sigma_minus[1] is kept per path by the loader and fails its class; the
+    equation sees the moved cell too."""
+    cfg = generate_corpus(0, 3, tmp_path / "corpus")[2]
+    out = tmp_path / "run"
+    assert main(["--mode", "solve", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / "solution_M.csv"
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    next(r for r in rows[1:] if r[:3] == ["1", "minus", "5"])[3] = "1/3"
+    path.write_text("\n".join(",".join(r) for r in rows) + "\n", encoding="utf-8")
+    assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 4
+    report = json.loads((out / "verify_report.json").read_text())
+    failed = {"equation_residual": (0.3333333333333333, "orthogonal_interval,k=0,path=5"),
+              "component_classes": (1.0, "M: minus[1] not sigma_minus[1]-measurable")}
+    assert report == {
+        "pass": False,
+        "max_residual": 1.0,
+        "conditions": [
+            {"condition": name, "pass": name not in failed,
+             "max_residual": failed.get(name, (0.0, None))[0],
+             "worst_cell": failed.get(name, (0.0, None))[1]}
+            for name in ("terminal_value", "equation_residual", "barrier_sandwich_lower",
+                         "barrier_sandwich_upper", "skorokhod_interval_A",
+                         "skorokhod_interval_A_prime", "skorokhod_jump_A",
+                         "skorokhod_jump_A_prime", "skorokhod_jump_B", "skorokhod_jump_B_prime",
+                         "mutual_singularity_A", "mutual_singularity_B", "jump_identities",
+                         "value_pinching", "component_classes")
+        ],
+    }
 
 
 class TestDeterminism:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_config, rand_on, random_predictable
 from pdrbsde import values as v
+from pdrbsde.prob_space import on_paths
 from pdrbsde.drbsde import (
     BarrierPair,
     DivergenceError,
@@ -110,14 +111,14 @@ class TestShiftBarriers:
                 w = sum(space_8.weights[i] for i in atom)
                 total = sum(
                     space_8.weights[i]
-                    * (xi.mid[-1][i] + dt * sum(g[j][i] for j in range(k, 2)))
+                    * (xi.mid[-1][i] + dt * sum(on_paths(space_8, g[j])[i] for j in range(k, 2)))
                     for i in atom
                 )
                 assert all(x.mid[k][i] == total / w for i in atom)
         xi_t, _ = shift_barriers(BarrierPair(xi=xi, zeta=p_add(
             xi, constant_process(space_8, 0))), g)
         for k in range(3):
-            assert xi_t.mid[k] == v.sub(xi.mid[k], x.mid[k])
+            assert v.eq(xi_t.mid[k], v.sub(xi.mid[k], x.mid[k]))
 
 
 class TestPicard:
@@ -147,7 +148,7 @@ class TestPicard:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            xi_t, zeta_t = shift_barriers(sc.barriers, sc.g)
+            xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
             j, jbar, trace = picard_coupled(xi_t, zeta_t)
             assert trace.converged
             assert trace.monotone_violations == 0
@@ -163,7 +164,7 @@ class TestPicard:
             arithmetic="float", seed=81,
         )
         sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g)
+        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
         _, _, exact = picard_coupled(xi_t, zeta_t, tol=0.0)
         _, _, loose = picard_coupled(xi_t, zeta_t, tol=1e-3)
         assert loose.converged and loose.iterations <= exact.iterations
@@ -179,7 +180,7 @@ class TestPicard:
             seed=77,
         )
         sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g)
+        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
         with pytest.raises(DivergenceError):
             picard_coupled(xi_t, zeta_t, max_iter=1)
 
@@ -235,8 +236,8 @@ class TestAssemble:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            sol = solve_driver_process(sc.barriers, sc.g)
-            rep = verify_drbsde_solution(sc.g, sc.barriers, sol)
+            sol = solve_driver_process(sc.barriers, sc.g_rows)
+            rep = verify_drbsde_solution(sc.g_rows, sc.barriers, sol)
             assert rep.passed, rep.failures()
             assert rep.max_residual == 0
 
@@ -259,14 +260,14 @@ class TestVerifier:
             seed=23,
         )
         sc = realize(cfg)
-        sol = solve_driver_process(sc.barriers, sc.g)
+        sol = solve_driver_process(sc.barriers, sc.g_rows)
         # need a scenario where reflection actually acts somewhere
         assert not (is_zero(sol.a) and is_zero(sol.b) and is_zero(sol.a_prime)
                     and is_zero(sol.b_prime))
         swapped = SolutionSeptuple(y=sol.y, z=sol.z, m=sol.m,
                                    a=sol.a_prime, b=sol.b_prime,
                                    a_prime=sol.a, b_prime=sol.b)
-        rep = verify_drbsde_solution(sc.g, sc.barriers, swapped)
+        rep = verify_drbsde_solution(sc.g_rows, sc.barriers, swapped)
         assert not rep.passed
         failed = set(rep.failures())
         assert failed & {"equation_residual", "skorokhod_jump_A", "skorokhod_jump_B",
@@ -288,11 +289,11 @@ class TestVerifier:
         pair = BarrierPair(xi=xi, zeta=zeta)
         g = [space_2.constant(F(1, 4))]
         sol = solve_driver_process(pair, g)
-        assert sol.y.mid[0] == space_2.constant(F(3, 4))
-        assert sol.y.mid[1] == [F(2), F(-2)]
-        assert sol.y.minus[1] == [F(3), F(-2)]
-        assert sol.z[0] == space_2.constant(F(5, 2))
-        assert sol.a.left_jump(1) == [F(1), F(0)]
+        assert v.eq(sol.y.mid[0], space_2.constant(F(3, 4)))
+        assert v.eq(sol.y.mid[1], [F(2), F(-2)])
+        assert v.eq(sol.y.minus[1], [F(3), F(-2)])
+        assert v.eq(sol.z[0], space_2.constant(F(5, 2)))
+        assert v.eq(sol.a.left_jump(1), [F(1), F(0)])
         for comp in (sol.m, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
         rep = verify_drbsde_solution(g, pair, sol)
@@ -315,17 +316,17 @@ class TestMarkAtTimeZero:
         sc = realize(cfg)
         assert len(sc.space.sigma_mid[0]) == 2 and sc.space.sigma_minus[0] == (
             tuple(range(sc.space.n_paths)),)
-        sol = solve_driver_process(sc.barriers, sc.g)
-        rep = verify_drbsde_solution(sc.g, sc.barriers, sol)
+        sol = solve_driver_process(sc.barriers, sc.g_rows)
+        rep = verify_drbsde_solution(sc.g_rows, sc.barriers, sol)
         assert rep.passed, rep.failures()
         jump0 = sol.m.left_jump(0)
         assert any(x != 0 for x in jump0)
-        assert sum(w * x for w, x in zip(sc.space.weights, jump0)) == 0
+        assert sum(w * x for w, x in zip(sc.space.weights, on_paths(sc.space, jump0))) == 0
 
 
 def _moving_on(space, cells):
     """Process with a unit increment on each (kind, instant, path) cell."""
-    n, step = space.n_steps, space.zero()
+    n, step = space.n_steps, list(on_paths(space, space.zero()))
     minus, mid, plus = [], [], []
     for k in range(n + 1):
         if k:
@@ -382,7 +383,7 @@ class TestMutualSingularity:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            sol = solve_driver_process(sc.barriers, sc.g)
+            sol = solve_driver_process(sc.barriers, sc.g_rows)
             assert mutually_singular(sol.a, sol.a_prime)
             assert mutually_singular(sol.b, sol.b_prime)
 
@@ -422,8 +423,8 @@ class TestMokobodzki:
             seed=37,
         )
         sc = realize(cfg)
-        sol = solve_driver_process(sc.barriers, sc.g)
-        h, hbar = mokobodzki_certificate(sc.barriers, sc.g, solution=sol)
+        sol = solve_driver_process(sc.barriers, sc.g_rows)
+        h, hbar = mokobodzki_certificate(sc.barriers, sc.g_rows, solution=sol)
         for proc in (h, hbar):
             assert is_predictable_strong_supermartingale(proc)
             assert sup_distance(snell_bruteforce(proc), proc) == 0
@@ -449,7 +450,7 @@ class TestMinimality:
             seed=seed,
         )
         sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g)
+        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
         j, jbar, _ = picard_coupled(xi_t, zeta_t)
         return sc, xi_t, zeta_t, j, jbar
 

@@ -28,7 +28,7 @@ from pdrbsde.processes import (
     sup_distance,
     zero_process,
 )
-from pdrbsde.prob_space import expectation
+from pdrbsde.prob_space import expectation, on_paths
 from pdrbsde.scenario import realize
 from pdrbsde.verify import verify_drbsde_solution
 
@@ -50,7 +50,8 @@ class TestNorms:
         beta = 3.0
         dt = float(space_8.t_horizon) / 2
         want = sum(
-            float(space_8.weights[i]) * math.exp(beta * k * dt) * float(phi[k][i]) ** 2 * dt
+            float(space_8.weights[i]) * math.exp(beta * k * dt)
+            * float(on_paths(space_8, phi[k])[i]) ** 2 * dt
             for k in range(2)
             for i in range(space_8.n_paths)
         )

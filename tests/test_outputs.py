@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import cell_scan_condition, csv_writer_dump
+from conftest import cell_scan_condition, csv_writer_dump, move_cells, set_cell
 from pdrbsde import cli, verify
 from pdrbsde.config import config_from_dict
 from pdrbsde.reports import ConditionReport, VerificationReport, condition_from_rows
@@ -24,9 +25,9 @@ def _verify_both_ways(monkeypatch, scenario, g, sol):
     rows = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
     scanned = []
 
-    def oracle(name, rows, tol):
+    def oracle(name, rows, tol, n_paths):
         scanned.append(name)
-        return cell_scan_condition(name, rows, tol)
+        return cell_scan_condition(name, rows, tol, n_paths)
 
     with monkeypatch.context() as m:
         m.setattr(verify, "condition_from_rows", oracle)
@@ -38,20 +39,11 @@ def _verify_both_ways(monkeypatch, scenario, g, sol):
     return rows, cells
 
 
-def _move(sol, delta):
-    """Move a few Y and A values so that most conditions see nonzero residuals."""
-    n = sol.y.n_steps
-    sol.y.mid[0][0] += delta
-    sol.y.mid[n // 2][-1] -= delta
-    sol.y.plus[0][-1] += delta
-    sol.a.mid[n][0] += delta
-
-
 def _check(tmp_path, monkeypatch, scenario, delta):
     sol, g, _ = cli._solve_scenario(scenario)
     for moved in (False, True):
         if moved:
-            _move(sol, delta)
+            sol = move_cells(sol, delta)
         rows, cells = _verify_both_ways(monkeypatch, scenario, g, sol)
         assert rows == cells
         assert rows.to_json() == cells.to_json()
@@ -127,7 +119,7 @@ def test_nan_bracket_deviation_fails_component_classes():
     doc.update(grid={"N": 4, "T": "1/4"}, marks=[dict(doc["marks"][0], instant=2)])
     scenario = realize(config_from_dict(doc))
     sol, g, _ = cli._solve_scenario(scenario)
-    sol.m.mid[2][-1] = NAN
+    sol = replace(sol, m=set_cell(sol.m, "mid", 2, -1, NAN))
     cond = verify.verify_drbsde_solution(g, scenario.barriers, sol).condition("component_classes")
     assert (cond.passed, cond.worst_cell) == (False, "[M, W] != 0")
     assert math.isnan(cond.max_residual)

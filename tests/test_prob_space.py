@@ -4,22 +4,23 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import MARK_HALF, make_config, make_space
+from pdrbsde import values as v
 from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
-    FilteredSpace,
     SpaceError,
     build_space,
     cond_expect,
     expectation,
     is_measurable,
+    on_paths,
     spread,
 )
 from pdrbsde.scenario import estimate_template, generate_corpus
@@ -35,9 +36,14 @@ def refines(fine, coarse) -> bool:
     return all(len({owner[i] for i in atom}) == 1 for atom in fine)
 
 
-def build_space_by_grouping(config) -> FilteredSpace:
+# the per-path view of a space that its oracle rebuilds
+VIEWS = ("mode", "n_steps", "t_horizon", "weights", "dw", "marks", "sigma_minus", "sigma_mid")
+
+
+def build_space_by_grouping(config) -> SimpleNamespace:
     """Oracle for ``build_space``: grow each path as (weight, labels, signs),
-    then group paths by their revealed history and check that the groups nest."""
+    then group paths by their revealed history and check that the groups nest.
+    Returns the space's per-path view."""
     n = config.n_steps
     rational = config.arithmetic == "rational"
     s = _rational_sqrt(config.dt) if rational else math.sqrt(float(config.dt))
@@ -69,7 +75,7 @@ def build_space_by_grouping(config) -> FilteredSpace:
         n_marks = sum(1 for j in range(k + through_mark) if mark_cols[j] is not None)
         return labels[:n_marks], signs[:k]
 
-    space = FilteredSpace(
+    space = SimpleNamespace(
         mode=config.arithmetic,
         n_steps=n,
         t_horizon=config.t_horizon,
@@ -81,7 +87,7 @@ def build_space_by_grouping(config) -> FilteredSpace:
         sigma_minus=tuple(group(lambda i, k=k: history(k, i, 0)) for k in range(n + 1)),
         sigma_mid=tuple(group(lambda i, k=k: history(k, i, 1)) for k in range(n + 1)),
     )
-    assert space.sigma_minus[0] == (tuple(range(space.n_paths)),)
+    assert space.sigma_minus[0] == (tuple(range(len(paths))),)
     for k in range(n + 1):
         assert refines(space.sigma_mid[k], space.sigma_minus[k])
         if k < n:
@@ -125,8 +131,12 @@ def test_build_space_matches_key_grouping(tmp_path, family):
     }[family]()
     for cfg in configs:
         have, want = build_space(cfg), build_space_by_grouping(cfg)
-        for f in fields(FilteredSpace):
-            assert getattr(have, f.name) == getattr(want, f.name), (cfg.name, f.name)
+        for name in VIEWS:
+            assert getattr(have, name) == getattr(want, name), (cfg.name, name)
+        # each atom's weight is the total weight of its paths
+        for part in (*have.sigma_minus, *have.sigma_mid):
+            for w, atom in zip(part.weights, part, strict=True):
+                assert abs(w - sum(want.weights[i] for i in atom)) <= have.slack, cfg.name
         assert_increment_moments(have)
 
 
@@ -199,29 +209,20 @@ class TestCondExpect:
     def test_constant_is_fixed_point(self, space_4):
         x = space_4.constant(7)
         for part in (space_4.sigma_minus[0], space_4.sigma_mid[1]):
-            assert cond_expect(space_4, x, part) == x
+            assert v.eq(cond_expect(space_4, x, part), x)
 
     def test_plain_average(self, space_2):
         out = cond_expect(space_2, [F(2), F(4)], space_2.sigma_minus[0])
-        assert out == [F(3), F(3)]
+        assert on_paths(space_2, out) == (F(3), F(3))
 
     def test_weighted_average_per_atom(self):
         space = make_space(1, 1, marks=[
-            {"instant": 1, "labels": ["a", "b"], "probs": ["1/2", "1/2"]},
+            {"instant": 1, "labels": ["a", "b"], "probs": ["1/3", "2/3"]},
         ])
-        # hand-build a 3-atom view: use explicit partition and weights
-        # weights here are (1/4, 1/4, 1/4, 1/4); emulate the spec case directly
-        part = ((0,), (1, 2))
-        vals = [F(1), F(2), F(3)]
-        weights = [F(1, 2), F(1, 4), F(1, 4)]
-
-        class Tiny:
-            pass
-
-        tiny = Tiny()
-        tiny.weights = weights
-        out = cond_expect(tiny, vals, part)
-        assert out == [F(1), F(5, 2), F(5, 2)]
+        # paths (dW, mark): (+, a), (+, b), (-, a), (-, b)
+        assert space.weights == (F(1, 6), F(1, 3), F(1, 6), F(1, 3))
+        out = cond_expect(space, [F(1), F(2), F(3), F(4)], space.sigma_minus[1])
+        assert on_paths(space, out) == (F(5, 3), F(5, 3), F(11, 3), F(11, 3))
 
     def test_tower_property_exact(self, space_16):
         rng = random.Random(5)
@@ -269,10 +270,10 @@ class TestSpread:
         assert [1 if d > 0 else -1 for d in space.dw[1]] == [1, -1] * 6
         x = spread(space, part, [F(j) for j in range(6)])
         for j, atom in enumerate(part):
-            assert [x[i] for i in atom] == [F(j)] * len(atom)
+            assert [on_paths(space, x)[i] for i in atom] == [F(j)] * len(atom)
             assert len({space.dw[0][i] for i in atom}) == 1
             assert len({space.marks[1][i] for i in atom}) == 1
-        assert x == [F(j // 2) for j in range(space.n_paths)]
+        assert on_paths(space, x) == tuple(F(j // 2) for j in range(space.n_paths))
         assert is_measurable(space, x, part)
         assert not is_measurable(space, x, space.sigma_minus[1])
 

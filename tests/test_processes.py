@@ -186,7 +186,7 @@ class TestItoIntegral:
         ones = [space_8.constant(1) for _ in range(2)]
         w = ito_integral(space_8, ones)
         assert sup_distance(w, brownian_process(space_8)) == 0
-        assert w.mid[2] == [a + b for a, b in zip(space_8.dw[0], space_8.dw[1])]
+        assert w.mid[2] == tuple(a + b for a, b in zip(space_8.dw[0], space_8.dw[1]))
 
     def test_random_integrand_martingale_and_bracket(self, space_16):
         rng = random.Random(21)
@@ -199,7 +199,7 @@ class TestItoIntegral:
             expected = space_16.zero()
             for j in range(k):
                 expected = v.add(expected, v.smul(space_16.dt, z[j]))
-            assert br.mid[k] == expected
+            assert v.eq(br.mid[k], expected)
 
 
 class TestOrthogonalDecompose:
@@ -258,7 +258,7 @@ class TestBracket:
         w = brownian_process(space_16)
         br = bracket(w, w)
         for k in range(space_16.n_steps + 1):
-            assert br.mid[k] == space_16.constant(space_16.time(k))
+            assert v.eq(br.mid[k], space_16.constant(space_16.time(k)))
 
     def test_bracket_with_zero(self, space_8):
         w = brownian_process(space_8)
@@ -302,13 +302,13 @@ class TestRunningSum:
         given = {name: rows[name] for name in moves}
         p = running_sum(space_16, **given)
         zero = space_16.zero()
-        assert p.minus[0] == given.get("start", zero)
+        assert v.eq(p.minus[0], given.get("start", zero))
         for k in range(n + 1):
-            assert p.left_jump(k) == (rows["left"][k] if "left" in given else zero)
+            assert v.eq(p.left_jump(k), rows["left"][k] if "left" in given else zero)
         for k in range(n):
-            assert p.right_jump(k) == (rows["right"][k] if "right" in given else zero)
-            assert p.interval_increment(k) == (
-                rows["interval"][k] if "interval" in given else zero)
+            assert v.eq(p.right_jump(k), rows["right"][k] if "right" in given else zero)
+            assert v.eq(p.interval_increment(k),
+                        rows["interval"][k] if "interval" in given else zero)
 
 
 class TestClassValidation:

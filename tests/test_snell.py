@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARK_HALF, make_space, rand_on, random_predictable
+from conftest import MARK_HALF, make_space, rand_on, random_predictable, set_cell
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
+from pdrbsde.prob_space import on_paths, spread
 from pdrbsde.processes import (
     constant_process,
     from_cadlag_sequence,
@@ -54,7 +56,7 @@ class TestPreOperator:
         q = pre_operator(xi)
         # max over remaining instants: (3, 3, 2)
         for k, want in enumerate((3, 3, 2)):
-            assert q.y.mid[k] == space_8.constant(want)
+            assert v.eq(q.y.mid[k], space_8.constant(want))
 
     def test_two_step_random_barrier_frozen_oracle(self):
         """Values computed independently with the stopping-rule enumeration
@@ -64,7 +66,7 @@ class TestPreOperator:
         rng = random.Random(101)
         xi = random_predictable(space, rng)
         q = pre_operator(xi)
-        assert q.y.mid[0] == space.constant(3)
+        assert v.eq(q.y.mid[0], space.constant(3))
         assert [str(x) for x in q.y.mid[1]] == ["2"] * 4 + ["3"] * 4
         assert q.y.mid[2] == xi.mid[2]
         assert [str(x) for x in q.y.plus[1]] == ["2"] * 4 + ["13/4", "13/4", "5/4", "5/4"]
@@ -160,12 +162,7 @@ def _barrier_from_ints(space, nums) -> "LadlagProcess":
     it = iter(nums)
 
     def draw(partition):
-        out = space.zero()
-        for atom in partition:
-            val = Fraction(next(it), 2)
-            for i in atom:
-                out[i] = val
-        return out
+        return spread(space, partition, [Fraction(next(it), 2) for _ in range(len(partition))])
 
     mid = [draw(space.sigma_minus[0]), draw(space.sigma_minus[1])]
     minus = [list(mid[0]), draw(space.sigma_minus[1])]
@@ -222,8 +219,9 @@ class TestGridRecursionComparison:
             y = snell_envelope_slots(from_cadlag_sequence(space, mids))
             grid_only = self._grid_only(space, mids)
             for k in range(3):
-                assert all(a >= b for a, b in zip(y.mid[k], grid_only[k]))
-            if any(a > b for k in range(3) for a, b in zip(y.mid[k], grid_only[k])):
+                assert all(a >= b for a, b in zip(y.mid[k], on_paths(space, grid_only[k])))
+            if any(a > b for k in range(3)
+                   for a, b in zip(y.mid[k], on_paths(space, grid_only[k]))):
                 saw_strict = True
         assert saw_strict
 
@@ -237,7 +235,7 @@ class TestGridRecursionComparison:
             y = snell_envelope_slots(from_cadlag_sequence(space, mids))
             grid_only = self._grid_only(space, mids)
             for k in range(3):
-                assert y.mid[k] == grid_only[k]
+                assert v.eq(y.mid[k], grid_only[k])
 
 
 class TestMertens:
@@ -268,9 +266,9 @@ class TestMertens:
         vproc = from_cadlag_sequence(space_8, [space_8.constant(c) for c in (5, 3, 2)])
         nart, a, b = mertens_decompose(vproc)
         assert is_zero(b)
-        assert a.mid[1] == space_8.constant(2) and a.mid[2] == space_8.constant(3)
+        assert v.eq(a.mid[1], space_8.constant(2)) and v.eq(a.mid[2], space_8.constant(3))
         for k in range(3):
-            assert nart.mid[k] == space_8.constant(5)
+            assert v.eq(nart.mid[k], space_8.constant(5))
 
     def test_matches_pre_operator_extraction_and_unique(self, space_16):
         rng = random.Random(33)
@@ -282,7 +280,7 @@ class TestMertens:
         # V = N_{.-} - A - B_{.-} slot for slot
         for k in range(3):
             lhs = v.sub(v.sub(nart.minus[k], a.mid[k]), b.minus[k])
-            assert lhs == q.y.mid[k]
+            assert v.eq(lhs, q.y.mid[k])
         # re-decomposition returns identical parts
         nart2, a2, b2 = mertens_decompose(q.y)
         assert sup_distance(nart, nart2) == 0
@@ -346,9 +344,8 @@ def test_one_barrier_clauses_match_two_barrier_clauses(mode, moved):
     pair = BarrierPair(xi=xi, zeta=from_slots(space, q.y.minus, q.y.mid, q.y.plus))
     if moved:  # Y lifted off the barrier everywhere, and one cell moved further
         delta = F(1, 7) if mode == "rational" else 1 / 7
-        for row in (*q.y.minus, *q.y.mid, *q.y.plus):
-            row[:] = [x + delta for x in row]
-        q.y.mid[1][0] += delta
+        lifted = p_add(q.y, constant_process(space, delta))
+        q = replace(q, y=set_cell(lifted, "mid", 1, 0, lifted.mid[1][0] + delta))
     septuple = SolutionSeptuple(
         y=q.y, z=q.z, m=q.m, a=q.a, b=q.b,
         a_prime=zero_process(space),
