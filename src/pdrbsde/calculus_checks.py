@@ -187,7 +187,7 @@ def galchouk_lenglart_check(
 
     def points(st) -> list:
         """The components' joint values, one point per atom of the finest."""
-        return list(zip(*v.align(*st)))
+        return list(v.pairs(*st))
 
     def fval(st) -> list:
         return [f(p) for p in points(st)]
@@ -310,12 +310,12 @@ def corollary_expansion(
     wminus, _, wplus = wproc.states()
     yminus, _, yplus = y.states()
     for k in range(1, n + 1):
-        before = list(zip(*v.align(wplus[k - 1], yplus[k - 1])))
+        before = list(v.pairs(wplus[k - 1], yplus[k - 1]))
         gw = [grad_w(p) for p in before]
         gy = [grad_y(p) for p in before]
         run_drift = v.add(run_drift, v.mul(gw, wproc.a_interval[k - 1]))
         run_a = v.add(run_a, v.mul(gy, y.a_interval[k - 1]))
-        gy2 = [grad_y(p) for p in zip(*v.align(wminus[k], yminus[k]))]
+        gy2 = [grad_y(p) for p in v.pairs(wminus[k], yminus[k])]
         run_a = v.add(run_a, v.mul(gy2, y.a_jump[k]))
         drift.append(list(run_drift))
         a_int.append(list(run_a))

@@ -85,12 +85,12 @@ class BarrierPair:
         n, n_paths = self.xi.n_steps, self.xi.space.n_paths
         for k in range(n + 1):
             for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
-                lower, upper = v.align(getattr(self.xi, f"{slot}_rows")[k],
-                                       getattr(self.zeta, f"{slot}_rows")[k])
-                j = next((j for j, (a, b) in enumerate(zip(lower, upper)) if a > b), None)
+                cells = list(v.pairs(getattr(self.xi, f"{slot}_rows")[k],
+                                     getattr(self.zeta, f"{slot}_rows")[k]))
+                j = next((j for j, (a, b) in enumerate(cells) if a > b), None)
                 if j is not None:
                     raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, "
-                                       f"path={j * n_paths // len(lower)}")
+                                       f"path={j * n_paths // len(cells)}")
         if not v.eq(self.xi.mid_rows[n], self.zeta.mid_rows[n]):
             raise ProcessError("barriers must coincide at the terminal instant")
 
@@ -190,7 +190,7 @@ def picard_coupled(
     if any(abs(x) > slack for x in (*xi_t.mid_rows[n], *zeta_t.mid_rows[n])):
         raise ProcessError("shifted barriers must vanish at the terminal instant")
     for k in range(n + 1):
-        if any(a > b + slack for a, b in zip(*v.align(xi_t.mid_rows[k], zeta_t.mid_rows[k]))):
+        if any(a > b + slack for a, b in v.pairs(xi_t.mid_rows[k], zeta_t.mid_rows[k])):
             raise ProcessError(f"shifted barriers out of order at instant {k}")
     if max_iter is None:
         max_iter = 10 * max(1, n) * space.n_paths
@@ -457,9 +457,9 @@ def minimality_check(
             raise ProcessError(f"{label} is not nonnegative")
     diff = p_sub(h, hbar)
     for k in range(space.n_steps + 1):
-        if any(x - d > tol for d, x in zip(*v.align(diff.mid_rows[k], xi_t.mid_rows[k]))):
+        if any(x - d > tol for d, x in v.pairs(diff.mid_rows[k], xi_t.mid_rows[k])):
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
-        if any(d - z > tol for d, z in zip(*v.align(diff.mid_rows[k], zeta_t.mid_rows[k]))):
+        if any(d - z > tol for d, z in v.pairs(diff.mid_rows[k], zeta_t.mid_rows[k])):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
     return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
 

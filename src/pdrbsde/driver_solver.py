@@ -43,7 +43,7 @@ class LipschitzDriver:
         for k in range(space.n_steps):
             t = space.time(k)
             out.append([self.evaluate(k, t, y, zz)
-                        for y, zz in zip(*v.align(u.mid_rows[k], z[k]))])
+                        for y, zz in v.pairs(u.mid_rows[k], z[k])])
         return out
 
     def probe_lipschitz(self, space: FilteredSpace, seed: int = 0) -> float:
@@ -123,14 +123,10 @@ def beta_norm_s2p(xi: LadlagProcess, beta: float) -> float:
     stopping times is the pathwise maximum over mid slots, taken on the atoms
     of the finest of them."""
     space = xi.space
-    mids = v.align(*xi.mid_rows)
     weighted = [[e * float(x) ** 2 for x in row]
                 for e, row in zip((math.exp(beta * space.time_float(k))
-                                   for k in range(space.n_steps + 1)), mids)]
-    out = 0.0
-    for w, best in zip(space.partition_of(mids[0]).weights, map(max, *weighted)):
-        out += float(w) * best
-    return out
+                                   for k in range(space.n_steps + 1)), v.align(*xi.mid_rows))]
+    return float(expectation(space, list(map(max, *weighted))))
 
 
 def beta_norm_m2(m: LadlagProcess, beta: float) -> float:

@@ -125,7 +125,10 @@ def from_cadlag_sequence(space, mids: Sequence) -> LadlagProcess:
     up as a left jump at each instant and intervals carry no variation.
     """
     n = space.n_steps
-    return from_slots(space, [mids[0], *mids[:n]], mids[:n + 1], mids[:n])
+    mid = [list(mids[k]) for k in range(n + 1)]
+    minus = [list(mids[0])] + [list(mids[k - 1]) for k in range(1, n + 1)]
+    plus = [list(mids[k]) for k in range(n)]
+    return from_slots(space, minus, mid, plus)
 
 
 def constant_process(space, value) -> LadlagProcess:
@@ -337,14 +340,14 @@ def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:
         if not is_measurable(space, y.mid_rows[k], space.sigma_minus[k]):
             return False
     for k in range(n + 1):
-        if any(a < b - tol for a, b in zip(*v.align(y.minus_rows[k], y.mid_rows[k]))):
+        if any(a < b - tol for a, b in v.pairs(y.minus_rows[k], y.mid_rows[k])):
             return False
     for k in range(n):
         p_proj = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
-        if any(a < b - tol for a, b in zip(*v.align(y.mid_rows[k], p_proj))):
+        if any(a < b - tol for a, b in v.pairs(y.mid_rows[k], p_proj)):
             return False
         cont = cond_expect(space, y.minus_rows[k + 1], space.sigma_mid[k])
-        if any(a < b - tol for a, b in zip(*v.align(y.plus_rows[k], cont))):
+        if any(a < b - tol for a, b in v.pairs(y.plus_rows[k], cont)):
             return False
     return True
 

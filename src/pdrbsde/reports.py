@@ -66,10 +66,9 @@ def worst_index(mags: list) -> int:
     return mags.index(max(mags))
 
 
-def condition_from_rows(name: str, rows, tol: float, n_paths: int | None = None
-                        ) -> ConditionReport:
+def condition_from_rows(name: str, rows, tol: float, n_paths: int) -> ConditionReport:
     """Build a condition from ``(label, residuals)`` rows, each a row of a
-    space of ``n_paths`` paths (one residual per path if ``n_paths`` is None).
+    space of ``n_paths`` paths.
 
     The worst cell is the first NaN ``|residual|``, else the first largest,
     named ``label,path=i`` by the first path i of its atom.  A NaN fails the
@@ -80,7 +79,7 @@ def condition_from_rows(name: str, rows, tol: float, n_paths: int | None = None
         mags = list(map(abs, map(float, res)))
         if mags:
             j = worst_index(mags)
-            row_worst.append((mags[j], label, j if n_paths is None else j * n_paths // len(mags)))
+            row_worst.append((mags[j], label, j * n_paths // len(mags)))
     if not row_worst:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
     top, label, i = row_worst[worst_index([r[0] for r in row_worst])]

@@ -8,8 +8,8 @@ so a row of length m is constant on blocks of n_paths // m paths, and any two
 row lengths divide one another.  A row with one entry per path is a row too.
 
 The binary helpers align two rows by repeating each entry of the shorter one
-``len(long) // len(short)`` times; ``eq`` is the one row equality.  Every
-helper is backend-agnostic.
+``len(long) // len(short)`` times; ``pairs`` walks rows together that way,
+and ``eq`` is the one row equality.  Every helper is backend-agnostic.
 """
 
 from __future__ import annotations
@@ -29,9 +29,12 @@ def expand(row: Sequence, size: int) -> Sequence:
         raise ValueError(f"a row of {len(row)} entries does not align with {size}")
     if times == 1:
         return row
+    # Two ways to build the same list, each the fast one for its shape: a
+    # 256-entry row doubled takes 3 us by strides and 40 us by repeat, one
+    # entry made 512 takes 5 us by repeat and 39 us by strides.
     if times > len(row):
         return list(chain.from_iterable(map(repeat, row, repeat(times, len(row)))))
-    out = [None] * size  # few copies of a long row: fill one stride at a time
+    out = [None] * size
     for i in range(times):
         out[i::times] = row
     return out
@@ -40,38 +43,31 @@ def expand(row: Sequence, size: int) -> Sequence:
 def align(*rows: Sequence) -> list:
     """The rows on the atoms of the finest of them."""
     size = max(map(len, rows))
-    return [expand(r, size) for r in rows]
+    return [r if len(r) == size else expand(r, size) for r in rows]
 
 
-def _pair(a: Sequence, b: Sequence):
-    """``align`` for two rows, without its cost on the hot path of every
-    binary helper."""
-    if len(a) == len(b):
-        return a, b
-    if len(a) < len(b):
-        return expand(a, len(b)), b
-    return a, expand(b, len(a))
+def pairs(*rows: Sequence):
+    """The rows' entries side by side, one tuple per atom of the finest row:
+    the one way to walk two or more rows together."""
+    return zip(*align(*rows), strict=True)
 
 
 def eq(a: Sequence, b: Sequence) -> bool:
     """Equality of two rows as random variables: equal entries once aligned."""
-    a, b = _pair(a, b)
+    a, b = align(a, b)
     return list(a) == list(b)
 
 
 def add(a: Sequence, b: Sequence) -> RV:
-    a, b = _pair(a, b)
-    return [x + y for x, y in zip(a, b)]
+    return [x + y for x, y in pairs(a, b)]
 
 
 def sub(a: Sequence, b: Sequence) -> RV:
-    a, b = _pair(a, b)
-    return [x - y for x, y in zip(a, b)]
+    return [x - y for x, y in pairs(a, b)]
 
 
 def mul(a: Sequence, b: Sequence) -> RV:
-    a, b = _pair(a, b)
-    return [x * y for x, y in zip(a, b)]
+    return [x * y for x, y in pairs(a, b)]
 
 
 def smul(c, a: Sequence) -> RV:
@@ -79,13 +75,11 @@ def smul(c, a: Sequence) -> RV:
 
 
 def vmax(a: Sequence, b: Sequence) -> RV:
-    a, b = _pair(a, b)
-    return [x if x >= y else y for x, y in zip(a, b)]
+    return [x if x >= y else y for x, y in pairs(a, b)]
 
 
 def vmin(a: Sequence, b: Sequence) -> RV:
-    a, b = _pair(a, b)
-    return [x if x <= y else y for x, y in zip(a, b)]
+    return [x if x <= y else y for x, y in pairs(a, b)]
 
 
 def pos_part(a: Sequence) -> RV:

@@ -190,7 +190,7 @@ def _interval_rows(y, side):
         gap_close = _gap(side.sign, y.minus_rows[k + 1], x.minus_rows[k + 1])
         yield f"interval,k={k}", [
             d * min(max(o, 0), max(c, 0))
-            for d, o, c in zip(*v.align(side.a.interval_increment(k), gap_open, gap_close))
+            for d, o, c in v.pairs(side.a.interval_increment(k), gap_open, gap_close)
         ]
 
 
@@ -199,7 +199,7 @@ def _jump_rows(label, proc, y_slot, barrier_slot, sign):
     barrier in the given slot: the minus slot for A, the mid slot for B."""
     for k, (yk, xk) in enumerate(zip(y_slot, barrier_slot)):
         yield f"{label},instant={k}", [
-            d * max(x, 0) for d, x in zip(*v.align(proc.left_jump(k), _gap(sign, yk, xk)))]
+            d * max(x, 0) for d, x in v.pairs(proc.left_jump(k), _gap(sign, yk, xk))]
 
 
 def _jump_identity_rows(y, proj, s):
@@ -258,7 +258,7 @@ def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> bool:
     """
     return not any(x != 0 and y != 0
                    for dp, dq in zip(_increments(p), _increments(q))
-                   for x, y in zip(*v.align(dp, dq)))
+                   for x, y in v.pairs(dp, dq))
 
 
 def _increments(p: LadlagProcess):

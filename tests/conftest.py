@@ -175,14 +175,14 @@ def csv_writer_dump(out_dir, sol, g):
                     writer.writerow([k, i, fmt(val)])
 
 
-def cell_scan_condition(name, rows, tol, n_paths=None):
+def cell_scan_condition(name, rows, tol, n_paths):
     """A condition from one ``(|residual|, label)`` tuple per path and a flat
     ``max`` over them: the oracle for ``reports.condition_from_rows``."""
     from pdrbsde import values as v
     from pdrbsde.reports import ConditionReport
 
     cells = [(abs(float(r)), f"{label},path={i}") for label, res in rows
-             for i, r in enumerate(v.expand(res, n_paths) if n_paths and res else res)]
+             for i, r in enumerate(v.expand(res, n_paths) if res else res)]
     if not cells:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
     worst, label = max(cells, key=lambda rc: rc[0])

@@ -79,20 +79,20 @@ def test_float_scenario_matches_per_cell_code(tmp_path, monkeypatch):
 
 def test_ties_report_the_first_cell():
     rows = [("a", [Fraction(1), Fraction(-3), Fraction(3)]), ("b", [3.0]),
-            ("c", [Fraction(0), -3.0])]
-    cond = condition_from_rows("tie", rows, 0)
-    assert cond == cell_scan_condition("tie", rows, 0)
+            ("c", [Fraction(0), -3.0, 0.0])]
+    cond = condition_from_rows("tie", rows, 0, 3)
+    assert cond == cell_scan_condition("tie", rows, 0, 3)
     assert (cond.worst_cell, cond.max_residual, cond.passed) == ("a,path=1", 3.0, False)
     later = [("a", [1.0]), ("b", [2.0, 0.5, 2.0])]
-    assert condition_from_rows("tie", later, 2.0).worst_cell == "b,path=0"
-    assert condition_from_rows("tie", later, 2.0).passed
+    assert condition_from_rows("tie", later, 2.0, 3).worst_cell == "b,path=0"
+    assert condition_from_rows("tie", later, 2.0, 3).passed
 
 
 @pytest.mark.parametrize("rows", [[], [("a", [])], [("a", [0.0, -0.0]), ("b", [Fraction(0)])]],
                          ids=["no_rows", "empty_row", "zeros"])
 def test_all_zero_has_no_worst_cell(rows):
-    cond = condition_from_rows("zero", rows, 0)
-    assert cond == cell_scan_condition("zero", rows, 0)
+    cond = condition_from_rows("zero", rows, 0, 2)
+    assert cond == cell_scan_condition("zero", rows, 0, 2)
     assert (cond.passed, cond.max_residual, cond.worst_cell) == (True, 0.0, None)
 
 
@@ -107,7 +107,7 @@ NAN = float("nan")
 ], ids=["first_cell", "after_zero", "later_in_row", "later_row"])
 def test_nan_residual_fails_its_condition(rows, cell):
     """A NaN never compares greater, yet it is the worst cell wherever it sits."""
-    cond = condition_from_rows("nan", rows, 1e-10)
+    cond = condition_from_rows("nan", rows, 1e-10, len(rows[0][1]))
     assert (cond.passed, cond.worst_cell) == (False, cell)
     assert math.isnan(cond.max_residual)
     report = VerificationReport((ConditionReport("ok", True, 3.0), cond))
