@@ -19,8 +19,8 @@ from typing import Sequence
 from . import values as v
 from .drbsde import SolutionSeptuple
 from .driver_solver import beta_norm_h2, beta_norm_m2, beta_norm_s2p, check_beta
-from .prob_space import FilteredSpace
-from .processes import LadlagProcess, ProcessError, p_sub, running_sum
+from .prob_space import FilteredSpace, cond_expect, is_measurable
+from .processes import ProcessError, p_sub, running_sum
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +39,7 @@ class Polynomial:
         items = tuple(sorted((tuple(e), c) for e, c in coeffs.items() if c != 0))
         return Polynomial(n_vars=n_vars, coeffs=items)
 
-    def __call__(self, point: Sequence):
+    def __call__(self, *point):
         total = 0
         for expo, c in self.coeffs:
             term = c
@@ -87,10 +87,8 @@ class OptionalSemimartingale:
     b_jump: tuple       # length N (right jumps at instants 0..N-1)
 
     def validate(self) -> None:
-        from .prob_space import cond_expect, is_measurable
-
         space, n = self.space, self.space.n_steps
-        if any(x != 0 for x in self.a_jump[0]):
+        if v.any_nonzero(self.a_jump[0]):
             raise ProcessError("A_0 = 0 forces a vanishing left jump at instant 0")
         tol = space.slack
         for k in range(n):
@@ -109,21 +107,18 @@ class OptionalSemimartingale:
     # state trajectories ------------------------------------------------
 
     def states(self) -> tuple[tuple, tuple, tuple]:
-        """(minus, mid, plus) slot values of the reconstructed process."""
-        p = self.as_process()
-        return p.minus_rows, p.mid_rows, p.plus_rows
-
-    def as_process(self) -> LadlagProcess:
-        """A's left jumps, then the right jumps of B + M, then the interval
-        parts of M and A, summed from X_0 in time order."""
+        """(minus, mid, plus) slot rows of the process: A's left jumps, then
+        the right jumps of B + M, then the interval parts of M and A, summed
+        from X_0 in time order."""
         n = self.space.n_steps
-        return running_sum(
+        p = running_sum(
             self.space,
             left=self.a_jump,
             right=[v.add(self.m_jump[k], self.b_jump[k]) for k in range(n)],
             interval=[v.add(self.m_interval[k], self.a_interval[k]) for k in range(n)],
             start=self.x0,
         )
+        return p.slots
 
 
 def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> OptionalSemimartingale:
@@ -185,15 +180,21 @@ def galchouk_lenglart_check(
     def state(slot: int, k: int) -> list:
         return [s[slot][k] for s in slots]  # list over components of RVs
 
-    def points(st) -> list:
-        """The components' joint values, one point per atom of the finest."""
-        return list(v.pairs(*st))
-
-    def fval(st) -> list:
-        return [f(p) for p in points(st)]
-
-    def term_accumulate(acc, vals):
-        return v.add(acc, vals)
+    def transition(pre, moves, totals, parts):
+        """Move the state ``pre`` by ``moves``, one row per component.  Each
+        first-order total gains the gradient at ``pre`` against its parts of
+        the move; returns the new totals and the second-order correction
+        F(post) - F(pre) minus the gradient against the whole move."""
+        grad_vals = [v.apply(g, *pre) for g in grads]
+        new_totals = []
+        for total, rows in zip(totals, parts):
+            for gv, row in zip(grad_vals, rows):
+                total = v.add(total, v.mul(gv, row))
+            new_totals.append(total)
+        corr = v.sub(v.apply(f, *map(v.add, pre, moves)), v.apply(f, *pre))
+        for gv, move in zip(grad_vals, moves):
+            corr = v.sub(corr, v.mul(gv, move))
+        return new_totals, corr
 
     zero = space.zero()
     t1, t2, t4, t5 = (list(zero) for _ in range(4))
@@ -201,23 +202,16 @@ def galchouk_lenglart_check(
     lhs_series, rhs_series = [], []
     terms_series = {name: [] for name in ("dA_integral", "dBM_integral", "bracket",
                                           "left_jump_sum", "right_jump_sum")}
-    f0 = fval(state(1, 0))
+    f0 = v.apply(f, *state(1, 0))
 
     for k in range(n + 1):
         # left jump at k (skipped at k = 0: there is no time before 0)
         if k > 0:
-            pre = state(0, k)
-            grad_vals = [[g(p) for p in points(pre)] for g in grads]
-            total_jump = [comp.a_jump[k] for comp in components]
-            for c_idx in range(len(components)):
-                t1 = term_accumulate(t1, v.mul(grad_vals[c_idx], total_jump[c_idx]))
-            post = [v.add(pre[c], total_jump[c]) for c in range(len(components))]
-            corr = v.sub(fval(post), fval(pre))
-            for c_idx in range(len(components)):
-                corr = v.sub(corr, v.mul(grad_vals[c_idx], total_jump[c_idx]))
-            t4 = term_accumulate(t4, corr)
+            a_jumps = [c.a_jump[k] for c in components]
+            (t1,), corr = transition(state(0, k), a_jumps, [t1], [a_jumps])
+            t4 = v.add(t4, corr)
 
-        lhs_series.append(v.sub(fval(state(1, k)), f0))
+        lhs_series.append(v.sub(v.apply(f, *state(1, k)), f0))
         rhs_series.append(v.add(v.add(t1, t2), v.add(t3, v.add(t4, t5))))
         for name, acc in zip(terms_series, (t1, t2, t3, t4, t5)):
             terms_series[name].append(list(acc))
@@ -226,34 +220,18 @@ def galchouk_lenglart_check(
             break
 
         # right jump at k
-        pre = state(1, k)
-        grad_vals = [[g(p) for p in points(pre)] for g in grads]
-        jumps = [v.add(comp.b_jump[k], comp.m_jump[k]) for comp in components]
-        for c_idx in range(len(components)):
-            t2 = term_accumulate(t2, v.mul(grad_vals[c_idx], jumps[c_idx]))
-        post = [v.add(pre[c], jumps[c]) for c in range(len(components))]
-        corr = v.sub(fval(post), fval(pre))
-        for c_idx in range(len(components)):
-            corr = v.sub(corr, v.mul(grad_vals[c_idx], jumps[c_idx]))
-        t5 = term_accumulate(t5, corr)
+        jumps = [v.add(c.b_jump[k], c.m_jump[k]) for c in components]
+        (t2,), corr = transition(state(1, k), jumps, [t2], [jumps])
+        t5 = v.add(t5, corr)
 
         # interval transition (t_k, t_{k+1})
-        pre = state(2, k)
-        grad_vals = [[g(p) for p in points(pre)] for g in grads]
-        incs = [v.add(comp.m_interval[k], comp.a_interval[k]) for comp in components]
-        for c_idx, comp in enumerate(components):
-            t1 = term_accumulate(t1, v.mul(grad_vals[c_idx], comp.a_interval[k]))
-            t2 = term_accumulate(t2, v.mul(grad_vals[c_idx], comp.m_interval[k]))
-        post = [v.add(pre[c], incs[c]) for c in range(len(components))]
-        corr = v.sub(fval(post), fval(pre))
-        for c_idx in range(len(components)):
-            corr = v.sub(corr, v.mul(grad_vals[c_idx], incs[c_idx]))
-        t5 = term_accumulate(t5, corr)
+        incs = [v.add(c.m_interval[k], c.a_interval[k]) for c in components]
+        (t1, t2), corr = transition(state(2, k), incs, [t1, t2],
+                                    [[c.a_interval[k] for c in components],
+                                     [c.m_interval[k] for c in components]])
+        t5 = v.add(t5, corr)
 
-    dev = max(
-        (abs(float(x)) for lh, rh in zip(lhs_series, rhs_series) for x in v.sub(lh, rh)),
-        default=0.0,
-    )
+    dev = v.max_magnitude(map(v.sub, lhs_series, rhs_series))
     return ChangeOfVariablesReport(
         lhs=lhs_series, rhs=rhs_series, terms=terms_series, max_deviation=dev
     )
@@ -292,11 +270,10 @@ def corollary_expansion(
     if weights is None:
         if beta is None:
             raise ValueError("need beta or explicit weights")
-        weights = [math.exp(beta * space.time_float(k)) for k in range(n + 1)]
-        if space.mode == "rational":
-            weights = [Fraction(w).limit_denominator(10**9) for w in weights]
+        weights = [space.backend.approx(math.exp(beta * space.time_float(k)))
+                   for k in range(n + 1)]
     wproc = semimartingale_from_weights(space, weights)
-    f = Polynomial.from_dict(2, {(1, 2): _one(space)})
+    f = Polynomial.from_dict(2, {(1, 2): space.backend.number(1)})
     report = galchouk_lenglart_check([wproc, y], f)
 
     # Regroup: the weight component's dA share is the drift term; the Y
@@ -310,12 +287,11 @@ def corollary_expansion(
     wminus, _, wplus = wproc.states()
     yminus, _, yplus = y.states()
     for k in range(1, n + 1):
-        before = list(v.pairs(wplus[k - 1], yplus[k - 1]))
-        gw = [grad_w(p) for p in before]
-        gy = [grad_y(p) for p in before]
+        gw = v.apply(grad_w, wplus[k - 1], yplus[k - 1])
+        gy = v.apply(grad_y, wplus[k - 1], yplus[k - 1])
         run_drift = v.add(run_drift, v.mul(gw, wproc.a_interval[k - 1]))
         run_a = v.add(run_a, v.mul(gy, y.a_interval[k - 1]))
-        gy2 = [grad_y(p) for p in v.pairs(wminus[k], yminus[k])]
+        gy2 = v.apply(grad_y, wminus[k], yminus[k])
         run_a = v.add(run_a, v.mul(gy2, y.a_jump[k]))
         drift.append(list(run_drift))
         a_int.append(list(run_a))
@@ -329,18 +305,11 @@ def corollary_expansion(
         "right_jump_sum": report.terms["right_jump_sum"],
     }
     # drift + A_integral must equal the full dA integral of the two components
-    recheck = max(
-        abs(float(x))
-        for k in range(n + 1)
-        for x in v.sub(v.add(terms["drift"][k], terms["A_integral"][k]),
-                       report.terms["dA_integral"][k])
-    )
+    recheck = v.max_magnitude(
+        v.sub(v.add(terms["drift"][k], terms["A_integral"][k]), report.terms["dA_integral"][k])
+        for k in range(n + 1))
     dev = max(report.max_deviation, recheck)
     return WeightedSquareReport(terms=terms, lhs=report.lhs, max_deviation=dev)
-
-
-def _one(space: FilteredSpace):
-    return Fraction(1) if space.mode == "rational" else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +319,13 @@ def _one(space: FilteredSpace):
 def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
     """Random decomposition: dW-driven interval martingale part, mark-driven
     compensated jumps, signed adapted A increments, signed B jumps."""
-    from .prob_space import cond_expect, spread
-
     n = space.n_steps
 
-    def draw(partition, signed=True) -> list:
-        vals = [Fraction(rng.randint(-8, 8) if signed else rng.randint(0, 8), 4)
-                for _ in range(len(partition))]
-        if space.mode == "float":
-            vals = [float(x) for x in vals]
-        return spread(space, partition, vals)
+    def draw(partition) -> list:
+        return v.convert(space.mode,
+                         [Fraction(rng.randint(-8, 8), 4) for _ in range(len(partition))])
 
-    m_interval = []
-    for k in range(n):
-        z = draw(space.sigma_mid[k])
-        m_interval.append(v.mul(z, space.dw_rows[k]))
+    m_interval = [v.mul(draw(space.sigma_mid[k]), space.dw_rows[k]) for k in range(n)]
     m_jump = []
     for k in range(n):
         raw = draw(space.sigma_mid[k])

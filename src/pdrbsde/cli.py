@@ -17,7 +17,6 @@ import json
 import random
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import values as v
@@ -185,9 +184,7 @@ def _gate_tol(scenario: Scenario, float_tol: float = 1e-10):
     driver; a Banach fixed point for a (y,z)-dependent driver is only reached
     within the outer tolerance, so the re-evaluated equation cannot be exact.
     """
-    if scenario.space.mode == "float":
-        return float_tol
-    return 1e-10 if scenario.has_general_driver else 0
+    return v.gate(scenario.space.mode, float_tol, 1e-10 if scenario.has_general_driver else 0)
 
 
 def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
@@ -221,16 +218,12 @@ def _y0(y: LadlagProcess):
 
 def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
     beta = config.params.beta
-
-    def sup(proc) -> float:
-        return max(abs(float(x)) for row in proc.mid_rows for x in row)
-
     return {
         "y_s2p_beta": beta_norm_s2p(sol.y, beta),
         "z_h2_beta": beta_norm_h2(sol.y.space, sol.z, beta),
         "y0": _y0(sol.y),
-        "sup": {"Y": sup(sol.y), "M": sup(sol.m), "A": sup(sol.a), "B": sup(sol.b),
-                "A_prime": sup(sol.a_prime), "B_prime": sup(sol.b_prime)},
+        "sup": {name: v.max_magnitude(getattr(sol, field).mid_rows)
+                for name, field in _COMPONENTS.items()},
     }
 
 
@@ -238,7 +231,8 @@ def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
 # dumps and verify
 
 
-_COMPONENTS = ("Y", "M", "A", "B", "A_prime", "B_prime")
+# each dumped process: its name in the dump files -> its SolutionSeptuple field
+_COMPONENTS = {"Y": "y", "M": "m", "A": "a", "B": "b", "A_prime": "a_prime", "B_prime": "b_prime"}
 
 
 def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
@@ -247,14 +241,13 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
     Each atom's value is formatted once and written for every path of its
     block."""
     space = sol.y.space
-    fmt = Fraction.__str__ if space.mode == "rational" else float.__repr__
     paths = [f"{i}," for i in range(space.n_paths)]
 
     def write(fh, prefix: str, row) -> None:
-        cells = v.expand([f"{x}\r\n" for x in map(fmt, row)], space.n_paths)
-        fh.write("".join([prefix + i + x for i, x in zip(paths, cells)]))
+        fh.write(v.dump_lines(space.mode, row, prefix, paths, "\r\n"))
 
-    for name, proc in zip(_COMPONENTS, (sol.y, sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime)):
+    for name, field in _COMPONENTS.items():
+        proc = getattr(sol, field)
         with open(out_dir / f"solution_{name}.csv", "w", newline="", encoding="utf-8") as fh:
             fh.write("instant,slot,path,value\r\n")
             n = proc.n_steps
@@ -268,10 +261,6 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
             fh.write("interval,path,value\r\n")
             for k, row in enumerate(rows):
                 write(fh, f"{k},", row)
-
-
-def _parse(space: FilteredSpace, s: str):
-    return Fraction(s) if space.mode == "rational" else float(s)
 
 
 def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) -> dict:
@@ -288,6 +277,7 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
     cells = {slot: [[None] * n_paths for _ in parts] for slot, parts in partitions.items()}
     filled = 0
     parsed = {}  # text -> value, so that a repeated value is parsed once
+    parse = space.backend.parse
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
@@ -299,7 +289,7 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
                 k, i = int(row[index]), int(row["path"])
                 val = parsed.get(row["value"])
                 if val is None:
-                    val = _parse(space, row["value"])
+                    val = parse(row["value"])
                     if val == val:  # a NaN stays a value of its own
                         parsed[row["value"]] = val
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -322,7 +312,7 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
 
 def _collapse(space: FilteredSpace, row: list, partition) -> list:
     """The row once per atom of the partition if it is measurable there, else as it is."""
-    return row[::len(row) // len(partition)] if is_measurable(space, row, partition) else row
+    return v.coarsen(row, len(partition)) if is_measurable(space, row, partition) else row
 
 
 def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:
@@ -345,15 +335,15 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
     missing = [n for n in _COMPONENTS if not (out_dir / f"solution_{n}.csv").exists()]
     if missing:
         raise ConfigError(f"no dumped solution in {out_dir} (missing {missing})")
-    procs = {n: _load_process(space, out_dir / f"solution_{n}.csv") for n in _COMPONENTS}
+    procs = {field: _load_process(space, out_dir / f"solution_{name}.csv")
+             for name, field in _COMPONENTS.items()}
     z = _load_rows(space, out_dir / "solution_Z.csv")
     g = _load_rows(space, out_dir / "driver_g.csv")
     try:
         validate_integrand(space, g, "g")
     except ProcessError as exc:
         raise ConfigError(f"driver_g.csv: {exc}") from None
-    sol = SolutionSeptuple(y=procs["Y"], z=z, m=procs["M"], a=procs["A"], b=procs["B"],
-                           a_prime=procs["A_prime"], b_prime=procs["B_prime"])
+    sol = SolutionSeptuple(z=z, **procs)
     report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     (out_dir / "verify_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
     print(f"[{config.name}] verify: {'PASS' if report.passed else 'FAIL'}")
@@ -374,11 +364,10 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     except SnellEnumerationError as exc:
         raise ConfigError(f"oracle mode: {exc}") from None
     sol, g, _ = _solve_scenario(scenario)
-    xi_t, zeta_t = shift_barriers(scenario.barriers, g)
     from .drbsde import _kill_terminal
 
-    tol = 0.0 if space.mode == "rational" else 1e-9
-    j, jbar, _ = _picard_from_solution(scenario, g)
+    tol = v.gate(space.mode, 1e-9)
+    xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
     mismatches = []
     try:
         oracle = assemble_solution(j, jbar, g, scenario.barriers)
@@ -386,12 +375,11 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
         mismatches.append(f"picard: {exc}")
     else:
         gate = _gate_tol(scenario, float_tol=1e-9)
-        for name in ("y", "m", "a", "b", "a_prime", "b_prime"):
+        for name in _COMPONENTS.values():
             d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
             if d > gate:
                 mismatches.append(f"{name}: solution vs picard differ by {d:g}")
-        d = max((abs(float(x)) for zs, zo in zip(sol.z, oracle.z) for x in v.sub(zs, zo)),
-                default=0.0)
+        d = v.max_magnitude(map(v.sub, sol.z, oracle.z))
         if d > gate:
             mismatches.append(f"z: solution vs picard differ by {d:g}")
     for name, barrier, target in (
@@ -415,12 +403,14 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _picard_from_solution(scenario: Scenario, g: list):
+    """The shifted barriers, and the Picard oracle's (J, Jbar) for them."""
     from .drbsde import picard_coupled
 
     xi_t, zeta_t = shift_barriers(scenario.barriers, g)
     cfg = scenario.config
-    return picard_coupled(xi_t, zeta_t, tol=cfg.params.tol, max_iter=cfg.params.max_iter,
-                          divergence_bound=cfg.params.divergence_bound)
+    j, jbar, _ = picard_coupled(xi_t, zeta_t, tol=cfg.params.tol, max_iter=cfg.params.max_iter,
+                                divergence_bound=cfg.params.divergence_bound)
+    return xi_t, zeta_t, j, jbar
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +500,7 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     scenario = realize(config)
     sol, g, _ = _solve_scenario(scenario)
     h, hbar = mokobodzki_certificate(scenario.barriers, g, solution=sol)
-    xi_t, zeta_t = shift_barriers(scenario.barriers, g)
-    j, jbar, _ = _picard_from_solution(scenario, g)
+    xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
     ok_min = minimality_check(
         j, jbar,
         p_add(j, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}"))),
@@ -526,7 +515,7 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     for k in range(scenario.space.n_steps + 1):
         lows = v.sub(scenario.barriers.xi.mid_rows[k], diff.mid_rows[k])
         highs = v.sub(diff.mid_rows[k], scenario.barriers.zeta.mid_rows[k])
-        sandwich_dev = max(sandwich_dev, *map(float, lows), *map(float, highs))
+        sandwich_dev = v.max_float(sandwich_dev, (lows, highs))
     ok = ok_pss and ok_min and sandwich_dev <= tol
     doc = {"scenario": config.name, "supermartingales": ok_pss,
            "sandwich_deviation": sandwich_dev, "minimality": ok_min, "pass": ok,

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect, spread
+from .prob_space import FilteredSpace, cond_expect
 from .processes import (
     LadlagProcess,
     ProcessError,
@@ -48,6 +48,7 @@ from .processes import (
     orthogonal_decompose,
     p_add,
     p_sub,
+    rebased,
     running_sum,
     sup_distance,
     validate_integrand,
@@ -85,12 +86,10 @@ class BarrierPair:
         n, n_paths = self.xi.n_steps, self.xi.space.n_paths
         for k in range(n + 1):
             for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
-                cells = list(v.pairs(getattr(self.xi, f"{slot}_rows")[k],
-                                     getattr(self.zeta, f"{slot}_rows")[k]))
-                j = next((j for j, (a, b) in enumerate(cells) if a > b), None)
-                if j is not None:
-                    raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, "
-                                       f"path={j * n_paths // len(cells)}")
+                i = v.first_above(getattr(self.xi, f"{slot}_rows")[k],
+                                  getattr(self.zeta, f"{slot}_rows")[k], n_paths)
+                if i is not None:
+                    raise ProcessError(f"xi > zeta at {slot} slot, instant={k}, path={i}")
         if not v.eq(self.xi.mid_rows[n], self.zeta.mid_rows[n]):
             raise ProcessError("barriers must coincide at the terminal instant")
 
@@ -126,21 +125,21 @@ def plain_part(space: FilteredSpace, terminal, g: list) -> LadlagProcess:
     revelation E[. | sigma_mid[k]] - E[. | sigma_minus[k]].
     """
     n = space.n_steps
-    dt = space.dt
-    mid, minus, plus = [], [], []
-    tail = list(terminal)  # terminal + dt * sum_{j>=k} g_j, built backward
-    stacks = [None] * (n + 1)
-    stacks[n] = list(tail)
-    for k in range(n - 1, -1, -1):
-        tail = v.add(tail, v.smul(dt, g[k]))
-        stacks[k] = list(tail)
+    mid, plus = [], []
+    stacks = _tails(space, terminal, g)
     for k in range(n + 1):
-        e_minus = cond_expect(space, stacks[k], space.sigma_minus[k])
-        mid.append(e_minus)
-        minus.append(list(e_minus))
+        mid.append(cond_expect(space, stacks[k], space.sigma_minus[k]))
         if k < n:
             plus.append(cond_expect(space, stacks[k], space.sigma_mid[k]))
-    return from_slots(space, minus, mid, plus)
+    return from_slots(space, mid, mid, plus)
+
+
+def _tails(space: FilteredSpace, terminal, g: list) -> list:
+    """terminal + dt * sum_{j>=k} g_j for k = 0..N, summed backward."""
+    dt, tails = space.dt, [terminal]
+    for k in range(space.n_steps - 1, -1, -1):
+        tails.append(v.add(tails[-1], v.smul(dt, g[k])))
+    return tails[::-1]
 
 
 def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, LadlagProcess]:
@@ -160,9 +159,7 @@ def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
     The left limit at T belongs to the strict past and is kept.
     """
     space, n = proc.space, proc.n_steps
-    mid = [list(proc.mid_rows[k]) for k in range(n + 1)]
-    mid[n] = space.zero()
-    return from_slots(space, proc.minus_rows, mid, proc.plus_rows)
+    return from_slots(space, proc.minus_rows, [*proc.mid_rows[:n], space.zero()], proc.plus_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +184,10 @@ def picard_coupled(
     """
     space, n = xi_t.space, xi_t.n_steps
     slack = space.slack
-    if any(abs(x) > slack for x in (*xi_t.mid_rows[n], *zeta_t.mid_rows[n])):
+    if v.any_beyond(xi_t.mid_rows[n], slack) or v.any_beyond(zeta_t.mid_rows[n], slack):
         raise ProcessError("shifted barriers must vanish at the terminal instant")
     for k in range(n + 1):
-        if any(a > b + slack for a, b in v.pairs(xi_t.mid_rows[k], zeta_t.mid_rows[k])):
+        if v.any_above(xi_t.mid_rows[k], zeta_t.mid_rows[k], slack):
             raise ProcessError(f"shifted barriers out of order at instant {k}")
     if max_iter is None:
         max_iter = 10 * max(1, n) * space.n_paths
@@ -256,7 +253,7 @@ def assemble_solution(
 ) -> SolutionSeptuple:
     """Build the full solution from a converged pair (J, Jbar)."""
     space = j.space
-    tol = 0.0 if space.mode == "rational" else 1e-9
+    tol = v.gate(space.mode, 1e-9)
     xi_t, zeta_t = shift_barriers(barriers, g)
     resid = fixed_point_residual(j, jbar, xi_t, zeta_t)
     if resid > tol:
@@ -271,15 +268,7 @@ def assemble_solution(
     s0 = list(barriers.xi.mid_rows[-1])
     for k in range(n):
         s0 = v.add(s0, v.smul(dt, g[k]))
-    m_plain = martingale_from_terminal(space, s0)
-    base = m_plain.minus_rows[0]
-    m_plain = from_slots(
-        space,
-        [v.sub(m_plain.minus_rows[k], base) for k in range(n + 1)],
-        [v.sub(m_plain.mid_rows[k], base) for k in range(n + 1)],
-        [v.sub(m_plain.plus_rows[k], base) for k in range(n)],
-    )
-    z_plain, m_orth_plain = orthogonal_decompose(m_plain)
+    z_plain, m_orth_plain = orthogonal_decompose(rebased(martingale_from_terminal(space, s0)))
 
     z_total = [v.add(v.sub(q_low.z[k], q_up.z[k]), z_plain[k]) for k in range(n)]
     m_total = p_add(p_sub(q_low.m, q_up.m), m_orth_plain)
@@ -311,10 +300,6 @@ def _jordan_reduce(p: LadlagProcess, q: LadlagProcess):
 
 # ---------------------------------------------------------------------------
 # the one-pass Dynkin recursion (production path)
-
-
-def _clamp(xs, lo, hi) -> list:
-    return v.vmin(v.vmax(xs, lo), hi)
 
 
 def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
@@ -350,19 +335,19 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     z, drift = [None] * n, [None] * n
     m_jumps, gap = [None] * n + [zero], [None] * n + [zero]
     y_mid[n] = list(xi.mid_rows[n])
-    y_minus[n] = _clamp(y_mid[n], xi.minus_rows[n], zeta.minus_rows[n])
+    y_minus[n] = v.clamp(y_mid[n], xi.minus_rows[n], zeta.minus_rows[n])
     for k in range(n - 1, -1, -1):
         nxt = y_minus[k + 1]
         cont = cond_expect(space, nxt, space.sigma_mid[k])
         z[k] = v.smul(inv_dt, cond_expect(space, v.mul(nxt, space.dw_rows[k]), space.sigma_mid[k]))
         free = v.add(cont, v.smul(dt, g[k]))
-        y_plus[k] = _clamp(free, xi.plus_rows[k], zeta.plus_rows[k])
+        y_plus[k] = v.clamp(free, xi.plus_rows[k], zeta.plus_rows[k])
         drift[k] = v.sub(y_plus[k], free)
         proj = cond_expect(space, y_plus[k], space.sigma_minus[k])
         m_jumps[k] = v.sub(y_plus[k], proj)
-        y_mid[k] = _clamp(proj, xi.mid_rows[k], zeta.mid_rows[k])
+        y_mid[k] = v.clamp(proj, xi.mid_rows[k], zeta.mid_rows[k])
         gap[k] = v.sub(y_mid[k], proj)
-        y_minus[k] = _clamp(y_mid[k], xi.minus_rows[k], zeta.minus_rows[k])
+        y_minus[k] = v.clamp(y_mid[k], xi.minus_rows[k], zeta.minus_rows[k])
     y_minus[0] = list(y_mid[0])
 
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
@@ -414,24 +399,17 @@ def mokobodzki_certificate(
 
 def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
     n = space.n_steps
-    dt = space.dt
-    tails = [None] * (n + 1)
-    run = list(terminal_part)
-    tails[n] = list(run)
-    for k in range(n - 1, -1, -1):
-        run = v.add(run, v.smul(dt, g_part[k]))
-        tails[k] = list(run)
+    tails = _tails(space, terminal_part, g_part)
     a_end, b_end = a.mid_rows[n], b.minus_rows[n]
     minus, mid, plus = [], [], []
     for k in range(n + 1):
-        core = v.add(tails[k], v.add(v.sub(a_end, a.mid_rows[k]), v.sub(b_end, b.minus_rows[k])))
+        a_rest = v.sub(a_end, a.mid_rows[k])
+        core = v.add(tails[k], v.add(a_rest, v.sub(b_end, b.minus_rows[k])))
         mid_k = cond_expect(space, core, space.sigma_minus[k])
         mid.append(mid_k)
         minus.append(v.add(mid_k, a.left_jump(k)))
         if k < n:
-            core_plus = v.add(
-                tails[k], v.add(v.sub(a_end, a.mid_rows[k]), v.sub(b_end, b.mid_rows[k]))
-            )
+            core_plus = v.add(tails[k], v.add(a_rest, v.sub(b_end, b.mid_rows[k])))
             plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
     minus[0] = list(mid[0])
     return from_slots(space, minus, mid, plus)
@@ -447,19 +425,17 @@ def minimality_check(
 ) -> bool:
     """J <= H and Jbar <= Hbar slotwise, for any admissible dominating pair."""
     space = j.space
-    # integer zero in rational mode: a float literal would coerce exact
-    # Fractions to floats inside the comparisons
-    tol = 0 if space.mode == "rational" else 1e-10
+    tol = v.gate(space.mode, 1e-10)
     for proc, label in ((h, "H"), (hbar, "Hbar")):
         if not is_predictable_strong_supermartingale(proc):
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
-        if any(-x > tol for k in range(space.n_steps + 1) for x in proc.mid_rows[k]):
+        if any(v.any_negative(row, tol) for row in proc.mid_rows):
             raise ProcessError(f"{label} is not nonnegative")
     diff = p_sub(h, hbar)
     for k in range(space.n_steps + 1):
-        if any(x - d > tol for d, x in v.pairs(diff.mid_rows[k], xi_t.mid_rows[k])):
+        if v.any_exceeds(xi_t.mid_rows[k], diff.mid_rows[k], tol):
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
-        if any(d - z > tol for d, z in v.pairs(diff.mid_rows[k], zeta_t.mid_rows[k])):
+        if v.any_exceeds(diff.mid_rows[k], zeta_t.mid_rows[k], tol):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
     return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
 
@@ -469,10 +445,8 @@ def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
     n = space.n_steps
 
     def rand_nonneg(partition):
-        vals = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
-        if space.mode == "float":
-            vals = [float(x) for x in vals]
-        return spread(space, partition, vals)
+        draws = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
+        return v.convert(space.mode, draws)
 
     mid: list = [None] * (n + 1)
     minus: list = [None] * (n + 1)

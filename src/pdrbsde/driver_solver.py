@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import values as v
@@ -39,12 +39,8 @@ class LipschitzDriver:
     lipschitz_k: float
 
     def freeze(self, space: FilteredSpace, u: LadlagProcess, z: list) -> list:
-        out = []
-        for k in range(space.n_steps):
-            t = space.time(k)
-            out.append([self.evaluate(k, t, y, zz)
-                        for y, zz in v.pairs(u.mid_rows[k], z[k])])
-        return out
+        return [v.apply(partial(self.evaluate, k, space.time(k)), u.mid_rows[k], z[k])
+                for k in range(space.n_steps)]
 
     def probe_lipschitz(self, space: FilteredSpace, seed: int = 0) -> float:
         """Sampled certification of the Lipschitz bound, at 32 pairs of points
@@ -113,7 +109,7 @@ def beta_norm_h2(space: FilteredSpace, rows: list, beta: float) -> float:
     total = 0.0
     for k in range(space.n_steps):
         w = math.exp(beta * space.time_float(k))
-        total += w * dt * float(expectation(space, [float(x) ** 2 for x in rows[k]]))
+        total += w * dt * float(expectation(space, v.squares(rows[k])))
     return total
 
 
@@ -123,10 +119,8 @@ def beta_norm_s2p(xi: LadlagProcess, beta: float) -> float:
     stopping times is the pathwise maximum over mid slots, taken on the atoms
     of the finest of them."""
     space = xi.space
-    weighted = [[e * float(x) ** 2 for x in row]
-                for e, row in zip((math.exp(beta * space.time_float(k))
-                                   for k in range(space.n_steps + 1)), v.align(*xi.mid_rows))]
-    return float(expectation(space, list(map(max, *weighted))))
+    factors = [math.exp(beta * space.time_float(k)) for k in range(space.n_steps + 1)]
+    return float(expectation(space, v.max_weighted_squares(factors, xi.mid_rows)))
 
 
 def beta_norm_m2(m: LadlagProcess, beta: float) -> float:
@@ -136,23 +130,11 @@ def beta_norm_m2(m: LadlagProcess, beta: float) -> float:
     total = 0.0
     for k in range(space.n_steps + 1):
         w = math.exp(beta * space.time_float(k))
-        total += w * float(expectation(space, [float(x) ** 2 for x in m.left_jump(k)]))
+        total += w * float(expectation(space, v.squares(m.left_jump(k))))
     for k in range(space.n_steps):
         w = math.exp(beta * space.time_float(k + 1))
-        total += w * float(
-            expectation(space, [float(x) ** 2 for x in m.interval_increment(k)])
-        )
+        total += w * float(expectation(space, v.squares(m.interval_increment(k))))
     return total
-
-
-def base_norm_h2(driver: LipschitzDriver, space: FilteredSpace) -> float:
-    """Finiteness witness ||g(., 0, 0)||^2 in the unweighted H^2 norm."""
-    zero = 0 if space.mode == "float" else Fraction(0)
-    g0 = [[driver.evaluate(k, space.time(k), zero, zero)] for k in range(space.n_steps)]
-    dt = float(space.t_horizon) / space.n_steps
-    return sum(
-        dt * float(expectation(space, [float(x) ** 2 for x in gk])) for gk in g0
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +148,7 @@ class OuterTrace:
     deltas: list = field(default_factory=list)          # combined-norm deltas
     ratios: list = field(default_factory=list)          # per-step contraction ratios
     contraction_modulus: float = 0.0
-    base_norm: float = 0.0
+    base_norm: float = 0.0    # ||g(., 0, 0)||^2 in the unweighted H^2 norm
     lipschitz_probe: float = 0.0
     frozen_g: list | None = None   # the process driver the final solve used
 
@@ -200,7 +182,6 @@ def solve_general(
     params.validate(driver.lipschitz_k, float(space.t_horizon))
     trace = OuterTrace(
         contraction_modulus=params.modulus(driver.lipschitz_k, float(space.t_horizon)),
-        base_norm=base_norm_h2(driver, space),
         lipschitz_probe=driver.probe_lipschitz(space, seed=probe_seed),
     )
 
@@ -209,6 +190,8 @@ def solve_general(
     sol: SolutionSeptuple | None = None
     for it in range(1, max_outer + 1):
         g = driver.freeze(space, u, vz)
+        if it == 1:  # U = 0 and V = 0: g is the driver at the origin
+            trace.base_norm = beta_norm_h2(space, g, 0.0)
         sol = solve_driver_process(barriers, g)
         trace.frozen_g = g
         du = p_sub(sol.y, u)

@@ -40,10 +40,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add, mul, truediv
 
 from . import values as v
-from .config import ConfigError, ScenarioConfig, _rational_sqrt
+from .config import ConfigError, ScenarioConfig
 from .values import RV
 
 
@@ -89,7 +88,7 @@ class FilteredSpace:
 
     Attributes
     ----------
-    mode:        "rational" or "float"; sets the value backend everywhere.
+    mode:        "rational" or "float": names the number backend (values.BACKENDS).
     sigma_minus: the partition representing F_{t_k^-}, k = 0..N.
     sigma_mid:   the partition representing F_{t_k} (= F_{t_k^+}), k = 0..N;
                  sigma_mid[N] has one atom per path.
@@ -139,21 +138,22 @@ class FilteredSpace:
         except KeyError:
             raise SpaceError(f"no partition has {len(row)} atoms") from None
 
+    @cached_property
+    def backend(self) -> v.Backend:
+        return v.BACKENDS[self.mode]
+
     @property
     def dt(self):
-        d = self.t_horizon / self.n_steps
-        return d if self.mode == "rational" else float(d)
+        return self.backend.number(self.t_horizon / self.n_steps)
 
     @property
     def slack(self):
-        """How far a float identity may miss; the int 0 in rational mode, so
-        comparisons against it keep Fractions exact."""
-        return 0 if self.mode == "rational" else 1e-12
+        """How far a float identity may miss; the int 0 in rational mode."""
+        return v.gate(self.mode, 1e-12)
 
     def time(self, k: int):
         """Grid instant t_k in the value backend."""
-        t = Fraction(k) * self.t_horizon / self.n_steps
-        return t if self.mode == "rational" else float(t)
+        return self.backend.number(Fraction(k) * self.t_horizon / self.n_steps)
 
     def time_float(self, k: int) -> float:
         return k * float(self.t_horizon) / self.n_steps
@@ -167,10 +167,10 @@ class FilteredSpace:
         )
 
     def zero(self) -> RV:
-        return [Fraction(0) if self.mode == "rational" else 0.0]
+        return [self.backend.number(0)]
 
-    def constant(self, v) -> RV:
-        return [Fraction(v) if self.mode == "rational" else float(v)]
+    def constant(self, x) -> RV:
+        return [self.backend.number(x)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +185,16 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
     """
     config.validate()
     n = config.n_steps
-    rational = config.arithmetic == "rational"
     dt = config.dt
-    if rational:
-        s = _rational_sqrt(dt)
-        if s is None:
-            raise ConfigError(f"sqrt(dt) irrational for dt={dt}", "grid")
-    else:
-        s = math.sqrt(float(dt))
+    s = v.BACKENDS[config.arithmetic].sqrt(dt)
+    if s is None:
+        raise ConfigError(f"sqrt(dt) irrational for dt={dt}", "grid")
 
     mark_at = {m.instant: m for m in config.marks}
     n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)
 
     def level(nodes) -> Partition:
-        return Partition(nodes if rational else map(float, nodes), n_paths)
+        return Partition(v.convert(config.arithmetic, nodes), n_paths)
 
     # One weight per node of the tree revealed so far, in path order, so
     # len(nodes) is the number of atoms at each level.
@@ -212,11 +208,11 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
             mark_rows.append(None)
         else:
             mark_rows.append(tuple(spec.labels) * len(nodes))
-            nodes = [w * p for w in nodes for p in spec.probs]
+            nodes = v.refine(nodes, spec.probs)
         sigma_mid.append(level(nodes))
         if k < n:
             dw_rows.append((s, -s) * len(nodes))
-            nodes = [w * half for w in nodes for _ in range(2)]
+            nodes = v.refine(nodes, (half, half))
 
     total = sum(nodes, Fraction(0))
     if total != 1:
@@ -267,22 +263,11 @@ def cond_expect(space: FilteredSpace, values: Sequence, partition: Partition) ->
     The tower property against any coarser partition holds exactly in
     rational mode.
     """
-    m, size = len(partition), len(values)
-    if size <= m:
-        return list(v.expand(values, m))
-    weights = space.partition_of(values).weights
-    # an atom's entries are values[j * step + i], i < step; sum over i
-    step = size // m
-    num = list(map(mul, weights[0::step], values[0::step]))
-    den = weights[0::step]
-    for i in range(1, step):
-        num = list(map(add, num, map(mul, weights[i::step], values[i::step])))
-        den = list(map(add, den, weights[i::step]))
-    return list(map(truediv, num, den))
+    return v.block_means(values, space.partition_of(values).weights, len(partition))
 
 
 def expectation(space: FilteredSpace, values: Sequence):
-    return sum(map(mul, space.partition_of(values).weights, values))
+    return v.dot(space.partition_of(values).weights, values)
 
 
 def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) -> bool:
@@ -290,18 +275,7 @@ def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) 
 
     A row no finer than the partition is, unless it holds a NaN: a NaN is
     unequal to itself, so it is measurable for no partition."""
-    if space.mode != "rational" and any(map(math.isnan, values)):
-        return False
-    step = len(values) // len(partition)
-    return step <= 1 or all(values[i::step] == values[0::step] for i in range(1, step))
-
-
-def spread(space: FilteredSpace, partition: Partition, per_atom_values: Sequence) -> RV:
-    """The variable equal to per_atom_values[j] on the j-th atom of one of the
-    space's partitions: that row itself, once its length is checked."""
-    if len(per_atom_values) != len(partition):
-        raise SpaceError(f"{len(per_atom_values)} values for {len(partition)} atoms")
-    return list(per_atom_values)
+    return v.constant_on_blocks(values, len(partition), space.mode)
 
 
 def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
@@ -315,23 +289,22 @@ def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
 
 def space_to_json_dict(space: FilteredSpace) -> dict:
     """Dump paths with weights and the per-instant atom lists."""
-    n = space.n_steps
-    signs = [on_paths(space, [1 if d > 0 else -1 for d in row]) for row in space.dw_rows]
+    signs = [on_paths(space, v.signs(row)) for row in space.dw_rows]
     marks = {str(k): on_paths(space, row)
              for k, row in enumerate(space.mark_rows) if row is not None}
-    rational = space.mode == "rational"
+    weights = v.to_json(space.mode, space.weights)
     return {
         "mode": space.mode,
-        "N": n,
+        "N": space.n_steps,
         "T": str(space.t_horizon),
         "paths": [
             {
                 "index": i,
-                "weight": str(w) if rational else w,
-                "dw_signs": [signs[k][i] for k in range(n)],
+                "weight": weights[i],
+                "dw_signs": [s[i] for s in signs],
                 "marks": {k: labels[i] for k, labels in marks.items()},
             }
-            for i, w in enumerate(space.weights)
+            for i in range(space.n_paths)
         ],
         "sigma_minus": [[list(a) for a in p] for p in space.sigma_minus],
         "sigma_mid": [[list(a) for a in p] for p in space.sigma_mid],

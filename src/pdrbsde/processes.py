@@ -73,6 +73,10 @@ class LadlagProcess:
     def n_steps(self) -> int:
         return self.space.n_steps
 
+    @property
+    def slots(self) -> tuple:
+        return self.minus_rows, self.mid_rows, self.plus_rows
+
     @cached_property
     def minus(self) -> tuple:
         return tuple(on_paths(self.space, r) for r in self.minus_rows)
@@ -89,9 +93,7 @@ class LadlagProcess:
         if not isinstance(other, LadlagProcess):
             return NotImplemented
         return self.space is other.space and all(
-            len(a) == len(b) and all(map(v.eq, a, b))
-            for a, b in ((self.minus_rows, other.minus_rows), (self.mid_rows, other.mid_rows),
-                         (self.plus_rows, other.plus_rows)))
+            len(a) == len(b) and all(map(v.eq, a, b)) for a, b in zip(self.slots, other.slots))
 
     def left_jump(self, k: int) -> list:
         return v.sub(self.mid_rows[k], self.minus_rows[k])
@@ -125,10 +127,7 @@ def from_cadlag_sequence(space, mids: Sequence) -> LadlagProcess:
     up as a left jump at each instant and intervals carry no variation.
     """
     n = space.n_steps
-    mid = [list(mids[k]) for k in range(n + 1)]
-    minus = [list(mids[0])] + [list(mids[k - 1]) for k in range(1, n + 1)]
-    plus = [list(mids[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus)
+    return from_slots(space, [mids[0], *mids[:n]], mids, mids[:n])
 
 
 def constant_process(space, value) -> LadlagProcess:
@@ -180,24 +179,14 @@ def p_sub(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
 
 
 def _zip_with(op, a, b):
-    return from_slots(
-        a.space,
-        list(map(op, a.minus_rows, b.minus_rows)),
-        list(map(op, a.mid_rows, b.mid_rows)),
-        list(map(op, a.plus_rows, b.plus_rows)),
-    )
+    return from_slots(a.space, *(list(map(op, x, y)) for x, y in zip(a.slots, b.slots)))
 
 
 def sup_distance(a: LadlagProcess, b: LadlagProcess):
-    """Max absolute slot difference over all instants and paths."""
-    n = a.n_steps
-    d = max(
-        max(v.sup_abs(v.sub(a.minus_rows[k], b.minus_rows[k])) for k in range(n + 1)),
-        max(v.sup_abs(v.sub(a.mid_rows[k], b.mid_rows[k])) for k in range(n + 1)),
-    )
-    if n:
-        d = max(d, max(v.sup_abs(v.sub(a.plus_rows[k], b.plus_rows[k])) for k in range(n)))
-    return d
+    """Max absolute slot difference over all instants and paths: the largest,
+    over the minus, mid and plus slots, of the largest over their instants."""
+    return max(max(map(v.sup_abs, map(v.sub, xs, ys)))
+               for xs, ys in zip(a.slots, b.slots) if xs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +225,26 @@ def validate_process(proc: LadlagProcess, kind: str) -> None:
                 raise ProcessError(f"cadlag violated at plus[{k}]")
 
     if kind == "purely-discontinuous-predictable":
-        if any(x != 0 for x in proc.minus_rows[0]):
+        if v.any_nonzero(proc.minus_rows[0]):
             raise ProcessError("B-class needs slot_minus[0] = 0")
         for k in range(n):
             if not v.eq(proc.minus_rows[k + 1], proc.plus_rows[k]):
                 raise ProcessError(f"B-class has interval variation on ({k},{k+1})")
         for k in range(n + 1):
-            if any(x < 0 for x in proc.left_jump(k)):
+            if v.any_negative(proc.left_jump(k)):
                 raise ProcessError(f"B-class jump negative at instant {k}")
     elif kind == "finite-variation-predictable":
-        if any(x != 0 for x in proc.mid_rows[0]) or any(x != 0 for x in proc.minus_rows[0]):
+        if v.any_nonzero(proc.mid_rows[0]) or v.any_nonzero(proc.minus_rows[0]):
             raise ProcessError("A-class needs A_0 = 0")
         for k in range(n):
             inc = proc.interval_increment(k)
-            if any(x < 0 for x in inc):
+            if v.any_negative(inc):
                 raise ProcessError(f"A-class interval increment negative on ({k},{k+1})")
             if not is_measurable(space, inc, space.sigma_minus[k + 1]):
                 raise ProcessError(f"A-class interval increment not sigma_minus[{k+1}]-measurable")
         for k in range(n + 1):
             jump = proc.left_jump(k)
-            if any(x < 0 for x in jump):
+            if v.any_negative(jump):
                 raise ProcessError(f"A-class jump negative at instant {k}")
             if not is_measurable(space, jump, space.sigma_minus[k]):
                 raise ProcessError(f"A-class jump not sigma_minus[{k}]-measurable")
@@ -293,9 +282,7 @@ def predictable_projection(x: LadlagProcess) -> LadlagProcess:
     space, n = x.space, x.n_steps
     mid = [cond_expect(space, x.mid_rows[k], space.sigma_minus[k]) for k in range(n + 1)]
     plus = [cond_expect(space, x.plus_rows[k], space.sigma_minus[k]) for k in range(n)]
-    minus = [list(x.minus_rows[k]) for k in range(n + 1)]
-    minus[0] = list(mid[0])
-    return from_slots(space, minus, mid, plus)
+    return from_slots(space, [mid[0], *x.minus_rows[1:]], mid, plus)
 
 
 def jumps(x: LadlagProcess) -> tuple[list, list]:
@@ -340,14 +327,14 @@ def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:
         if not is_measurable(space, y.mid_rows[k], space.sigma_minus[k]):
             return False
     for k in range(n + 1):
-        if any(a < b - tol for a, b in v.pairs(y.minus_rows[k], y.mid_rows[k])):
+        if v.any_below(y.minus_rows[k], y.mid_rows[k], tol):
             return False
     for k in range(n):
         p_proj = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
-        if any(a < b - tol for a, b in v.pairs(y.mid_rows[k], p_proj)):
+        if v.any_below(y.mid_rows[k], p_proj, tol):
             return False
         cont = cond_expect(space, y.minus_rows[k + 1], space.sigma_mid[k])
-        if any(a < b - tol for a, b in v.pairs(y.plus_rows[k], cont)):
+        if v.any_below(y.plus_rows[k], cont, tol):
             return False
     return True
 
@@ -367,7 +354,7 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
     the jumps at (predictable) grid instants, and [N, W] = 0 cell by cell.
     """
     space, n = m.space, m.n_steps
-    if any(x != 0 for x in m.minus_rows[0]):
+    if v.any_nonzero(m.minus_rows[0]):
         raise ProcessError("orthogonal decomposition needs M_{0^-} = 0")
     if not is_martingale(m):
         raise ProcessError("input fails the martingale increment conditions")
@@ -376,6 +363,12 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
                                     space.sigma_mid[k]))
          for k in range(n)]
     return z, p_sub(m, ito_integral(space, z))
+
+
+def rebased(m: LadlagProcess) -> LadlagProcess:
+    """M - M_{0^-}: the process moved to start at zero."""
+    base = m.minus_rows[0]
+    return from_slots(m.space, *([v.sub(r, base) for r in rows] for rows in m.slots))
 
 
 def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
@@ -407,6 +400,5 @@ def martingale_from_terminal(space: FilteredSpace, terminal: Sequence) -> Ladlag
     n = space.n_steps
     minus = [cond_expect(space, terminal, space.sigma_minus[k]) for k in range(n + 1)]
     mid = [cond_expect(space, terminal, space.sigma_mid[k]) for k in range(n + 1)]
-    plus = [list(mid[k]) for k in range(n)]
-    return from_slots(space, minus, mid, plus)
+    return from_slots(space, minus, mid, mid[:n])
 

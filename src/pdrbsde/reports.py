@@ -6,6 +6,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import values as v
+
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -34,7 +36,7 @@ class VerificationReport:
     @property
     def max_residual(self) -> float:
         mags = [c.max_residual for c in self.conditions]
-        return mags[worst_index(mags)] if mags else 0.0
+        return mags[v.worst_index(mags)] if mags else 0.0
 
     def condition(self, name: str) -> ConditionReport:
         for c in self.conditions:
@@ -56,16 +58,6 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
-def worst_index(mags: list) -> int:
-    """Index of the worst of nonnegative residuals: the first NaN if there is
-    one (a NaN never compares greater, so ``max`` alone would pass it over),
-    else the first largest."""
-    total = sum(mags)
-    if total != total:
-        return next(i for i, x in enumerate(mags) if x != x)
-    return mags.index(max(mags))
-
-
 def condition_from_rows(name: str, rows, tol: float, n_paths: int) -> ConditionReport:
     """Build a condition from ``(label, residuals)`` rows, each a row of a
     space of ``n_paths`` paths.
@@ -76,13 +68,13 @@ def condition_from_rows(name: str, rows, tol: float, n_paths: int) -> ConditionR
     """
     row_worst = []  # (|residual|, label, path) of each row's worst cell
     for label, res in rows:
-        mags = list(map(abs, map(float, res)))
+        mags = v.magnitudes(res)
         if mags:
-            j = worst_index(mags)
+            j = v.worst_index(mags)
             row_worst.append((mags[j], label, j * n_paths // len(mags)))
     if not row_worst:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
-    top, label, i = row_worst[worst_index([r[0] for r in row_worst])]
+    top, label, i = row_worst[v.worst_index([r[0] for r in row_worst])]
     return ConditionReport(
         name=name,
         passed=top <= tol,

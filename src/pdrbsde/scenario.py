@@ -19,7 +19,7 @@ from . import values as v
 from .config import ConfigError, ScenarioConfig, config_from_dict
 from .drbsde import BarrierPair
 from .driver_solver import LipschitzDriver, linear_driver
-from .prob_space import FilteredSpace, Partition, build_space, on_paths, spread
+from .prob_space import FilteredSpace, Partition, build_space, on_paths
 from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
 
 
@@ -58,10 +58,6 @@ def realize(config: ScenarioConfig) -> Scenario:
 # value generators
 
 
-def _conv(space: FilteredSpace, x: Fraction):
-    return x if space.mode == "rational" else float(x)
-
-
 def _rand_fraction(rng: random.Random, scale: Fraction) -> Fraction:
     # dyadic rationals keep denominators small under exact arithmetic
     return Fraction(rng.randint(-16, 16) * scale.numerator, 8 * scale.denominator)
@@ -72,7 +68,7 @@ def _rand_nonneg(rng: random.Random, scale: Fraction) -> Fraction:
 
 
 def _on_partition(space: FilteredSpace, partition: Partition, draw) -> list:
-    return spread(space, partition, [_conv(space, draw()) for _ in range(len(partition))])
+    return v.convert(space.mode, [draw() for _ in range(len(partition))])
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +97,7 @@ def _constant_barriers(space, params) -> BarrierPair:
     gap = Fraction(str(params.get("upper_gap", 0)))
     if gap < 0:
         raise ConfigError("upper_gap must be nonnegative", "barriers.upper_gap")
-    lower = [val] * (n + 1)
-    upper = [val + gap] * n + [val]
-    xi = from_cadlag_sequence(space, [space.constant(x) for x in lower])
-    zeta = from_cadlag_sequence(space, [space.constant(x) for x in upper])
-    return BarrierPair(xi=xi, zeta=zeta)
+    return _step_barriers(space, [val] * (n + 1), [val + gap] * n + [val])
 
 
 def _deterministic_barriers(space, params) -> BarrierPair:
@@ -114,6 +106,11 @@ def _deterministic_barriers(space, params) -> BarrierPair:
     upper = [Fraction(str(x)) for x in params["upper"]]
     if len(lower) != n + 1 or len(upper) != n + 1:
         raise ConfigError("deterministic barrier tables need N+1 entries", "barriers")
+    return _step_barriers(space, lower, upper)
+
+
+def _step_barriers(space, lower: list, upper: list) -> BarrierPair:
+    """Deterministic step barriers with values lower[k], upper[k] on [t_k, t_{k+1})."""
     xi = from_cadlag_sequence(space, [space.constant(x) for x in lower])
     zeta = from_cadlag_sequence(space, [space.constant(x) for x in upper])
     return BarrierPair(xi=xi, zeta=zeta)
@@ -131,46 +128,23 @@ def _game_option_barriers(space, params) -> BarrierPair:
     strike = Fraction(str(params.get("strike", 100)))
     drift = Fraction(str(params.get("drift", 0)))
     vol = Fraction(str(params.get("vol", "1/4")))
-    penalty = params.get("penalty", "5")
-    penalties = (
-        [Fraction(str(p)) for p in penalty]
-        if isinstance(penalty, list)
-        else [Fraction(str(penalty))] * n
-    )
+    penalties = _per_step(params.get("penalty", "5"), n)
     style = params.get("style", "call")
     dt = space.t_horizon / space.n_steps
-    base = _conv(space, Fraction(1) + drift * dt)
-    vol_c = _conv(space, vol)
+    base = space.backend.number(Fraction(1) + drift * dt)
+    vol_c = space.backend.number(vol)
     s_rows = [space.constant(spot)]
     for k in range(n):
-        factor = [base + vol_c * d for d in space.dw_rows[k]]
-        if any(float(f) <= 0 for f in factor):
+        factor = v.add([base], v.smul(vol_c, space.dw_rows[k]))
+        if v.any_nonpositive(factor):
             raise ConfigError("underlying factor not positive; reduce vol or dt", "barriers")
         s_rows.append(v.mul(s_rows[-1], factor))
 
-    def payoff(s_rv):
-        k = _conv(space, strike)
-        if style == "call":
-            return [max(x - k, 0 * x) for x in s_rv]
-        return [max(k - x, 0 * x) for x in s_rv]
-
-    xi_mids = [payoff(s_rows[k]) for k in range(n + 1)]
-    xi = from_slots(
-        space,
-        [list(m) for m in xi_mids],
-        [list(m) for m in xi_mids],
-        [list(xi_mids[k]) for k in range(n)],
-    )
-    zeta_mids = [
-        v.add(xi_mids[k], space.constant(penalties[k])) if k < n else list(xi_mids[k])
-        for k in range(n + 1)
-    ]
-    zeta = from_slots(
-        space,
-        [list(m) for m in zeta_mids],
-        [list(m) for m in zeta_mids],
-        [list(zeta_mids[k]) for k in range(n)],
-    )
+    xi_mids = [v.payoff(s, space.backend.number(strike), style == "call") for s in s_rows]
+    xi = from_slots(space, xi_mids, xi_mids, xi_mids[:n])
+    zeta_mids = [v.add(xi_mids[k], space.constant(penalties[k])) for k in range(n)]
+    zeta_mids.append(xi_mids[n])
+    zeta = from_slots(space, zeta_mids, zeta_mids, zeta_mids[:n])
     return BarrierPair(xi=xi, zeta=zeta)
 
 
@@ -182,74 +156,47 @@ def _random_barriers(space, params, seed) -> BarrierPair:
     right = params.get("right_jumps", "free")   # none | free
     touching = bool(params.get("touching", False))
 
-    xi_mid = [_on_partition(space, space.sigma_minus[k], lambda: _rand_fraction(rng, scale))
-              for k in range(n + 1)]
-    if left == "none":
-        xi_minus = [list(m) for m in xi_mid]
-    elif left == "usc":
-        xi_minus = [
-            v.sub(xi_mid[k],
-                  _on_partition(space, space.sigma_minus[k], lambda: _rand_nonneg(rng, scale)))
-            for k in range(n + 1)
-        ]
-    else:
-        xi_minus = [
-            v.add(xi_mid[k],
-                  _on_partition(space, space.sigma_minus[k], lambda: _rand_fraction(rng, scale)))
-            for k in range(n + 1)
-        ]
-    xi_minus[0] = list(xi_mid[0])
-    if right == "none":
-        xi_plus = [list(xi_mid[k]) for k in range(n)]
-    else:
-        xi_plus = [
-            v.add(xi_mid[k],
-                  _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, scale)))
-            for k in range(n)
-        ]
-    xi = from_slots(space, xi_minus, xi_mid, xi_plus)
+    def signed():
+        return _rand_fraction(rng, scale)
+
+    def nonneg():
+        return _rand_nonneg(rng, scale)
 
     def gap_draw():
         if touching and rng.random() < Fraction(1, 3):
             return Fraction(0)
         return _rand_nonneg(rng, scale)
 
-    gap_mid = [_on_partition(space, space.sigma_minus[k], gap_draw) for k in range(n)]
-    gap_mid.append(space.zero())
-    zeta_mid = [v.add(xi_mid[k], gap_mid[k]) for k in range(n + 1)]
+    def draws(partitions, draw) -> list:
+        return [_on_partition(space, p, draw) for p in partitions]
+
+    minus_parts, mid_parts = space.sigma_minus, space.sigma_mid[:n]
+    xi_mid = draws(minus_parts, signed)
     if left == "none":
-        zeta_minus = [
-            v.add(zeta_mid[k],
-                  _on_partition(space, space.sigma_minus[k], lambda: _rand_nonneg(rng, scale)))
-            for k in range(n + 1)
-        ]
+        xi_minus = list(xi_mid)
     elif left == "usc":
-        # keep zeta left lower-semicontinuous: left limits above the value
-        zeta_minus = [
-            v.add(zeta_mid[k],
-                  _on_partition(space, space.sigma_minus[k], lambda: _rand_nonneg(rng, scale)))
-            for k in range(n + 1)
-        ]
+        xi_minus = list(map(v.sub, xi_mid, draws(minus_parts, nonneg)))
     else:
-        # free left jumps on the upper side too: its left limit may dip below
-        # the value (the mirror of a left peak on the lower barrier), which is
-        # what makes the upper instant reflection act
-        zeta_minus = [
-            v.add(zeta_mid[k],
-                  _on_partition(space, space.sigma_minus[k], lambda: _rand_fraction(rng, scale)))
-            for k in range(n + 1)
-        ]
-    zeta_minus = [v.vmax(zeta_minus[k], xi_minus[k]) for k in range(n + 1)]
-    zeta_minus[0] = list(zeta_mid[0])
+        xi_minus = list(map(v.add, xi_mid, draws(minus_parts, signed)))
+    xi_minus[0] = xi_mid[0]
+    xi_plus = xi_mid[:n] if right == "none" else list(map(v.add, xi_mid, draws(mid_parts, signed)))
+    xi = from_slots(space, xi_minus, xi_mid, xi_plus)
+
+    gap_mid = draws(minus_parts[:n], gap_draw) + [space.zero()]
+    zeta_mid = list(map(v.add, xi_mid, gap_mid))
+    # With left jumps "none" or "usc", zeta stays left lower-semicontinuous:
+    # left limits above the value.  With free left jumps its left limit may
+    # dip below the value (the mirror of a left peak on the lower barrier),
+    # which is what makes the upper instant reflection act.
+    zeta_minus = list(map(v.add, zeta_mid,
+                          draws(minus_parts, nonneg if left in ("none", "usc") else signed)))
+    zeta_minus = list(map(v.vmax, zeta_minus, xi_minus))
+    zeta_minus[0] = zeta_mid[0]
     if right == "none":
-        zeta_plus = [v.add(xi_plus[k], gap_mid[k]) for k in range(n)]
+        zeta_plus = list(map(v.add, xi_plus, gap_mid))
     else:
-        zeta_plus = [
-            v.add(v.vmax(zeta_mid[k], xi_plus[k]),
-                  _on_partition(space, space.sigma_mid[k], gap_draw))
-            for k in range(n)
-        ]
-    zeta_plus = [v.vmax(zeta_plus[k], xi_plus[k]) for k in range(n)]
+        zeta_plus = list(map(v.add, map(v.vmax, zeta_mid, xi_plus), draws(mid_parts, gap_draw)))
+    zeta_plus = list(map(v.vmax, zeta_plus, xi_plus))
     zeta = from_slots(space, zeta_minus, zeta_mid, zeta_plus)
     return BarrierPair(xi=xi, zeta=zeta)
 
@@ -261,17 +208,22 @@ def _table_barriers(space, params) -> BarrierPair:
         minus = (
             [_spread(space, space.sigma_minus[k], side["minus"][k]) for k in range(n + 1)]
             if "minus" in side
-            else [list(m) for m in mid]
+            else list(mid)
         )
-        minus[0] = list(mid[0])
+        minus[0] = mid[0]
         plus = (
             [_spread(space, space.sigma_mid[k], side["plus"][k]) for k in range(n)]
             if "plus" in side
-            else [list(mid[k]) for k in range(n)]
+            else mid[:n]
         )
         return from_slots(space, minus, mid, plus)
 
     return BarrierPair(xi=build(params["lower"]), zeta=build(params["upper"]))
+
+
+def _per_step(raw, n: int) -> list:
+    """A config list as exact rationals, or one config value repeated n times."""
+    return [Fraction(str(x)) for x in raw] if isinstance(raw, list) else [Fraction(str(raw))] * n
 
 
 def _spread(space, partition, per_atom) -> list:
@@ -279,7 +231,7 @@ def _spread(space, partition, per_atom) -> list:
         raise ConfigError(
             f"table row has {len(per_atom)} entries for {len(partition)} atoms", "barriers"
         )
-    return spread(space, partition, [_conv(space, Fraction(str(raw))) for raw in per_atom])
+    return v.convert(space.mode, [Fraction(str(raw)) for raw in per_atom])
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +252,9 @@ def realize_driver(space: FilteredSpace, config: ScenarioConfig):
         ]
         return g, None
     if kind == "linear":
-        a = Fraction(str(params.get("a", 0)))
-        b = Fraction(str(params.get("b", 0)))
-        c_raw = params.get("c", 0)
-        c_list = (
-            [Fraction(str(x)) for x in c_raw]
-            if isinstance(c_raw, list)
-            else [Fraction(str(c_raw))] * space.n_steps
-        )
-        if space.mode == "float":
-            a, b = float(a), float(b)
-            c_list = [float(x) for x in c_list]
+        a = space.backend.number(Fraction(str(params.get("a", 0))))
+        b = space.backend.number(Fraction(str(params.get("b", 0))))
+        c_list = v.convert(space.mode, _per_step(params.get("c", 0), space.n_steps))
         k_decl = params.get("K")
         drv = linear_driver(a, b, c_list, float(Fraction(str(k_decl))) if k_decl is not None else None)
         return None, drv

@@ -27,16 +27,16 @@ checks a quintuple against the one-barrier definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import values as v
-from .prob_space import FilteredSpace, cond_expect, on_paths, spread
+from .prob_space import FilteredSpace, cond_expect, on_paths
 from .processes import (
     LadlagProcess,
     ProcessError,
     from_slots,
     is_predictable_strong_supermartingale,
     orthogonal_decompose,
+    rebased,
     running_sum,
 )
 
@@ -115,14 +115,7 @@ def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
     """
     y = snell_envelope_slots(barrier)
     n_mart, a, b = mertens_decompose(y)
-    base = n_mart.minus_rows[0]
-    shifted = from_slots(
-        y.space,
-        [v.sub(n_mart.minus_rows[k], base) for k in range(y.n_steps + 1)],
-        [v.sub(n_mart.mid_rows[k], base) for k in range(y.n_steps + 1)],
-        [v.sub(n_mart.plus_rows[k], base) for k in range(y.n_steps)],
-    )
-    z, m = orthogonal_decompose(shifted)
+    z, m = orthogonal_decompose(rebased(n_mart))
     return RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b)
 
 
@@ -145,8 +138,7 @@ def mertens_decompose(
         raise ProcessError("input is not a predictable strong supermartingale")
 
     zero = space.zero()
-    jump_a = [vproc.left_jump(k) for k in range(n + 1)]
-    jump_a = [v.smul(-1, j) for j in jump_a]              # dA_k = V_{k^-} - V_k
+    jump_a = [v.smul(-1, vproc.left_jump(k)) for k in range(n + 1)]  # dA_k = V_{k^-} - V_k
     jump_b = [
         v.sub(vproc.mid_rows[k], cond_expect(space, vproc.plus_rows[k], space.sigma_minus[k]))
         for k in range(n)
@@ -159,16 +151,13 @@ def mertens_decompose(
     a = running_sum(space, left=jump_a, interval=ivl_a)
     b = running_sum(space, left=jump_b)
 
-    n_minus, n_mid, n_plus = [], [], []
+    n_minus, n_mid = [], []
     for k in range(n + 1):
         nm = v.add(v.add(vproc.mid_rows[k], a.mid_rows[k]), b.minus_rows[k])
         n_minus.append(nm)
         dn = v.add(vproc.right_jump(k), jump_b[k]) if k < n else list(zero)
         n_mid.append(v.add(nm, dn))
-        if k < n:
-            n_plus.append(list(n_mid[k]))
-    nart = from_slots(space, n_minus, n_mid, n_plus)
-    return nart, a, b
+    return from_slots(space, n_minus, n_mid, n_mid[:n]), a, b
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +227,7 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
             if p == len(positions) - 1:
                 contribs[(p, atom)] = [stop]
                 continue
-            sums = [0 if space.mode == "float" else Fraction(0)]
+            sums = space.zero()
             for child in _children(space, positions, p, atom):
                 child_contribs = contribs[(p + 1, child)]
                 sums = [s + c for s in sums for c in child_contribs]
@@ -251,15 +240,8 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
     minus: list = [None] * (n + 1)
     mid: list = [None] * (n + 1)
     plus: list = [None] * n
-    for p, pos in enumerate(positions):
-        k, slot = pos
-        part = _partition_at(space, pos)
-        out = spread(space, part, [value(p, atom) for atom in part])
-        if slot == "-":
-            minus[k] = out
-        elif slot == "m":
-            mid[k] = out
-        else:
-            plus[k] = out
+    slots = {"-": minus, "m": mid, "+": plus}
+    for p, (k, slot) in enumerate(positions):
+        slots[slot][k] = [value(p, atom) for atom in _partition_at(space, (k, slot))]
     minus[0] = list(mid[0])
     return from_slots(space, minus, mid, plus)

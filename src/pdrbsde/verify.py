@@ -24,7 +24,7 @@ from .processes import (
     validate_integrand,
     validate_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_rows, worst_index
+from .reports import ConditionReport, VerificationReport, condition_from_rows
 
 if TYPE_CHECKING:
     from .drbsde import BarrierPair, SolutionSeptuple
@@ -89,9 +89,7 @@ def verify_drbsde_solution(
 
 
 def _default_tol(barrier: LadlagProcess, tol: float | None) -> float:
-    if tol is not None:
-        return tol
-    return 0.0 if barrier.space.mode == "rational" else 1e-10
+    return v.gate(barrier.space.mode, 1e-10) if tol is None else tol
 
 
 def _checker(y: LadlagProcess, tol: float):
@@ -188,18 +186,15 @@ def _interval_rows(y, side):
     for k in range(y.n_steps):
         gap_open = _gap(side.sign, y.plus_rows[k], x.plus_rows[k])
         gap_close = _gap(side.sign, y.minus_rows[k + 1], x.minus_rows[k + 1])
-        yield f"interval,k={k}", [
-            d * min(max(o, 0), max(c, 0))
-            for d, o, c in v.pairs(side.a.interval_increment(k), gap_open, gap_close)
-        ]
+        yield f"interval,k={k}", v.scaled_min(side.a.interval_increment(k),
+                                              gap_open, gap_close)
 
 
 def _jump_rows(label, proc, y_slot, barrier_slot, sign):
     """The jump of ``proc`` at each instant may act only where Y sits on the
     barrier in the given slot: the minus slot for A, the mid slot for B."""
     for k, (yk, xk) in enumerate(zip(y_slot, barrier_slot)):
-        yield f"{label},instant={k}", [
-            d * max(x, 0) for d, x in v.pairs(proc.left_jump(k), _gap(sign, yk, xk))]
+        yield f"{label},instant={k}", v.scaled_pos(proc.left_jump(k), _gap(sign, yk, xk))
 
 
 def _jump_identity_rows(y, proj, s):
@@ -218,7 +213,7 @@ def _jump_identity_rows(y, proj, s):
 def _pinch_rows(y, proj, xi, zeta):
     """Y = (pY+ v xi) ^ zeta at every instant and path."""
     for k in range(y.n_steps):
-        pinched = v.vmin(v.vmax(proj.plus_rows[k], xi.mid_rows[k]), zeta.mid_rows[k])
+        pinched = v.clamp(proj.plus_rows[k], xi.mid_rows[k], zeta.mid_rows[k])
         yield f"pinch,instant={k}", v.sub(y.mid_rows[k], pinched)
 
 
@@ -245,7 +240,8 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
     dev = _checker(y, tol)("[M, W]", enumerate(br.mid_rows)).max_residual
     if not dev <= tol:
         problems.append((dev, "[M, W] != 0"))
-    worst_dev, where = problems[worst_index([p for p, _ in problems])] if problems else (0.0, None)
+    worst_dev, where = (problems[v.worst_index([p for p, _ in problems])] if problems
+                        else (0.0, None))
     return ConditionReport("component_classes", worst_dev <= tol, worst_dev, where)
 
 
@@ -256,9 +252,7 @@ def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> bool:
     mutually singular unless both move on the same path in the same cell.
     Stops at the first cell they share.
     """
-    return not any(x != 0 and y != 0
-                   for dp, dq in zip(_increments(p), _increments(q))
-                   for x, y in v.pairs(dp, dq))
+    return not any(map(v.any_both_nonzero, _increments(p), _increments(q)))
 
 
 def _increments(p: LadlagProcess):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from pdrbsde.config import config_from_dict
-from pdrbsde.prob_space import build_space, on_paths, spread
+from pdrbsde.prob_space import build_space, on_paths
 
 
 def make_config(n_steps, t_horizon, marks=(), barriers=None, driver=None,
@@ -64,7 +64,7 @@ def rand_on(space, partition, rng, scale=Fraction(2), signed=True):
     for _ in range(len(partition)):
         val = Fraction(rng.randint(-8 if signed else 0, 8), 4) * scale
         vals.append(float(val) if space.mode == "float" else val)
-    return spread(space, partition, vals)
+    return vals
 
 
 def set_cell(proc, slot, k, i, value):

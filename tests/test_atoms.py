@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
@@ -80,7 +79,7 @@ def _compare(tmp_path, scenario, delta):
     gaps = {name: float(sup_distance(getattr(sol, name), getattr(sol_p, name)))
             for name in COMPONENTS}
     gaps["z"], gaps["g"] = _row_gap(sol.z, sol_p.z), _row_gap(g, g_p)
-    parse = partial(cli._parse, scenario.space)
+    parse = scenario.space.backend.parse
     for name in DUMPS:
         lines = zip((atoms_out / name).read_text().splitlines()[1:],
                     (paths_out / name).read_text().splitlines()[1:], strict=True)

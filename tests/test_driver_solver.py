@@ -14,7 +14,6 @@ from pdrbsde.drbsde import BarrierPair, solve_driver_process
 from pdrbsde.driver_solver import (
     ContractionParams,
     LipschitzDriver,
-    base_norm_h2,
     beta_norm_h2,
     beta_norm_m2,
     beta_norm_s2p,
@@ -218,4 +217,4 @@ class TestSolveGeneral:
         g = sc.driver.freeze(sc.space, sol.y, sol.z)
         rep = verify_drbsde_solution(g, sc.barriers, sol, tol=1e-10)
         assert rep.passed, rep.failures()
-        assert base_norm_h2(sc.driver, sc.space) > 0
+        assert trace.base_norm > 0

@@ -15,13 +15,11 @@ from conftest import MARK_HALF, make_config, make_space
 from pdrbsde import values as v
 from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
-    SpaceError,
     build_space,
     cond_expect,
     expectation,
     is_measurable,
     on_paths,
-    spread,
 )
 from pdrbsde.scenario import estimate_template, generate_corpus
 
@@ -268,7 +266,7 @@ class TestSpread:
         # mixed-radix digits in revelation order: dW_0, the mark, dW_1
         assert space.marks[1] == ("a", "a", "b", "b", "c", "c") * 2
         assert [1 if d > 0 else -1 for d in space.dw[1]] == [1, -1] * 6
-        x = spread(space, part, [F(j) for j in range(6)])
+        x = [F(j) for j in range(6)]
         for j, atom in enumerate(part):
             assert [on_paths(space, x)[i] for i in atom] == [F(j)] * len(atom)
             assert len({space.dw[0][i] for i in atom}) == 1
@@ -276,10 +274,6 @@ class TestSpread:
         assert on_paths(space, x) == tuple(F(j // 2) for j in range(space.n_paths))
         assert is_measurable(space, x, part)
         assert not is_measurable(space, x, space.sigma_minus[1])
-
-    def test_rejects_wrong_value_count(self, space_4):
-        with pytest.raises(SpaceError):
-            spread(space_4, space_4.sigma_mid[1], [F(1)])
 
 
 class TestIsMeasurable:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import MARK_HALF, make_space, rand_on, random_predictable, set_cell
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
-from pdrbsde.prob_space import on_paths, spread
+from pdrbsde.prob_space import on_paths
 from pdrbsde.processes import (
     constant_process,
     from_cadlag_sequence,
@@ -162,7 +162,7 @@ def _barrier_from_ints(space, nums) -> "LadlagProcess":
     it = iter(nums)
 
     def draw(partition):
-        return spread(space, partition, [Fraction(next(it), 2) for _ in range(len(partition))])
+        return [Fraction(next(it), 2) for _ in range(len(partition))]
 
     mid = [draw(space.sigma_minus[0]), draw(space.sigma_minus[1])]
     minus = [list(mid[0]), draw(space.sigma_minus[1])]

@@ -1,0 +1,302 @@
+"""values.py: each row helper against the expression it stands for.
+
+Every helper must give exactly what its expression gives when written out
+over aligned entries, in atom order: the same values, the same types, the
+same NaNs and the same signs of zero.  Rows of different lengths check the
+alignment; Fraction and float rows check both backends.
+"""
+
+from __future__ import annotations
+
+import ast
+import math
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from pdrbsde import values as v
+
+NAN = float("nan")
+
+# pairs of rows of different lengths, in both backends; the float rows hold
+# a NaN and signed zeros
+ROWS = {
+    "rational": ([F(1, 2), F(-3, 4)], [F(1), F(0), F(-1, 3), F(5, 2)], [F(2, 3)]),
+    "float": ([0.5, -0.0], [1.0, NAN, -2.5, 0.0], [-0.0]),
+}
+
+
+def same(got, want) -> None:
+    """Equal entry by entry, with NaN, the sign of zero and the type."""
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
+def on_atoms(row, size: int) -> list:
+    """The row on ``size`` atoms, written out: atom i lies in entry i * len(row) // size."""
+    return [row[i * len(row) // size] for i in range(size)]
+
+
+def walk(*rows) -> list:
+    size = max(map(len, rows))
+    return list(zip(*(on_atoms(r, size) for r in rows)))
+
+
+def combos(mode: str):
+    """Every ordered choice of two rows of one backend, lengths differing or not."""
+    rows = ROWS[mode]
+    return [(a, b) for a in rows for b in rows]
+
+
+MODES = ("rational", "float")
+
+
+# ---------------------------------------------------------------------------
+# the backend table
+
+
+def test_backends_pick_type_format_and_parse():
+    rat, flt = v.BACKENDS["rational"], v.BACKENDS["float"]
+    same([rat.number(F(1, 3)), rat.number(2)], [F(1, 3), F(2)])
+    same([flt.number(F(1, 4)), flt.number(2)], [0.25, 2.0])
+    assert rat.format(F(-3, 4)) == "-3/4" and flt.format(0.1) == "0.1"
+    assert rat.parse("-3/4") == F(-3, 4) and flt.parse("0.1") == 0.1
+    assert rat.sqrt(F(9, 4)) == F(3, 2) and rat.sqrt(F(1, 2)) is None
+    assert flt.sqrt(F(1, 2)) == math.sqrt(0.5)
+    assert rat.approx(math.exp(1)) == F(math.exp(1)).limit_denominator(10**9)
+    assert flt.approx(math.exp(1)) == math.exp(1)
+
+
+def test_gate_is_the_int_zero_in_rational_mode():
+    assert type(v.gate("rational", 1e-10)) is int and v.gate("rational", 1e-10) == 0
+    assert v.gate("float", 1e-10) == 1e-10
+    assert v.gate("rational", 1e-10, 1e-9) == 1e-9
+    # an int 0 keeps arithmetic with it exact
+    assert type(F(1, 3) - v.gate("rational", 1e-10)) is F
+
+
+def test_convert_refine_coarsen():
+    same(v.convert("rational", [F(1, 2), 3]), [F(1, 2), F(3)])
+    same(v.convert("float", [F(1, 2), 3]), [0.5, 3.0])
+    same(v.refine([F(1, 2), F(1, 4)], (F(1, 3), F(2, 3))),
+         [F(1, 6), F(1, 3), F(1, 12), F(1, 6)])
+    assert v.coarsen([1, 1, 2, 2, 3, 3], 3) == [1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# arithmetic
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_clamp_is_vmin_of_vmax(mode):
+    for a, lo in combos(mode):
+        for hi in ROWS[mode]:
+            same(v.clamp(a, lo, hi), v.vmin(v.vmax(a, lo), hi))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_scaled_pos_and_scaled_min(mode):
+    for d, a in combos(mode):
+        same(v.scaled_pos(d, a), [y * max(x, 0) for y, x in walk(d, a)])
+        for b in ROWS[mode]:
+            same(v.scaled_min(d, a, b),
+                 [z * min(max(x, 0), max(y, 0)) for z, x, y in walk(d, a, b)])
+
+
+def test_scaled_min_carries_a_nan_and_a_negative_zero():
+    got = v.scaled_min([1.0, 1.0, 2.0], [NAN, 3.0, -0.0], [2.0, NAN, 1.0])
+    # min() keeps its first argument unless the second is smaller
+    assert math.isnan(got[0]) and got[1] == 3.0
+    assert repr(got[2]) == "-0.0"
+    # a vmin of the positive parts would drop the first NaN
+    assert v.vmin(v.pos_part([NAN]), v.pos_part([2.0])) == [2.0]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_payoff(mode):
+    k = v.BACKENDS[mode].number(F(1, 2))
+    for row in ROWS[mode]:
+        same(v.payoff(row, k, True), [max(x - k, 0 * x) for x in row])
+        same(v.payoff(row, k, False), [max(k - x, 0 * x) for x in row])
+    # the zero is 0 * x: a negative float underlying gives -0.0
+    assert repr(v.payoff([-1.0], 1.0, True)[0]) == "-0.0"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_apply(mode):
+    def fn(x, y):
+        return 2 * x - y * y
+
+    for a, b in combos(mode):
+        same(v.apply(fn, a, b), [fn(x, y) for x, y in walk(a, b)])
+    same(v.apply(abs, ROWS[mode][1]), [abs(x) for x in ROWS[mode][1]])
+
+
+# ---------------------------------------------------------------------------
+# tests over the entries
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("tol", [0, 1e-12, 1])
+def test_pairwise_tests(mode, tol):
+    for a, b in combos(mode):
+        pairs = walk(a, b)
+        assert v.any_below(a, b, tol) == any(x < y - tol for x, y in pairs)
+        assert v.any_above(a, b, tol) == any(x > y + tol for x, y in pairs)
+        assert v.any_exceeds(a, b, tol) == any(x - y > tol for x, y in pairs)
+        assert v.any_both_nonzero(a, b) == any(x != 0 and y != 0 for x, y in pairs)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("tol", [0, 1e-12, 1])
+def test_row_tests(mode, tol):
+    for row in ROWS[mode] + ([NAN, 0.0, -0.0, -1e-13],):
+        assert v.any_nonzero(row) == any(x != 0 for x in row)
+        assert v.any_negative(row) == any(x < 0 for x in row)
+        assert v.any_negative(row, tol) == any(-x > tol for x in row)
+        assert v.any_nonpositive(row) == any(float(x) <= 0 for x in row)
+        assert v.any_beyond(row, tol) == any(abs(x) > tol for x in row)
+
+
+def test_row_tests_on_nan_and_negative_zero():
+    assert v.any_nonzero([NAN]) and not v.any_nonzero([-0.0])
+    assert not v.any_negative([NAN, -0.0]) and not v.any_nonpositive([NAN])
+    assert v.any_nonpositive([-0.0]) and not v.any_beyond([NAN], 0)
+    assert not v.any_below([NAN], [0.0], 0) and not v.any_above([NAN], [0.0], 0)
+
+
+def test_first_above_names_the_first_atom_of_the_finer_row():
+    assert v.first_above([F(0), F(2)], [F(1), F(1), F(1), F(1)], 8) == 4
+    assert v.first_above([F(0)] * 4, [F(1)], 8) is None
+    assert v.first_above([0.0, 1.0, 3.0, NAN], [2.0, 2.0], 4) == 2
+    assert v.first_above([NAN, 0.0], [0.0], 2) is None
+
+
+# ---------------------------------------------------------------------------
+# averages and norms
+
+
+def reference_block_means(row, weights, m):
+    """The weighted mean of each block, summed from its first entry on."""
+    step = len(row) // m
+    out = []
+    for j in range(0, len(row), step):
+        num, den = weights[j] * row[j], weights[j]
+        for i in range(j + 1, j + step):
+            num, den = num + weights[i] * row[i], den + weights[i]
+        out.append(num / den)
+    return out
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_block_means_and_dot(mode):
+    weights = v.convert(mode, [F(1, 8), F(3, 8), F(1, 4), F(1, 4)])
+    row = v.convert(mode, [F(1, 3), F(-2), F(5, 7), F(0)])
+    for m in (1, 2, 4):
+        same(v.block_means(row, weights, m), reference_block_means(row, weights, m))
+    same(v.block_means(row[:2], weights[:2], 4), on_atoms(row[:2], 4))
+    same([v.dot(weights, row)], [sum(w * x for w, x in zip(weights, row))])
+
+
+def test_block_means_of_a_nan_and_a_negative_zero():
+    assert math.isnan(v.block_means([NAN, 1.0], [0.5, 0.5], 1)[0])
+    assert repr(v.block_means([-0.0, -0.0], [0.5, 0.5], 1)[0]) == "-0.0"
+
+
+def test_constant_on_blocks():
+    assert v.constant_on_blocks([F(1), F(1), F(2), F(2)], 2, "rational")
+    assert not v.constant_on_blocks([F(1), F(2), F(2), F(2)], 2, "rational")
+    assert v.constant_on_blocks([1.0, 1.0], 2, "float")
+    # a NaN equals nothing, so a row holding one is constant on no blocks,
+    # not even on its own atoms
+    nan_row = [NAN, NAN]
+    assert not v.constant_on_blocks(nan_row, 1, "float")
+    assert not v.constant_on_blocks(nan_row, 2, "float")
+    assert v.constant_on_blocks([0.0, -0.0], 1, "float")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_squares_and_max_weighted_squares(mode):
+    rows = ROWS[mode]
+    for row in rows:
+        same(v.squares(row), [float(x) ** 2 for x in row])
+    factors = [1.0, 2.0, 0.5]
+    want = [max(e * float(x) ** 2 for e, x in zip(factors, col)) for col in walk(*rows)]
+    same(v.max_weighted_squares(factors, rows), want)
+
+
+# ---------------------------------------------------------------------------
+# magnitudes
+
+
+def test_magnitudes_and_their_maxima():
+    same(v.magnitudes([F(-1, 2), -0.0, NAN]), [0.5, 0.0, NAN])
+    assert v.max_magnitude([[F(-3)], [1.0, -4.0]]) == 4.0
+    assert v.max_magnitude([]) == 0.0 and type(v.max_magnitude([[F(1)]])) is float
+    # the first entry seeds the maximum, as in max() over the entries
+    assert math.isnan(v.max_magnitude([[NAN], [5.0]]))
+    assert v.max_magnitude([[1.0], [NAN, 5.0]]) == 5.0
+    assert v.max_float(0.0, ([F(-1)], [-2.0])) == 0.0
+    assert v.max_float(0.0, ([F(1, 2)], [NAN, 0.25])) == 0.5
+    assert type(v.max_float(0.0, ([F(1, 2)],))) is float
+    assert v.sup_abs([F(-2), F(1)]) == F(2) and v.sup_abs([]) == 0
+
+
+def test_worst_index_takes_the_first_nan_else_the_first_largest():
+    assert v.worst_index([0.0, 2.0, 1.0, 2.0]) == 1
+    assert v.worst_index([1.0, NAN, 3.0, NAN]) == 1
+    assert v.worst_index([0.0]) == 0
+
+
+# ---------------------------------------------------------------------------
+# boundaries
+
+
+def test_signs_json_and_dump_lines():
+    assert v.signs([0.5, -0.5, -0.0]) == [1, -1, -1]
+    assert v.to_json("rational", [F(1, 2)]) == ["1/2"]
+    assert v.to_json("float", [0.5]) == [0.5]
+    assert v.dump_lines("rational", [F(1, 2), F(-1)], "0,mid,", ["0,", "1,", "2,", "3,"],
+                        "\r\n") == "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
+    assert v.dump_lines("float", [0.1, -0.0], "", ["0,", "1,"], "\n") == "0,0.1\n1,-0.0\n"
+
+
+# ---------------------------------------------------------------------------
+# only values.py looks inside a row
+
+
+def _offences(path: Path) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", None)
+            if name in ("pairs", "align"):
+                out.append(f"{path.name}:{node.lineno} calls {name}")
+        elif isinstance(node, ast.ImportFrom) and node.module and "values" in node.module:
+            out += [f"{path.name}:{node.lineno} imports {a.name}" for a in node.names
+                    if a.name in ("pairs", "align")]
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            mode = any(isinstance(s, ast.Attribute) and s.attr == "mode" for s in sides)
+            named = any(isinstance(s, ast.Constant) and s.value in ("rational", "float")
+                        for s in sides)
+            if mode and named:
+                out.append(f"{path.name}:{node.lineno} compares a .mode with a backend name")
+    return out
+
+
+def test_only_values_walks_rows_together_or_picks_the_backend():
+    package = Path(v.__file__).parent
+    modules = sorted(p for p in package.glob("*.py") if p.name != "values.py")
+    assert len(modules) > 5
+    assert [o for p in modules for o in _offences(p)] == []
+
+
+def test_the_ast_check_sees_each_offence(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .values import pairs\n"
+                   "x = v.pairs(a, b)\ny = align(a)\n"
+                   "z = 1 if space.mode == 'rational' else 2\n"
+                   "w = 'float' != space.mode\n", encoding="utf-8")
+    assert len(_offences(bad)) == 5
