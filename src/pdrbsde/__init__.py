@@ -2,9 +2,8 @@
 with predictable barriers on finite filtered probability spaces."""
 
 from .config import (
-    BarrierSpec,
     ConfigError,
-    DriverSpec,
+    KindSpec,
     MarkSpec,
     ScenarioConfig,
     SolverParams,

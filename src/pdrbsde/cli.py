@@ -1,10 +1,11 @@
 """Scenario-driven command line frontend.
 
 Modes: solve, verify, oracle, estimate, formula-check, certificate, corpus.
-Exit codes: 0 all asserted clauses pass; 2 config invalid; 3 divergence (the
-outer loop for a Lipschitz driver hit ``max_outer``, or the Picard oracle of
-``--mode oracle``/``--mode certificate`` hit its cap); 4 verification failure;
-5 oracle mismatch.
+Exit codes: 0 all asserted clauses pass; 2 config invalid (or a space that
+cannot be built from it); 3 divergence (the outer loop for a Lipschitz driver
+hit ``max_outer``, or the Picard oracle of ``--mode oracle``/``--mode
+certificate`` hit its cap); 4 verification failure (also a process that
+fails a class the certificate needs); 5 oracle mismatch.
 Reports are JSON (timings under their own key so re-runs are byte-identical
 elsewhere), process dumps are CSV.
 """
@@ -46,7 +47,7 @@ from .driver_solver import (
     check_beta,
     solve_general,
 )
-from .prob_space import FilteredSpace, build_space, dump_space_json, is_measurable
+from .prob_space import FilteredSpace, SpaceError, build_space, dump_space_json, is_measurable
 from .processes import (
     LadlagProcess,
     ProcessError,
@@ -78,12 +79,15 @@ def _exit_code(where: str, run, *args) -> int:
     codes and printed to stderr after ``where``."""
     try:
         return run(*args)
-    except ConfigError as exc:
+    except (ConfigError, SpaceError) as exc:
         print(f"{where}config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DivergenceError, ContractionError) as exc:
         print(f"{where}divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except ProcessError as exc:
+        print(f"{where}verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,6 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args) -> int:
+    if min(args.pairs, args.count or 0) < 0:
+        raise ConfigError(f"--count and --pairs must be >= 0, got {args.count} and {args.pairs}")
     out_dir = Path(args.out)
     if args.mode == "corpus":
         count = args.count if args.count is not None else 10

@@ -2,9 +2,14 @@
 
 A scenario is a JSON document with top-level ``"schema": 1`` describing the
 grid, the filtration marks, the two barriers, the driver and the solver
-parameters.  Everything downstream (space construction, barrier realization,
-solving, reporting) is a pure function of a validated ``ScenarioConfig`` plus
-its seed, so a digest of the canonical JSON identifies a run.
+parameters.  ``config_from_dict`` is the one place where a document is read
+and checked.  ``BARRIERS`` and ``DRIVERS`` are the one statement of which
+parameters each barrier and driver kind takes, their defaults, and the reader
+that parses and checks each of them; a malformed value is a ``ConfigError``
+naming its cell before any space is built.  Everything downstream (space
+construction, barrier realization, solving, reporting) is a pure function of
+the resulting ``ScenarioConfig`` plus its seed, so a digest of the canonical
+JSON identifies a run.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any
 
 SCHEMA_VERSION = 1
 
-BARRIER_KINDS = ("constant", "deterministic", "game_option", "random", "tables")
-DRIVER_KINDS = ("zero", "table", "linear")
 ARITHMETIC_MODES = ("rational", "float")
+# The largest space a scenario may describe: float N=14 with one two-label
+# mark peaks at 290 MB, and the space doubles with each further step.
+MAX_PATHS = 32_768
 
 
 class ConfigError(ValueError):
@@ -115,41 +121,105 @@ class MarkSpec:
             raise ConfigError("mark probabilities must sum to 1 exactly", where)
 
 
+# ---------------------------------------------------------------------------
+# barrier and driver parameters: each reader is called as read(value, cell, N)
+
+
+def _number(x: Any, where: str, n: int = 0) -> Fraction:
+    """A barrier or driver number: ``Fraction(str(x))``, so a JSON float is
+    read as its shortest decimal."""
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"expected a number, got {x!r}", where) from None
+
+
+def _nonnegative(x: Any, where: str, n: int) -> Fraction:
+    if (val := _number(x, where)) < 0:
+        raise ConfigError(f"expected a number >= 0, got {val}", where)
+    return val
+
+
+def _list(x: Any, where: str, size: int | None, read=_number) -> list:
+    """A list of ``size`` entries (any number when None), each read by ``read``."""
+    if not isinstance(x, list) or size not in (None, len(x)):
+        count = "" if size is None else f"{size} "
+        raise ConfigError(f"expected a list of {count}entries, got {x!r}", where)
+    return [read(e, f"{where}[{i}]") for i, e in enumerate(x)]
+
+
+def _per_step(x: Any, where: str, n: int) -> list[Fraction]:
+    """One number per interval: a list of N, or one number for all of them."""
+    return _list(x, where, n) if isinstance(x, list) else [_number(x, where)] * n
+
+
+def _rows(extra: int, read=_number):
+    """A list of N + extra entries, each read by ``read``."""
+    return lambda x, where, n: _list(x, where, n + extra, read)
+
+
+def _one_of(*allowed: str):
+    def read(x: Any, where: str, n: int) -> str:
+        if x not in allowed:
+            raise ConfigError(f"expected one of {'|'.join(allowed)}, got {x!r}", where)
+        return x
+    return read
+
+
+def _flag(x: Any, where: str, n: int) -> bool:
+    return _expect(x, bool, where)
+
+
+def _optional(read):
+    return lambda x, where, n: None if x is None else read(x, where, n)
+
+
+def _side(x: Any, where: str, n: int) -> dict:
+    """One barrier of the ``tables`` kind: ``mid`` on the N+1 instants, and
+    optionally ``minus`` (N+1, else ``mid``) and ``plus`` (N, else ``mid``),
+    each entry a list of per-atom numbers whose length ``realize`` checks."""
+    return _read_params(_expect(x, dict, where), _SIDE, where, n)
+
+
+def _atoms(x: Any, where: str) -> list[Fraction]:
+    return _list(x, where, None)
+
+
+_SIDE = {"mid": (None, _rows(1, _atoms)),
+         "minus": (None, _optional(_rows(1, _atoms))),
+         "plus": (None, _optional(_rows(0, _atoms)))}
+
+# Each kind: {parameter: (default, reader)}.  A default is read like a written
+# value; a parameter whose reader rejects None has no default.
+BARRIERS = {
+    "constant": {"value": (0, _number), "upper_gap": (0, _nonnegative)},
+    "deterministic": {"lower": (None, _rows(1)), "upper": (None, _rows(1))},
+    "game_option": {"spot": (100, _number), "strike": (100, _number), "drift": (0, _number),
+                    "vol": ("1/4", _number), "penalty": ("5", _per_step),
+                    "style": ("call", _one_of("call", "put"))},
+    "random": {"scale": (2, _number),
+               "left_jumps": ("free", _one_of("none", "usc", "free")),
+               "right_jumps": ("free", _one_of("none", "free")),
+               "touching": (False, _flag)},
+    "tables": {"lower": (None, _side), "upper": (None, _side)},
+}
+DRIVERS = {
+    "zero": {},
+    "table": {"scale": (1, _number)},
+    "linear": {"a": (0, _number), "b": (0, _number), "c": (0, _per_step),
+               "K": (None, _optional(_number))},
+}
+
+
 @dataclass(frozen=True)
-class BarrierSpec:
+class KindSpec:
+    """The barriers or the driver: a kind, its parameters as written (what the
+    digest sees), and their values as read by the kind's table (what
+    ``realize`` builds from)."""
+
     kind: str
     params: dict[str, Any] = field(default_factory=dict)
-
-    def validate(self, n_steps: int) -> None:
-        if self.kind not in BARRIER_KINDS:
-            raise ConfigError(f"unknown barrier kind {self.kind!r}", "barriers.kind")
-        if self.kind == "deterministic":
-            lower = self.params.get("lower")
-            upper = self.params.get("upper")
-            if lower is None or upper is None:
-                raise ConfigError("deterministic barriers need 'lower' and 'upper'", "barriers")
-            if len(lower) != n_steps + 1 or len(upper) != n_steps + 1:
-                raise ConfigError("barrier tables must have N+1 entries", "barriers")
-
-
-@dataclass(frozen=True)
-class DriverSpec:
-    kind: str
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.kind not in DRIVER_KINDS:
-            raise ConfigError(f"unknown driver kind {self.kind!r}", "driver.kind")
-        if self.kind == "linear":
-            a = _as_fraction(self.params.get("a", 0), "driver.a")
-            b = _as_fraction(self.params.get("b", 0), "driver.b")
-            if "K" in self.params:
-                k = _as_fraction(self.params["K"], "driver.K")
-                if k < max(abs(a), abs(b)):
-                    raise ConfigError(
-                        f"declared K={k} below max(|a|,|b|)={max(abs(a), abs(b))}",
-                        "driver.K",
-                    )
+    values: dict[str, Any] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -171,8 +241,8 @@ class ScenarioConfig:
     n_steps: int
     t_horizon: Fraction
     marks: tuple[MarkSpec, ...]
-    barriers: BarrierSpec
-    driver: DriverSpec
+    barriers: KindSpec
+    driver: KindSpec
     params: SolverParams
     arithmetic: str = "float"
     seed: int = 0
@@ -182,8 +252,6 @@ class ScenarioConfig:
         return self.t_horizon / self.n_steps
 
     def validate(self) -> None:
-        if self.n_steps < 1:
-            raise ConfigError("N must be >= 1", "grid.N")
         if self.t_horizon <= 0:
             raise ConfigError("T must be positive", "grid.T")
         if self.arithmetic not in ARITHMETIC_MODES:
@@ -199,8 +267,11 @@ class ScenarioConfig:
             if m.instant in seen:
                 raise ConfigError(f"duplicate mark at instant {m.instant}", "marks")
             seen.add(m.instant)
-        self.barriers.validate(self.n_steps)
-        self.driver.validate()
+        # 2^N is computed only once N is known to be small
+        alphabets = math.prod(len(m.labels) for m in self.marks)
+        if self.n_steps >= MAX_PATHS.bit_length() or 2**self.n_steps * alphabets > MAX_PATHS:
+            raise ConfigError(f"2^N times the mark alphabet sizes exceeds {MAX_PATHS} paths",
+                              "grid")
         if self.params.beta <= 0 or self.params.eps <= 0 or self.params.c <= 0:
             raise ConfigError("beta, eps, c must be positive", "params")
 
@@ -267,7 +338,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}", "schema")
     grid = _expect(doc.get("grid") or {}, dict, "grid")
-    n_steps = _as_int(grid.get("N"), "grid.N")
+    n_steps = _as_count(grid.get("N"), "grid.N")
     t_horizon = _as_fraction(grid.get("T", 1), "grid.T")
     marks = _expect(doc.get("marks", []), list, "marks")
     marks = tuple(_mark_spec(m, i) for i, m in enumerate(marks))
@@ -288,22 +359,46 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
         n_steps=n_steps,
         t_horizon=t_horizon,
         marks=marks,
-        barriers=BarrierSpec(kind=b.get("kind", "constant"),
-                             params=dict(_expect(b.get("params", {}), dict, "barriers.params"))),
-        driver=DriverSpec(kind=d.get("kind", "zero"),
-                          params=dict(_expect(d.get("params", {}), dict, "driver.params"))),
+        barriers=KindSpec(kind=b.get("kind", "constant"),
+                          params=dict(_expect(b.get("params", {}), dict, "barriers.params"))),
+        driver=KindSpec(kind=d.get("kind", "zero"),
+                        params=dict(_expect(d.get("params", {}), dict, "driver.params"))),
         params=params,
         arithmetic=str(doc.get("arithmetic", "float")),
         seed=_as_int(doc.get("seed", 0), "seed"),
     )
-    cfg.validate()
+    cfg.validate()  # the grid and its size cap before a table expands to N entries
+    cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", n_steps),
+                  driver=_read_kind(cfg.driver, DRIVERS, "driver", n_steps))
+    k, a, b = (cfg.driver.values.get(name) for name in ("K", "a", "b"))
+    if k is not None and k < max(abs(a), abs(b)):
+        raise ConfigError(f"declared K={k} below max(|a|,|b|)={max(abs(a), abs(b))}", "driver.K")
     return cfg
 
 
+def _read_kind(spec: KindSpec, kinds: dict, where: str, n: int) -> KindSpec:
+    """The spec with each parameter of its kind read from ``spec.params``,
+    or from the parameter's default; a parameter the kind does not take is
+    an error."""
+    if not isinstance(spec.kind, str) or spec.kind not in kinds:
+        raise ConfigError(f"unknown kind {spec.kind!r}", f"{where}.kind")
+    return KindSpec(spec.kind, spec.params, _read_params(spec.params, kinds[spec.kind], where, n))
+
+
+def _read_params(params: dict, table: dict, where: str, n: int) -> dict:
+    for name in params:
+        if name not in table:
+            raise ConfigError(f"unknown parameter {name!r}", f"{where}.{name}")
+    return {name: read(params.get(name, default), f"{where}.{name}", n)
+            for name, (default, read) in table.items()}
+
+
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc.strerror}", path) from None
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ConfigError(f"config is not valid JSON: {exc}", path) from None
     return config_from_dict(doc)

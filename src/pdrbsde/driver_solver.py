@@ -65,10 +65,9 @@ class LipschitzDriver:
 
 
 def linear_driver(a, b, c_table: list, lipschitz_k=None) -> LipschitzDriver:
-    """g(t_k, y, z) = a y + b z + c_k with K = max(|a|, |b|) unless declared."""
+    """g(t_k, y, z) = a y + b z + c_k with K = max(|a|, |b|) unless declared
+    (a scenario's declared K is checked against a and b when it is loaded)."""
     k_decl = lipschitz_k if lipschitz_k is not None else max(abs(a), abs(b))
-    if k_decl < max(abs(a), abs(b)):
-        raise ValueError("declared K below max(|a|, |b|)")
 
     def evaluate(k, t, y, z, _a=a, _b=b, _c=c_table):
         return _a * y + _b * z + _c[k]

@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import values as v
-from .config import ConfigError, ScenarioConfig
+from .config import ScenarioConfig
 from .values import RV
 
 
@@ -97,7 +97,7 @@ class FilteredSpace:
     mark_rows:   mark_rows[k] is None, or the label of the mark revealed at
                  t_k on each atom of sigma_mid[k].
 
-    ``weights``, ``dw`` and ``marks`` are the per-path views.
+    ``weights`` and ``dw`` are the per-path views.
     """
 
     mode: str
@@ -121,11 +121,6 @@ class FilteredSpace:
     def dw(self) -> tuple:
         """dw[k][path], for k = 0..N-1."""
         return tuple(on_paths(self, row) for row in self.dw_rows)
-
-    @cached_property
-    def marks(self) -> tuple:
-        """marks[k] is None or a per-path label tuple, for k = 0..N."""
-        return tuple(None if row is None else on_paths(self, row) for row in self.mark_rows)
 
     @cached_property
     def _partitions(self) -> dict:
@@ -183,12 +178,9 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
     Path count is the product of per-step branch counts: each mark multiplies
     by its alphabet size, each interval multiplies by two (binary dW).
     """
-    config.validate()
     n = config.n_steps
     dt = config.dt
-    s = v.BACKENDS[config.arithmetic].sqrt(dt)
-    if s is None:
-        raise ConfigError(f"sqrt(dt) irrational for dt={dt}", "grid")
+    s = v.BACKENDS[config.arithmetic].sqrt(dt)  # the config checked it is rational in rational mode
 
     mark_at = {m.instant: m for m in config.marks}
     n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)

@@ -44,13 +44,12 @@ class Scenario:
 
 
 def realize(config: ScenarioConfig) -> Scenario:
-    config.validate()
     space = build_space(config)
     try:
-        barriers = realize_barriers(space, config)
+        barriers = _BARRIERS[config.barriers.kind](space, config.barriers.values, config.seed)
     except ProcessError as exc:  # raised by the BarrierPair check
         raise ConfigError(str(exc), cell="barriers") from exc
-    g, driver = realize_driver(space, config)
+    g, driver = _DRIVERS[config.driver.kind](space, config.driver.values, config.seed)
     return Scenario(config=config, space=space, barriers=barriers, g_rows=g, driver=driver)
 
 
@@ -75,48 +74,20 @@ def _on_partition(space: FilteredSpace, partition: Partition, draw) -> list:
 # barriers
 
 
-def realize_barriers(space: FilteredSpace, config: ScenarioConfig) -> BarrierPair:
-    kind = config.barriers.kind
-    params = config.barriers.params
-    if kind == "constant":
-        return _constant_barriers(space, params)
-    if kind == "deterministic":
-        return _deterministic_barriers(space, params)
-    if kind == "game_option":
-        return _game_option_barriers(space, params)
-    if kind == "random":
-        return _random_barriers(space, params, config.seed)
-    if kind == "tables":
-        return _table_barriers(space, params)
-    raise ConfigError(f"unknown barrier kind {kind!r}", "barriers.kind")
+def _constant_barriers(space, p, seed) -> BarrierPair:
+    n, val = space.n_steps, p["value"]
+    steps = {"lower": [val] * (n + 1), "upper": [val + p["upper_gap"]] * n + [val]}
+    return _deterministic_barriers(space, steps, seed)
 
 
-def _constant_barriers(space, params) -> BarrierPair:
-    n = space.n_steps
-    val = Fraction(str(params.get("value", 0)))
-    gap = Fraction(str(params.get("upper_gap", 0)))
-    if gap < 0:
-        raise ConfigError("upper_gap must be nonnegative", "barriers.upper_gap")
-    return _step_barriers(space, [val] * (n + 1), [val + gap] * n + [val])
-
-
-def _deterministic_barriers(space, params) -> BarrierPair:
-    n = space.n_steps
-    lower = [Fraction(str(x)) for x in params["lower"]]
-    upper = [Fraction(str(x)) for x in params["upper"]]
-    if len(lower) != n + 1 or len(upper) != n + 1:
-        raise ConfigError("deterministic barrier tables need N+1 entries", "barriers")
-    return _step_barriers(space, lower, upper)
-
-
-def _step_barriers(space, lower: list, upper: list) -> BarrierPair:
-    """Deterministic step barriers with values lower[k], upper[k] on [t_k, t_{k+1})."""
-    xi = from_cadlag_sequence(space, [space.constant(x) for x in lower])
-    zeta = from_cadlag_sequence(space, [space.constant(x) for x in upper])
+def _deterministic_barriers(space, p, seed) -> BarrierPair:
+    """Step barriers with values lower[k], upper[k] on [t_k, t_{k+1})."""
+    xi = from_cadlag_sequence(space, [space.constant(x) for x in p["lower"]])
+    zeta = from_cadlag_sequence(space, [space.constant(x) for x in p["upper"]])
     return BarrierPair(xi=xi, zeta=zeta)
 
 
-def _game_option_barriers(space, params) -> BarrierPair:
+def _game_option_barriers(space, p, seed) -> BarrierPair:
     """Payoff-plus-penalty pair on a multiplicative binomial underlying.
 
     The underlying uses the Brownian increments already on the space, so the
@@ -124,37 +95,29 @@ def _game_option_barriers(space, params) -> BarrierPair:
     genuinely predictable process with continuous-at-instants slots.
     """
     n = space.n_steps
-    spot = Fraction(str(params.get("spot", 100)))
-    strike = Fraction(str(params.get("strike", 100)))
-    drift = Fraction(str(params.get("drift", 0)))
-    vol = Fraction(str(params.get("vol", "1/4")))
-    penalties = _per_step(params.get("penalty", "5"), n)
-    style = params.get("style", "call")
     dt = space.t_horizon / space.n_steps
-    base = space.backend.number(Fraction(1) + drift * dt)
-    vol_c = space.backend.number(vol)
-    s_rows = [space.constant(spot)]
+    base = space.backend.number(Fraction(1) + p["drift"] * dt)
+    vol_c = space.backend.number(p["vol"])
+    s_rows = [space.constant(p["spot"])]
     for k in range(n):
         factor = v.add([base], v.smul(vol_c, space.dw_rows[k]))
         if v.any_nonpositive(factor):
             raise ConfigError("underlying factor not positive; reduce vol or dt", "barriers")
         s_rows.append(v.mul(s_rows[-1], factor))
 
-    xi_mids = [v.payoff(s, space.backend.number(strike), style == "call") for s in s_rows]
+    strike = space.backend.number(p["strike"])
+    xi_mids = [v.payoff(s, strike, p["style"] == "call") for s in s_rows]
     xi = from_slots(space, xi_mids, xi_mids, xi_mids[:n])
-    zeta_mids = [v.add(xi_mids[k], space.constant(penalties[k])) for k in range(n)]
+    zeta_mids = [v.add(xi_mids[k], space.constant(p["penalty"][k])) for k in range(n)]
     zeta_mids.append(xi_mids[n])
     zeta = from_slots(space, zeta_mids, zeta_mids, zeta_mids[:n])
     return BarrierPair(xi=xi, zeta=zeta)
 
 
-def _random_barriers(space, params, seed) -> BarrierPair:
+def _random_barriers(space, p, seed) -> BarrierPair:
     n = space.n_steps
     rng = random.Random(f"barriers:{seed}")
-    scale = Fraction(str(params.get("scale", 2)))
-    left = params.get("left_jumps", "free")     # none | usc | free
-    right = params.get("right_jumps", "free")   # none | free
-    touching = bool(params.get("touching", False))
+    scale, left, right, touching = p["scale"], p["left_jumps"], p["right_jumps"], p["touching"]
 
     def signed():
         return _rand_fraction(rng, scale)
@@ -201,29 +164,18 @@ def _random_barriers(space, params, seed) -> BarrierPair:
     return BarrierPair(xi=xi, zeta=zeta)
 
 
-def _table_barriers(space, params) -> BarrierPair:
+def _table_barriers(space, p, seed) -> BarrierPair:
     def build(side: dict) -> LadlagProcess:
-        n = space.n_steps
-        mid = [_spread(space, space.sigma_minus[k], side["mid"][k]) for k in range(n + 1)]
-        minus = (
-            [_spread(space, space.sigma_minus[k], side["minus"][k]) for k in range(n + 1)]
-            if "minus" in side
-            else list(mid)
-        )
+        def rows(slot: str, partitions) -> list:  # the config has N+1 rows, or N for plus
+            return [_spread(space, part, row) for part, row in zip(partitions, side[slot])]
+
+        mid = rows("mid", space.sigma_minus)
+        minus = list(mid) if side["minus"] is None else rows("minus", space.sigma_minus)
         minus[0] = mid[0]
-        plus = (
-            [_spread(space, space.sigma_mid[k], side["plus"][k]) for k in range(n)]
-            if "plus" in side
-            else mid[:n]
-        )
+        plus = mid[:space.n_steps] if side["plus"] is None else rows("plus", space.sigma_mid)
         return from_slots(space, minus, mid, plus)
 
-    return BarrierPair(xi=build(params["lower"]), zeta=build(params["upper"]))
-
-
-def _per_step(raw, n: int) -> list:
-    """A config list as exact rationals, or one config value repeated n times."""
-    return [Fraction(str(x)) for x in raw] if isinstance(raw, list) else [Fraction(str(raw))] * n
+    return BarrierPair(xi=build(p["lower"]), zeta=build(p["upper"]))
 
 
 def _spread(space, partition, per_atom) -> list:
@@ -231,34 +183,38 @@ def _spread(space, partition, per_atom) -> list:
         raise ConfigError(
             f"table row has {len(per_atom)} entries for {len(partition)} atoms", "barriers"
         )
-    return v.convert(space.mode, [Fraction(str(raw)) for raw in per_atom])
+    return v.convert(space.mode, per_atom)
+
+
+_BARRIERS = {"constant": _constant_barriers, "deterministic": _deterministic_barriers,
+             "game_option": _game_option_barriers, "random": _random_barriers,
+             "tables": _table_barriers}
 
 
 # ---------------------------------------------------------------------------
 # drivers
 
 
-def realize_driver(space: FilteredSpace, config: ScenarioConfig):
-    kind = config.driver.kind
-    params = config.driver.params
-    if kind == "zero":
-        return [space.zero() for _ in range(space.n_steps)], None
-    if kind == "table":
-        rng = random.Random(f"driver:{config.seed}")
-        scale = Fraction(str(params.get("scale", 1)))
-        g = [
-            _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, scale))
-            for k in range(space.n_steps)
-        ]
-        return g, None
-    if kind == "linear":
-        a = space.backend.number(Fraction(str(params.get("a", 0))))
-        b = space.backend.number(Fraction(str(params.get("b", 0))))
-        c_list = v.convert(space.mode, _per_step(params.get("c", 0), space.n_steps))
-        k_decl = params.get("K")
-        drv = linear_driver(a, b, c_list, float(Fraction(str(k_decl))) if k_decl is not None else None)
-        return None, drv
-    raise ConfigError(f"unknown driver kind {kind!r}", "driver.kind")
+def _zero_driver(space, p, seed):
+    return [space.zero() for _ in range(space.n_steps)], None
+
+
+def _table_driver(space, p, seed):
+    rng = random.Random(f"driver:{seed}")
+    g = [
+        _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, p["scale"]))
+        for k in range(space.n_steps)
+    ]
+    return g, None
+
+
+def _linear_driver(space, p, seed):
+    a, b = space.backend.number(p["a"]), space.backend.number(p["b"])
+    k_decl = None if p["K"] is None else float(p["K"])
+    return None, linear_driver(a, b, v.convert(space.mode, p["c"]), k_decl)
+
+
+_DRIVERS = {"zero": _zero_driver, "table": _table_driver, "linear": _linear_driver}
 
 
 # ---------------------------------------------------------------------------

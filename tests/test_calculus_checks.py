@@ -20,6 +20,7 @@ from pdrbsde.calculus_checks import (
     semimartingale_from_weights,
 )
 from pdrbsde.drbsde import solve_driver_process
+from pdrbsde.prob_space import on_paths
 from pdrbsde.scenario import perturb_driver, realize
 
 F = Fraction
@@ -214,8 +215,9 @@ class TestAprioriEstimate:
         )
         sc = realize(cfg)
         g_bar = [list(gk) for gk in sc.g]
+        labels = on_paths(sc.space, sc.space.mark_rows[1])
         for i in range(sc.space.n_paths):
-            g_bar[1][i] = 1.0 if sc.space.marks[1][i] == "a" else -1.0
+            g_bar[1][i] = 1.0 if labels[i] == "a" else -1.0
         s1 = solve_driver_process(sc.barriers, sc.g_rows)
         s2 = solve_driver_process(sc.barriers, g_bar)
         rep = apriori_estimate_check(s1, s2, sc.g_rows, g_bar, beta=5.0, eps=0.5, c=2.0)

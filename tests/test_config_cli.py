@@ -70,6 +70,17 @@ def _field_doc(section: str, value) -> dict:
     return doc
 
 
+def _param_doc(ti: int, section: str, **edit) -> dict:
+    """Template ``ti`` with some ``barriers`` or ``driver`` parameters set."""
+    doc = template_doc(ti)
+    doc[section] = dict(doc[section], params=dict(doc[section]["params"], **edit))
+    return doc
+
+
+_TABLES_SHORT_MID = template_doc(0) | {"barriers": {"kind": "tables", "params": {
+    "lower": {"mid": [["0"]]}, "upper": {"mid": [["1"], ["0"]]}}}}
+
+
 # (scenario document, the cell the error names); each is one schema type error
 SCHEMA_TYPE_ERRORS = {
     "instant_string": (_mark_doc(instant="1"), "marks[0].instant"),
@@ -96,17 +107,46 @@ SCHEMA_TYPE_ERRORS = {
     "max_outer_negative": (template_doc(1, max_outer=-3), "params.max_outer"),
     "barrier_params_list": (_field_doc("barriers", [1, 2]), "barriers.params"),
     "driver_params_list": (_field_doc("driver", ["a"]), "driver.params"),
+    "constant_value_string": (_param_doc(0, "barriers", value="x"), "barriers.value"),
+    "constant_value_nan": (_param_doc(0, "barriers", value=math.nan), "barriers.value"),
+    "deterministic_entry_string": (_param_doc(5, "barriers", lower=["x", "0", "1"]),
+                                   "barriers.lower[0]"),
+    "deterministic_not_list": (_param_doc(5, "barriers", lower=5), "barriers.lower"),
+    "game_option_vol_string": (_param_doc(3, "barriers", vol="x"), "barriers.vol"),
+    "game_option_penalty_short": (_param_doc(3, "barriers", penalty=["1"]), "barriers.penalty"),
+    "game_option_style_unknown": (_param_doc(3, "barriers", style="straddle"), "barriers.style"),
+    "random_scale_string": (_param_doc(1, "barriers", scale="abc"), "barriers.scale"),
+    "random_scale_list": (_param_doc(1, "barriers", scale=[1]), "barriers.scale"),
+    "random_left_jumps_unknown": (_param_doc(1, "barriers", left_jumps="sideways"),
+                                  "barriers.left_jumps"),
+    "random_right_jumps_usc": (_param_doc(1, "barriers", right_jumps="usc"),
+                               "barriers.right_jumps"),
+    "random_touching_string": (_param_doc(1, "barriers", touching="no"), "barriers.touching"),
+    "random_unknown_parameter": (_param_doc(1, "barriers", sclae=2), "barriers.sclae"),
+    "barrier_kind_list": (template_doc(1) | {"barriers": {"kind": ["random"]}}, "barriers.kind"),
+    "tables_mid_short": (_TABLES_SHORT_MID, "barriers.lower.mid"),
+    "table_driver_scale_string": (_param_doc(1, "driver", scale="x"), "driver.scale"),
+    "linear_c_short": (_param_doc(3, "driver", c=["1"]), "driver.c"),
+    "linear_k_below_tiny_a": (_param_doc(3, "driver", a=1e-13, b=0, K=0), "driver.K"),
+    "paths_over_cap": (template_doc(1, arithmetic="float") | {"grid": {"N": 40, "T": "1"}},
+                       "grid"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SCHEMA_TYPE_ERRORS))
-def test_schema_type_error_names_cell(tmp_path, capsys, case):
-    """A mistyped field exits 2 naming its cell, never a traceback or a solve."""
+def test_schema_type_error_names_cell(tmp_path, capsys, monkeypatch, case):
+    """A mistyped field exits 2 naming its cell, never a traceback, and no
+    space is built."""
+    from pdrbsde import scenario
+
+    built = []
+    monkeypatch.setattr(scenario, "build_space", built.append)
     doc, cell = SCHEMA_TYPE_ERRORS[case]
     assert corpus_templates()[1]["marks"][0]["labels"]  # template 1 has a mark
     cfg = write_scenario(tmp_path, doc)
     assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"[at {cell}]" in capsys.readouterr().err
+    assert built == []
 
 
 # (mode, edit of the scenario document, the cell the error names): contraction
@@ -139,6 +179,45 @@ def test_contraction_params_exit_two(tmp_path, capsys, monkeypatch, case):
     assert main(["--mode", mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"[at {cell}]" in capsys.readouterr().err
     assert solves == []
+
+
+def test_tables_barriers_read_every_slot():
+    """Each written slot row lands on its slot; minus falls back to mid (and
+    to mid[0] at instant 0), plus to mid on [0, N)."""
+    mark = {"instant": 1, "labels": ["a", "b"], "probs": ["1/2", "1/2"]}
+    cfg = make_config(2, "1/2", marks=[mark], barriers={"kind": "tables", "params": {
+        "lower": {"mid": [["0"], ["0", "1"], ["1"] * 8], "plus": [["0"], ["0", "0", "-1", "-1"]]},
+        "upper": {"mid": [["2"], ["2", "2"], ["1"] * 8], "minus": [["5"], ["3", "3"], ["1"] * 8]},
+    }})
+    pair = realize(cfg).barriers
+    xi, zeta = pair.xi, pair.zeta
+    assert list(xi.mid_rows) == [[0], [0, 1], [1] * 8] == list(xi.minus_rows)
+    assert list(xi.plus_rows) == [[0], [0, 0, -1, -1]]
+    assert list(zeta.minus_rows) == [[2], [3, 3], [1] * 8]
+    assert list(zeta.plus_rows) == [[2], [2, 2]]
+
+
+def _read_as_before(name: str, x, n: int):
+    """A parameter as ``realize`` read it before the kind tables: numbers by
+    ``Fraction(str(x))``, ``penalty`` and ``c`` once per interval, flags and
+    choices as written."""
+    if name in ("style", "left_jumps", "right_jumps", "touching"):
+        return x
+    if name in ("penalty", "c") and not isinstance(x, list):
+        return [Fraction(str(x))] * n
+    return [Fraction(str(e)) for e in x] if isinstance(x, list) else Fraction(str(x))
+
+
+def test_parsed_values_match_the_old_reading():
+    bundled = Path(__file__).resolve().parent.parent / "scenarios" / "game_option_2step.json"
+    configs = [load_config(str(bundled))]
+    configs += [config_from_dict(template_doc(ti)) for ti in range(len(corpus_templates()))]
+    assert len(configs) == 11
+    for cfg in configs:
+        for spec in (cfg.barriers, cfg.driver):
+            for name, x in spec.params.items():
+                want = _read_as_before(name, x, cfg.n_steps)
+                assert repr(spec.values[name]) == repr(want), (cfg.name, name)
 
 
 class TestCorpusGeneration:
@@ -315,15 +394,46 @@ class TestCliModes:
 
     def test_directory_run_carries_on_past_a_failed_scenario(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
-        paths = generate_corpus(0, 3, corpus)
+        paths = generate_corpus(0, 4, corpus)
         doc = json.loads(paths[1].read_text())
         doc["params"]["max_outer"] = 0
         paths[1].write_text(json.dumps(doc), encoding="utf-8")
+        doc = json.loads(paths[2].read_text())
+        doc["barriers"]["params"]["scale"] = "abc"
+        paths[2].write_text(json.dumps(doc), encoding="utf-8")
         out = tmp_path / "runs"
         assert main(["--mode", "solve", "--config", str(corpus), "--out", str(out)]) == 2
-        assert "scenario_001.json: config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "scenario_001.json: config error:" in err
+        assert "scenario_002.json: config error:" in err and "[at barriers.scale]" in err
         assert (out / "scenario_000" / "report.json").exists()
-        assert (out / "scenario_002" / "report.json").exists()
+        assert (out / "scenario_003" / "report.json").exists()
+
+    def test_cli_arguments_exit_two(self, tmp_path, capsys):
+        """A missing --config path is named; a negative count is refused."""
+        missing = tmp_path / "nope.json"
+        assert main(["--mode", "solve", "--config", str(missing), "--out", str(tmp_path)]) == 2
+        assert f"[at {missing}]" in capsys.readouterr().err
+        for argv in (["--mode", "estimate", "--config", str(missing), "--pairs", "-2"],
+                     ["--mode", "corpus", "--count", "-1"]):
+            assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+            assert "--count and --pairs must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_errors_map_to_exit_codes(self, tmp_path, capsys):
+        """A space that cannot be built exits 2; a Picard oracle stopped early
+        by --tol fails the certificate (exit 4) and the oracle (exit 5)."""
+        doc = template_doc(1, arithmetic="float") | {"grid": {"N": 1, "T": "1e-700"}}
+        cfg = write_scenario(tmp_path, doc)
+        assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
+        assert "config error: dW_0 not binary" in capsys.readouterr().err
+        cfg = generate_corpus(0, 5, tmp_path / "corpus")[4]
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--tol", "100"]
+        assert main(["--mode", "certificate", *argv]) == 4
+        assert "verification failure: H - Hbar" in capsys.readouterr().err
+        assert main(["--mode", "oracle", *argv]) == 5
+        report = json.loads((tmp_path / "o" / "oracle_report.json").read_text())
+        assert report["mismatches"][0].startswith("picard: fixed-point residual")
 
 
 def _drop_zero_rows(rows):

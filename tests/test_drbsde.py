@@ -57,7 +57,7 @@ class TestBarrierPair:
     def test_rejects_barrier_that_sees_the_mark(self, space_8):
         """A barrier is predictable: its value at t_1 may not use the mark
         revealed at t_1."""
-        zero, labels = space_8.zero(), space_8.marks[1]
+        zero, labels = space_8.zero(), on_paths(space_8, space_8.mark_rows[1])
         seen = [F(1) if lab == labels[0] else F(0) for lab in labels]
         xi = from_slots(space_8, [zero, zero, seen], [zero, seen, seen], [zero, seen])
         with pytest.raises(ProcessError, match="predictable"):

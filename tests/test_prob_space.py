@@ -35,7 +35,7 @@ def refines(fine, coarse) -> bool:
 
 
 # the per-path view of a space that its oracle rebuilds
-VIEWS = ("mode", "n_steps", "t_horizon", "weights", "dw", "marks", "sigma_minus", "sigma_mid")
+VIEWS = ("mode", "n_steps", "t_horizon", "weights", "dw", "sigma_minus", "sigma_mid")
 
 
 def build_space_by_grouping(config) -> SimpleNamespace:
@@ -131,6 +131,8 @@ def test_build_space_matches_key_grouping(tmp_path, family):
         have, want = build_space(cfg), build_space_by_grouping(cfg)
         for name in VIEWS:
             assert getattr(have, name) == getattr(want, name), (cfg.name, name)
+        marks = tuple(None if row is None else on_paths(have, row) for row in have.mark_rows)
+        assert marks == want.marks, (cfg.name, "marks")
         # each atom's weight is the total weight of its paths
         for part in (*have.sigma_minus, *have.sigma_mid):
             for w, atom in zip(part.weights, part, strict=True):
@@ -264,13 +266,14 @@ class TestSpread:
         part = space.sigma_mid[1]  # dW_0 then the mark: 6 atoms of 2 paths
         assert len(part) == 6
         # mixed-radix digits in revelation order: dW_0, the mark, dW_1
-        assert space.marks[1] == ("a", "a", "b", "b", "c", "c") * 2
+        labels = on_paths(space, space.mark_rows[1])
+        assert labels == ("a", "a", "b", "b", "c", "c") * 2
         assert [1 if d > 0 else -1 for d in space.dw[1]] == [1, -1] * 6
         x = [F(j) for j in range(6)]
         for j, atom in enumerate(part):
             assert [on_paths(space, x)[i] for i in atom] == [F(j)] * len(atom)
             assert len({space.dw[0][i] for i in atom}) == 1
-            assert len({space.marks[1][i] for i in atom}) == 1
+            assert len({labels[i] for i in atom}) == 1
         assert on_paths(space, x) == tuple(F(j // 2) for j in range(space.n_paths))
         assert is_measurable(space, x, part)
         assert not is_measurable(space, x, space.sigma_minus[1])
@@ -285,6 +288,6 @@ class TestIsMeasurable:
         assert is_measurable(space_2, list(space_2.dw[0]), space_2.sigma_minus[1])
 
     def test_mark_revealed_at_its_instant(self, space_4):
-        eta = [F(1) if lab == "a" else F(0) for lab in space_4.marks[1]]
+        eta = [F(1) if lab == "a" else F(0) for lab in on_paths(space_4, space_4.mark_rows[1])]
         assert is_measurable(space_4, eta, space_4.sigma_mid[1])
         assert not is_measurable(space_4, eta, space_4.sigma_minus[1])

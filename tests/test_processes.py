@@ -9,7 +9,7 @@ import pytest
 
 from conftest import rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
-from pdrbsde.prob_space import cond_expect, expectation
+from pdrbsde.prob_space import cond_expect, expectation, on_paths
 from pdrbsde.processes import (
     ProcessError,
     bracket,
@@ -34,7 +34,7 @@ F = Fraction
 def compensated_mark_martingale(space, instant=1, hi=F(1), lo=F(-1)):
     """Mark-driven jump at one instant, compensated to zero conditional mean."""
     n = space.n_steps
-    labels = space.marks[instant]
+    labels = on_paths(space, space.mark_rows[instant])
     raw = [hi if lab == labels[0] else lo for lab in labels]
     jump = v.sub(raw, cond_expect(space, raw, space.sigma_minus[instant]))
     minus, mid, plus = [space.zero()], [], []
