@@ -136,7 +136,11 @@ def _dispatch(args) -> int:
 
 
 def _load(args, cfg_path: Path) -> ScenarioConfig:
+    """The scenario file, read once, and read again only to apply the command
+    line's overrides."""
     config = load_config(str(cfg_path))
+    if (args.seed, args.arithmetic, args.tol, args.max_iter) == (None,) * 4:
+        return config
     doc = config.to_json_dict()
     if args.seed is not None:
         doc["seed"] = args.seed

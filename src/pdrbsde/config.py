@@ -370,6 +370,10 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     cfg.validate()  # the grid and its size cap before a table expands to N entries
     cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", n_steps),
                   driver=_read_kind(cfg.driver, DRIVERS, "driver", n_steps))
+    if cfg.arithmetic == "float":
+        for where, x in (("grid.T", t_horizon), ("barriers", cfg.barriers.values),
+                         ("driver", cfg.driver.values)):
+            _check_float(x, where)
     k, a, b = (cfg.driver.values.get(name) for name in ("K", "a", "b"))
     if k is not None and k < max(abs(a), abs(b)):
         raise ConfigError(f"declared K={k} below max(|a|,|b|)={max(abs(a), abs(b))}", "driver.K")
@@ -391,6 +395,22 @@ def _read_params(params: dict, table: dict, where: str, n: int) -> dict:
             raise ConfigError(f"unknown parameter {name!r}", f"{where}.{name}")
     return {name: read(params.get(name, default), f"{where}.{name}", n)
             for name, (default, read) in table.items()}
+
+
+def _check_float(x: Any, where: str) -> None:
+    """Every number in ``x`` has a float: one beyond the float range is an
+    error naming its cell."""
+    if isinstance(x, dict):
+        for name, e in x.items():
+            _check_float(e, f"{where}.{name}")
+    elif isinstance(x, list):
+        for i, e in enumerate(x):
+            _check_float(e, f"{where}[{i}]")
+    elif isinstance(x, Fraction):
+        try:
+            float(x)
+        except OverflowError:
+            raise ConfigError("number beyond the float range", where) from None
 
 
 def load_config(path: str) -> ScenarioConfig:

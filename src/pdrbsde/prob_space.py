@@ -26,8 +26,8 @@ the partitions nest by construction.
 A random variable is a row (see values.py): one value per atom of a
 partition it is measurable for, so its length names the partition.  A
 ``Partition`` holds one weight per atom; its atoms, as tuples of path
-indices, are made only when asked for, at the boundaries (``space.json``, the
-stopping-rule oracle and readers outside the program).  Measurability with respect to a
+indices, are made only when asked for, at the boundaries (the stopping-rule
+oracle and readers outside the program).  Measurability with respect to a
 partition means constancy on each of its atoms: a row no finer than the
 partition is measurable by its length alone.
 """
@@ -279,30 +279,52 @@ def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
 # export
 
 
-def space_to_json_dict(space: FilteredSpace) -> dict:
-    """Dump paths with weights and the per-instant atom lists."""
-    signs = [on_paths(space, v.signs(row)) for row in space.dw_rows]
-    marks = {str(k): on_paths(space, row)
-             for k, row in enumerate(space.mark_rows) if row is not None}
-    weights = v.to_json(space.mode, space.weights)
-    return {
-        "mode": space.mode,
-        "N": space.n_steps,
-        "T": str(space.t_horizon),
-        "paths": [
-            {
-                "index": i,
-                "weight": weights[i],
-                "dw_signs": [s[i] for s in signs],
-                "marks": {k: labels[i] for k, labels in marks.items()},
-            }
-            for i in range(space.n_paths)
-        ],
-        "sigma_minus": [[list(a) for a in p] for p in space.sigma_minus],
-        "sigma_mid": [[list(a) for a in p] for p in space.sigma_mid],
-    }
-
-
 def dump_space_json(space: FilteredSpace, path: str) -> None:
+    """Write the space as ``json.dumps(doc, sort_keys=True, indent=1)`` writes
+    its document: ``N``, ``T``, ``mode``, one object per path (its
+    ``dw_signs``, ``index``, ``marks`` by instant and ``weight``), and the atoms
+    of ``sigma_mid`` and ``sigma_minus`` as lists of path indices.
+
+    The text is written piece by piece.  Each distinct value's text is
+    ``json.dumps`` of it, made once; each atom is one join over the index
+    texts of its block of paths."""
+    n_paths = space.n_paths
+
+    def text(row: Sequence, prefix: str = "") -> list:
+        """The row on the paths as ``prefix`` and the JSON text of each entry,
+        made once per distinct entry: a row holds entries of one type, and
+        never a signed zero."""
+        memo = {}
+        return v.expand([memo[x] if x in memo else memo.setdefault(x, prefix + json.dumps(x))
+                         for x in row], n_paths)
+
+    index = [str(i) for i in range(n_paths)]
+    signs = [text(v.signs(row)) for row in space.dw_rows]
+    labels = {str(k): row for k, row in enumerate(space.mark_rows) if row is not None}
+    marks = [text(labels[k], f"{json.dumps(k)}: ") for k in sorted(labels)]
+    weights = text(v.to_json(space.mode, space.weights))
+
+    def items(cells: list, brackets: str) -> str:
+        if not cells:
+            return brackets
+        return f"{brackets[0]}\n    " + ",\n    ".join(cells) + f"\n   {brackets[1]}"
+
+    def path_object(i: int) -> str:
+        return (f'  {{\n   "dw_signs": {items([s[i] for s in signs], "[]")},\n'
+                f'   "index": {index[i]},\n'
+                f'   "marks": {items([m[i] for m in marks], "{}")},\n'
+                f'   "weight": {weights[i]}\n  }}')
+
+    def atoms(p: Partition) -> str:
+        size = n_paths // len(p)
+        return "  [\n" + ",\n".join("   [\n    " + ",\n    ".join(index[j:j + size]) + "\n   ]"
+                                     for j in range(0, n_paths, size)) + "\n  ]"
+
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(space_to_json_dict(space), sort_keys=True, indent=1))
+        fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
+                 f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
+        fh.write(",\n".join(map(path_object, range(n_paths))))
+        for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
+            fh.write(f'\n ],\n "{name}": [\n')
+            fh.write(",\n".join(map(atoms, parts)))
+        fh.write("\n ]\n}")

@@ -81,11 +81,17 @@ def convert(mode: str, xs: Sequence) -> RV:
     return list(map(BACKENDS[mode].number, xs))
 
 
+def _block(n: int, size: int) -> int:
+    """How many of ``size`` atoms each of a row's ``n`` entries covers."""
+    times, rest = divmod(size, n)
+    if rest or not times:
+        raise ValueError(f"a row of {n} entries does not align with {size}")
+    return times
+
+
 def expand(row: Sequence, size: int) -> Sequence:
     """The row on ``size`` atoms: each entry repeated size // len(row) times."""
-    times, rest = divmod(size, len(row))
-    if rest or not times:
-        raise ValueError(f"a row of {len(row)} entries does not align with {size}")
+    times = _block(len(row), size)
     if times == 1:
         return row
     # Two ways to build the same list, each the fast one for its shape: a
@@ -303,10 +309,13 @@ def to_json(mode: str, row: Sequence) -> list:
 
 
 def dump_lines(mode: str, row: Sequence, prefix: str, labels: Sequence, end: str) -> str:
-    """``prefix``, label, dump text and ``end`` on each of len(labels) atoms;
-    each entry is formatted once, however many atoms it covers."""
-    cells = expand([f"{x}{end}" for x in map(BACKENDS[mode].format, row)], len(labels))
-    return "".join([prefix + i + x for i, x in zip(labels, cells)])
+    """``prefix``, label, dump text and ``end`` on each of len(labels) atoms:
+    each entry is formatted once and written with one join over the labels of
+    the atoms it covers."""
+    size = _block(len(row), len(labels))
+    return "".join([prefix + (x + end + prefix).join(labels[start:start + size]) + x + end
+                    for start, x in zip(range(0, len(labels), size),
+                                        map(BACKENDS[mode].format, row))])
 
 
 def _zero_like(a: Sequence):

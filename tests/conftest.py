@@ -175,6 +175,40 @@ def csv_writer_dump(out_dir, sol, g):
                     writer.writerow([k, i, fmt(val)])
 
 
+def space_to_json_dict(space):
+    """The space as a document with one dict per path and every atom listed."""
+    from pdrbsde import values as v
+
+    signs = [on_paths(space, v.signs(row)) for row in space.dw_rows]
+    marks = {str(k): on_paths(space, row)
+             for k, row in enumerate(space.mark_rows) if row is not None}
+    weights = v.to_json(space.mode, space.weights)
+    return {
+        "mode": space.mode,
+        "N": space.n_steps,
+        "T": str(space.t_horizon),
+        "paths": [
+            {
+                "index": i,
+                "weight": weights[i],
+                "dw_signs": [s[i] for s in signs],
+                "marks": {k: labels[i] for k, labels in marks.items()},
+            }
+            for i in range(space.n_paths)
+        ],
+        "sigma_minus": [[list(a) for a in p] for p in space.sigma_minus],
+        "sigma_mid": [[list(a) for a in p] for p in space.sigma_mid],
+    }
+
+
+def json_dumps_space(space) -> str:
+    """``space.json`` as the json module writes it: the oracle for
+    ``prob_space.dump_space_json``."""
+    import json
+
+    return json.dumps(space_to_json_dict(space), sort_keys=True, indent=1)
+
+
 def cell_scan_condition(name, rows, tol, n_paths):
     """A condition from one ``(|residual|, label)`` tuple per path and a flat
     ``max`` over them: the oracle for ``reports.condition_from_rows``."""

@@ -128,6 +128,12 @@ SCHEMA_TYPE_ERRORS = {
     "table_driver_scale_string": (_param_doc(1, "driver", scale="x"), "driver.scale"),
     "linear_c_short": (_param_doc(3, "driver", c=["1"]), "driver.c"),
     "linear_k_below_tiny_a": (_param_doc(3, "driver", a=1e-13, b=0, K=0), "driver.K"),
+    "float_t_beyond_range": (template_doc(0, arithmetic="float")
+                             | {"grid": dict(template_doc(0)["grid"], T="1e400")}, "grid.T"),
+    "float_constant_value_beyond_range": (_param_doc(0, "barriers", value="1e400")
+                                          | {"arithmetic": "float"}, "barriers.value"),
+    "float_game_option_spot_beyond_range": (_param_doc(3, "barriers", spot="1e400")
+                                            | {"arithmetic": "float"}, "barriers.spot"),
     "paths_over_cap": (template_doc(1, arithmetic="float") | {"grid": {"N": 40, "T": "1"}},
                        "grid"),
 }
@@ -539,6 +545,36 @@ class TestDeterminism:
             doc.pop("timings")
             outs.append(json.dumps(doc, sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_scenario_parsed_again_only_for_overrides(self, tmp_path, monkeypatch):
+        """Without an override a run parses its scenario once; an override
+        that restates the file's own values parses it twice and changes no
+        output."""
+        from pdrbsde import cli, config
+
+        parses = []
+
+        def counted(doc):
+            parses.append(doc)
+            return config_from_dict(doc)
+
+        monkeypatch.setattr(config, "config_from_dict", counted)
+        monkeypatch.setattr(cli, "config_from_dict", counted)
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "game_option_2step.json"
+        assert json.loads(scenario.read_text())["seed"] == 7
+        outs = {}
+        for name, extra, calls in (("once", [], 1), ("twice", ["--seed", "7"], 2)):
+            parses.clear()
+            out = tmp_path / name
+            assert main(["--mode", "solve", "--config", str(scenario), "--out", str(out),
+                         *extra]) == 0
+            assert len(parses) == calls
+            report = json.loads((out / "report.json").read_text())
+            report.pop("timings")
+            outs[name] = [report] + [f.read_bytes() for f in sorted(out.iterdir())
+                                     if f.name != "report.json"]
+        assert outs["once"] == outs["twice"]
+        assert len(outs["once"]) == 10  # the report, eight CSVs and space.json
 
     def test_rational_float_coherence(self, tmp_path):
         doc = template_doc(2, seed=29)

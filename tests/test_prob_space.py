@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARK_HALF, make_config, make_space
+from conftest import MARK_HALF, json_dumps_space, make_config, make_space
 from pdrbsde import values as v
 from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
     build_space,
     cond_expect,
+    dump_space_json,
     expectation,
     is_measurable,
     on_paths,
@@ -138,6 +139,34 @@ def test_build_space_matches_key_grouping(tmp_path, family):
             for w, atom in zip(part.weights, part, strict=True):
                 assert abs(w - sum(want.weights[i] for i in atom)) <= have.slack, cfg.name
         assert_increment_moments(have)
+
+
+def _json_mark_configs():
+    """No mark; marks at 2 and 10, whose keys sort as "10" before "2"; labels
+    that JSON escapes."""
+    yield make_config(3, "3/4")
+    yield make_config(10, "5/8", marks=[MARK_HALF | {"instant": 2},
+                                        MARK_HALF | {"instant": 10, "labels": ["x", "y"]}])
+    yield make_config(2, "1/2", marks=[MARK_HALF | {"labels": ["\u00e9", 'a"b']}],
+                      arithmetic="float")
+
+
+@pytest.mark.parametrize("family", ["corpus_0", "corpus_3", "ladder", "edge_marks", "json_marks"])
+def test_space_json_matches_json_module(tmp_path, family):
+    """``dump_space_json`` writes the bytes json.dumps(..., sort_keys=True,
+    indent=1) writes for the space's document."""
+    configs = {
+        "corpus_0": lambda: _corpus_configs(tmp_path, 0),
+        "corpus_3": lambda: _corpus_configs(tmp_path, 3),
+        "ladder": _ladder_configs,
+        "edge_marks": _edge_mark_configs,
+        "json_marks": _json_mark_configs,
+    }[family]()
+    out = tmp_path / "space.json"
+    for cfg in configs:
+        space = build_space(cfg)
+        dump_space_json(space, str(out))
+        assert out.read_bytes() == json_dumps_space(space).encode(), (cfg.name, cfg.arithmetic)
 
 
 def assert_increment_moments(space):

@@ -260,6 +260,23 @@ def test_signs_json_and_dump_lines():
                         "\r\n") == "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
     assert v.dump_lines("float", [0.1, -0.0], "", ["0,", "1,"], "\n") == "0,0.1\n1,-0.0\n"
 
+    # rows of every block size in one dump, as a CSV writes its slots: each
+    # entry's text on every label of its block
+    labels = [f"{i}," for i in range(8)]
+    for mode, rows in (
+        ("float", [[NAN, math.inf, -0.0, 0.1, -math.inf, 0.0, 1e-300, 2.5],
+                   [-0.0, NAN, math.inf, -math.inf], [NAN, -0.0], [-math.inf]]),
+        ("rational", [[F(1, 3**40), F(-7, 10**30), F(0), F(5, 2)],
+                      [F(-2**70 + 1, 2**70), F(1)], [F(10**40, 7)], [F(k, 9) for k in range(8)]]),
+    ):
+        text = {"float": repr, "rational": str}[mode]
+        want = "".join(f"{k},{label}{text(row[i * len(row) // 8])}\r\n"
+                       for k, row in enumerate(rows) for i, label in enumerate(labels))
+        assert "".join(v.dump_lines(mode, row, f"{k},", labels, "\r\n")
+                       for k, row in enumerate(rows)) == want
+    with pytest.raises(ValueError):
+        v.dump_lines("float", [0.0, 1.0, 2.0], "", labels, "\n")
+
 
 # ---------------------------------------------------------------------------
 # only values.py looks inside a row
