@@ -2,10 +2,10 @@
 
 Modes: solve, verify, oracle, estimate, formula-check, certificate, corpus.
 Exit codes: 0 all asserted clauses pass; 2 config invalid (or a space that
-cannot be built from it); 3 divergence (the outer loop for a Lipschitz driver
-hit ``max_outer``, or the Picard oracle of ``--mode oracle``/``--mode
-certificate`` hit its cap); 4 verification failure (also a process that
-fails a class the certificate needs); 5 oracle mismatch.
+cannot be built from it, or a float overflow); 3 divergence (the outer loop
+for a Lipschitz driver hit ``max_outer``, or the Picard oracle of ``--mode
+oracle``/``--mode certificate`` hit its cap); 4 verification failure (also a
+process that fails a class the certificate needs); 5 oracle mismatch.
 Reports are JSON (timings under their own key so re-runs are byte-identical
 elsewhere), process dumps are CSV.
 """
@@ -78,7 +78,10 @@ def _exit_code(where: str, run, *args) -> int:
     """``run(*args)``, with the errors a run can end in mapped to their exit
     codes and printed to stderr after ``where``."""
     try:
-        return run(*args)
+        try:
+            return run(*args)
+        except OverflowError:  # the scenario's numbers are too large for floats
+            raise ConfigError("a value left the float range during the run", "arithmetic") from None
     except (ConfigError, SpaceError) as exc:
         print(f"{where}config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

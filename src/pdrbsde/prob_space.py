@@ -185,30 +185,34 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
     mark_at = {m.instant: m for m in config.marks}
     n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)
 
-    def level(nodes) -> Partition:
-        return Partition(v.convert(config.arithmetic, nodes), n_paths)
+    ratio = v.BACKENDS[config.arithmetic].ratio
+
+    def level(nodes, den) -> Partition:
+        return Partition([ratio(w, den) for w in nodes], n_paths)
 
     # One weight per node of the tree revealed so far, in path order, so
-    # len(nodes) is the number of atoms at each level.
-    nodes = [Fraction(1)]
-    half = Fraction(1, 2)
+    # len(nodes) is the number of atoms at each level; node j weighs nodes[j] / den.
+    nodes, den = [1], 1
     dw_rows, mark_rows, sigma_minus, sigma_mid = [], [], [], []
     for k in range(n + 1):
-        sigma_minus.append(level(nodes))
+        sigma_minus.append(level(nodes, den))
         spec = mark_at.get(k)
         if spec is None:
             mark_rows.append(None)
+            sigma_mid.append(Partition(sigma_minus[-1].weights, n_paths))  # shares its entries
         else:
             mark_rows.append(tuple(spec.labels) * len(nodes))
-            nodes = v.refine(nodes, spec.probs)
-        sigma_mid.append(level(nodes))
+            common = math.lcm(*(p.denominator for p in spec.probs))
+            nodes = v.refine(nodes, [p.numerator * (common // p.denominator) for p in spec.probs])
+            den *= common
+            sigma_mid.append(level(nodes, den))
         if k < n:
             dw_rows.append((s, -s) * len(nodes))
-            nodes = v.refine(nodes, (half, half))
+            nodes = v.refine(nodes, (1, 1))
+            den *= 2
 
-    total = sum(nodes, Fraction(0))
-    if total != 1:
-        raise SpaceError(f"path weights sum to {total}, expected exactly 1")
+    if sum(nodes) != den:
+        raise SpaceError(f"path weights sum to {Fraction(sum(nodes), den)}, expected exactly 1")
 
     space = FilteredSpace(
         mode=config.arithmetic,

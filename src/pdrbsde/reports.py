@@ -68,6 +68,9 @@ def condition_from_rows(name: str, rows, tol: float, n_paths: int) -> ConditionR
     """
     row_worst = []  # (|residual|, label, path) of each row's worst cell
     for label, res in rows:
+        if res and not v.any_nonzero(res):  # a row of zeros, in one test
+            row_worst.append((0.0, label, 0))
+            continue
         mags = v.magnitudes(res)
         if mags:
             j = v.worst_index(mags)

@@ -1,9 +1,9 @@
 """Realize scenario configs into spaces, barriers and drivers; corpus generation.
 
-Random data is always drawn as exact rationals from string-seeded generators
-and converted to the arithmetic backend afterwards, so the rational and float
-runs of one scenario see the same underlying numbers (their outputs can then
-be compared across backends).
+Random data is drawn from string-seeded generators as int numerators over
+one known denominator, divided once into the entry (``Backend.ratio``), so a
+float run sees the correctly rounded values of the rational run's numbers
+(their outputs can then be compared across backends).
 """
 
 from __future__ import annotations
@@ -57,17 +57,19 @@ def realize(config: ScenarioConfig) -> Scenario:
 # value generators
 
 
-def _rand_fraction(rng: random.Random, scale: Fraction) -> Fraction:
-    # dyadic rationals keep denominators small under exact arithmetic
-    return Fraction(rng.randint(-16, 16) * scale.numerator, 8 * scale.denominator)
+def _numerator(rng: random.Random, scale: Fraction) -> int:
+    # over 8 * scale.denominator: dyadic, so exact arithmetic stays small
+    return rng.randint(-16, 16) * scale.numerator
 
 
-def _rand_nonneg(rng: random.Random, scale: Fraction) -> Fraction:
-    return Fraction(rng.randint(0, 16) * scale.numerator, 8 * scale.denominator)
+def _nonneg_numerator(rng: random.Random, scale: Fraction) -> int:
+    return rng.randint(0, 16) * scale.numerator
 
 
-def _on_partition(space: FilteredSpace, partition: Partition, draw) -> list:
-    return v.convert(space.mode, [draw() for _ in range(len(partition))])
+def _on_partition(space: FilteredSpace, partition: Partition, draw, scale: Fraction) -> list:
+    """One draw per atom: each numerator ``draw()`` over 8 * scale.denominator."""
+    den = 8 * scale.denominator
+    return [space.backend.ratio(draw(), den) for _ in range(len(partition))]
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +122,19 @@ def _random_barriers(space, p, seed) -> BarrierPair:
     scale, left, right, touching = p["scale"], p["left_jumps"], p["right_jumps"], p["touching"]
 
     def signed():
-        return _rand_fraction(rng, scale)
+        return _numerator(rng, scale)
 
     def nonneg():
-        return _rand_nonneg(rng, scale)
+        return _nonneg_numerator(rng, scale)
 
     def gap_draw():
-        if touching and rng.random() < Fraction(1, 3):
-            return Fraction(0)
-        return _rand_nonneg(rng, scale)
+        # random() is m / 2**53, and no such m lies between 1/3 and float(1/3)
+        if touching and rng.random() < 1 / 3:
+            return 0
+        return _nonneg_numerator(rng, scale)
 
     def draws(partitions, draw) -> list:
-        return [_on_partition(space, p, draw) for p in partitions]
+        return [_on_partition(space, p, draw, scale) for p in partitions]
 
     minus_parts, mid_parts = space.sigma_minus, space.sigma_mid[:n]
     xi_mid = draws(minus_parts, signed)
@@ -201,10 +204,9 @@ def _zero_driver(space, p, seed):
 
 def _table_driver(space, p, seed):
     rng = random.Random(f"driver:{seed}")
-    g = [
-        _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, p["scale"]))
-        for k in range(space.n_steps)
-    ]
+    scale = p["scale"]
+    g = [_on_partition(space, space.sigma_mid[k], lambda: _numerator(rng, scale), scale)
+         for k in range(space.n_steps)]
     return g, None
 
 
@@ -332,6 +334,6 @@ def perturb_driver(space: FilteredSpace, g: list, seed: int) -> list:
     out = []
     scale = Fraction(1, 4)
     for k in range(space.n_steps):
-        bump = _on_partition(space, space.sigma_mid[k], lambda: _rand_fraction(rng, scale))
+        bump = _on_partition(space, space.sigma_mid[k], lambda: _numerator(rng, scale), scale)
         out.append(v.add(g[k], bump))
     return out

@@ -8,9 +8,10 @@ row lengths divide one another.  A row with one entry per path is a row too.
 
 Only this module looks inside a row.  ``BACKENDS`` is the one place that
 picks the number backend: for each arithmetic mode it gives the entry type
-(``Fraction`` or ``float``), its square root, its dump text and its parser,
-and ``gate`` gives the mode's tolerance.  Every other module works on whole
-rows through the helpers below, in these families:
+(``Fraction`` or ``float``), the entry of a ratio of ints, its square root,
+its dump text and its parser, and ``gate`` gives the mode's tolerance.
+Every other module works on whole rows through the helpers below, in these
+families:
 
 * arithmetic: add, sub, mul, smul, vmax, vmin, clamp, pos_part, neg_part,
   payoff, and ``apply`` for a function of the entries;
@@ -48,6 +49,7 @@ RV = list  # one entry per atom: Fractions in rational mode, floats in float mod
 class Backend:
     exact: bool         # rational: identities hold with tolerance 0
     number: Callable    # an int or exact rational as an entry
+    ratio: Callable     # the entry n / d of ints (int / int is correctly rounded)
     sqrt: Callable      # square root of an exact rational; None if not an entry
     approx: Callable    # a float as an entry
     format: Callable    # an entry as dump text
@@ -61,10 +63,10 @@ def _fraction(x) -> Fraction:
 
 
 BACKENDS = {
-    "rational": Backend(True, _fraction, _rational_sqrt,
+    "rational": Backend(True, _fraction, Fraction, _rational_sqrt,
                         lambda x: Fraction(x).limit_denominator(10**9),
                         Fraction.__str__, Fraction, str),
-    "float": Backend(False, float, lambda x: math.sqrt(float(x)), float,
+    "float": Backend(False, float, truediv, lambda x: math.sqrt(float(x)), float,
                      float.__repr__, float, float),
 }
 
@@ -118,7 +120,7 @@ def pairs(*rows: Sequence):
 
 
 def refine(row: Sequence, probs: Sequence) -> RV:
-    """Each weight split by the probabilities: the next level of a tree."""
+    """Each weight times each of the factors: the next level of a tree."""
     return [w * p for w in row for p in probs]
 
 
@@ -194,7 +196,8 @@ def eq(a: Sequence, b: Sequence) -> bool:
 
 
 def any_nonzero(a: Sequence) -> bool:
-    return any(x != 0 for x in a)
+    """Some x != 0: that is bool(x) for an int, a Fraction or a float, NaN too."""
+    return any(a)
 
 
 def any_negative(a: Sequence, tol=0) -> bool:

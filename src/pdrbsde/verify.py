@@ -164,7 +164,7 @@ def _equation_rows(g, y, z, m, sides):
 
 def _gap(sign: int, y_slot, barrier_slot) -> list:
     """sign * (Y - barrier) on one slot row: negative where Y crosses the barrier."""
-    return v.smul(sign, v.sub(y_slot, barrier_slot))
+    return v.sub(y_slot, barrier_slot) if sign > 0 else v.sub(barrier_slot, y_slot)
 
 
 def _domination_rows(y, side):

@@ -223,3 +223,40 @@ def cell_scan_condition(name, rows, tol, n_paths):
     worst = float(worst)
     return ConditionReport(name=name, passed=worst <= tol, max_residual=worst,
                            worst_cell=label if worst > 0 else None)
+
+
+def tree_weights_by_fractions(config) -> tuple:
+    """The weights of ``sigma_minus`` and ``sigma_mid`` at each instant, as
+    ``Fraction`` products through ``v.refine`` turned into the backend's
+    entries: the oracle for ``build_space``'s int tree weights."""
+    from pdrbsde import values as v
+
+    mark_at = {m.instant: m for m in config.marks}
+    nodes, minus, mid = [Fraction(1)], [], []
+    for k in range(config.n_steps + 1):
+        minus.append(v.convert(config.arithmetic, nodes))
+        if k in mark_at:
+            nodes = v.refine(nodes, mark_at[k].probs)
+        mid.append(v.convert(config.arithmetic, nodes))
+        if k < config.n_steps:
+            nodes = v.refine(nodes, (Fraction(1, 2), Fraction(1, 2)))
+    return minus, mid
+
+
+def magnitudes_condition(name, rows, tol, n_paths):
+    """``reports.condition_from_rows`` with every row, zero or not, taken
+    through its magnitudes: the oracle for its one-test pass of a zero row."""
+    from pdrbsde import values as v
+    from pdrbsde.reports import ConditionReport
+
+    row_worst = []
+    for label, res in rows:
+        mags = v.magnitudes(res)
+        if mags:
+            j = v.worst_index(mags)
+            row_worst.append((mags[j], label, j * n_paths // len(mags)))
+    if not row_worst:
+        return ConditionReport(name=name, passed=True, max_residual=0.0)
+    top, label, i = row_worst[v.worst_index([r[0] for r in row_worst])]
+    return ConditionReport(name=name, passed=top <= tol, max_residual=top,
+                           worst_cell=f"{label},path={i}" if top != 0 else None)

@@ -415,6 +415,28 @@ class TestCliModes:
         assert (out / "scenario_000" / "report.json").exists()
         assert (out / "scenario_003" / "report.json").exists()
 
+    def test_float_overflow_during_the_run_exits_two(self, tmp_path, capsys):
+        """Numbers just inside the float range that overflow mid-run (in the
+        norms) exit 2 naming the arithmetic, and a directory run carries on."""
+        corpus = tmp_path / "corpus"
+        paths = generate_corpus(0, 4, corpus)
+        for i, edit in ((1, {"scale": "1e307"}), (3, {"spot": "1.7e308", "strike": 0})):
+            doc = json.loads(paths[i].read_text())
+            doc["arithmetic"] = "float"
+            doc["barriers"]["params"].update(edit)
+            paths[i].write_text(json.dumps(doc), encoding="utf-8")
+            out = tmp_path / f"alone_{i}"
+            assert main(["--mode", "solve", "--config", str(paths[i]), "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: a value left the float range during the run [at arithmetic]\n")
+        out = tmp_path / "runs"
+        assert main(["--mode", "solve", "--config", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario_001.json: config error: a value left the float range" in err
+        assert "scenario_003.json: config error: a value left the float range" in err
+        assert (out / "scenario_000" / "report.json").exists()
+        assert (out / "scenario_002" / "report.json").exists()
+
     def test_cli_arguments_exit_two(self, tmp_path, capsys):
         """A missing --config path is named; a negative count is refused."""
         missing = tmp_path / "nope.json"

@@ -10,7 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cell_scan_condition, csv_writer_dump, move_cells, set_cell
+from conftest import (
+    cell_scan_condition,
+    csv_writer_dump,
+    magnitudes_condition,
+    move_cells,
+    set_cell,
+)
 from pdrbsde import cli, verify
 from pdrbsde.config import config_from_dict
 from pdrbsde.reports import ConditionReport, VerificationReport, condition_from_rows
@@ -97,6 +103,27 @@ def test_all_zero_has_no_worst_cell(rows):
 
 
 NAN = float("nan")
+
+# rows that the one-test pass of a zero row must treat as the magnitudes do
+ZERO_ROW_CASES = {
+    "zeros": [("a", [0.0, 0.0]), ("b", [0.0])],
+    "negative_zeros": [("a", [-0.0, -0.0]), ("b", [-0.0])],
+    "fraction_zeros": [("a", [Fraction(0)] * 4), ("b", [Fraction(0)])],
+    "nan": [("a", [0.0, 0.0]), ("b", [0.0, NAN]), ("c", [NAN, 1.0])],
+    "zero_then_nonzero": [("a", [0.0, -0.0]), ("b", [0.0, -2.0]), ("c", [Fraction(0)]),
+                          ("d", [Fraction(-2), Fraction(1)])],
+    "nonzero_then_zero": [("a", [0.0, 1e-300]), ("b", [-0.0, 0.0, 0.0, 0.0])],
+    "empty": [("a", []), ("b", [0.0]), ("c", [])],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_ROW_CASES))
+@pytest.mark.parametrize("tol", [0, 1e-10])
+def test_zero_rows_report_as_their_magnitudes(case, tol):
+    rows = ZERO_ROW_CASES[case]
+    got = condition_from_rows("c", iter(rows), tol, 4)
+    want = magnitudes_condition("c", rows, tol, 4)
+    assert repr(got) == repr(want)  # a NaN residual equals nothing, its repr does
 
 
 @pytest.mark.parametrize("rows, cell", [

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARK_HALF, json_dumps_space, make_config, make_space
+from conftest import (
+    MARK_HALF,
+    json_dumps_space,
+    make_config,
+    make_space,
+    tree_weights_by_fractions,
+)
 from pdrbsde import values as v
 from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
@@ -167,6 +173,31 @@ def test_space_json_matches_json_module(tmp_path, family):
         space = build_space(cfg)
         dump_space_json(space, str(out))
         assert out.read_bytes() == json_dumps_space(space).encode(), (cfg.name, cfg.arithmetic)
+
+
+def _weight_configs(mode: str):
+    """No mark, marks of two and three outcomes, two marks, and the
+    float-ladder inputs at N = 12."""
+    thirds = {"instant": 1, "labels": ["a", "b"], "probs": ["1/3", "2/3"]}
+    sevenths = {"instant": 2, "labels": ["x", "y", "z"], "probs": ["1/7", "2/7", "4/7"]}
+    for marks in ([], [thirds], [sevenths], [thirds, sevenths]):
+        yield make_config(3, "3/4", marks=marks, arithmetic=mode)
+    doc = estimate_template(1)
+    doc.update(grid={"N": 12, "T": "3/4"}, arithmetic=mode)
+    doc["marks"] = [dict(doc["marks"][0], instant=6)]
+    yield config_from_dict(doc)
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_tree_weights_are_the_fraction_products(mode):
+    """Int numerators over one denominator give each partition the weights
+    that Fraction products give, entry by entry and type by type."""
+    for cfg in _weight_configs(mode):
+        space = build_space(cfg)
+        minus, mid = tree_weights_by_fractions(cfg)
+        for have, want in ((space.sigma_minus, minus), (space.sigma_mid, mid)):
+            assert [[(type(w), repr(w)) for w in p.weights] for p in have] == \
+                [[(type(w), repr(w)) for w in row] for row in want], cfg.name
 
 
 def assert_increment_moments(space):

@@ -67,6 +67,29 @@ def test_backends_pick_type_format_and_parse():
     assert flt.approx(math.exp(1)) == math.exp(1)
 
 
+def _entry(fn, *args):
+    """The type and repr of fn(*args), or that it overflowed."""
+    try:
+        x = fn(*args)
+    except OverflowError:
+        return "overflow"
+    return type(x), repr(x)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ratio_is_the_entry_of_the_fraction(mode):
+    """ratio(n, d) is number(Fraction(n, d)): float's int / int and
+    float(Fraction) are both the correctly rounded value of n / d."""
+    b = v.BACKENDS[mode]
+    scales = [F(s) for s in ("1", "2", "3", "1/2", "1/4", "1e7", "1e307", "1e400", "1e-300")]
+    scales += [F(17**200, 3), F(2**60 + 1, 3**40)]
+    nums = [k * s.numerator for s in scales for k in range(-16, 17)]
+    dens = [8 * s.denominator for s in scales] + [1, 3, 7, 9, 2**60 + 1, 3**50, 10**400]
+    outcomes = [_entry(b.ratio, n, d) == _entry(b.number, F(n, d)) for n in nums for d in dens]
+    assert all(outcomes) and len(outcomes) == len(nums) * len(dens)
+    assert (mode == "float") == (_entry(b.ratio, 17**300, 3) == "overflow")
+
+
 def test_gate_is_the_int_zero_in_rational_mode():
     assert type(v.gate("rational", 1e-10)) is int and v.gate("rational", 1e-10) == 0
     assert v.gate("float", 1e-10) == 1e-10
