@@ -131,12 +131,12 @@ def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> Opti
     wvals = [space.constant(w) for w in weights]
     return OptionalSemimartingale(
         space=space,
-        x0=list(wvals[0]),
-        m_interval=tuple(list(zero) for _ in range(n)),
-        m_jump=tuple(list(zero) for _ in range(n)),
-        a_jump=tuple(list(zero) for _ in range(n + 1)),
+        x0=wvals[0],
+        m_interval=(zero,) * n,
+        m_jump=(zero,) * n,
+        a_jump=(zero,) * (n + 1),
         a_interval=tuple(v.sub(wvals[k + 1], wvals[k]) for k in range(n)),
-        b_jump=tuple(list(zero) for _ in range(n)),
+        b_jump=(zero,) * n,
     )
 
 
@@ -196,9 +196,8 @@ def galchouk_lenglart_check(
             corr = v.sub(corr, v.mul(gv, move))
         return new_totals, corr
 
-    zero = space.zero()
-    t1, t2, t4, t5 = (list(zero) for _ in range(4))
-    t3 = list(zero)  # continuous bracket, stays zero
+    t1 = t2 = t4 = t5 = space.zero()
+    t3 = t1  # continuous bracket, stays zero
     lhs_series, rhs_series = [], []
     terms_series = {name: [] for name in ("dA_integral", "dBM_integral", "bracket",
                                           "left_jump_sum", "right_jump_sum")}
@@ -214,7 +213,7 @@ def galchouk_lenglart_check(
         lhs_series.append(v.sub(v.apply(f, *state(1, k)), f0))
         rhs_series.append(v.add(v.add(t1, t2), v.add(t3, v.add(t4, t5))))
         for name, acc in zip(terms_series, (t1, t2, t3, t4, t5)):
-            terms_series[name].append(list(acc))
+            terms_series[name].append(acc)
 
         if k == n:
             break
@@ -279,9 +278,8 @@ def corollary_expansion(
     # Regroup: the weight component's dA share is the drift term; the Y
     # component's dA share is the A integral.  Totals at instant k include
     # intervals up to k-1 and left jumps up to k, matching the series above.
-    zero = space.zero()
-    drift, a_int = [list(zero)], [list(zero)]
-    run_drift, run_a = list(zero), list(zero)
+    run_drift = run_a = space.zero()
+    drift, a_int = [run_drift], [run_a]
     grad_w = f.partial(0)   # y^2
     grad_y = f.partial(1)   # 2 x y
     wminus, _, wplus = wproc.states()
@@ -293,8 +291,8 @@ def corollary_expansion(
         run_a = v.add(run_a, v.mul(gy, y.a_interval[k - 1]))
         gy2 = v.apply(grad_y, wminus[k], yminus[k])
         run_a = v.add(run_a, v.mul(gy2, y.a_jump[k]))
-        drift.append(list(run_drift))
-        a_int.append(list(run_a))
+        drift.append(run_drift)
+        a_int.append(run_a)
 
     terms = {
         "drift": drift,
@@ -322,8 +320,8 @@ def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
     n = space.n_steps
 
     def draw(partition) -> list:
-        return v.convert(space.mode,
-                         [Fraction(rng.randint(-8, 8), 4) for _ in range(len(partition))])
+        return v.as_row(space.mode,
+                        [Fraction(rng.randint(-8, 8), 4) for _ in range(len(partition))])
 
     m_interval = [v.mul(draw(space.sigma_mid[k]), space.dw_rows[k]) for k in range(n)]
     m_jump = []

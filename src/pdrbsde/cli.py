@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import random
 import sys
 import time
@@ -226,7 +227,7 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _y0(y: LadlagProcess):
-    return float(y.mid_rows[0][0])
+    return float(v.entries(y.mid_rows[0])[0])
 
 
 def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
@@ -251,13 +252,15 @@ _COMPONENTS = {"Y": "y", "M": "m", "A": "a", "B": "b", "A_prime": "a_prime", "B_
 def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
     """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float.
 
-    Each atom's value is formatted once and written for every path of its
-    block."""
+    Each atom's value is written for every path of its block, and each
+    distinct nonzero value is formatted once per call: cadlag slots repeat
+    their mid rows, and a running sum's minus slot its previous mid."""
     space = sol.y.space
     paths = [f"{i}," for i in range(space.n_paths)]
+    texts = {}
 
     def write(fh, prefix: str, row) -> None:
-        fh.write(v.dump_lines(space.mode, row, prefix, paths, "\r\n"))
+        fh.write(v.dump_lines(space.mode, row, prefix, paths, "\r\n", texts))
 
     for name, field in _COMPONENTS.items():
         proc = getattr(sol, field)
@@ -284,7 +287,7 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
     Every cell must appear exactly once: a malformed row, an unknown slot, an
     index out of range, a duplicate or a missing cell is a ConfigError naming
     the file and the row.  A row constant on the atoms of its partition is
-    kept once per atom, any other row once per path.
+    kept once per atom, any other row once per path, as a row of the mode.
     """
     n_paths = space.n_paths
     cells = {slot: [[None] * n_paths for _ in parts] for slot, parts in partitions.items()}
@@ -292,26 +295,35 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
     parsed = {}  # text -> value, so that a repeated value is parsed once
     parse = space.backend.parse
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        column = {name: j for j, name in enumerate(next(reader, []))}
+        at_slot = column.get("slot", math.inf)  # a dump without slots has the one slot None
+        # a column the header lacks is at None, which no row can be indexed by
+        at_k, at_i, at_value = map(column.get, (index, "path", "value"))
+
+        def where() -> str:
+            return f"{path.name} row {reader.line_num}"
+
         for row in reader:
-            where = f"{path.name} row {reader.line_num}"
-            slot = row.get("slot")
+            if not row:
+                continue
+            slot = row[at_slot] if at_slot < len(row) else None
             if slot not in cells:
-                raise ConfigError(f"{where}: unknown slot {slot!r}")
+                raise ConfigError(f"{where()}: unknown slot {slot!r}")
             try:
-                k, i = int(row[index]), int(row["path"])
-                val = parsed.get(row["value"])
+                k, i, text = int(row[at_k]), int(row[at_i]), row[at_value]
+                val = parsed.get(text)
                 if val is None:
-                    val = parse(row["value"])
+                    val = parse(text)
                     if val == val:  # a NaN stays a value of its own
-                        parsed[row["value"]] = val
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{where}: unreadable row ({exc})") from None
+                        parsed[text] = val
+            except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"{where()}: unreadable row ({exc})") from None
             rows = cells[slot]
             if not (0 <= k < len(rows) and 0 <= i < n_paths):
-                raise ConfigError(f"{where}: {index} {k}, path {i} out of range")
+                raise ConfigError(f"{where()}: {index} {k}, path {i} out of range")
             if rows[k][i] is not None:
-                raise ConfigError(f"{where}: duplicate row for {index} {k}, path {i}")
+                raise ConfigError(f"{where()}: duplicate row for {index} {k}, path {i}")
             rows[k][i] = val
             filled += 1
     if filled < sum(map(len, cells.values())) * n_paths:
@@ -323,8 +335,10 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
             for slot, rows in cells.items()}
 
 
-def _collapse(space: FilteredSpace, row: list, partition) -> list:
-    """The row once per atom of the partition if it is measurable there, else as it is."""
+def _collapse(space: FilteredSpace, row: list, partition):
+    """The row of the mode, once per atom of the partition if it is measurable
+    there, else once per path."""
+    row = v.as_row(space.mode, row)
     return v.coarsen(row, len(partition)) if is_measurable(space, row, partition) else row
 
 
@@ -439,8 +453,6 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
     # The component estimate needs step-size headroom beyond beta > 1/eps^2:
     # a mark-measurable driver difference carries the exact factor dt/eps^2 on
     # the jump channel, so warn when the grid leaves none.
-    import math
-
     dt = float(cfg.t_horizon) / cfg.n_steps
     headroom = cfg.params.eps**2 * (1 - math.exp(-cfg.params.beta * dt)) / dt
     if headroom < 1:
@@ -532,7 +544,8 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     ok = ok_pss and ok_min and sandwich_dev <= tol
     doc = {"scenario": config.name, "supermartingales": ok_pss,
            "sandwich_deviation": sandwich_dev, "minimality": ok_min, "pass": ok,
-           "h0": float(h.mid_rows[0][0]), "hbar0": float(hbar.mid_rows[0][0])}
+           "h0": float(v.entries(h.mid_rows[0])[0]),
+           "hbar0": float(v.entries(hbar.mid_rows[0])[0])}
     (out_dir / "certificate.json").write_text(
         json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
     print(f"[{config.name}] certificate: {'PASS' if ok else 'FAIL'}")

@@ -199,7 +199,7 @@ def picard_coupled(
         src = j_new if order == "gauss-seidel" else j
         jbar_new = snell_envelope_slots(_kill_terminal(p_sub(src, zeta_t)))
         delta = max(sup_distance(j_new, j), sup_distance(jbar_new, jbar))
-        if _min_slot_gap(j_new, j) < 0 or _min_slot_gap(jbar_new, jbar) < 0:
+        if _drops(j_new, j) or _drops(jbar_new, jbar):
             trace.monotone_violations += 1
         sup = max(float(_sup_norm(j_new)), float(_sup_norm(jbar_new)))
         trace.deltas.append(float(delta))
@@ -226,15 +226,10 @@ def fixed_point_residual(j, jbar, xi_t, zeta_t):
     return max(r1, r2)
 
 
-def _min_slot_gap(new: LadlagProcess, old: LadlagProcess):
-    n = new.n_steps
-    gaps = []
-    for k in range(n + 1):
-        gaps += v.sub(new.mid_rows[k], old.mid_rows[k])
-        gaps += v.sub(new.minus_rows[k], old.minus_rows[k])
-        if k < n:
-            gaps += v.sub(new.plus_rows[k], old.plus_rows[k])
-    return min(gaps)
+def _drops(new: LadlagProcess, old: LadlagProcess, tol=0) -> bool:
+    """True iff some slot of ``new`` lies more than ``tol`` below ``old``."""
+    return any(v.any_negative(v.sub(x, y), tol)
+               for xs, ys in zip(new.slots, old.slots) for x, y in zip(xs, ys))
 
 
 def _sup_norm(proc: LadlagProcess):
@@ -265,7 +260,7 @@ def assemble_solution(
     x = plain_part(space, barriers.xi.mid_rows[-1], g)
     n = space.n_steps
     dt = space.dt
-    s0 = list(barriers.xi.mid_rows[-1])
+    s0 = barriers.xi.mid_rows[-1]
     for k in range(n):
         s0 = v.add(s0, v.smul(dt, g[k]))
     z_plain, m_orth_plain = orthogonal_decompose(rebased(martingale_from_terminal(space, s0)))
@@ -334,7 +329,7 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     y_minus, y_mid, y_plus = [None] * (n + 1), [None] * (n + 1), [None] * n
     z, drift = [None] * n, [None] * n
     m_jumps, gap = [None] * n + [zero], [None] * n + [zero]
-    y_mid[n] = list(xi.mid_rows[n])
+    y_mid[n] = xi.mid_rows[n]
     y_minus[n] = v.clamp(y_mid[n], xi.minus_rows[n], zeta.minus_rows[n])
     for k in range(n - 1, -1, -1):
         nxt = y_minus[k + 1]
@@ -348,7 +343,7 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
         y_mid[k] = v.clamp(proj, xi.mid_rows[k], zeta.mid_rows[k])
         gap[k] = v.sub(y_mid[k], proj)
         y_minus[k] = v.clamp(y_mid[k], xi.minus_rows[k], zeta.minus_rows[k])
-    y_minus[0] = list(y_mid[0])
+    y_minus[0] = y_mid[0]
 
     left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
     return SolutionSeptuple(
@@ -411,7 +406,7 @@ def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
         if k < n:
             core_plus = v.add(tails[k], v.add(a_rest, v.sub(b_end, b.mid_rows[k])))
             plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
-    minus[0] = list(mid[0])
+    minus[0] = mid[0]
     return from_slots(space, minus, mid, plus)
 
 
@@ -437,7 +432,7 @@ def minimality_check(
             raise ProcessError(f"H - Hbar below the lower shifted barrier at instant {k}")
         if v.any_exceeds(diff.mid_rows[k], zeta_t.mid_rows[k], tol):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
-    return _min_slot_gap(h, j) >= -tol and _min_slot_gap(hbar, jbar) >= -tol
+    return not (_drops(h, j, tol) or _drops(hbar, jbar, tol))
 
 
 def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
@@ -446,7 +441,7 @@ def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
 
     def rand_nonneg(partition):
         draws = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
-        return v.convert(space.mode, draws)
+        return v.as_row(space.mode, draws)
 
     mid: list = [None] * (n + 1)
     minus: list = [None] * (n + 1)
@@ -459,5 +454,5 @@ def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
         mid[k] = v.add(cond_expect(space, plus[k], space.sigma_minus[k]),
                        rand_nonneg(space.sigma_minus[k]))
         minus[k] = v.add(mid[k], rand_nonneg(space.sigma_minus[k]))
-    minus[0] = list(mid[0])
+    minus[0] = mid[0]
     return from_slots(space, minus, mid, plus)

@@ -25,11 +25,11 @@ the partitions nest by construction.
 
 A random variable is a row (see values.py): one value per atom of a
 partition it is measurable for, so its length names the partition.  A
-``Partition`` holds one weight per atom; its atoms, as tuples of path
-indices, are made only when asked for, at the boundaries (the stopping-rule
-oracle and readers outside the program).  Measurability with respect to a
-partition means constancy on each of its atoms: a row no finer than the
-partition is measurable by its length alone.
+``Partition`` holds its weights as a row, one probability per atom; its
+atoms, as tuples of path indices, are made only when asked for, at the
+boundaries (the stopping-rule oracle and readers outside the program).
+Measurability with respect to a partition means constancy on each of its
+atoms: a row no finer than the partition is measurable by its length alone.
 """
 
 from __future__ import annotations
@@ -55,22 +55,27 @@ class Partition(Sequence):
     weight per run.  As a sequence it lists its atoms, each a tuple of path
     indices, so it compares equal to the same atoms given as tuples."""
 
-    __slots__ = ("weights", "n_paths")
+    __slots__ = ("row", "n_paths")
 
-    def __init__(self, weights, n_paths: int) -> None:
-        self.weights = tuple(weights)  # one probability per atom
+    def __init__(self, row, n_paths: int) -> None:
+        self.row = row  # the weights as a row: one probability per atom
         self.n_paths = n_paths
 
+    @property
+    def weights(self) -> tuple:
+        """The weight of each atom, as entries of the backend."""
+        return tuple(v.entries(self.row))
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.row)
 
     def __getitem__(self, j: int) -> tuple:
-        size = self.n_paths // len(self.weights)
+        size = self.n_paths // len(self)
         start = range(0, self.n_paths, size)[j]
         return tuple(range(start, start + size))
 
     def __iter__(self):
-        size = self.n_paths // len(self.weights)
+        size = self.n_paths // len(self)
         return (tuple(range(j, j + size)) for j in range(0, self.n_paths, size))
 
     def __eq__(self, other) -> bool:
@@ -112,10 +117,10 @@ class FilteredSpace:
     def n_paths(self) -> int:
         return len(self.sigma_mid[-1])
 
-    @property
+    @cached_property
     def weights(self) -> tuple:
         """Strictly positive path probabilities, summing to one."""
-        return self.sigma_mid[-1].weights
+        return on_paths(self, self.sigma_mid[-1].row)
 
     @cached_property
     def dw(self) -> tuple:
@@ -162,10 +167,10 @@ class FilteredSpace:
         )
 
     def zero(self) -> RV:
-        return [self.backend.number(0)]
+        return self.backend.row([0], 1)
 
     def constant(self, x) -> RV:
-        return [self.backend.number(x)]
+        return v.as_row(self.mode, [x])
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +190,10 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
     mark_at = {m.instant: m for m in config.marks}
     n_paths = 2**n * math.prod(len(m.labels) for m in config.marks)
 
-    ratio = v.BACKENDS[config.arithmetic].ratio
+    row = v.BACKENDS[config.arithmetic].row
 
     def level(nodes, den) -> Partition:
-        return Partition([ratio(w, den) for w in nodes], n_paths)
+        return Partition(row(nodes, den), n_paths)
 
     # One weight per node of the tree revealed so far, in path order, so
     # len(nodes) is the number of atoms at each level; node j weighs nodes[j] / den.
@@ -199,7 +204,7 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
         spec = mark_at.get(k)
         if spec is None:
             mark_rows.append(None)
-            sigma_mid.append(Partition(sigma_minus[-1].weights, n_paths))  # shares its entries
+            sigma_mid.append(Partition(sigma_minus[-1].row, n_paths))  # shares its entries
         else:
             mark_rows.append(tuple(spec.labels) * len(nodes))
             common = math.lcm(*(p.denominator for p in spec.probs))
@@ -207,7 +212,7 @@ def build_space(config: ScenarioConfig) -> FilteredSpace:
             den *= common
             sigma_mid.append(level(nodes, den))
         if k < n:
-            dw_rows.append((s, -s) * len(nodes))
+            dw_rows.append(v.as_row(config.arithmetic, (s, -s) * len(nodes)))
             nodes = v.refine(nodes, (1, 1))
             den *= 2
 
@@ -234,10 +239,10 @@ def validate_space(space: FilteredSpace) -> None:
     weight, so this covers every atom; the lattice nests by construction.
     Every atom must have positive probability, so that conditional
     expectations are defined."""
-    if min(space.weights) <= 0:
+    if v.any_nonpositive(space.sigma_mid[-1].row):
         raise SpaceError("a path has zero probability")
     for k, row in enumerate(space.dw_rows):
-        outcomes = set(row)
+        outcomes = set(v.entries(row))
         if len(outcomes) != 2:
             raise SpaceError(f"dW_{k} not binary")
         up, down = outcomes
@@ -259,11 +264,11 @@ def cond_expect(space: FilteredSpace, values: Sequence, partition: Partition) ->
     The tower property against any coarser partition holds exactly in
     rational mode.
     """
-    return v.block_means(values, space.partition_of(values).weights, len(partition))
+    return v.block_means(values, space.partition_of(values).row, len(partition))
 
 
 def expectation(space: FilteredSpace, values: Sequence):
-    return v.dot(space.partition_of(values).weights, values)
+    return v.dot(space.partition_of(values).row, values)
 
 
 def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) -> bool:
@@ -275,8 +280,8 @@ def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) 
 
 
 def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
-    """The row with one entry per path: the per-path view at the boundaries."""
-    return tuple(v.expand(row, space.n_paths))
+    """The row's entries, one per path: the per-path view at the boundaries."""
+    return tuple(v.expand(v.entries(row), space.n_paths))
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,8 @@ class LadlagProcess:
 
 def from_slots(space, minus, mid, plus) -> LadlagProcess:
     """Process from its slot rows, unchecked: ``validate_process`` checks a class."""
-    return LadlagProcess(
-        space=space,
-        minus_rows=tuple(list(x) for x in minus),
-        mid_rows=tuple(list(x) for x in mid),
-        plus_rows=tuple(list(x) for x in plus),
-    )
+    return LadlagProcess(space=space, minus_rows=tuple(minus), mid_rows=tuple(mid),
+                         plus_rows=tuple(plus))
 
 
 def from_cadlag_sequence(space, mids: Sequence) -> LadlagProcess:

@@ -1,9 +1,10 @@
 """Realize scenario configs into spaces, barriers and drivers; corpus generation.
 
 Random data is drawn from string-seeded generators as int numerators over
-one known denominator, divided once into the entry (``Backend.ratio``), so a
-float run sees the correctly rounded values of the rational run's numbers
-(their outputs can then be compared across backends).
+one known denominator, made into a row at once (``Backend.row``: the int row
+itself in rational mode, each n / den in float mode), so a float run sees the
+correctly rounded values of the rational run's numbers (their outputs can
+then be compared across backends).
 """
 
 from __future__ import annotations
@@ -66,10 +67,9 @@ def _nonneg_numerator(rng: random.Random, scale: Fraction) -> int:
     return rng.randint(0, 16) * scale.numerator
 
 
-def _on_partition(space: FilteredSpace, partition: Partition, draw, scale: Fraction) -> list:
+def _on_partition(space: FilteredSpace, partition: Partition, draw, scale: Fraction) -> v.RV:
     """One draw per atom: each numerator ``draw()`` over 8 * scale.denominator."""
-    den = 8 * scale.denominator
-    return [space.backend.ratio(draw(), den) for _ in range(len(partition))]
+    return space.backend.row([draw() for _ in range(len(partition))], 8 * scale.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +98,11 @@ def _game_option_barriers(space, p, seed) -> BarrierPair:
     """
     n = space.n_steps
     dt = space.t_horizon / space.n_steps
-    base = space.backend.number(Fraction(1) + p["drift"] * dt)
+    base = space.constant(Fraction(1) + p["drift"] * dt)
     vol_c = space.backend.number(p["vol"])
     s_rows = [space.constant(p["spot"])]
     for k in range(n):
-        factor = v.add([base], v.smul(vol_c, space.dw_rows[k]))
+        factor = v.add(base, v.smul(vol_c, space.dw_rows[k]))
         if v.any_nonpositive(factor):
             raise ConfigError("underlying factor not positive; reduce vol or dt", "barriers")
         s_rows.append(v.mul(s_rows[-1], factor))
@@ -181,12 +181,12 @@ def _table_barriers(space, p, seed) -> BarrierPair:
     return BarrierPair(xi=build(p["lower"]), zeta=build(p["upper"]))
 
 
-def _spread(space, partition, per_atom) -> list:
+def _spread(space, partition, per_atom) -> v.RV:
     if len(per_atom) != len(partition):
         raise ConfigError(
             f"table row has {len(per_atom)} entries for {len(partition)} atoms", "barriers"
         )
-    return v.convert(space.mode, per_atom)
+    return v.as_row(space.mode, per_atom)
 
 
 _BARRIERS = {"constant": _constant_barriers, "deterministic": _deterministic_barriers,

@@ -92,7 +92,7 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
     mid: list = [None] * (n + 1)
     minus: list = [None] * (n + 1)
     plus: list = [None] * n
-    mid[n] = list(barrier.mid_rows[n])
+    mid[n] = barrier.mid_rows[n]
     minus[n] = v.vmax(barrier.minus_rows[n], mid[n])
     for k in range(n - 1, -1, -1):
         cont = cond_expect(space, minus[k + 1], space.sigma_mid[k])
@@ -100,7 +100,7 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
         proj = cond_expect(space, plus[k], space.sigma_minus[k])
         mid[k] = v.vmax(barrier.mid_rows[k], proj)
         minus[k] = v.vmax(barrier.minus_rows[k], mid[k])
-    minus[0] = list(mid[0])  # no time before 0
+    minus[0] = mid[0]  # no time before 0
     return from_slots(space, minus, mid, plus)
 
 
@@ -142,7 +142,7 @@ def mertens_decompose(
     jump_b = [
         v.sub(vproc.mid_rows[k], cond_expect(space, vproc.plus_rows[k], space.sigma_minus[k]))
         for k in range(n)
-    ] + [list(zero)]                                      # dB_k = V_k - pV^+_k
+    ] + [zero]                                            # dB_k = V_k - pV^+_k
     ivl_a = [
         v.sub(vproc.plus_rows[k], cond_expect(space, vproc.minus_rows[k + 1], space.sigma_mid[k]))
         for k in range(n)
@@ -155,7 +155,7 @@ def mertens_decompose(
     for k in range(n + 1):
         nm = v.add(v.add(vproc.mid_rows[k], a.mid_rows[k]), b.minus_rows[k])
         n_minus.append(nm)
-        dn = v.add(vproc.right_jump(k), jump_b[k]) if k < n else list(zero)
+        dn = v.add(vproc.right_jump(k), jump_b[k]) if k < n else zero
         n_mid.append(v.add(nm, dn))
     return from_slots(space, n_minus, n_mid, n_mid[:n]), a, b
 
@@ -227,7 +227,7 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
             if p == len(positions) - 1:
                 contribs[(p, atom)] = [stop]
                 continue
-            sums = space.zero()
+            sums = [space.backend.number(0)]
             for child in _children(space, positions, p, atom):
                 child_contribs = contribs[(p + 1, child)]
                 sums = [s + c for s in sums for c in child_contribs]
@@ -242,6 +242,7 @@ def snell_bruteforce(barrier: LadlagProcess) -> LadlagProcess:
     plus: list = [None] * n
     slots = {"-": minus, "m": mid, "+": plus}
     for p, (k, slot) in enumerate(positions):
-        slots[slot][k] = [value(p, atom) for atom in _partition_at(space, (k, slot))]
-    minus[0] = list(mid[0])
+        slots[slot][k] = v.as_row(space.mode, [value(p, atom)
+                                                for atom in _partition_at(space, (k, slot))])
+    minus[0] = mid[0]
     return from_slots(space, minus, mid, plus)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -123,12 +125,12 @@ def random_martingale(space, rng, scale=Fraction(1)):
         if k == 0:
             jump = space.zero()  # M_0 = 0 normalization
         cur = v.add(cur, jump)
-        mid.append(list(cur))
+        mid.append(cur)
         if k < n:
-            plus.append(list(cur))
+            plus.append(cur)
             z = rand_on(space, space.sigma_mid[k], rng, scale)
             cur = v.add(cur, v.mul(z, space.dw_rows[k]))
-            minus.append(list(cur))
+            minus.append(cur)
     proc = from_slots(space, minus, mid, plus)
     validate_process(proc, "cadlag-martingale")
     return proc
@@ -216,7 +218,7 @@ def cell_scan_condition(name, rows, tol, n_paths):
     from pdrbsde.reports import ConditionReport
 
     cells = [(abs(float(r)), f"{label},path={i}") for label, res in rows
-             for i, r in enumerate(v.expand(res, n_paths) if res else res)]
+             for i, r in enumerate(v.entries(v.expand(res, n_paths)) if res else res)]
     if not cells:
         return ConditionReport(name=name, passed=True, max_residual=0.0)
     worst, label = max(cells, key=lambda rc: rc[0])
@@ -260,3 +262,20 @@ def magnitudes_condition(name, rows, tol, n_paths):
     top, label, i = row_worst[v.worst_index([r[0] for r in row_worst])]
     return ConditionReport(name=name, passed=top <= tol, max_residual=top,
                            worst_cell=f"{label},path={i}" if top != 0 else None)
+
+
+@contextlib.contextmanager
+def fraction_rows():
+    """Rational mode with every row a list of ``Fraction`` entries, as rows
+    were before ``IntRow``: the rational backend's row constructor is swapped,
+    so every row the program builds takes the list bodies of the helpers,
+    which compute it exactly.  The oracle for the ``IntRow`` bodies."""
+    from pdrbsde import values as v
+
+    rational = v.BACKENDS["rational"]
+    v.BACKENDS["rational"] = dataclasses.replace(
+        rational, row=lambda nums, den: [Fraction(n, den) for n in nums])
+    try:
+        yield
+    finally:
+        v.BACKENDS["rational"] = rational

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import pytest
 
 from conftest import picard_solution
+from pdrbsde import values as v
 from pdrbsde.calculus_checks import (
     apriori_estimate_check,
     galchouk_lenglart_check,
@@ -217,7 +218,7 @@ def test_criterion_7_barrier_regularity_consequences(corpus):
             assert all(all(x == 0 for x in sol.b.mid[k]) for k in range(n + 1)), rec.config.name
         if lusc:
             lusc_checked += 1
-            assert all(all(x == 0 for x in sol.a.left_jump(k)) for k in range(n + 1)), \
+            assert all(all(x == 0 for x in v.entries(sol.a.left_jump(k))) for k in range(n + 1)), \
                 rec.config.name
     ok = rc_checked >= 5 and lusc_checked >= 5
     _line(7, "barrier-regularity consequences", ok,
@@ -282,9 +283,9 @@ def test_criterion_10_non_qlc_witness(corpus):
         m = rec.solution.m
         for k in range(space.n_steps + 1):
             jump = m.left_jump(k)
-            if any(x != 0 for x in jump):
+            if any(x != 0 for x in v.entries(jump)):
                 proj = cond_expect(space, jump, space.sigma_minus[k])
-                assert all(x == 0 for x in proj)
+                assert all(x == 0 for x in v.entries(proj))
                 witnesses += 1
                 break
     _line(10, "martingale jump at a predictable instant", witnesses > 0,

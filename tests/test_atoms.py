@@ -64,7 +64,7 @@ def run(scenario, out, delta):
 
 def _row_gap(rows_a, rows_b) -> float:
     return max((abs(float(x)) for a, b in zip(rows_a, rows_b, strict=True)
-                for x in v.sub(a, b)), default=0.0)
+                for x in v.entries(v.sub(a, b))), default=0.0)
 
 
 def _compare(tmp_path, scenario, delta):

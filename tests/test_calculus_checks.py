@@ -42,8 +42,8 @@ class TestChangeOfVariables:
         rep = galchouk_lenglart_check(comps, f)
         assert rep.max_deviation == 0
         # corrections vanish for affine functions
-        assert all(all(x == 0 for x in arr) for arr in rep.terms["left_jump_sum"])
-        assert all(all(x == 0 for x in arr) for arr in rep.terms["right_jump_sum"])
+        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.terms["left_jump_sum"])
+        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.terms["right_jump_sum"])
 
     def test_constant_component(self, space_8):
         zero = space_8.zero()
@@ -55,7 +55,7 @@ class TestChangeOfVariables:
         f = Polynomial.from_dict(1, {(3,): F(1)})
         rep = galchouk_lenglart_check([const], f)
         assert rep.max_deviation == 0
-        assert all(all(x == 0 for x in lh) for lh in rep.lhs)
+        assert all(all(x == 0 for x in v.entries(lh)) for lh in rep.lhs)
 
     def test_weight_times_square_matches_corollary(self, space_8):
         rng = random.Random(4)
@@ -94,8 +94,8 @@ class TestCorollary:
         )
         rep = corollary_expansion(y, weights=[F(2) ** k for k in range(3)])
         assert rep.max_deviation == 0
-        assert all(all(x == 0 for x in arr) for arr in rep.terms["drift"])
-        assert all(all(x == 0 for x in arr) for arr in rep.lhs)
+        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.terms["drift"])
+        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.lhs)
 
     def test_constant_process_only_drift(self, space_8):
         zero = space_8.zero()
@@ -113,7 +113,7 @@ class TestCorollary:
             assert rep.lhs[k] == space_8.constant(c * c * (weights[k] - 1))
             assert rep.terms["drift"][k] == rep.lhs[k]
             for name in ("A_integral", "BM_integral", "left_jump_sum", "right_jump_sum"):
-                assert all(x == 0 for x in rep.terms[name][k])
+                assert all(x == 0 for x in v.entries(rep.terms[name][k]))
 
     def test_solution_difference_identity_float(self):
         cfg = make_config(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_config, set_cell
+from pdrbsde import values as v
 from pdrbsde.cli import main
 from pdrbsde.config import ConfigError, config_from_dict, load_config
 from pdrbsde.scenario import corpus_templates, estimate_template, generate_corpus, realize
@@ -197,10 +198,13 @@ def test_tables_barriers_read_every_slot():
     }})
     pair = realize(cfg).barriers
     xi, zeta = pair.xi, pair.zeta
-    assert list(xi.mid_rows) == [[0], [0, 1], [1] * 8] == list(xi.minus_rows)
-    assert list(xi.plus_rows) == [[0], [0, 0, -1, -1]]
-    assert list(zeta.minus_rows) == [[2], [3, 3], [1] * 8]
-    assert list(zeta.plus_rows) == [[2], [2, 2]]
+    def rows(slot):
+        return [v.entries(row) for row in slot]
+
+    assert rows(xi.mid_rows) == [[0], [0, 1], [1] * 8] == rows(xi.minus_rows)
+    assert rows(xi.plus_rows) == [[0], [0, 0, -1, -1]]
+    assert rows(zeta.minus_rows) == [[2], [3, 3], [1] * 8]
+    assert rows(zeta.plus_rows) == [[2], [2, 2]]
 
 
 def _read_as_before(name: str, x, n: int):
@@ -437,6 +441,19 @@ class TestCliModes:
         assert (out / "scenario_000" / "report.json").exists()
         assert (out / "scenario_002" / "report.json").exists()
 
+    def test_nonpositive_factor_beyond_the_float_range_names_barriers(self, tmp_path, capsys):
+        """An exact underlying factor 1 - vol sqrt(dt) below zero is named as
+        such, however large vol is: the sign test does not round it to float."""
+        path = generate_corpus(0, 4, tmp_path / "corpus")[3]
+        for vol in ("3", "1e400"):
+            doc = json.loads(path.read_text())
+            doc["barriers"]["params"]["vol"] = vol
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            argv = ["--mode", "solve", "--config", str(path), "--out", str(tmp_path / "o")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err == ("config error: underlying factor not positive; "
+                                               "reduce vol or dt [at barriers]\n")
+
     def test_cli_arguments_exit_two(self, tmp_path, capsys):
         """A missing --config path is named; a negative count is refused."""
         missing = tmp_path / "nope.json"
@@ -483,6 +500,7 @@ MALFORMED_DUMPS = {
                            "out of range"),
     "unparseable_value": ("solution_Y.csv", lambda rows: _set(rows, 7, 3, "abc"),
                           "unreadable row"),
+    "short_row": ("solution_Y.csv", lambda rows: rows + [["3", "mid"]], "unreadable row"),
     "unmeasurable_driver": ("driver_g.csv", lambda rows: _set(rows, 1, 2, "1"),
                             "not sigma_mid[0]-measurable"),
 }

@@ -199,7 +199,7 @@ class TestAssemble:
         assert sup_distance(sol.y, constant_process(space_8, 2)) == 0
         for comp in (sol.m, sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
-        assert all(all(x == 0 for x in zk) for zk in sol.z)
+        assert all(all(x == 0 for x in v.entries(zk)) for zk in sol.z)
 
     def test_unconstrained_case_reduces_to_plain_part(self, space_16):
         rng = random.Random(15)
@@ -320,7 +320,7 @@ class TestMarkAtTimeZero:
         rep = verify_drbsde_solution(sc.g_rows, sc.barriers, sol)
         assert rep.passed, rep.failures()
         jump0 = sol.m.left_jump(0)
-        assert any(x != 0 for x in jump0)
+        assert any(x != 0 for x in v.entries(jump0))
         assert sum(w * x for w, x in zip(sc.space.weights, on_paths(sc.space, jump0))) == 0
 
 

@@ -118,11 +118,12 @@ class TestNorms:
         want = 0.0
         for k in range(space_16.n_steps + 1):
             w = math.exp(beta * space_16.time_float(k))
-            want += w * float(expectation(space_16, [float(x) ** 2 for x in m.left_jump(k)]))
+            squares = [float(x) ** 2 for x in v.entries(m.left_jump(k))]
+            want += w * float(expectation(space_16, squares))
         for k in range(space_16.n_steps):
             w = math.exp(beta * space_16.time_float(k + 1))
             want += w * float(
-                expectation(space_16, [float(x) ** 2 for x in m.interval_increment(k)])
+                expectation(space_16, [float(x) ** 2 for x in v.entries(m.interval_increment(k))])
             )
         assert beta_norm_m2(m, beta) == pytest.approx(want, rel=1e-12)
 
@@ -174,7 +175,7 @@ class TestSolveGeneral:
         push = lam * c0 * space_8.dt
         for k in range(2):
             inc = v.sub(sol.a.interval_increment(k), sol.a_prime.interval_increment(k))
-            assert all(x == push for x in inc)
+            assert all(x == push for x in v.entries(inc))
         g = drv.freeze(space_8, sol.y, sol.z)
         rep = verify_drbsde_solution(g, pair, sol, tol=1e-10)
         assert rep.passed, rep.failures()

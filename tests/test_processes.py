@@ -42,10 +42,10 @@ def compensated_mark_martingale(space, instant=1, hi=F(1), lo=F(-1)):
     for k in range(n + 1):
         if k == instant:
             cur = v.add(cur, jump)
-        mid.append(list(cur))
+        mid.append(cur)
         if k < n:
-            plus.append(list(cur))
-            minus.append(list(cur))
+            plus.append(cur)
+            minus.append(cur)
     m = from_slots(space, minus, mid, plus)
     validate_process(m, "cadlag-martingale")
     return m
@@ -90,13 +90,13 @@ class TestJumps:
     def test_cadlag_has_no_right_jumps(self, space_8):
         xi = from_cadlag_sequence(space_8, [space_8.constant(c) for c in (1, 4, 2)])
         left, right = jumps(xi)
-        assert all(all(x == 0 for x in r) for r in right)
+        assert all(all(x == 0 for x in v.entries(r)) for r in right)
         assert left[1] == space_8.constant(3)
 
     def test_constant_has_no_jumps(self, space_8):
         left, right = jumps(constant_process(space_8, 5))
-        assert all(all(x == 0 for x in l) for l in left)
-        assert all(all(x == 0 for x in r) for r in right)
+        assert all(all(x == 0 for x in v.entries(l)) for l in left)
+        assert all(all(x == 0 for x in v.entries(r)) for r in right)
 
     def test_single_jump_process(self, space_8):
         zero = space_8.zero()
@@ -207,13 +207,13 @@ class TestOrthogonalDecompose:
         rng = random.Random(2)
         z0 = [rand_on(space_8, space_8.sigma_mid[k], rng) for k in range(2)]
         z, rest = orthogonal_decompose(ito_integral(space_8, z0))
-        assert all(z[k] == z0[k] for k in range(2))
+        assert all(v.eq(z[k], z0[k]) for k in range(2))
         assert sup_distance(rest, constant_process(space_8, 0)) == 0
 
     def test_mark_jump_martingale_is_fully_orthogonal(self, space_4):
         m = compensated_mark_martingale(space_4)
         z, rest = orthogonal_decompose(m)
-        assert all(all(x == 0 for x in zk) for zk in z)
+        assert all(all(x == 0 for x in v.entries(zk)) for zk in z)
         assert sup_distance(rest, m) == 0
 
     def test_mixed_martingale_exact_reconstruction(self, space_16):
@@ -231,7 +231,7 @@ class TestOrthogonalDecompose:
             br = bracket(rest, brownian_process(space_16))
             assert all(all(x == 0 for x in br.mid[k]) for k in range(3))
             # orthogonal part carries only instant jumps
-            assert all(all(x == 0 for x in rest.interval_increment(k)) for k in range(2))
+            assert all(all(x == 0 for x in v.entries(rest.interval_increment(k))) for k in range(2))
 
     def test_involution(self, space_16):
         rng = random.Random(17)

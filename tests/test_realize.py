@@ -26,8 +26,8 @@ def _in_both(doc: dict):
 
 def _floats_of(rat_rows, flt_rows, where: str) -> None:
     """Each float entry is a float and equals float() of its rational entry."""
-    assert [[(type(x), repr(x)) for x in row] for row in flt_rows] == \
-        [[(float, repr(float(x))) for x in row] for row in rat_rows], where
+    assert [[(type(x), repr(x)) for x in v.entries(row)] for row in flt_rows] == \
+        [[(float, repr(float(x))) for x in v.entries(row)] for row in rat_rows], where
 
 
 def _check(rat, flt, name: str) -> None:
@@ -80,7 +80,7 @@ def test_touching_barriers_touch_on_a_third_of_the_atoms(tmp_path):
         barriers = realize(config_from_dict(doc)).barriers
         for k in range(len(barriers.xi.mid_rows) - 1):
             gap = v.sub(barriers.zeta.mid_rows[k], barriers.xi.mid_rows[k])
-            zeros[touching] += len(gap) - sum(map(bool, gap))
+            zeros[touching] += len(gap) - sum(map(bool, v.entries(gap)))
             cells[touching] += len(gap)
     assert (zeros, cells) == ({True: 18, False: 5}, {True: 55, False: 70})
 

@@ -48,7 +48,7 @@ class TestPreOperator:
     def test_constant_barrier(self, space_8):
         q = pre_operator(constant_process(space_8, F(5, 2)))
         assert sup_distance(q.y, constant_process(space_8, F(5, 2))) == 0
-        assert all(all(x == 0 for x in zk) for zk in q.z)
+        assert all(all(x == 0 for x in v.entries(zk)) for zk in q.z)
         assert is_zero(q.m) and is_zero(q.a) and is_zero(q.b)
 
     def test_deterministic_barrier_running_max(self, space_8):
@@ -199,9 +199,8 @@ class TestGridRecursionComparison:
     def _grid_only(self, space, mids):
         from pdrbsde.prob_space import cond_expect
 
-        vals = list(mids[-1])
         out = [None] * len(mids)
-        out[-1] = list(vals)
+        out[-1] = mids[-1]
         for k in range(len(mids) - 2, -1, -1):
             cont = cond_expect(space, out[k + 1], space.sigma_minus[k])
             out[k] = v.vmax(mids[k], cont)

@@ -78,16 +78,20 @@ def _entry(fn, *args):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_ratio_is_the_entry_of_the_fraction(mode):
-    """ratio(n, d) is number(Fraction(n, d)): float's int / int and
-    float(Fraction) are both the correctly rounded value of n / d."""
+    """The entry of row([n], d) is number(Fraction(n, d)): float's int / int
+    and float(Fraction) are both the correctly rounded value of n / d."""
     b = v.BACKENDS[mode]
+
+    def ratio(n, d):
+        return v.entries(b.row([n], d))[0]
+
     scales = [F(s) for s in ("1", "2", "3", "1/2", "1/4", "1e7", "1e307", "1e400", "1e-300")]
     scales += [F(17**200, 3), F(2**60 + 1, 3**40)]
     nums = [k * s.numerator for s in scales for k in range(-16, 17)]
     dens = [8 * s.denominator for s in scales] + [1, 3, 7, 9, 2**60 + 1, 3**50, 10**400]
-    outcomes = [_entry(b.ratio, n, d) == _entry(b.number, F(n, d)) for n in nums for d in dens]
+    outcomes = [_entry(ratio, n, d) == _entry(b.number, F(n, d)) for n in nums for d in dens]
     assert all(outcomes) and len(outcomes) == len(nums) * len(dens)
-    assert (mode == "float") == (_entry(b.ratio, 17**300, 3) == "overflow")
+    assert (mode == "float") == (_entry(ratio, 17**300, 3) == "overflow")
 
 
 def test_gate_is_the_int_zero_in_rational_mode():
@@ -177,7 +181,7 @@ def test_row_tests(mode, tol):
         assert v.any_nonzero(row) == any(x != 0 for x in row)
         assert v.any_negative(row) == any(x < 0 for x in row)
         assert v.any_negative(row, tol) == any(-x > tol for x in row)
-        assert v.any_nonpositive(row) == any(float(x) <= 0 for x in row)
+        assert v.any_nonpositive(row) == any(x <= 0 for x in row)
         assert v.any_beyond(row, tol) == any(abs(x) > tol for x in row)
 
 
@@ -280,25 +284,31 @@ def test_signs_json_and_dump_lines():
     assert v.to_json("rational", [F(1, 2)]) == ["1/2"]
     assert v.to_json("float", [0.5]) == [0.5]
     assert v.dump_lines("rational", [F(1, 2), F(-1)], "0,mid,", ["0,", "1,", "2,", "3,"],
-                        "\r\n") == "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
-    assert v.dump_lines("float", [0.1, -0.0], "", ["0,", "1,"], "\n") == "0,0.1\n1,-0.0\n"
+                        "\r\n", {}) == "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
+    assert v.dump_lines("float", [0.1, -0.0], "", ["0,", "1,"], "\n", {}) == "0,0.1\n1,-0.0\n"
 
     # rows of every block size in one dump, as a CSV writes its slots: each
     # entry's text on every label of its block
     labels = [f"{i}," for i in range(8)]
     for mode, rows in (
         ("float", [[NAN, math.inf, -0.0, 0.1, -math.inf, 0.0, 1e-300, 2.5],
-                   [-0.0, NAN, math.inf, -math.inf], [NAN, -0.0], [-math.inf]]),
+                   [-0.0, NAN, math.inf, -math.inf], [NAN, -0.0], [-math.inf],
+                   # zeros of both signs, NaNs and a nonzero value repeated
+                   # across the rows of one dump, which share their texts
+                   [0.0, -0.0, NAN, 0.1], [-0.0, 0.0], [0.1, NAN], [0.0], [-0.0]]),
         ("rational", [[F(1, 3**40), F(-7, 10**30), F(0), F(5, 2)],
-                      [F(-2**70 + 1, 2**70), F(1)], [F(10**40, 7)], [F(k, 9) for k in range(8)]]),
+                      [F(-2**70 + 1, 2**70), F(1)], [F(10**40, 7)], [F(k, 9) for k in range(8)],
+                      [F(0), F(5, 2)], [F(1, 3**40)], [F(2, 9), F(0)]]),
     ):
         text = {"float": repr, "rational": str}[mode]
         want = "".join(f"{k},{label}{text(row[i * len(row) // 8])}\r\n"
                        for k, row in enumerate(rows) for i, label in enumerate(labels))
-        assert "".join(v.dump_lines(mode, row, f"{k},", labels, "\r\n")
-                       for k, row in enumerate(rows)) == want
+        for convert in (list, lambda row: v.as_row(mode, row)):  # list and native rows
+            texts = {}
+            assert "".join(v.dump_lines(mode, convert(row), f"{k},", labels, "\r\n", texts)
+                           for k, row in enumerate(rows)) == want
     with pytest.raises(ValueError):
-        v.dump_lines("float", [0.0, 1.0, 2.0], "", labels, "\n")
+        v.dump_lines("float", [0.0, 1.0, 2.0], "", labels, "\n", {})
 
 
 # ---------------------------------------------------------------------------
