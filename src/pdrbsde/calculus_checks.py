@@ -409,12 +409,12 @@ def apriori_estimate_check(
     g_diff = [v.sub(g[k], g_bar[k]) for k in range(space.n_steps)]
     z_diff = [v.sub(s.z[k], s_bar.z[k]) for k in range(space.n_steps)]
     m_diff = p_sub(s.m, s_bar.m)
-    y_diff = p_sub(s.y, s_bar.y)
+    y_diff = list(map(v.sub, s.y.mid_rows, s_bar.y.mid_rows))
 
     g_norm = beta_norm_h2(space, g_diff, beta)
     lhs1 = beta_norm_h2(space, z_diff, beta) + beta_norm_m2(m_diff, beta)
     rhs1 = eps**2 * g_norm
-    lhs2 = beta_norm_s2p(y_diff, beta)
+    lhs2 = beta_norm_s2p(space, y_diff, beta)
     rhs2 = 2 * eps**2 * (1 + 8 * c**2) * g_norm
     base = 2 * eps**2 * g_norm
     if base > 0:

@@ -233,7 +233,7 @@ def _y0(y: LadlagProcess):
 def _norms(sol: SolutionSeptuple, config: ScenarioConfig) -> dict:
     beta = config.params.beta
     return {
-        "y_s2p_beta": beta_norm_s2p(sol.y, beta),
+        "y_s2p_beta": beta_norm_s2p(sol.y.space, sol.y.mid_rows, beta),
         "z_h2_beta": beta_norm_h2(sol.y.space, sol.z, beta),
         "y0": _y0(sol.y),
         "sup": {name: v.max_magnitude(getattr(sol, field).mid_rows)

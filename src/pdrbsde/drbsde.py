@@ -3,9 +3,11 @@
 Production path for a driver given as a process (no (y,z) dependence):
 ``dynkin_recursion`` runs one backward sweep of the pinch rule
 Y = (pY+ v xi) ^ zeta on the slot grid (Neveu's discrete Dynkin-game
-recursion) and reads the other six components off Y.  ``solve_driver_process``
-runs it, and the outer loop for Lipschitz drivers calls it once per outer
-step.
+recursion).  The sweep gives Y and Z; M, A, A', B and B' are read off Y,
+each summed from the sweep's increment rows on first read.
+``solve_driver_process`` runs it, and the outer loop for Lipschitz drivers
+calls it once per outer step.  The a-priori estimate reads only Y, Z and
+M, and the outer loop only Y and Z, so neither sums a reflector.
 
 Oracle path (``--mode oracle``, ``--mode certificate`` and the tests), the
 paper's construction:
@@ -105,6 +107,15 @@ class PicardTrace:
 
 @dataclass(frozen=True)
 class SolutionSeptuple:
+    """The seven components, given, or summed from a sweep when first read.
+
+    ``SolutionSeptuple(y=..., z=..., m=..., ...)`` holds the seven given.
+    ``from_sweep`` holds Y, Z and the sweep's increment rows instead; each
+    of M, A, A', B and B' is summed from them on first read and then kept,
+    and each row is dropped once every component that reads it is summed.
+    Equality reads all seven.
+    """
+
     y: LadlagProcess             # predictable
     z: list                      # N rows, row k sigma_mid[k]-measurable
     m: LadlagProcess             # orthogonal martingale
@@ -112,6 +123,39 @@ class SolutionSeptuple:
     b: LadlagProcess             # lower reflection, purely discontinuous part
     a_prime: LadlagProcess       # upper reflection, right-continuous part
     b_prime: LadlagProcess       # upper reflection, purely discontinuous part
+
+    @classmethod
+    def from_sweep(cls, y: LadlagProcess, z: list, m_jumps: list, drift: list,
+                   gap: list) -> SolutionSeptuple:
+        sol = cls.__new__(cls)
+        sol.__dict__.update(y=y, z=z, _rows={"m_jumps": m_jumps, "drift": drift, "gap": gap})
+        return sol
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute not set: a component not yet summed.
+        rows = self.__dict__.get("_rows")
+        if rows is None or name not in _ROW_OF:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        space, row = self.y.space, _ROW_OF[name]
+        if name == "m":
+            proc = running_sum(space, left=rows[row])
+        elif name in ("b", "b_prime"):
+            part = v.pos_part if name == "b" else v.neg_part
+            proc = running_sum(space, left=list(map(part, rows[row])))
+        else:
+            jump, ivl = (v.neg_part, v.pos_part) if name == "a" else (v.pos_part, v.neg_part)
+            left = [self.y.left_jump(k) for k in range(space.n_steps + 1)]
+            proc = running_sum(space, left=list(map(jump, left)),
+                               interval=list(map(ivl, rows[row])))
+        self.__dict__[name] = proc
+        if all(c in self.__dict__ for c, r in _ROW_OF.items() if r == row):
+            del rows[row]
+        return proc
+
+
+# each component a sweep sums on first read -> the sweep row it sums (A and A'
+# also take the left jumps of Y)
+_ROW_OF = {"m": "m_jumps", "a": "drift", "a_prime": "drift", "b": "gap", "b_prime": "gap"}
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +342,7 @@ def _jordan_reduce(p: LadlagProcess, q: LadlagProcess):
 
 
 def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
-    """All seven components from one backward sweep of the pinch rule.
+    """Y and Z from one backward sweep of the pinch rule, the rest on first read.
 
     With clamp(x, lo, hi) = min(max(x, lo), hi):
 
@@ -316,6 +360,11 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
         a_k, a'_k    = positive, negative part of
                        Y_{k+} - E[Y_{(k+1)-} | sigma_mid[k]] - g_k dt   (interval)
         dB_k, dB'_k  = positive, negative part of Y_k - E[Y_{k+} | sigma_minus[k]]
+
+    The sweep gives Y and Z and keeps the increments of M, the interval drift
+    and the instant gap; the returned ``SolutionSeptuple`` sums each of M, A,
+    A', B and B' when it is first read.  The a-priori estimate reads only Y,
+    Z and M, and the outer loop only Y and Z, so neither sums a reflector.
 
     The inputs are taken as checked (``BarrierPair`` and
     ``solve_driver_process`` do that).  The outputs are not re-checked here:
@@ -345,18 +394,8 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
         y_minus[k] = v.clamp(y_mid[k], xi.minus_rows[k], zeta.minus_rows[k])
     y_minus[0] = y_mid[0]
 
-    left = [v.sub(y_mid[k], y_minus[k]) for k in range(n + 1)]
-    return SolutionSeptuple(
-        y=from_slots(space, y_minus, y_mid, y_plus),
-        z=z,
-        m=running_sum(space, left=m_jumps),
-        a=running_sum(space, left=[v.neg_part(d) for d in left],
-                      interval=[v.pos_part(d) for d in drift]),
-        b=running_sum(space, left=[v.pos_part(d) for d in gap]),
-        a_prime=running_sum(space, left=[v.pos_part(d) for d in left],
-                            interval=[v.neg_part(d) for d in drift]),
-        b_prime=running_sum(space, left=[v.neg_part(d) for d in gap]),
-    )
+    return SolutionSeptuple.from_sweep(from_slots(space, y_minus, y_mid, y_plus), z,
+                                       m_jumps, drift, gap)
 
 
 def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:

@@ -20,7 +20,7 @@ from . import values as v
 from .config import ConfigError
 from .drbsde import BarrierPair, SolutionSeptuple, solve_driver_process
 from .prob_space import FilteredSpace, expectation
-from .processes import LadlagProcess, p_sub, zero_process
+from .processes import LadlagProcess, zero_process
 
 
 class ContractionError(RuntimeError):
@@ -92,9 +92,10 @@ class ContractionParams:
 
 
 def check_beta(beta: float, eps: float) -> None:
-    """The weighted norms and the a-priori estimates need beta > 1/eps^2."""
-    if beta <= 1 / eps**2:
-        raise ConfigError(f"need beta > 1/eps^2 = {1 / eps ** 2:g}, got beta = {beta:g}",
+    """The weighted norms and the a-priori estimates need beta > 1/eps^2,
+    tested as beta eps^2 > 1: eps^2 may underflow to zero."""
+    if not beta * eps**2 > 1:
+        raise ConfigError(f"need beta > 1/eps^2, got beta = {beta:g} and eps = {eps:g}",
                           "params.beta")
 
 
@@ -112,14 +113,13 @@ def beta_norm_h2(space: FilteredSpace, rows: list, beta: float) -> float:
     return total
 
 
-def beta_norm_s2p(xi: LadlagProcess, beta: float) -> float:
-    """E[ max_k e^{beta t_k} xi_k^2 ]: constant stopping times are predictable
-    and exhaust the per-path values, so the essential supremum over grid
-    stopping times is the pathwise maximum over mid slots, taken on the atoms
-    of the finest of them."""
-    space = xi.space
+def beta_norm_s2p(space: FilteredSpace, rows: list, beta: float) -> float:
+    """E[ max_k e^{beta t_k} xi_k^2 ] over a process's N+1 mid rows xi_k:
+    constant stopping times are predictable and exhaust the per-path values,
+    so the essential supremum over grid stopping times is the pathwise
+    maximum over mid slots, taken on the atoms of the finest of them."""
     factors = [math.exp(beta * space.time_float(k)) for k in range(space.n_steps + 1)]
-    return float(expectation(space, v.max_weighted_squares(factors, xi.mid_rows)))
+    return float(expectation(space, v.max_weighted_squares(factors, rows)))
 
 
 def beta_norm_m2(m: LadlagProcess, beta: float) -> float:
@@ -193,9 +193,9 @@ def solve_general(
             trace.base_norm = beta_norm_h2(space, g, 0.0)
         sol = solve_driver_process(barriers, g)
         trace.frozen_g = g
-        du = p_sub(sol.y, u)
+        du = list(map(v.sub, sol.y.mid_rows, u.mid_rows))
         dz = [v.sub(sol.z[k], vz[k]) for k in range(space.n_steps)]
-        delta = beta_norm_s2p(du, params.beta) + beta_norm_h2(space, dz, params.beta)
+        delta = beta_norm_s2p(space, du, params.beta) + beta_norm_h2(space, dz, params.beta)
         trace.deltas.append(delta)
         if len(trace.deltas) >= 2 and trace.deltas[-2] > 0:
             trace.ratios.append(delta / trace.deltas[-2])

@@ -58,13 +58,24 @@ def realize(config: ScenarioConfig) -> Scenario:
 # value generators
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """``rng.randrange(n)`` drawn as CPython draws it, in one frame: k-bit
+    draws, k = n.bit_length(), until one lies below n.  So
+    ``_below(rng, b - a + 1) + a`` is ``rng.randint(a, b)``, stream and all."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
+
+
 def _numerator(rng: random.Random, scale: Fraction) -> int:
     # over 8 * scale.denominator: dyadic, so exact arithmetic stays small
-    return rng.randint(-16, 16) * scale.numerator
+    return (_below(rng, 33) - 16) * scale.numerator
 
 
 def _nonneg_numerator(rng: random.Random, scale: Fraction) -> int:
-    return rng.randint(0, 16) * scale.numerator
+    return _below(rng, 17) * scale.numerator
 
 
 def _on_partition(space: FilteredSpace, partition: Partition, draw, scale: Fraction) -> v.RV:

@@ -39,7 +39,9 @@ the helpers below, in these families:
 
 The binary helpers align rows by repeating each entry of the shorter one
 ``len(long) // len(short)`` times; ``pairs`` walks list rows together that
-way, and ``_pair`` puts two ``IntRow``s on one length and one denominator.
+way (``add``, ``sub`` and ``mul`` map their operator over the aligned rows
+instead), and ``_pair`` puts two ``IntRow``s on one length and one
+denominator.
 Each helper computes exactly the expression in its list body, entry by entry
 in atom order, so a NaN or a signed zero comes out as that expression makes
 it: ``scaled_min``'s min(max(x, 0), max(y, 0)) carries a NaN through, where a
@@ -211,7 +213,7 @@ def align(*rows: Sequence) -> list:
 
 def pairs(*rows: Sequence):
     """The list rows' entries side by side, one tuple per atom of the finest
-    row: the one way to walk two or more of them together."""
+    row."""
     return zip(*align(*rows), strict=True)
 
 
@@ -261,21 +263,27 @@ def add(a: Sequence, b: Sequence) -> RV:
     if _has_ints(a, b):
         x, y, den = _pair(a, b)
         return _reduced(list(map(_add, x, y)), den)
-    return [x + y for x, y in pairs(a, b)]
+    if len(a) == len(b):
+        return list(map(_add, a, b))
+    return list(map(_add, *align(a, b)))
 
 
 def sub(a: Sequence, b: Sequence) -> RV:
     if _has_ints(a, b):
         x, y, den = _pair(a, b)
         return _reduced(list(map(_sub, x, y)), den)
-    return [x - y for x, y in pairs(a, b)]
+    if len(a) == len(b):
+        return list(map(_sub, a, b))
+    return list(map(_sub, *align(a, b)))
 
 
 def mul(a: Sequence, b: Sequence) -> RV:
     if _has_ints(a, b):
         x, y, den = _pair(a, b, common=False)
         return _reduced(list(map(_mul, x, y)), den)
-    return [x * y for x, y in pairs(a, b)]
+    if len(a) == len(b):
+        return list(map(_mul, a, b))
+    return list(map(_mul, *align(a, b)))
 
 
 def smul(c, a: Sequence) -> RV:

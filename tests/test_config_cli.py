@@ -165,6 +165,10 @@ CONTRACTION_ERRORS = {
     "solve_c_modulus": ("solve", lambda d: d["params"].update(c=100), "params"),
     "solve_driver_a_modulus": ("solve", lambda d: d["driver"]["params"].update(a="5"), "params"),
     "estimate_beta_below_bound": ("estimate", lambda d: d["params"].update(beta=1), "params.beta"),
+    # eps^2 underflows to zero
+    "solve_eps_underflow": ("solve", lambda d: d["params"].update(eps="1e-200"), "params.beta"),
+    "estimate_eps_underflow": ("estimate", lambda d: d["params"].update(eps="1e-200"),
+                               "params.beta"),
 }
 
 

@@ -59,11 +59,11 @@ class TestNorms:
     def test_s2p_constant(self, space_8):
         xi = constant_process(space_8, 3)
         t = float(space_8.t_horizon)
-        assert beta_norm_s2p(xi, 2.0) == pytest.approx(9 * math.exp(2.0 * t))
+        assert beta_norm_s2p(space_8, xi.mid_rows, 2.0) == pytest.approx(9 * math.exp(2.0 * t))
 
     def test_s2p_deterministic_beta_zero(self, space_8):
         xi = from_cadlag_sequence(space_8, [space_8.constant(c) for c in (1, -4, 2)])
-        assert beta_norm_s2p(xi, 0.0) == pytest.approx(16.0)
+        assert beta_norm_s2p(space_8, xi.mid_rows, 0.0) == pytest.approx(16.0)
 
     def test_s2p_matches_stopping_time_enumeration(self, space_8):
         """Oracle: enumerate every grid-valued predictable stopping time and
@@ -102,7 +102,7 @@ class TestNorms:
                 val = math.exp(beta * space.time_float(k)) * float(xi.mid[k][i]) ** 2
                 best[i] = max(best[i], val)
         want = sum(float(space.weights[i]) * best[i] for i in range(space.n_paths))
-        assert beta_norm_s2p(xi, beta) == pytest.approx(want, rel=1e-12)
+        assert beta_norm_s2p(space, xi.mid_rows, beta) == pytest.approx(want, rel=1e-12)
 
     def test_m2_zero(self, space_8):
         assert beta_norm_m2(constant_process(space_8, 0), 4.0) == 0.0

@@ -16,7 +16,7 @@ import pytest
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict
 from pdrbsde.prob_space import on_paths
-from pdrbsde.scenario import estimate_template, generate_corpus, perturb_driver, realize
+from pdrbsde.scenario import _below, estimate_template, generate_corpus, perturb_driver, realize
 
 
 def _in_both(doc: dict):
@@ -96,3 +96,16 @@ def test_touching_draw_against_a_third_keeps_its_outcome():
     draws = [rng.random() for _ in range(10_000)]
     assert [x < 1 / 3 for x in draws] == [x < Fraction(1, 3) for x in draws]
     assert all((x * 2**53).is_integer() for x in draws)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, "barriers:3"])
+def test_draw_helper_is_randint(seed):
+    """``_below(rng, b - a + 1) + a`` draws what ``randint(a, b)`` draws and
+    leaves the stream where it leaves it, between ``random()`` calls too."""
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for i in range(2000):
+        for lo, hi in ((-16, 16), (0, 16)):
+            assert _below(ours, hi - lo + 1) + lo == theirs.randint(lo, hi)
+        if i % 3 == 0:  # as gap_draw interleaves them
+            assert ours.random() == theirs.random()
+    assert ours.getstate() == theirs.getstate()

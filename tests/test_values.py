@@ -156,7 +156,15 @@ def test_apply(mode):
 
     for a, b in combos(mode):
         same(v.apply(fn, a, b), [fn(x, y) for x, y in walk(a, b)])
+        # add, sub and mul are apply of their operator, lengths equal or not
+        same(v.add(a, b), [x + y for x, y in walk(a, b)])
+        same(v.sub(a, b), [x - y for x, y in walk(a, b)])
+        same(v.mul(a, b), [x * y for x, y in walk(a, b)])
     same(v.apply(abs, ROWS[mode][1]), [abs(x) for x in ROWS[mode][1]])
+    if mode == "float":  # the sign of a zero sum, and a NaN, as the expression gives them
+        same(v.add([-0.0, 0.0, NAN], [-0.0, -0.0, 1.0]), [-0.0, 0.0, NAN])
+        same(v.sub([0.0, -0.0], [0.0]), [0.0, -0.0])
+        same(v.mul([-1.0, 2.0], [0.0, -0.0, NAN, 1.0]), [-0.0, 0.0, NAN, 2.0])
 
 
 # ---------------------------------------------------------------------------
