@@ -338,8 +338,9 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
 def _collapse(space: FilteredSpace, row: list, partition):
     """The row of the mode, once per atom of the partition if it is measurable
     there, else once per path."""
-    row = v.as_row(space.mode, row)
-    return v.coarsen(row, len(partition)) if is_measurable(space, row, partition) else row
+    if is_measurable(space, row, partition):
+        row = v.coarsen(row, len(partition))
+    return v.as_row(space.mode, row)
 
 
 def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:

@@ -274,6 +274,9 @@ class ScenarioConfig:
                               "grid")
         if self.params.beta <= 0 or self.params.eps <= 0 or self.params.c <= 0:
             raise ConfigError("beta, eps, c must be positive", "params")
+        for name, x in (("eps", self.params.eps), ("c", self.params.c)):
+            if not math.isfinite(x * x):  # the bounds square both, and x ** 2 would raise
+                raise ConfigError(f"{name}={x!r} squared leaves the float range", f"params.{name}")
 
     # -- JSON round trip ----------------------------------------------------
 

@@ -117,7 +117,8 @@ def beta_norm_s2p(space: FilteredSpace, rows: list, beta: float) -> float:
     """E[ max_k e^{beta t_k} xi_k^2 ] over a process's N+1 mid rows xi_k:
     constant stopping times are predictable and exhaust the per-path values,
     so the essential supremum over grid stopping times is the pathwise
-    maximum over mid slots, taken on the atoms of the finest of them."""
+    maximum over mid slots: each row squared on its own atoms and folded into
+    the running maximum instant by instant."""
     factors = [math.exp(beta * space.time_float(k)) for k in range(space.n_steps + 1)]
     return float(expectation(space, v.max_weighted_squares(factors, rows)))
 

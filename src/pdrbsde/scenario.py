@@ -58,29 +58,27 @@ def realize(config: ScenarioConfig) -> Scenario:
 # value generators
 
 
-def _below(rng: random.Random, n: int) -> int:
-    """``rng.randrange(n)`` drawn as CPython draws it, in one frame: k-bit
-    draws, k = n.bit_length(), until one lies below n.  So
-    ``_below(rng, b - a + 1) + a`` is ``rng.randint(a, b)``, stream and all."""
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return r
-
-
-def _numerator(rng: random.Random, scale: Fraction) -> int:
-    # over 8 * scale.denominator: dyadic, so exact arithmetic stays small
-    return (_below(rng, 33) - 16) * scale.numerator
-
-
-def _nonneg_numerator(rng: random.Random, scale: Fraction) -> int:
-    return _below(rng, 17) * scale.numerator
-
-
-def _on_partition(space: FilteredSpace, partition: Partition, draw, scale: Fraction) -> v.RV:
-    """One draw per atom: each numerator ``draw()`` over 8 * scale.denominator."""
-    return space.backend.row([draw() for _ in range(len(partition))], 8 * scale.denominator)
+def _on_partition(space: FilteredSpace, partition: Partition, rng: random.Random, low: int,
+                  scale: Fraction, touching: bool = False) -> v.RV:
+    """One draw per atom, in one frame: numerators (low + r) * scale.numerator
+    over 8 * scale.denominator (dyadic, so exact arithmetic stays small), each
+    r drawn as ``rng.randint(low, 16)`` draws it: k-bit draws, k =
+    count.bit_length(), until one lies below count = 17 - low.  With
+    ``touching``, an atom draws 0 when a ``rng.random() < 1 / 3`` drawn first
+    passes."""
+    count, num = 17 - low, scale.numerator
+    k, bits, unit = count.bit_length(), rng.getrandbits, rng.random
+    nums = []
+    for _ in range(len(partition)):
+        # random() is j / 2**53, and no such j lies between 1/3 and float(1/3)
+        if touching and unit() < 1 / 3:
+            nums.append(0)
+            continue
+        r = bits(k)
+        while r >= count:
+            r = bits(k)
+        nums.append((low + r) * num)
+    return space.backend.row(nums, 8 * scale.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -132,20 +130,10 @@ def _random_barriers(space, p, seed) -> BarrierPair:
     rng = random.Random(f"barriers:{seed}")
     scale, left, right, touching = p["scale"], p["left_jumps"], p["right_jumps"], p["touching"]
 
-    def signed():
-        return _numerator(rng, scale)
+    signed, nonneg = -16, 0  # the lows of the draws, each up to 16
 
-    def nonneg():
-        return _nonneg_numerator(rng, scale)
-
-    def gap_draw():
-        # random() is m / 2**53, and no such m lies between 1/3 and float(1/3)
-        if touching and rng.random() < 1 / 3:
-            return 0
-        return _nonneg_numerator(rng, scale)
-
-    def draws(partitions, draw) -> list:
-        return [_on_partition(space, p, draw, scale) for p in partitions]
+    def draws(partitions, low, touch=False) -> list:
+        return [_on_partition(space, p, rng, low, scale, touch) for p in partitions]
 
     minus_parts, mid_parts = space.sigma_minus, space.sigma_mid[:n]
     xi_mid = draws(minus_parts, signed)
@@ -159,7 +147,7 @@ def _random_barriers(space, p, seed) -> BarrierPair:
     xi_plus = xi_mid[:n] if right == "none" else list(map(v.add, xi_mid, draws(mid_parts, signed)))
     xi = from_slots(space, xi_minus, xi_mid, xi_plus)
 
-    gap_mid = draws(minus_parts[:n], gap_draw) + [space.zero()]
+    gap_mid = draws(minus_parts[:n], nonneg, touching) + [space.zero()]
     zeta_mid = list(map(v.add, xi_mid, gap_mid))
     # With left jumps "none" or "usc", zeta stays left lower-semicontinuous:
     # left limits above the value.  With free left jumps its left limit may
@@ -172,7 +160,8 @@ def _random_barriers(space, p, seed) -> BarrierPair:
     if right == "none":
         zeta_plus = list(map(v.add, xi_plus, gap_mid))
     else:
-        zeta_plus = list(map(v.add, map(v.vmax, zeta_mid, xi_plus), draws(mid_parts, gap_draw)))
+        zeta_plus = list(map(v.add, map(v.vmax, zeta_mid, xi_plus),
+                             draws(mid_parts, nonneg, touching)))
     zeta_plus = list(map(v.vmax, zeta_plus, xi_plus))
     zeta = from_slots(space, zeta_minus, zeta_mid, zeta_plus)
     return BarrierPair(xi=xi, zeta=zeta)
@@ -216,8 +205,7 @@ def _zero_driver(space, p, seed):
 def _table_driver(space, p, seed):
     rng = random.Random(f"driver:{seed}")
     scale = p["scale"]
-    g = [_on_partition(space, space.sigma_mid[k], lambda: _numerator(rng, scale), scale)
-         for k in range(space.n_steps)]
+    g = [_on_partition(space, space.sigma_mid[k], rng, -16, scale) for k in range(space.n_steps)]
     return g, None
 
 
@@ -345,6 +333,6 @@ def perturb_driver(space: FilteredSpace, g: list, seed: int) -> list:
     out = []
     scale = Fraction(1, 4)
     for k in range(space.n_steps):
-        bump = _on_partition(space, space.sigma_mid[k], lambda: _numerator(rng, scale), scale)
+        bump = _on_partition(space, space.sigma_mid[k], rng, -16, scale)
         out.append(v.add(g[k], bump))
     return out

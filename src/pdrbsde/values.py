@@ -494,10 +494,15 @@ def squares(a: Sequence) -> list:
 
 
 def max_weighted_squares(factors: Sequence, rows: Sequence) -> list:
-    """On each atom, the largest e * float(x) ** 2 over the rows and their
-    factors e."""
-    return list(map(max, *[[e * x ** 2 for x in _floats(row)]
-                           for e, row in zip(factors, align(*rows))]))
+    """On each atom of the finest row, the largest e * float(x) ** 2 over the
+    rows and their factors e: each row squared on its own atoms and folded in
+    row order, a square replacing the running maximum only where it compares
+    greater, as ``max`` does (so a NaN or a -0.0 comes out as ``max`` gives it)."""
+    best = None
+    for e, row in zip(factors, rows):
+        sq = [e * x ** 2 for x in _floats(row)]
+        best = sq if best is None else [y if y > x else x for x, y in zip(*align(best, sq))]
+    return best
 
 
 def sup_abs(a: Sequence):

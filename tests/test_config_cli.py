@@ -169,6 +169,11 @@ CONTRACTION_ERRORS = {
     "solve_eps_underflow": ("solve", lambda d: d["params"].update(eps="1e-200"), "params.beta"),
     "estimate_eps_underflow": ("estimate", lambda d: d["params"].update(eps="1e-200"),
                                "params.beta"),
+    # eps^2 or c^2 overflows: refused at load, naming the parameter
+    "solve_eps_overflow": ("solve", lambda d: d["params"].update(eps="1e200"), "params.eps"),
+    "estimate_eps_overflow": ("estimate", lambda d: d["params"].update(eps="1e200"),
+                              "params.eps"),
+    "estimate_c_overflow": ("estimate", lambda d: d["params"].update(c="1e200"), "params.c"),
 }
 
 

@@ -10,13 +10,15 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict
 from pdrbsde.prob_space import on_paths
-from pdrbsde.scenario import _below, estimate_template, generate_corpus, perturb_driver, realize
+from pdrbsde.scenario import (_on_partition, estimate_template, generate_corpus, perturb_driver,
+                              realize)
 
 
 def _in_both(doc: dict):
@@ -99,13 +101,22 @@ def test_touching_draw_against_a_third_keeps_its_outcome():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, "barriers:3"])
-def test_draw_helper_is_randint(seed):
-    """``_below(rng, b - a + 1) + a`` draws what ``randint(a, b)`` draws and
-    leaves the stream where it leaves it, between ``random()`` calls too."""
+def test_atom_row_draws_as_randint(seed):
+    """``_on_partition`` on m atoms draws the numerators m calls of
+    ``randint(low, 16) * scale.numerator`` draw, each after a
+    ``random() < 1 / 3`` test that gives 0 when ``touching``, over
+    8 * scale.denominator, and leaves the stream where they leave it, between
+    ``random()`` calls too."""
+    space = SimpleNamespace(backend=SimpleNamespace(row=lambda nums, den: (nums, den)))
     ours, theirs = random.Random(seed), random.Random(seed)
-    for i in range(2000):
-        for lo, hi in ((-16, 16), (0, 16)):
-            assert _below(ours, hi - lo + 1) + lo == theirs.randint(lo, hi)
-        if i % 3 == 0:  # as gap_draw interleaves them
-            assert ours.random() == theirs.random()
+    for i in range(12):
+        for m in (1, 2, 7, 512):
+            for low, scale in ((-16, Fraction(1, 4)), (0, Fraction(3))):
+                for touching in (False, True):
+                    want = [0 if touching and theirs.random() < 1 / 3
+                            else theirs.randint(low, 16) * scale.numerator for _ in range(m)]
+                    got = _on_partition(space, range(m), ours, low, scale, touching)
+                    assert got == (want, 8 * scale.denominator)
+                    if i % 3 == 0:  # as the barrier draws interleave them
+                        assert ours.random() == theirs.random()
     assert ours.getstate() == theirs.getstate()

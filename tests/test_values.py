@@ -14,6 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdrbsde import values as v
 
@@ -258,6 +259,72 @@ def test_squares_and_max_weighted_squares(mode):
     factors = [1.0, 2.0, 0.5]
     want = [max(e * float(x) ** 2 for e, x in zip(factors, col)) for col in walk(*rows)]
     same(v.max_weighted_squares(factors, rows), want)
+
+
+def _max_weighted_squares_as_before(factors, rows) -> list:
+    """The expression the fold replaced: every row squared on the atoms of the
+    finest, then ``max`` per atom.  It needs two rows or more: with one, ``max``
+    gets a single float and raises."""
+    return list(map(max, *[[e * x ** 2 for x in v._floats(r)]
+                           for e, r in zip(factors, v.align(*rows))]))
+
+
+# entries whose squares stay finite, with the specials the fold must carry
+SPECIALS = (NAN, -0.0, 0.0, math.inf, -math.inf)
+ENTRIES = st.one_of(st.sampled_from(SPECIALS), st.floats(-1e150, 1e150))
+FACTORS = st.one_of(st.sampled_from((1.0, 2.0, 0.5, 0.0, -1.0, math.inf, NAN)),
+                    st.floats(-1e100, 1e100))
+
+
+@st.composite
+def row_lists(draw, filtration=False):
+    """2-6 float rows on lengths base**j that divide one another; in the
+    order a filtration grows in, or in any order."""
+    base = draw(st.sampled_from((2, 3)))
+    exps = draw(st.lists(st.integers(0, 3), min_size=2, max_size=6))
+    if filtration:
+        exps.sort()
+    return [draw(st.lists(ENTRIES, min_size=base**j, max_size=base**j)) for j in exps]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans().flatmap(row_lists), st.lists(FACTORS, min_size=6, max_size=6))
+def test_max_weighted_squares_is_max_of_the_aligned_squares(rows, factors):
+    same(v.max_weighted_squares(factors, rows), _max_weighted_squares_as_before(factors, rows))
+
+
+@pytest.mark.parametrize("at", [0, 2, 4])
+@pytest.mark.parametrize("lengths", [(1, 2, 4, 4, 8), (8, 4, 1, 2, 8), (4, 4, 4, 4, 4)])
+def test_max_weighted_squares_carries_nan_and_signed_zero(at, lengths):
+    """A NaN in the first, a middle or the last row, on rows that grow as a
+    filtration does, shrink, or keep one length; a -0.0 square (factor -1)
+    and inf beside it."""
+    rows = [[float(i + j) for j in range(n)] for i, n in enumerate(lengths)]
+    rows[at][0] = NAN
+    rows[-1][-1] = math.inf
+    for factors in ([1.0, 2.0, 0.5, 3.0, 1.5], [-1.0, 1.0, -1.0, 0.0, -0.0]):
+        got = v.max_weighted_squares(factors, rows)
+        same(got, _max_weighted_squares_as_before(factors, rows))
+    same(v.max_weighted_squares([-1.0, 1.0], [[0.0], [-0.0, NAN]]), [-0.0, -0.0])
+    same(v.max_weighted_squares([1.0, 1.0], [[NAN, 1.0], [2.0]]), [NAN, 4.0])
+    same(v.max_weighted_squares([2.0], [[1.0, -3.0]]), [2.0, 18.0])  # one row: its squares
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((1, 2, 4, 8)), st.integers(1, 2**70)), min_size=2,
+                max_size=5),
+       st.data())
+def test_max_weighted_squares_on_int_rows(shapes, data):
+    """IntRow inputs square n / den, as their Fraction twins square float(x)."""
+    rows, twins = [], []
+    for n, den in shapes:
+        nums = data.draw(st.lists(st.integers(-(2**80), 2**80), min_size=n, max_size=n))
+        rows.append(v.BACKENDS["rational"].row(nums, den))
+        twins.append([F(x, den) for x in nums])
+    factors = [math.exp(k / 3) for k in range(len(rows))]
+    got = v.max_weighted_squares(factors, rows)
+    same(got, _max_weighted_squares_as_before(factors, rows))
+    same(got, _max_weighted_squares_as_before(factors, twins))
 
 
 # ---------------------------------------------------------------------------
