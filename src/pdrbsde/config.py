@@ -254,6 +254,7 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.t_horizon <= 0:
             raise ConfigError("T must be positive", "grid.T")
+        _check_float(self.t_horizon, "grid.T")  # the norms read float(T) in both modes
         if self.arithmetic not in ARITHMETIC_MODES:
             raise ConfigError(f"unknown arithmetic {self.arithmetic!r}", "arithmetic")
         if self.arithmetic == "rational" and _rational_sqrt(self.dt) is None:
@@ -277,6 +278,20 @@ class ScenarioConfig:
         for name, x in (("eps", self.params.eps), ("c", self.params.c)):
             if not math.isfinite(x * x):  # the bounds square both, and x ** 2 would raise
                 raise ConfigError(f"{name}={x!r} squared leaves the float range", f"params.{name}")
+        # the norms' largest weight e^(beta t_N), t_N as FilteredSpace.time_float gives it
+        t_end = self.n_steps * float(self.t_horizon) / self.n_steps
+        try:
+            weight = math.exp(self.params.beta * t_end)
+        except OverflowError:
+            weight = math.inf
+        if not math.isfinite(weight):
+            raise ConfigError(f"the norm weight e^(beta T) for beta={self.params.beta!r} leaves "
+                              "the float range", "params.beta")
+        if self.params.tol < 0:
+            raise ConfigError(f"tol must be >= 0, got {self.params.tol!r}", "params.tol")
+        if self.params.divergence_bound <= 0:
+            raise ConfigError(f"divergence_bound must be positive, got "
+                              f"{self.params.divergence_bound!r}", "params.divergence_bound")
 
     # -- JSON round trip ----------------------------------------------------
 
@@ -374,8 +389,7 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", n_steps),
                   driver=_read_kind(cfg.driver, DRIVERS, "driver", n_steps))
     if cfg.arithmetic == "float":
-        for where, x in (("grid.T", t_horizon), ("barriers", cfg.barriers.values),
-                         ("driver", cfg.driver.values)):
+        for where, x in (("barriers", cfg.barriers.values), ("driver", cfg.driver.values)):
             _check_float(x, where)
     k, a, b = (cfg.driver.values.get(name) for name in ("K", "a", "b"))
     if k is not None and k < max(abs(a), abs(b)):

@@ -20,7 +20,7 @@ or ``running_sum`` (the slots of a sum of jumps and interval increments), and
 ``validate_process(proc, kind)`` checks that a process lies in the named
 class:
 
-* optional: minus[k] is sigma_minus[k]-measurable; mid[k] and plus[k] are
+* every kind: minus[k] is sigma_minus[k]-measurable; mid[k] and plus[k] are
   sigma_mid[k]-measurable.
 * predictable: additionally mid[k] is sigma_minus[k]-measurable.
 * cadlag-martingale: plus == mid, interval increments have zero conditional
@@ -44,7 +44,6 @@ from . import values as v
 from .prob_space import FilteredSpace, cond_expect, is_measurable, on_paths
 
 KINDS = (
-    "optional",
     "predictable",
     "finite-variation-predictable",
     "purely-discontinuous-predictable",
@@ -245,9 +244,9 @@ def validate_process(proc: LadlagProcess, kind: str) -> None:
             if not is_measurable(space, jump, space.sigma_minus[k]):
                 raise ProcessError(f"A-class jump not sigma_minus[{k}]-measurable")
     else:
-        # optional / predictable / martingale: no time before 0, so the left
-        # limit at 0 is the value itself (martingales may carry a zero-mean
-        # jump at 0 when a mark lives there).
+        # predictable / martingale: no time before 0, so the left limit at 0
+        # is the value itself (martingales may carry a zero-mean jump at 0
+        # when a mark lives there).
         if kind != "cadlag-martingale" and not v.eq(proc.minus_rows[0], proc.mid_rows[0]):
             raise ProcessError("slot_minus[0] must equal slot_mid[0]")
 

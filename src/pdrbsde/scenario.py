@@ -19,7 +19,7 @@ from pathlib import Path
 from . import values as v
 from .config import ConfigError, ScenarioConfig, config_from_dict
 from .drbsde import BarrierPair
-from .driver_solver import LipschitzDriver, linear_driver
+from .driver_solver import LinearDriver
 from .prob_space import FilteredSpace, Partition, build_space, on_paths
 from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
 
@@ -29,8 +29,8 @@ class Scenario:
     config: ScenarioConfig
     space: FilteredSpace
     barriers: BarrierPair
-    g_rows: list | None             # process driver (zero/table kinds), one row per interval
-    driver: LipschitzDriver | None  # general driver (linear kind)
+    g_rows: list | None          # process driver (zero/table kinds), one row per interval
+    driver: LinearDriver | None  # (y, z)-dependent driver (linear kind)
 
     @property
     def has_general_driver(self) -> bool:
@@ -211,8 +211,8 @@ def _table_driver(space, p, seed):
 
 def _linear_driver(space, p, seed):
     a, b = space.backend.number(p["a"]), space.backend.number(p["b"])
-    k_decl = None if p["K"] is None else float(p["K"])
-    return None, linear_driver(a, b, v.convert(space.mode, p["c"]), k_decl)
+    k = max(abs(a), abs(b)) if p["K"] is None else p["K"]
+    return None, LinearDriver(a, b, tuple(v.convert(space.mode, p["c"])), float(k))
 
 
 _DRIVERS = {"zero": _zero_driver, "table": _table_driver, "linear": _linear_driver}

@@ -103,6 +103,9 @@ SCHEMA_TYPE_ERRORS = {
     "c_minus_inf": (template_doc(1, c="-inf"), "params.c"),
     "tol_nan": (template_doc(1, tol="nan"), "params.tol"),
     "divergence_bound_inf": (template_doc(1, divergence_bound="inf"), "params.divergence_bound"),
+    "tol_negative": (template_doc(1, tol=-1), "params.tol"),
+    "divergence_bound_zero": (template_doc(1, divergence_bound=0), "params.divergence_bound"),
+    "beta_weight_overflow": (template_doc(1, beta=1500), "params.beta"),
     "max_iter_zero": (template_doc(1, max_iter=0), "params.max_iter"),
     "max_outer_zero": (template_doc(1, max_outer=0), "params.max_outer"),
     "max_outer_negative": (template_doc(1, max_outer=-3), "params.max_outer"),
@@ -131,6 +134,7 @@ SCHEMA_TYPE_ERRORS = {
     "linear_k_below_tiny_a": (_param_doc(3, "driver", a=1e-13, b=0, K=0), "driver.K"),
     "float_t_beyond_range": (template_doc(0, arithmetic="float")
                              | {"grid": dict(template_doc(0)["grid"], T="1e400")}, "grid.T"),
+    "rational_t_beyond_range": (template_doc(0) | {"grid": {"N": 1, "T": "1e400"}}, "grid.T"),
     "float_constant_value_beyond_range": (_param_doc(0, "barriers", value="1e400")
                                           | {"arithmetic": "float"}, "barriers.value"),
     "float_game_option_spot_beyond_range": (_param_doc(3, "barriers", spot="1e400")
@@ -428,6 +432,25 @@ class TestCliModes:
         assert (out / "scenario_000" / "report.json").exists()
         assert (out / "scenario_003" / "report.json").exists()
 
+    def test_linear_driver_with_large_constant_term(self, tmp_path):
+        """A valid driver whose sampled Lipschitz probe rounds above K = 0.01
+        solves and verifies, and a directory run goes on to the next scenario."""
+        paths = generate_corpus(0, 4, tmp_path / "corpus")
+        doc = json.loads(paths[3].read_text())
+        doc["driver"]["params"] = {"a": "1/100", "b": "1/100", "c": "1000000"}
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        big_c = write_scenario(mixed, doc, "scenario_000.json")
+        (mixed / "scenario_001.json").write_text(paths[1].read_text(), encoding="utf-8")
+        out = tmp_path / "run"
+        for mode in ("solve", "verify"):
+            assert main(["--mode", mode, "--config", str(big_c), "--out", str(out)]) == 0, mode
+        assert json.loads((out / "report.json").read_text())["trace"]["outer"][
+            "lipschitz_probe"] > 0.01
+        assert main(["--mode", "solve", "--config", str(mixed), "--out", str(tmp_path / "m")]) == 0
+        for name in ("scenario_000", "scenario_001"):
+            assert (tmp_path / "m" / name / "report.json").exists()
+
     def test_float_overflow_during_the_run_exits_two(self, tmp_path, capsys):
         """Numbers just inside the float range that overflow mid-run (in the
         norms) exit 2 naming the arithmetic, and a directory run carries on."""
@@ -475,14 +498,18 @@ class TestCliModes:
         assert not (tmp_path / "o").exists()
 
     def test_run_errors_map_to_exit_codes(self, tmp_path, capsys):
-        """A space that cannot be built exits 2; a Picard oracle stopped early
-        by --tol fails the certificate (exit 4) and the oracle (exit 5)."""
+        """A space that cannot be built, or a negative --tol, exits 2; a Picard
+        oracle stopped early by --tol fails the certificate (exit 4) and the
+        oracle (exit 5)."""
         doc = template_doc(1, arithmetic="float") | {"grid": {"N": 1, "T": "1e-700"}}
         cfg = write_scenario(tmp_path, doc)
         assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "config error: dW_0 not binary" in capsys.readouterr().err
-        cfg = generate_corpus(0, 5, tmp_path / "corpus")[4]
-        argv = ["--config", str(cfg), "--out", str(tmp_path / "o"), "--tol", "100"]
+        paths = generate_corpus(0, 5, tmp_path / "corpus")
+        argv = ["--config", str(paths[1]), "--out", str(tmp_path / "o"), "--tol", "-1"]
+        assert main(["--mode", "oracle", *argv]) == 2
+        assert "[at params.tol]" in capsys.readouterr().err
+        argv = ["--config", str(paths[4]), "--out", str(tmp_path / "o"), "--tol", "100"]
         assert main(["--mode", "certificate", *argv]) == 4
         assert "verification failure: H - Hbar" in capsys.readouterr().err
         assert main(["--mode", "oracle", *argv]) == 5

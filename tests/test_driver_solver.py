@@ -7,23 +7,24 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_config, rand_on, random_martingale, random_predictable
+from conftest import make_config, make_space, rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, solve_driver_process
 from pdrbsde.driver_solver import (
     ContractionParams,
-    LipschitzDriver,
+    LinearDriver,
     beta_norm_h2,
     beta_norm_m2,
     beta_norm_s2p,
-    linear_driver,
     solve_general,
 )
 from pdrbsde.processes import (
     brownian_process,
     constant_process,
     from_cadlag_sequence,
+    from_slots,
     sup_distance,
     zero_process,
 )
@@ -137,16 +138,11 @@ class TestContractionParams:
         with pytest.raises(ValueError):
             ContractionParams(beta=5.0, eps=0.5, c=2.0).validate(0.1, 1.0)
 
-    def test_lipschitz_probe_catches_liars(self, space_8):
-        bad = LipschitzDriver(evaluate=lambda k, t, y, z: y, lipschitz_k=0.01)
-        with pytest.raises(ValueError):
-            bad.probe_lipschitz(space_8)
-
 
 class TestSolveGeneral:
     def test_state_independent_driver_fixes_in_one_step(self, space_8):
         cvals = [F(1, 2), F(-1, 4)]
-        drv = linear_driver(F(0), F(0), cvals)
+        drv = LinearDriver(F(0), F(0), tuple(cvals), 0.0)
         pair = BarrierPair(
             xi=from_cadlag_sequence(space_8, [space_8.constant(c) for c in (-9, -9, 0)]),
             zeta=from_cadlag_sequence(space_8, [space_8.constant(c) for c in (9, 9, 0)]),
@@ -164,7 +160,7 @@ class TestSolveGeneral:
         and the reflectors absorb exactly lambda*c*dt per interval (scalar
         recursion solved by hand)."""
         lam, c0 = F(1, 100), F(2)
-        drv = linear_driver(-lam, F(0), [F(0)] * 2)
+        drv = LinearDriver(-lam, F(0), (F(0),) * 2, float(lam))
         pair = BarrierPair(
             xi=from_cadlag_sequence(space_8, [space_8.constant(c0)] * 3),
             zeta=from_cadlag_sequence(space_8, [space_8.constant(c0)] * 3),
@@ -219,3 +215,71 @@ class TestSolveGeneral:
         rep = verify_drbsde_solution(g, sc.barriers, sol, tol=1e-10)
         assert rep.passed, rep.failures()
         assert trace.base_norm > 0
+
+
+# ---------------------------------------------------------------------------
+# the linear driver's rows
+
+
+NAN = float("nan")
+# two steps, marks at both instants: U_k on sigma_minus[k] has 1 then 2 atoms,
+# Z_k on sigma_mid[k] 1 then 4
+FREEZE_SPACES = {mode: make_space(2, "1/2", arithmetic=mode, marks=[
+    {"instant": 1, "labels": ["a", "b"], "probs": ["1/2", "1/2"]},
+    {"instant": 2, "labels": ["x", "y"], "probs": ["1/4", "3/4"]},
+]) for mode in ("rational", "float")}
+U_SIZES, Z_SIZES = (1, 2), (1, 4)
+# entries of like size too, whose sums round in an order the result shows
+FLOATS = st.one_of(st.sampled_from((NAN, -0.0, 0.0, math.inf, -math.inf)),
+                   st.floats(-1e150, 1e150), st.floats(-4, 4))
+RATIONALS = st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**40))
+
+
+def _rows(entries, sizes):
+    return st.tuples(*(st.lists(entries, min_size=n, max_size=n) for n in sizes))
+
+
+def _freeze_as_before(driver, u_rows, z_rows) -> list:
+    """The expression ``freeze`` replaced: a y + b z + c_k on each atom of the
+    finer of (U_k, Z_k), through ``v.apply`` (Fraction entries on IntRows)."""
+    return [v.apply(lambda y, z, c=c: driver.a * y + driver.b * z + c, u, zk)
+            for u, zk, c in zip(u_rows, z_rows, driver.c)]
+
+
+def _frozen(space, driver, u_rows, z_rows) -> list:
+    n = space.n_steps
+    assert tuple(map(len, space.sigma_minus[:n])) == U_SIZES
+    assert tuple(map(len, space.sigma_mid[:n])) == Z_SIZES
+    u = from_slots(space, [space.zero()] * (n + 1), [*u_rows, space.zero()], [space.zero()] * n)
+    return driver.freeze(space, u, z_rows)
+
+
+def _same(got, want) -> None:
+    """Equal entry by entry, with NaN, the sign of zero and the type."""
+    assert [(type(x), repr(x)) for x in got] == [(type(x), repr(x)) for x in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(FLOATS, FLOATS, st.lists(FLOATS, min_size=2, max_size=2), _rows(FLOATS, U_SIZES),
+       _rows(FLOATS, Z_SIZES))
+# (a y + b z) + c is 1 here, and a y + (b z + c) would be 0
+@example(1.0, 1.0, [1.0, 1.0], ([1e16], [1e16, 1.0]), ([-1e16], [-1e16, 1.0, -0.0, NAN]))
+def test_freeze_is_the_old_expression_on_float_rows(a, b, c, u_rows, z_rows):
+    driver = LinearDriver(a, b, tuple(c), 1.0)
+    got = _frozen(FREEZE_SPACES["float"], driver, u_rows, z_rows)
+    for row, want in zip(got, _freeze_as_before(driver, u_rows, z_rows), strict=True):
+        _same(row, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(RATIONALS, RATIONALS, st.lists(RATIONALS, min_size=2, max_size=2),
+       _rows(RATIONALS, U_SIZES), _rows(RATIONALS, Z_SIZES))
+def test_freeze_on_int_rows_is_the_old_expression(a, b, c, u_twins, z_twins):
+    """IntRow rows give the canonical IntRow of the old expression, and the
+    entries it gives on their Fraction twins."""
+    driver = LinearDriver(a, b, tuple(c), 1.0)
+    u_rows, z_rows = ([v.as_row("rational", row) for row in rows] for rows in (u_twins, z_twins))
+    got = _frozen(FREEZE_SPACES["rational"], driver, u_rows, z_rows)
+    assert got == _freeze_as_before(driver, u_rows, z_rows)
+    assert [v.entries(row) for row in got] == _freeze_as_before(driver, u_twins, z_twins)
+
