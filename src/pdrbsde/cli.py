@@ -253,30 +253,31 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
     """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float.
 
     Each atom's value is written for every path of its block, and each
-    distinct nonzero value is formatted once per call: cadlag slots repeat
-    their mid rows, and a running sum's minus slot its previous mid."""
+    distinct nonzero value is formatted once per call.  A file's cells go to
+    ``v.dump_lines`` in slot order, so that a cadlag slot repeating its mid
+    row, or a running sum's minus slot its previous mid, is the same row
+    object in the next cell and is joined from the pieces it left."""
     space = sol.y.space
     paths = [f"{i}," for i in range(space.n_paths)]
     texts = {}
 
-    def write(fh, prefix: str, row) -> None:
-        fh.write(v.dump_lines(space.mode, row, prefix, paths, "\r\n", texts))
+    def slots(proc):
+        n = proc.n_steps
+        for k in range(n + 1):
+            yield f"{k},minus,", proc.minus_rows[k]
+            yield f"{k},mid,", proc.mid_rows[k]
+            if k < n:
+                yield f"{k},plus,", proc.plus_rows[k]
+
+    def write(file: str, header: str, cells) -> None:
+        with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
+            fh.write(header)
+            fh.writelines(v.dump_lines(space.mode, cells, paths, "\r\n", texts))
 
     for name, field in _COMPONENTS.items():
-        proc = getattr(sol, field)
-        with open(out_dir / f"solution_{name}.csv", "w", newline="", encoding="utf-8") as fh:
-            fh.write("instant,slot,path,value\r\n")
-            n = proc.n_steps
-            for k in range(n + 1):
-                write(fh, f"{k},minus,", proc.minus_rows[k])
-                write(fh, f"{k},mid,", proc.mid_rows[k])
-                if k < n:
-                    write(fh, f"{k},plus,", proc.plus_rows[k])
+        write(f"solution_{name}.csv", "instant,slot,path,value\r\n", slots(getattr(sol, field)))
     for file, rows in (("solution_Z.csv", sol.z), ("driver_g.csv", g)):
-        with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
-            fh.write("interval,path,value\r\n")
-            for k, row in enumerate(rows):
-                write(fh, f"{k},", row)
+        write(file, "interval,path,value\r\n", ((f"{k},", row) for k, row in enumerate(rows)))
 
 
 def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) -> dict:

@@ -389,8 +389,10 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", n_steps),
                   driver=_read_kind(cfg.driver, DRIVERS, "driver", n_steps))
     if cfg.arithmetic == "float":
-        for where, x in (("barriers", cfg.barriers.values), ("driver", cfg.driver.values)):
-            _check_float(x, where)
+        _check_float(cfg.barriers.values, "barriers")
+    # in both modes: the linear driver's K and Lipschitz probe are floats, and
+    # a table's values reach the float norms of the report
+    _check_float(cfg.driver.values, "driver")
     k, a, b = (cfg.driver.values.get(name) for name in ("K", "a", "b"))
     if k is not None and k < max(abs(a), abs(b)):
         raise ConfigError(f"declared K={k} below max(|a|,|b|)={max(abs(a), abs(b))}", "driver.K")

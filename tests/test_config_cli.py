@@ -139,6 +139,17 @@ SCHEMA_TYPE_ERRORS = {
                                           | {"arithmetic": "float"}, "barriers.value"),
     "float_game_option_spot_beyond_range": (_param_doc(3, "barriers", spot="1e400")
                                             | {"arithmetic": "float"}, "barriers.spot"),
+    # the driver is read as floats in both modes, so each value needs a float
+    "rational_linear_k_beyond_range": (_param_doc(3, "driver", K="1e400"), "driver.K"),
+    "rational_linear_c_beyond_range": (_param_doc(3, "driver", c="1e400"), "driver.c[0]"),
+    "rational_linear_a_beyond_range": (_param_doc(3, "driver", a="1e400", K="1e401"),
+                                       "driver.a"),
+    "rational_linear_b_beyond_range": (_param_doc(3, "driver", b="-1e400", K="1e401"),
+                                       "driver.b"),
+    "rational_table_scale_beyond_range": (_param_doc(1, "driver", scale="1e400"),
+                                          "driver.scale"),
+    "float_linear_k_beyond_range": (_param_doc(3, "driver", K="1e400")
+                                    | {"arithmetic": "float"}, "driver.K"),
     "paths_over_cap": (template_doc(1, arithmetic="float") | {"grid": {"N": 40, "T": "1"}},
                        "grid"),
 }

@@ -137,8 +137,8 @@ def test_magnitudes_and_boundaries_match_fraction_rows(ra, rb):
             same(v.coarsen(a, m), v.coarsen(fa, m))
     assert v.entries(a) == fa
     labels = [f"{i}," for i in range(8)]
-    assert v.dump_lines("rational", a, "0,mid,", labels, "\r\n", {}) == \
-        v.dump_lines("rational", fa, "0,mid,", labels, "\r\n", {})
+    assert list(v.dump_lines("rational", [("0,mid,", a)], labels, "\r\n", {})) == \
+        list(v.dump_lines("rational", [("0,mid,", fa)], labels, "\r\n", {}))
 
 
 def _run(path) -> tuple:

@@ -9,6 +9,7 @@ alignment; Fraction and float rows check both backends.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -354,13 +355,37 @@ def test_worst_index_takes_the_first_nan_else_the_first_largest():
 # boundaries
 
 
+def dump(mode: str, cells, labels, end: str = "\r\n", texts=None) -> str:
+    """The text ``dump_lines`` gives for the cells, joined."""
+    return "".join(v.dump_lines(mode, cells, labels, end, {} if texts is None else texts))
+
+
+def dump_per_path(mode: str, cells, n_paths: int) -> str:
+    """The oracle of ``dump_lines``: one CSV line per path of each cell,
+    written from the row's entries on the paths (``str`` of a Fraction,
+    ``repr`` of a float)."""
+    text = {"float": repr, "rational": str}[mode]
+    return "".join(f"{prefix}{i},{text(x)}\r\n"
+                   for prefix, row in cells
+                   for i, x in enumerate(on_atoms(v.entries(row), n_paths)))
+
+
+def same_text(got: str, want: str) -> None:
+    """Equal dump texts; else the first line that differs (an assertion diff
+    of two whole dumps would take minutes)."""
+    if got != want:
+        lines = enumerate(zip(got.splitlines(), want.splitlines()))
+        first = next(((i, a, b) for i, (a, b) in lines if a != b), "none of the common lines")
+        pytest.fail(f"dumps of {len(got)} and {len(want)} characters differ at {first}")
+
+
 def test_signs_json_and_dump_lines():
     assert v.signs([0.5, -0.5, -0.0]) == [1, -1, -1]
     assert v.to_json("rational", [F(1, 2)]) == ["1/2"]
     assert v.to_json("float", [0.5]) == [0.5]
-    assert v.dump_lines("rational", [F(1, 2), F(-1)], "0,mid,", ["0,", "1,", "2,", "3,"],
-                        "\r\n", {}) == "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
-    assert v.dump_lines("float", [0.1, -0.0], "", ["0,", "1,"], "\n", {}) == "0,0.1\n1,-0.0\n"
+    assert dump("rational", [("0,mid,", [F(1, 2), F(-1)])], ["0,", "1,", "2,", "3,"]) == \
+        "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
+    assert dump("float", [("", [0.1, -0.0])], ["0,", "1,"], "\n") == "0,0.1\n1,-0.0\n"
 
     # rows of every block size in one dump, as a CSV writes its slots: each
     # entry's text on every label of its block
@@ -379,11 +404,103 @@ def test_signs_json_and_dump_lines():
         want = "".join(f"{k},{label}{text(row[i * len(row) // 8])}\r\n"
                        for k, row in enumerate(rows) for i, label in enumerate(labels))
         for convert in (list, lambda row: v.as_row(mode, row)):  # list and native rows
-            texts = {}
-            assert "".join(v.dump_lines(mode, convert(row), f"{k},", labels, "\r\n", texts)
-                           for k, row in enumerate(rows)) == want
+            assert dump(mode, [(f"{k},", convert(row)) for k, row in enumerate(rows)],
+                        labels) == want
     with pytest.raises(ValueError):
-        v.dump_lines("float", [0.0, 1.0, 2.0], "", labels, "\n", {})
+        dump("float", [("", [0.0, 1.0, 2.0])], labels, "\n")
+
+
+# float entries whose texts a shared key could confuse: NaN, both zeros, both
+# infinities, and values of one magnitude
+SPECIAL = [NAN, 0.0, -0.0, math.inf, -math.inf, 0.1, -0.1, 1e-300, 2.5, 1 / 3]
+
+
+def _float_row(n: int, seed: int) -> list:
+    return [SPECIAL[(seed + 7 * j + j * j) % len(SPECIAL)] for j in range(n)]
+
+
+def _rational_row(n: int, seed: int) -> list:
+    return [F((seed + 3 * j) % 11 - 5, 1 + (seed + j) % 4) if j % 5 else F(0) for j in range(n)]
+
+
+def test_dump_lines_on_every_block_size_matches_the_per_path_dump():
+    assert 2 < v.DUMP_JOIN_BLOCK <= 1024  # both writers below are reached
+    for n_paths in (1, 2, 128, 2048):
+        labels = [f"{i}," for i in range(n_paths)]
+        blocks = [b for b in (1, 2, v.DUMP_JOIN_BLOCK // 2, v.DUMP_JOIN_BLOCK,
+                              2 * v.DUMP_JOIN_BLOCK, n_paths) if b <= n_paths]
+        float_cells = [(f"{k},mid,", _float_row(n_paths // b, k)) for k, b in enumerate(blocks)]
+        same_text(dump("float", float_cells, labels), dump_per_path("float", float_cells, n_paths))
+        fraction_cells = [(f"{k},", _rational_row(n_paths // b, k)) for k, b in enumerate(blocks)]
+        want = dump_per_path("rational", fraction_cells, n_paths)
+        int_cells = [(prefix, v.as_row("rational", row)) for prefix, row in fraction_cells]
+        same_text(dump("rational", fraction_cells, labels), want)
+        same_text(dump("rational", int_cells, labels), want)
+        # IntRows beside their Fraction twins in one dump share no text wrongly
+        mixed = [cell for pair in zip(int_cells, fraction_cells) for cell in pair]
+        same_text(dump("rational", mixed, labels), dump_per_path("rational", mixed, n_paths))
+
+
+def test_dump_lines_reuses_a_repeated_row_under_each_new_prefix():
+    n_paths = 2048
+    labels = [f"{i}," for i in range(n_paths)]
+    fine, coarse = _float_row(n_paths // 2, 1), _float_row(n_paths // 1024, 2)
+    twin = list(fine)  # equal entries, another object
+    other = _float_row(n_paths, 3)
+    cells = [("0,minus,", other), ("0,mid,", fine), ("0,plus,", fine), ("1,minus,", fine),
+             ("1,mid,", twin), ("1,plus,", coarse), ("2,minus,", fine), ("2,mid,", coarse),
+             ("2,plus,", coarse), ("3,minus,", other), ("3,mid,", fine)]
+    same_text(dump("float", cells, labels), dump_per_path("float", cells, n_paths))
+    for fine_row in (_rational_row(n_paths // 4, 4), _rational_row(n_paths, 5)):
+        int_fine = v.as_row("rational", fine_row)
+        int_coarse = v.as_row("rational", _rational_row(2, 6))
+        cells = [("0,", int_fine), ("1,", int_fine), ("2,", int_coarse), ("3,", int_fine),
+                 ("4,", v.as_row("rational", fine_row)), ("5,", fine_row), ("6,", fine_row)]
+        same_text(dump("rational", cells, labels), dump_per_path("rational", cells, n_paths))
+
+
+def test_dump_lines_formats_each_distinct_nonzero_entry_once(monkeypatch):
+    calls = []
+    backend = v.BACKENDS["float"]
+
+    def counted(x):
+        calls.append(x)
+        return backend.format(x)
+
+    monkeypatch.setitem(v.BACKENDS, "float", dataclasses.replace(backend, format=counted))
+    labels = [f"{i}," for i in range(16)]
+    texts = {}
+    rows = [[0.1, 0.2, 0.0, 0.1], [0.2, -0.0], SPECIAL[3:] + [0.1], [0.1] * 16]
+    for first in range(2):  # two files of one dump share the texts
+        got = dump("float", [(f"{first}{k},", row) for k, row in enumerate(rows)], labels,
+                   texts=texts)
+        assert got == dump_per_path("float", [(f"{first}{k},", row)
+                                              for k, row in enumerate(rows)], 16)
+    nonzero = [x for x in calls if x != 0]
+    assert sorted(map(repr, nonzero)) == sorted(map(repr, {x for row in rows for x in row if x}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4, 8, 32]),
+       st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3)), min_size=1, max_size=12),
+       st.sampled_from(["float", "rational"]))
+def test_dump_lines_on_any_sequence_of_cells(n_paths, picks, mode):
+    """Cells drawn from a pool of rows, so a row object comes again, after
+    itself or after others, under new prefixes, with each cut: every row
+    through the atom joins, through the pieces, or the library's mix."""
+    labels = [f"{i}," for i in range(n_paths)]
+    make = _float_row if mode == "float" else (lambda n, s: v.as_row("rational",
+                                                                     _rational_row(n, s)))
+    lengths = [n for n in (1, 2, 4, 8, 32) if n <= n_paths]
+    pool = [make(lengths[j % len(lengths)], j) for j in range(6)]
+    cells = [(f"{k},{slot},", pool[j]) for k, (j, slot) in enumerate(picks)]
+    want = dump_per_path(mode, cells, n_paths)
+    cut = v.DUMP_JOIN_BLOCK
+    try:
+        for v.DUMP_JOIN_BLOCK in (1, 4, 10**9, cut):
+            same_text(dump(mode, cells, labels), want)
+    finally:
+        v.DUMP_JOIN_BLOCK = cut
 
 
 # ---------------------------------------------------------------------------
