@@ -121,25 +121,6 @@ class OptionalSemimartingale:
         return p.slots
 
 
-def semimartingale_from_weights(space: FilteredSpace, weights: Sequence) -> OptionalSemimartingale:
-    """Deterministic finite-variation component with values weights[k] at t_k.
-
-    Carries its whole variation on the intervals, like e^{beta t}.
-    """
-    n = space.n_steps
-    zero = space.zero()
-    wvals = [space.constant(w) for w in weights]
-    return OptionalSemimartingale(
-        space=space,
-        x0=wvals[0],
-        m_interval=(zero,) * n,
-        m_jump=(zero,) * n,
-        a_jump=(zero,) * (n + 1),
-        a_interval=tuple(v.sub(wvals[k + 1], wvals[k]) for k in range(n)),
-        b_jump=(zero,) * n,
-    )
-
-
 # ---------------------------------------------------------------------------
 # the change-of-variables identity
 
@@ -234,80 +215,6 @@ def galchouk_lenglart_check(
     return ChangeOfVariablesReport(
         lhs=lhs_series, rhs=rhs_series, terms=terms_series, max_deviation=dev
     )
-
-
-# ---------------------------------------------------------------------------
-# the weighted-square expansion used by the a-priori estimates
-
-
-@dataclass
-class WeightedSquareReport:
-    terms: dict              # name -> per-instant rows of running totals
-    lhs: list                # per-instant rows w_t Y_t^2 - w_0 Y_0^2
-    max_deviation: float
-
-
-def corollary_expansion(
-    y: OptionalSemimartingale, beta: float | None = None, weights: Sequence | None = None
-) -> WeightedSquareReport:
-    """Term-by-term expansion of w_t Y_t^2 against its semimartingale parts.
-
-    ``weights`` defaults to e^{beta t_k} in float mode; pass a rational
-    geometric sequence for exact-arithmetic checks (the identity holds for
-    any deterministic weight sequence).  Term names:
-
-    * drift: Y^2 against the weight increments (the beta e^{beta s} Y^2 ds term)
-    * A_integral: 2 w Y against dA (left jumps and interval parts)
-    * bracket: continuous-bracket term, identically zero
-    * BM_integral: 2 w Y against d(B+M)^+
-    * left_jump_sum, right_jump_sum: the two correction sums; the right one
-      carries the interval corrections w (dY_interval)^2 standing in for the
-      bracket.
-    """
-    space = y.space
-    n = space.n_steps
-    if weights is None:
-        if beta is None:
-            raise ValueError("need beta or explicit weights")
-        weights = [space.backend.approx(math.exp(beta * space.time_float(k)))
-                   for k in range(n + 1)]
-    wproc = semimartingale_from_weights(space, weights)
-    f = Polynomial.from_dict(2, {(1, 2): space.backend.number(1)})
-    report = galchouk_lenglart_check([wproc, y], f)
-
-    # Regroup: the weight component's dA share is the drift term; the Y
-    # component's dA share is the A integral.  Totals at instant k include
-    # intervals up to k-1 and left jumps up to k, matching the series above.
-    run_drift = run_a = space.zero()
-    drift, a_int = [run_drift], [run_a]
-    grad_w = f.partial(0)   # y^2
-    grad_y = f.partial(1)   # 2 x y
-    wminus, _, wplus = wproc.states()
-    yminus, _, yplus = y.states()
-    for k in range(1, n + 1):
-        gw = v.apply(grad_w, wplus[k - 1], yplus[k - 1])
-        gy = v.apply(grad_y, wplus[k - 1], yplus[k - 1])
-        run_drift = v.add(run_drift, v.mul(gw, wproc.a_interval[k - 1]))
-        run_a = v.add(run_a, v.mul(gy, y.a_interval[k - 1]))
-        gy2 = v.apply(grad_y, wminus[k], yminus[k])
-        run_a = v.add(run_a, v.mul(gy2, y.a_jump[k]))
-        drift.append(run_drift)
-        a_int.append(run_a)
-
-    terms = {
-        "drift": drift,
-        "A_integral": a_int,
-        "bracket": report.terms["bracket"],
-        "BM_integral": report.terms["dBM_integral"],
-        "left_jump_sum": report.terms["left_jump_sum"],
-        "right_jump_sum": report.terms["right_jump_sum"],
-    }
-    # drift + A_integral must equal the full dA integral of the two components
-    recheck = v.max_magnitude(
-        v.sub(v.add(terms["drift"][k], terms["A_integral"][k]), report.terms["dA_integral"][k])
-        for k in range(n + 1))
-    dev = max(report.max_deviation, recheck)
-    return WeightedSquareReport(terms=terms, lhs=report.lhs, max_deviation=dev)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .drbsde import (
 )
 from .driver_solver import (
     ContractionError,
-    ContractionParams,
     beta_norm_h2,
     beta_norm_s2p,
     check_beta,
@@ -103,11 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="pdrbsde_out", help="output directory")
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--arithmetic", choices=["rational", "float"], default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="outer-loop tolerance for Lipschitz drivers; stopping "
-                        "tolerance of the Picard oracle")
-    p.add_argument("--max-iter", type=int, default=None,
-                   help="iteration cap of the Picard oracle (oracle and certificate modes)")
     p.add_argument("--count", type=int, default=None,
                    help="corpus size / formula-check trial count")
     p.add_argument("--pairs", type=int, default=20, help="estimate-mode perturbation pairs")
@@ -143,17 +137,13 @@ def _load(args, cfg_path: Path) -> ScenarioConfig:
     """The scenario file, read once, and read again only to apply the command
     line's overrides."""
     config = load_config(str(cfg_path))
-    if (args.seed, args.arithmetic, args.tol, args.max_iter) == (None,) * 4:
+    if (args.seed, args.arithmetic) == (None, None):
         return config
     doc = config.to_json_dict()
     if args.seed is not None:
         doc["seed"] = args.seed
     if args.arithmetic is not None:
         doc["arithmetic"] = args.arithmetic
-    if args.tol is not None:
-        doc["params"]["tol"] = args.tol
-    if args.max_iter is not None:
-        doc["params"]["max_iter"] = args.max_iter
     return config_from_dict(doc)
 
 
@@ -180,12 +170,8 @@ def _run_single(args, cfg_path: Path, out_dir: Path) -> int:
 def _solve_scenario(scenario: Scenario):
     cfg = scenario.config
     if scenario.has_general_driver:
-        params = ContractionParams(beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c)
-        sol, outer = solve_general(
-            scenario.driver, scenario.barriers, params,
-            tol=max(cfg.params.tol, 1e-12), max_outer=cfg.params.max_outer,
-            probe_seed=cfg.seed,
-        )
+        sol, outer = solve_general(scenario.driver, scenario.barriers, cfg.params,
+                                   probe_seed=cfg.seed)
         g = scenario.driver.freeze(scenario.space, sol.y, sol.z)
         return sol, g, {"outer": outer.to_json_dict()}
     return solve_driver_process(scenario.barriers, scenario.g_rows), scenario.g_rows, {}

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any
 
@@ -178,7 +178,7 @@ def _side(x: Any, where: str, n: int) -> dict:
     """One barrier of the ``tables`` kind: ``mid`` on the N+1 instants, and
     optionally ``minus`` (N+1, else ``mid``) and ``plus`` (N, else ``mid``),
     each entry a list of per-atom numbers whose length ``realize`` checks."""
-    return _read_params(_expect(x, dict, where), _SIDE, where, n)
+    return _read_params(x, _SIDE, where, n)
 
 
 def _atoms(x: Any, where: str) -> list[Fraction]:
@@ -338,7 +338,7 @@ def _jsonable(obj: Any) -> Any:
 
 
 def _mark_spec(m: Any, i: int) -> MarkSpec:
-    m = _expect(m, dict, f"marks[{i}]")
+    m = _section(m, ("instant", "labels", "probs"), f"marks[{i}]")
     labels = m.get("labels")
     if (not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
             or len(set(labels)) != len(labels)):
@@ -351,18 +351,36 @@ def _mark_spec(m: Any, i: int) -> MarkSpec:
     )
 
 
+def _section(x: Any, keys, where: str) -> dict:
+    """``x`` as a dict whose every key is one of ``keys``: an unknown key is
+    an error naming it under ``where`` (bare at the top level, "")."""
+    x = _expect(x, dict, where or "document")
+    for name in x:
+        if name not in keys:
+            raise ConfigError(f"unknown key {name!r}", f"{where}.{name}" if where else name)
+    return x
+
+
+# the keys each section of a scenario reads
+_SCENARIO_KEYS = ("schema", "name", "grid", "marks", "barriers", "driver", "params",
+                  "arithmetic", "seed")
+_KIND_KEYS = ("kind", "params")
+_PARAMS_KEYS = tuple(f.name for f in fields(SolverParams))
+
+
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     doc = _expect(doc, dict, "document")
     if doc.get("schema") != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}", "schema")
-    grid = _expect(doc.get("grid") or {}, dict, "grid")
+    _section(doc, _SCENARIO_KEYS, "")
+    grid = _section(doc.get("grid") or {}, ("N", "T"), "grid")
     n_steps = _as_count(grid.get("N"), "grid.N")
     t_horizon = _as_fraction(grid.get("T", 1), "grid.T")
     marks = _expect(doc.get("marks", []), list, "marks")
     marks = tuple(_mark_spec(m, i) for i, m in enumerate(marks))
-    b = _expect(doc.get("barriers") or {}, dict, "barriers")
-    d = _expect(doc.get("driver") or {"kind": "zero"}, dict, "driver")
-    p = _expect(doc.get("params") or {}, dict, "params")
+    b = _section(doc.get("barriers") or {}, _KIND_KEYS, "barriers")
+    d = _section(doc.get("driver") or {"kind": "zero"}, _KIND_KEYS, "driver")
+    p = _section(doc.get("params") or {}, _PARAMS_KEYS, "params")
     params = SolverParams(
         beta=_as_float(p.get("beta", 5.0), "params.beta"),
         eps=_as_float(p.get("eps", 0.5), "params.eps"),
@@ -409,9 +427,7 @@ def _read_kind(spec: KindSpec, kinds: dict, where: str, n: int) -> KindSpec:
 
 
 def _read_params(params: dict, table: dict, where: str, n: int) -> dict:
-    for name in params:
-        if name not in table:
-            raise ConfigError(f"unknown parameter {name!r}", f"{where}.{name}")
+    _section(params, table, where)
     return {name: read(params.get(name, default), f"{where}.{name}", n)
             for name, (default, read) in table.items()}
 

@@ -411,17 +411,15 @@ def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
 def mokobodzki_certificate(
     barriers: BarrierPair,
     g: list,
-    solution: SolutionSeptuple | None = None,
+    solution: SolutionSeptuple,
 ) -> tuple[LadlagProcess, LadlagProcess]:
     """Nonnegative predictable strong supermartingales with xi <= H - Hbar <= zeta.
 
     Built from the solved reflectors:
     H_k    = E[xi_T^+ + int_k^T g^+ + (A_T - A_k) + (B_{T^-} - B_{k^-}) | F_{k^-}]
     Hbar_k = E[xi_T^- + int_k^T g^- + (A'_T - A'_k) + (B'_{T^-} - B'_{k^-}) | F_{k^-}]
-    so that H - Hbar = Y pointwise.  Raises DivergenceError if the solve does.
+    so that H - Hbar = Y pointwise, from the ``solution`` of the problem.
     """
-    if solution is None:
-        solution = solve_driver_process(barriers, g)
     space = barriers.xi.space
     xi_term = barriers.xi.mid_rows[-1]
     h = _certificate_side(space, v.pos_part(xi_term), [v.pos_part(gk) for gk in g],

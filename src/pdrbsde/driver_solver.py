@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import values as v
-from .config import ConfigError
+from .config import ConfigError, SolverParams
 from .drbsde import BarrierPair, SolutionSeptuple, solve_driver_process
 from .prob_space import FilteredSpace, expectation
 from .processes import LadlagProcess, zero_process
@@ -59,20 +59,14 @@ class LinearDriver:
         return worst
 
 
-@dataclass(frozen=True)
-class ContractionParams:
-    beta: float = 5.0
-    eps: float = 0.5
-    c: float = 2.0
-
-    def modulus(self, lipschitz_k: float, t_horizon: float) -> float:
-        return 2 * lipschitz_k * (1 + t_horizon) * self.eps**2 * (3 + 16 * self.c**2)
-
-    def validate(self, lipschitz_k: float, t_horizon: float) -> None:
-        check_beta(self.beta, self.eps)
-        m = self.modulus(lipschitz_k, t_horizon)
-        if m >= 1:
-            raise ConfigError(f"contraction modulus 2K(1+T)eps^2(3+16c^2) = {m:g} >= 1", "params")
+def contraction_modulus(params: SolverParams, lipschitz_k: float, t_horizon: float) -> float:
+    """2K(1+T)eps^2(3+16c^2) for the scenario's eps and c, refused unless it is
+    below 1 and beta > 1/eps^2."""
+    check_beta(params.beta, params.eps)
+    m = 2 * lipschitz_k * (1 + t_horizon) * params.eps**2 * (3 + 16 * params.c**2)
+    if m >= 1:
+        raise ConfigError(f"contraction modulus 2K(1+T)eps^2(3+16c^2) = {m:g} >= 1", "params")
+    return m
 
 
 def check_beta(beta: float, eps: float) -> None:
@@ -151,28 +145,28 @@ class OuterTrace:
 def solve_general(
     driver: LinearDriver,
     barriers: BarrierPair,
-    params: ContractionParams,
-    tol: float = 1e-12,
-    max_outer: int = 50,
+    params: SolverParams,
     probe_seed: int = 0,
 ) -> tuple[SolutionSeptuple, OuterTrace]:
     """Banach iteration: freeze the driver, solve, re-freeze, until fixed.
 
-    Stops when |||U^{m+1} - U^m|||^2_beta + ||V^{m+1} - V^m||^2_beta <= tol^2.
-    Raises ContractionError if the budget is exhausted, and records every
+    Stops when |||U^{m+1} - U^m|||^2_beta + ||V^{m+1} - V^m||^2_beta <= tol^2,
+    with ``params.tol`` floored at 1e-12.  Raises ContractionError once
+    ``params.max_outer`` iterations pass unconverged, and records every
     observed ratio so non-contraction is visible in the trace.
     """
     space = barriers.xi.space
-    params.validate(driver.lipschitz_k, float(space.t_horizon))
+    tol = max(params.tol, 1e-12)
     trace = OuterTrace(
-        contraction_modulus=params.modulus(driver.lipschitz_k, float(space.t_horizon)),
+        contraction_modulus=contraction_modulus(params, driver.lipschitz_k,
+                                                float(space.t_horizon)),
         lipschitz_probe=driver.probe_lipschitz(probe_seed),
     )
 
     u = zero_process(space)
     vz = [space.zero()] * space.n_steps
     sol: SolutionSeptuple | None = None
-    for it in range(1, max_outer + 1):
+    for it in range(1, params.max_outer + 1):
         g = driver.freeze(space, u, vz)
         if it == 1:  # U = 0 and V = 0: g is the driver at the origin
             trace.base_norm = beta_norm_h2(space, g, 0.0)
@@ -190,8 +184,7 @@ def solve_general(
             trace.converged = True
             break
     if not trace.converged:
-        raise ContractionError(
-            f"outer loop not converged after {max_outer} iterations (delta^2 {trace.deltas[-1]:g})"
-        )
+        raise ContractionError(f"outer loop not converged after {params.max_outer} iterations "
+                               f"(delta^2 {trace.deltas[-1]:g})")
     assert sol is not None
     return sol, trace

@@ -61,11 +61,6 @@ class Partition(Sequence):
         self.row = row  # the weights as a row: one probability per atom
         self.n_paths = n_paths
 
-    @property
-    def weights(self) -> tuple:
-        """The weight of each atom, as entries of the backend."""
-        return tuple(v.entries(self.row))
-
     def __len__(self) -> int:
         return len(self.row)
 
@@ -150,10 +145,6 @@ class FilteredSpace:
     def slack(self):
         """How far a float identity may miss; the int 0 in rational mode."""
         return v.gate(self.mode, 1e-12)
-
-    def time(self, k: int):
-        """Grid instant t_k in the value backend."""
-        return self.backend.number(Fraction(k) * self.t_horizon / self.n_steps)
 
     def time_float(self, k: int) -> float:
         return k * float(self.t_horizon) / self.n_steps

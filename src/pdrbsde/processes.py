@@ -280,13 +280,6 @@ def predictable_projection(x: LadlagProcess) -> LadlagProcess:
     return from_slots(space, [mid[0], *x.minus_rows[1:]], mid, plus)
 
 
-def jumps(x: LadlagProcess) -> tuple[list, list]:
-    """Left jumps mid-minus per instant, right jumps plus-mid per instant."""
-    left = [x.left_jump(k) for k in range(x.n_steps + 1)]
-    right = [x.right_jump(k) for k in range(x.n_steps)]
-    return left, right
-
-
 def is_martingale(m: LadlagProcess) -> bool:
     """Conditional increments vanish across both lattice links.
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 from . import values as v
@@ -50,6 +51,10 @@ def realize(config: ScenarioConfig) -> Scenario:
         barriers = _BARRIERS[config.barriers.kind](space, config.barriers.values, config.seed)
     except ProcessError as exc:  # raised by the BarrierPair check
         raise ConfigError(str(exc), cell="barriers") from exc
+    try:  # the reports read values as floats, so an exact barrier value needs one
+        v.max_magnitude(chain(*barriers.xi.slots, *barriers.zeta.slots))
+    except OverflowError:
+        raise ConfigError("a barrier value beyond the float range", "barriers") from None
     g, driver = _DRIVERS[config.driver.kind](space, config.driver.values, config.seed)
     return Scenario(config=config, space=space, barriers=barriers, g_rows=g, driver=driver)
 

@@ -14,10 +14,11 @@ norms make no per-entry ``Fraction``.  In float mode a row is a list of
 floats; a list of ``Fraction`` entries is a row too, and the helpers' list
 bodies compute it exactly (the tests keep it as the oracle of ``IntRow``).
 A helper handed an ``IntRow`` and a list of exact entries reads the list as
-an ``IntRow``.  Scalars (dt, 1/dt, strikes, driver coefficients, tolerances)
-stay ``Fraction`` or int in rational mode, and ``Fraction`` entries appear
-only at the boundaries: ``entries`` gives them for the per-path views, the
-dumps and the JSON text.
+an ``IntRow``; no command-line mode mixes the two, only the tests'
+``Fraction`` twins of ``IntRow``s do.  Scalars (dt, 1/dt, strikes, driver
+coefficients, tolerances) stay ``Fraction`` or int in rational mode, and
+``Fraction`` entries appear only at the boundaries: ``entries`` gives them
+for the per-path views, the dumps and the JSON text.
 
 Only this module looks inside a row.  ``BACKENDS`` is the one place that
 picks the number backend: for each arithmetic mode it gives the entry type
@@ -126,7 +127,6 @@ class Backend:
     row: Callable       # int numerators over one positive int denominator as a
                         # row (in float mode n / den: int / int is correctly rounded)
     sqrt: Callable      # square root of an exact rational; None if not an entry
-    approx: Callable    # a float as an entry
     format: Callable    # an entry as dump text
     parse: Callable     # dump text as an entry
     json: Callable      # an entry as a JSON value
@@ -138,11 +138,10 @@ def _fraction(x) -> Fraction:
 
 
 BACKENDS = {
-    "rational": Backend(True, _fraction, _reduced, _rational_sqrt,
-                        lambda x: Fraction(x).limit_denominator(10**9),
-                        Fraction.__str__, Fraction, str),
+    "rational": Backend(True, _fraction, _reduced, _rational_sqrt, Fraction.__str__, Fraction,
+                        str),
     "float": Backend(False, float, lambda nums, den: [n / den for n in nums],
-                     lambda x: math.sqrt(float(x)), float, float.__repr__, float, float),
+                     lambda x: math.sqrt(float(x)), float.__repr__, float, float),
 }
 
 

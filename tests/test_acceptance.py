@@ -31,7 +31,7 @@ from pdrbsde.drbsde import (
     shift_barriers,
     solve_driver_process,
 )
-from pdrbsde.driver_solver import ContractionParams, solve_general
+from pdrbsde.driver_solver import solve_general
 from pdrbsde.prob_space import build_space, cond_expect
 from pdrbsde.processes import (
     is_predictable_strong_supermartingale,
@@ -70,9 +70,7 @@ def _solve_record(config) -> Record:
     sc = realize(config)
     outer = None
     if sc.has_general_driver:
-        params = ContractionParams(beta=config.params.beta, eps=config.params.eps,
-                                   c=config.params.c)
-        sol, outer = solve_general(sc.driver, sc.barriers, params, tol=1e-12)
+        sol, outer = solve_general(sc.driver, sc.barriers, config.params)
         g = outer.frozen_g
     else:
         sol = solve_driver_process(sc.barriers, sc.g_rows)

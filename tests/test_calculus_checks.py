@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -13,17 +15,42 @@ from pdrbsde.calculus_checks import (
     OptionalSemimartingale,
     Polynomial,
     apriori_estimate_check,
-    corollary_expansion,
     galchouk_lenglart_check,
     random_polynomial,
     random_semimartingale,
-    semimartingale_from_weights,
 )
 from pdrbsde.drbsde import solve_driver_process
 from pdrbsde.prob_space import on_paths
 from pdrbsde.scenario import perturb_driver, realize
 
 F = Fraction
+
+
+def semimartingale_from_weights(space, weights: Sequence) -> OptionalSemimartingale:
+    """Deterministic finite-variation component with values weights[k] at t_k.
+
+    Carries its whole variation on the intervals, like e^{beta t}.
+    """
+    n = space.n_steps
+    zero = space.zero()
+    wvals = [space.constant(w) for w in weights]
+    return OptionalSemimartingale(
+        space=space,
+        x0=wvals[0],
+        m_interval=(zero,) * n,
+        m_jump=(zero,) * n,
+        a_jump=(zero,) * (n + 1),
+        a_interval=tuple(v.sub(wvals[k + 1], wvals[k]) for k in range(n)),
+        b_jump=(zero,) * n,
+    )
+
+
+def weighted_square(y: OptionalSemimartingale, weights: Sequence):
+    """The change of variables of w_t Y_t^2 for a deterministic weight
+    sequence: F = x y^2 on the components (w, Y).  The weight's share of the
+    dA integral is the corollary's drift term."""
+    wproc = semimartingale_from_weights(y.space, weights)
+    return galchouk_lenglart_check([wproc, y], Polynomial.from_dict(2, {(1, 2): F(1)}))
 
 
 class TestPolynomial:
@@ -61,15 +88,13 @@ class TestChangeOfVariables:
         rng = random.Random(4)
         y = random_semimartingale(space_8, rng)
         weights = [F(5, 4) ** k for k in range(space_8.n_steps + 1)]
-        wproc = semimartingale_from_weights(space_8, weights)
-        f = Polynomial.from_dict(2, {(1, 2): F(1)})
-        rep = galchouk_lenglart_check([wproc, y], f)
+        rep = weighted_square(y, weights)
         assert rep.max_deviation == 0
-        crep = corollary_expansion(y, weights=weights)
-        assert crep.max_deviation == 0
-        # same left-hand side, term regrouping preserved
+        # the left-hand side is w_k Y_k^2 - w_0 Y_0^2
+        _, mid, _ = y.states()
+        start = v.smul(weights[0], v.mul(mid[0], mid[0]))
         for k in range(space_8.n_steps + 1):
-            assert rep.lhs[k] == crep.lhs[k]
+            assert rep.lhs[k] == v.sub(v.smul(weights[k], v.mul(mid[k], mid[k])), start)
 
     def test_randomized_trials_exact(self):
         rng = random.Random(8)
@@ -92,9 +117,9 @@ class TestCorollary:
             m_interval=(zero, zero), m_jump=(zero, zero),
             a_jump=(zero, zero, zero), a_interval=(zero, zero), b_jump=(zero, zero),
         )
-        rep = corollary_expansion(y, weights=[F(2) ** k for k in range(3)])
+        rep = weighted_square(y, [F(2) ** k for k in range(3)])
         assert rep.max_deviation == 0
-        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.terms["drift"])
+        assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.terms["dA_integral"])
         assert all(all(x == 0 for x in v.entries(arr)) for arr in rep.lhs)
 
     def test_constant_process_only_drift(self, space_8):
@@ -106,13 +131,13 @@ class TestCorollary:
             a_jump=(zero, zero, zero), a_interval=(zero, zero), b_jump=(zero, zero),
         )
         weights = [F(1), F(2), F(4)]
-        rep = corollary_expansion(y, weights=weights)
+        rep = weighted_square(y, weights)
         assert rep.max_deviation == 0
         for k in range(3):
-            # lhs = c^2 (w_k - w_0), carried entirely by the drift term
+            # lhs = c^2 (w_k - w_0), carried entirely by the weight's dA share
             assert rep.lhs[k] == space_8.constant(c * c * (weights[k] - 1))
-            assert rep.terms["drift"][k] == rep.lhs[k]
-            for name in ("A_integral", "BM_integral", "left_jump_sum", "right_jump_sum"):
+            assert rep.terms["dA_integral"][k] == rep.lhs[k]
+            for name in ("dBM_integral", "bracket", "left_jump_sum", "right_jump_sum"):
                 assert all(x == 0 for x in v.entries(rep.terms[name][k]))
 
     def test_solution_difference_identity_float(self):
@@ -157,7 +182,7 @@ class TestCorollary:
                 for k in range(2)
             ),
         )
-        rep = corollary_expansion(yd, beta=5.0)
+        rep = weighted_square(yd, [math.exp(5.0 * space.time_float(k)) for k in range(3)])
         assert rep.max_deviation <= 1e-10
 
 

@@ -152,6 +152,16 @@ SCHEMA_TYPE_ERRORS = {
                                     | {"arithmetic": "float"}, "driver.K"),
     "paths_over_cap": (template_doc(1, arithmetic="float") | {"grid": {"N": 40, "T": "1"}},
                        "grid"),
+    # a key a section does not read, named under its section (bare at the top)
+    "top_level_unknown_key": (template_doc(1) | {"arithmatic": "float"}, "arithmatic"),
+    "grid_unknown_key": (template_doc(1) | {"grid": dict(template_doc(1)["grid"], t="1")},
+                         "grid.t"),
+    "params_unknown_key": (template_doc(1, betta=5), "params.betta"),
+    "mark_unknown_key": (_mark_doc(when=1), "marks[0].when"),
+    "barriers_unknown_key": (template_doc(1) | {"barriers": dict(template_doc(1)["barriers"],
+                                                                 param={})}, "barriers.param"),
+    "driver_unknown_key": (template_doc(1) | {"driver": dict(template_doc(1)["driver"],
+                                                             kinds="zero")}, "driver.kinds"),
 }
 
 
@@ -297,9 +307,8 @@ class TestCliModes:
         linear = write_scenario(tmp_path, template_doc(3, seed=7, max_outer=1), "linear.json")
         assert main(["--mode", "solve", "--config", str(linear),
                      "--out", str(tmp_path / "x")]) == 3
-        cfg = write_scenario(tmp_path, template_doc(2, seed=7))
-        assert main(["--mode", "oracle", "--config", str(cfg),
-                     "--out", str(tmp_path / "y"), "--max-iter", "1"]) == 3
+        cfg = write_scenario(tmp_path, template_doc(2, seed=7, max_iter=1))
+        assert main(["--mode", "oracle", "--config", str(cfg), "--out", str(tmp_path / "y")]) == 3
 
     def test_verify_roundtrip_and_corruption(self, tmp_path):
         cfg = write_scenario(tmp_path, template_doc(6, seed=11))
@@ -497,6 +506,20 @@ class TestCliModes:
             assert capsys.readouterr().err == ("config error: underlying factor not positive; "
                                                "reduce vol or dt [at barriers]\n")
 
+    def test_rational_barrier_beyond_the_float_range_names_barriers(self, tmp_path, capsys):
+        """An exact barrier value with no float is refused once the barriers
+        are realized, before any solve: the reports read values as floats."""
+        path = generate_corpus(0, 2, tmp_path / "corpus")[1]
+        doc = json.loads(path.read_text())
+        assert doc["arithmetic"] == "rational" and doc["barriers"]["kind"] == "random"
+        doc["barriers"]["params"]["scale"] = "1e400"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--mode", "solve", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("config error: a barrier value beyond the float "
+                                           "range [at barriers]\n")
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_cli_arguments_exit_two(self, tmp_path, capsys):
         """A missing --config path is named; a negative count is refused."""
         missing = tmp_path / "nope.json"
@@ -509,18 +532,22 @@ class TestCliModes:
         assert not (tmp_path / "o").exists()
 
     def test_run_errors_map_to_exit_codes(self, tmp_path, capsys):
-        """A space that cannot be built, or a negative --tol, exits 2; a Picard
-        oracle stopped early by --tol fails the certificate (exit 4) and the
-        oracle (exit 5)."""
+        """A space that cannot be built, or a negative params.tol, exits 2; a
+        Picard oracle stopped early by params.tol fails the certificate (exit 4)
+        and the oracle (exit 5)."""
         doc = template_doc(1, arithmetic="float") | {"grid": {"N": 1, "T": "1e-700"}}
         cfg = write_scenario(tmp_path, doc)
         assert main(["--mode", "solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 2
         assert "config error: dW_0 not binary" in capsys.readouterr().err
         paths = generate_corpus(0, 5, tmp_path / "corpus")
-        argv = ["--config", str(paths[1]), "--out", str(tmp_path / "o"), "--tol", "-1"]
+        for i, tol in ((1, -1), (4, 100)):
+            doc = json.loads(paths[i].read_text())
+            doc["params"]["tol"] = tol
+            paths[i].write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["--config", str(paths[1]), "--out", str(tmp_path / "o")]
         assert main(["--mode", "oracle", *argv]) == 2
         assert "[at params.tol]" in capsys.readouterr().err
-        argv = ["--config", str(paths[4]), "--out", str(tmp_path / "o"), "--tol", "100"]
+        argv = ["--config", str(paths[4]), "--out", str(tmp_path / "o")]
         assert main(["--mode", "certificate", *argv]) == 4
         assert "verification failure: H - Hbar" in capsys.readouterr().err
         assert main(["--mode", "oracle", *argv]) == 5

@@ -392,7 +392,7 @@ class TestMokobodzki:
     def test_zero_data_gives_zero_certificate(self, space_8):
         pair = flat_pair(space_8, [space_8.zero()] * 3, [space_8.zero()] * 3)
         g = [space_8.zero()] * 2
-        h, hbar = mokobodzki_certificate(pair, g)
+        h, hbar = mokobodzki_certificate(pair, g, solution=solve_driver_process(pair, g))
         assert is_zero(h) and is_zero(hbar)
 
     def test_unconstrained_certificate_from_plain_solution(self, space_8):

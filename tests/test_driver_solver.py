@@ -11,13 +11,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_config, make_space, rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
+from pdrbsde.config import SolverParams
 from pdrbsde.drbsde import BarrierPair, solve_driver_process
 from pdrbsde.driver_solver import (
-    ContractionParams,
     LinearDriver,
     beta_norm_h2,
     beta_norm_m2,
     beta_norm_s2p,
+    contraction_modulus,
     solve_general,
 )
 from pdrbsde.processes import (
@@ -132,11 +133,13 @@ class TestNorms:
 class TestContractionParams:
     def test_rejects_small_beta(self):
         with pytest.raises(ValueError):
-            ContractionParams(beta=3.9, eps=0.5, c=2.0).validate(0.0, 1.0)
+            contraction_modulus(SolverParams(beta=3.9, eps=0.5, c=2.0), 0.0, 1.0)
 
     def test_rejects_large_modulus(self):
         with pytest.raises(ValueError):
-            ContractionParams(beta=5.0, eps=0.5, c=2.0).validate(0.1, 1.0)
+            contraction_modulus(SolverParams(beta=5.0, eps=0.5, c=2.0), 0.1, 1.0)
+        # below 1, the modulus 2K(1+T)eps^2(3+16c^2) comes back
+        assert contraction_modulus(SolverParams(), 0.01, 1.0) == pytest.approx(0.01 * 67)
 
 
 class TestSolveGeneral:
@@ -147,8 +150,7 @@ class TestSolveGeneral:
             xi=from_cadlag_sequence(space_8, [space_8.constant(c) for c in (-9, -9, 0)]),
             zeta=from_cadlag_sequence(space_8, [space_8.constant(c) for c in (9, 9, 0)]),
         )
-        params = ContractionParams(beta=5.0, eps=0.5, c=2.0)
-        sol, trace = solve_general(drv, pair, params, tol=1e-12)
+        sol, trace = solve_general(drv, pair, SolverParams())
         # the map is constant: the first solve is already the fixed point
         assert trace.iterations == 2 and trace.deltas[-1] == 0.0
         g = [space_8.constant(c) for c in cvals]
@@ -165,8 +167,7 @@ class TestSolveGeneral:
             xi=from_cadlag_sequence(space_8, [space_8.constant(c0)] * 3),
             zeta=from_cadlag_sequence(space_8, [space_8.constant(c0)] * 3),
         )
-        params = ContractionParams(beta=5.0, eps=0.5, c=2.0)
-        sol, trace = solve_general(drv, pair, params, tol=1e-14)
+        sol, trace = solve_general(drv, pair, SolverParams())
         assert sup_distance(sol.y, constant_process(space_8, c0)) == 0
         push = lam * c0 * space_8.dt
         for k in range(2):
@@ -206,8 +207,7 @@ class TestSolveGeneral:
             seed=51,
         )
         sc = realize(cfg)
-        params = ContractionParams(beta=5.0, eps=0.5, c=2.0)
-        sol, trace = solve_general(sc.driver, sc.barriers, params, tol=1e-12)
+        sol, trace = solve_general(sc.driver, sc.barriers, sc.config.params)
         assert trace.converged
         assert all(r < 1 for r in trace.ratios)
         assert trace.contraction_modulus < 1

@@ -26,7 +26,7 @@ from pdrbsde import cli
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict, load_config
 from pdrbsde.drbsde import SolutionSeptuple, dynkin_recursion, solve_driver_process
-from pdrbsde.driver_solver import ContractionParams, solve_general
+from pdrbsde.driver_solver import solve_general
 from pdrbsde.processes import sup_distance, validate_integrand, validate_process
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
 
@@ -43,13 +43,11 @@ def corpus_configs(tmp_path_factory):
 def _solve_general(sc, monkeypatch, order=None):
     """The outer loop, its inner solves run by the recursion or by Picard."""
     cfg = sc.config
-    params = ContractionParams(beta=cfg.params.beta, eps=cfg.params.eps, c=cfg.params.c)
     with monkeypatch.context() as mp:
         if order is not None:
             mp.setattr(driver_solver, "solve_driver_process",
                        partial(picard_solution, order=order))
-        return solve_general(sc.driver, sc.barriers, params, tol=1e-12,
-                             max_outer=cfg.params.max_outer, probe_seed=cfg.seed)
+        return solve_general(sc.driver, sc.barriers, cfg.params, probe_seed=cfg.seed)
 
 
 def _check_classes(sol) -> None:
@@ -163,9 +161,7 @@ def test_outer_loop_sums_the_five_components_once(tmp_path, monkeypatch):
     assert json.loads(path.read_text())["driver"]["kind"] == "linear"
     calls = _count_sums(monkeypatch)
     sc = realize(load_config(str(path)))
-    params = ContractionParams(beta=sc.config.params.beta, eps=sc.config.params.eps,
-                               c=sc.config.params.c)
-    sol, trace = solve_general(sc.driver, sc.barriers, params, tol=1e-12)
+    sol, trace = solve_general(sc.driver, sc.barriers, sc.config.params)
     assert trace.iterations > 1 and calls == [] and not _summed(sol)
     assert cli.main(["--mode", "solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())

@@ -142,7 +142,7 @@ def test_build_space_matches_key_grouping(tmp_path, family):
         assert marks == want.marks, (cfg.name, "marks")
         # each atom's weight is the total weight of its paths
         for part in (*have.sigma_minus, *have.sigma_mid):
-            for w, atom in zip(part.weights, part, strict=True):
+            for w, atom in zip(v.entries(part.row), part, strict=True):
                 assert abs(w - sum(want.weights[i] for i in atom)) <= have.slack, cfg.name
         assert_increment_moments(have)
 
@@ -196,7 +196,7 @@ def test_tree_weights_are_the_fraction_products(mode):
         space = build_space(cfg)
         minus, mid = tree_weights_by_fractions(cfg)
         for have, want in ((space.sigma_minus, minus), (space.sigma_mid, mid)):
-            assert [[(type(w), repr(w)) for w in p.weights] for p in have] == \
+            assert [[(type(w), repr(w)) for w in v.entries(p.row)] for p in have] == \
                 [[(type(w), repr(w)) for w in row] for row in want], cfg.name
 
 

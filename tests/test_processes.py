@@ -20,7 +20,6 @@ from pdrbsde.processes import (
     is_martingale,
     is_predictable_strong_supermartingale,
     ito_integral,
-    jumps,
     orthogonal_decompose,
     predictable_projection,
     running_sum,
@@ -89,14 +88,13 @@ class TestPredictableProjection:
 class TestJumps:
     def test_cadlag_has_no_right_jumps(self, space_8):
         xi = from_cadlag_sequence(space_8, [space_8.constant(c) for c in (1, 4, 2)])
-        left, right = jumps(xi)
-        assert all(all(x == 0 for x in v.entries(r)) for r in right)
-        assert left[1] == space_8.constant(3)
+        assert all(all(x == 0 for x in v.entries(xi.right_jump(k))) for k in range(2))
+        assert xi.left_jump(1) == space_8.constant(3)
 
     def test_constant_has_no_jumps(self, space_8):
-        left, right = jumps(constant_process(space_8, 5))
-        assert all(all(x == 0 for x in v.entries(l)) for l in left)
-        assert all(all(x == 0 for x in v.entries(r)) for r in right)
+        c = constant_process(space_8, 5)
+        assert all(all(x == 0 for x in v.entries(c.left_jump(k))) for k in range(3))
+        assert all(all(x == 0 for x in v.entries(c.right_jump(k))) for k in range(2))
 
     def test_single_jump_process(self, space_8):
         zero = space_8.zero()
@@ -107,9 +105,8 @@ class TestJumps:
             [zero, one, one],
             [zero, one],
         )
-        left, _ = jumps(b)
-        assert left[1] == one
-        assert left[0] == zero and left[2] == zero
+        assert b.left_jump(1) == one
+        assert b.left_jump(0) == zero and b.left_jump(2) == zero
 
 
 class TestIsMartingale:
@@ -120,7 +117,8 @@ class TestIsMartingale:
         w = brownian_process(space_16)
         n = space_16.n_steps
         drift = from_cadlag_sequence(
-            space_16, [space_16.constant(space_16.time(k)) for k in range(n + 1)]
+            space_16, [space_16.constant(Fraction(k) * space_16.t_horizon / n)
+                       for k in range(n + 1)]
         )
         bad = from_slots(
             space_16,
@@ -258,7 +256,8 @@ class TestBracket:
         w = brownian_process(space_16)
         br = bracket(w, w)
         for k in range(space_16.n_steps + 1):
-            assert v.eq(br.mid[k], space_16.constant(space_16.time(k)))
+            t_k = Fraction(k) * space_16.t_horizon / space_16.n_steps
+            assert v.eq(br.mid[k], space_16.constant(t_k))
 
     def test_bracket_with_zero(self, space_8):
         w = brownian_process(space_8)

@@ -34,8 +34,8 @@ def _floats_of(rat_rows, flt_rows, where: str) -> None:
 
 def _check(rat, flt, name: str) -> None:
     for part in ("sigma_minus", "sigma_mid"):
-        _floats_of([p.weights for p in getattr(rat.space, part)],
-                   [p.weights for p in getattr(flt.space, part)], f"{name}: {part}")
+        _floats_of([p.row for p in getattr(rat.space, part)],
+                   [p.row for p in getattr(flt.space, part)], f"{name}: {part}")
     for barrier in ("xi", "zeta"):
         for slot in ("minus_rows", "mid_rows", "plus_rows"):
             _floats_of(getattr(getattr(rat.barriers, barrier), slot),
