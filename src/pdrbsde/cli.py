@@ -1,8 +1,8 @@
 """Scenario-driven command line frontend.
 
 Modes: solve, verify, oracle, estimate, formula-check, certificate, corpus.
-Exit codes: 0 all asserted clauses pass; 2 config invalid (or a space that
-cannot be built from it, or a float overflow); 3 divergence (the outer loop
+Exit codes: 0 all asserted clauses pass; 2 malformed input, named by its cell
+(tests/malformed_inputs.py lists them); 3 divergence (the outer loop
 for a Lipschitz driver hit ``max_outer``, or the Picard oracle of ``--mode
 oracle``/``--mode certificate`` hit its cap); 4 verification failure (also a
 process that fails a class the certificate needs); 5 oracle mismatch.
@@ -114,6 +114,7 @@ def _dispatch(args) -> int:
     out_dir = Path(args.out)
     if args.mode == "corpus":
         count = args.count if args.count is not None else 10
+        _make_out(out_dir)
         paths = generate_corpus(args.seed if args.seed is not None else 0, count, out_dir)
         print(f"wrote {len(paths)} scenarios to {out_dir}")
         return EXIT_OK
@@ -133,6 +134,13 @@ def _dispatch(args) -> int:
     return _run_single(args, cfg_path, out_dir)
 
 
+def _make_out(out_dir: Path) -> None:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path, or above it
+        raise ConfigError(f"cannot create {out_dir}: {exc.strerror}", "--out") from None
+
+
 def _load(args, cfg_path: Path) -> ScenarioConfig:
     """The scenario file, read once, and read again only to apply the command
     line's overrides."""
@@ -149,7 +157,7 @@ def _load(args, cfg_path: Path) -> ScenarioConfig:
 
 def _run_single(args, cfg_path: Path, out_dir: Path) -> int:
     config = _load(args, cfg_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out(out_dir)
     if args.mode == "solve":
         return _run_solve(config, out_dir)
     if args.mode == "verify":
@@ -281,38 +289,37 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
     filled = 0
     parsed = {}  # text -> value, so that a repeated value is parsed once
     parse = space.backend.parse
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        column = {name: j for j, name in enumerate(next(reader, []))}
-        at_slot = column.get("slot", math.inf)  # a dump without slots has the one slot None
-        # a column the header lacks is at None, which no row can be indexed by
-        at_k, at_i, at_value = map(column.get, (index, "path", "value"))
+    reader = csv.reader(_dump_lines(path))
+    column = {name: j for j, name in enumerate(next(reader, []))}
+    at_slot = column.get("slot", math.inf)  # a dump without slots has the one slot None
+    # a column the header lacks is at None, which no row can be indexed by
+    at_k, at_i, at_value = map(column.get, (index, "path", "value"))
 
-        def where() -> str:
-            return f"{path.name} row {reader.line_num}"
+    def where() -> str:
+        return f"{path.name} row {reader.line_num}"
 
-        for row in reader:
-            if not row:
-                continue
-            slot = row[at_slot] if at_slot < len(row) else None
-            if slot not in cells:
-                raise ConfigError(f"{where()}: unknown slot {slot!r}")
-            try:
-                k, i, text = int(row[at_k]), int(row[at_i]), row[at_value]
-                val = parsed.get(text)
-                if val is None:
-                    val = parse(text)
-                    if val == val:  # a NaN stays a value of its own
-                        parsed[text] = val
-            except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ConfigError(f"{where()}: unreadable row ({exc})") from None
-            rows = cells[slot]
-            if not (0 <= k < len(rows) and 0 <= i < n_paths):
-                raise ConfigError(f"{where()}: {index} {k}, path {i} out of range")
-            if rows[k][i] is not None:
-                raise ConfigError(f"{where()}: duplicate row for {index} {k}, path {i}")
-            rows[k][i] = val
-            filled += 1
+    for row in reader:
+        if not row:
+            continue
+        slot = row[at_slot] if at_slot < len(row) else None
+        if slot not in cells:
+            raise ConfigError(f"{where()}: unknown slot {slot!r}")
+        try:
+            k, i, text = int(row[at_k]), int(row[at_i]), row[at_value]
+            val = parsed.get(text)
+            if val is None:
+                val = parse(text)
+                if val == val:  # a NaN stays a value of its own
+                    parsed[text] = val
+        except (IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"{where()}: unreadable row ({exc})") from None
+        rows = cells[slot]
+        if not (0 <= k < len(rows) and 0 <= i < n_paths):
+            raise ConfigError(f"{where()}: {index} {k}, path {i} out of range")
+        if rows[k][i] is not None:
+            raise ConfigError(f"{where()}: duplicate row for {index} {k}, path {i}")
+        rows[k][i] = val
+        filled += 1
     if filled < sum(map(len, cells.values())) * n_paths:
         slot, k, i = next((slot, k, i) for slot, rows in cells.items()
                           for k, row in enumerate(rows) for i, x in enumerate(row) if x is None)
@@ -320,6 +327,17 @@ def _read_cells(space: FilteredSpace, path: Path, index: str, partitions: dict) 
         raise ConfigError(f"{path.name}: missing row for {name}{index} {k}, path {i}")
     return {slot: [_collapse(space, row, part) for row, part in zip(rows, partitions[slot])]
             for slot, rows in cells.items()}
+
+
+def _dump_lines(path: Path):
+    """The lines of a dump file, read as UTF-8 text."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield from fh
+    except OSError as exc:  # a directory at the dump's path, say
+        raise ConfigError(f"{path.name}: cannot read the dump ({exc.strerror})") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path.name}: not UTF-8 text") from None
 
 
 def _collapse(space: FilteredSpace, row: list, partition):
@@ -476,7 +494,7 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
 
 
 def _run_formula_check(args, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_out(out_dir)
     count = args.count if args.count is not None else 200
     seed = args.seed if args.seed is not None else 0
     worst = 0.0

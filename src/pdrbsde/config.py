@@ -255,6 +255,8 @@ class ScenarioConfig:
         if self.t_horizon <= 0:
             raise ConfigError("T must be positive", "grid.T")
         _check_float(self.t_horizon, "grid.T")  # the norms read float(T) in both modes
+        if float(self.t_horizon) / self.n_steps == 0:  # the norms' and the estimate's float dt
+            raise ConfigError("the float step T/N underflows to zero", "grid.T")
         if self.arithmetic not in ARITHMETIC_MODES:
             raise ConfigError(f"unknown arithmetic {self.arithmetic!r}", "arithmetic")
         if self.arithmetic == "rational" and _rational_sqrt(self.dt) is None:
@@ -454,6 +456,6 @@ def load_config(path: str) -> ScenarioConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc.strerror}", path) from None
-    except ValueError as exc:  # not JSON, or not UTF-8
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
         raise ConfigError(f"config is not valid JSON: {exc}", path) from None
     return config_from_dict(doc)
