@@ -149,14 +149,6 @@ class FilteredSpace:
     def time_float(self, k: int) -> float:
         return k * float(self.t_horizon) / self.n_steps
 
-    @property
-    def is_quasi_left_continuous(self) -> bool:
-        """True iff no mark ever refines sigma_minus[k] into sigma_mid[k]."""
-        return all(
-            len(self.sigma_mid[k]) == len(self.sigma_minus[k])
-            for k in range(self.n_steps + 1)
-        )
-
     def zero(self) -> RV:
         return self.backend.row([0], 1)
 

@@ -268,18 +268,6 @@ def validate_integrand(space: FilteredSpace, rows: Sequence, name: str = "z") ->
 # operations
 
 
-def predictable_projection(x: LadlagProcess) -> LadlagProcess:
-    """(pX)_k = E[X_k | F_{t_k^-}], with plus slots carrying p(X^+)_k.
-
-    The returned process is predictable; its plus slot at k is the predictable
-    projection of the right limit, the quantity entering the jump identities.
-    """
-    space, n = x.space, x.n_steps
-    mid = [cond_expect(space, x.mid_rows[k], space.sigma_minus[k]) for k in range(n + 1)]
-    plus = [cond_expect(space, x.plus_rows[k], space.sigma_minus[k]) for k in range(n)]
-    return from_slots(space, [mid[0], *x.minus_rows[1:]], mid, plus)
-
-
 def is_martingale(m: LadlagProcess) -> bool:
     """Conditional increments vanish across both lattice links.
 

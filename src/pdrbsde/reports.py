@@ -58,32 +58,43 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
-def condition_from_rows(name: str, rows, tol: float, n_paths: int) -> ConditionReport:
-    """Build a condition from ``(label, residuals)`` rows, each a row of a
-    space of ``n_paths`` paths.
+class ConditionRows:
+    """A condition built from ``(label, residuals)`` rows handed in one at a
+    time, each a row of a space of ``n_paths`` paths, and kept only as its
+    worst cell.  A row added on a higher ``lane`` counts as read after every
+    row of a lower one, whichever came in first.
 
     The worst cell is the first NaN ``|residual|``, else the first largest,
     named ``label,path=i`` by the first path i of its atom.  A NaN fails the
-    condition.  ``rows`` is read once, so it may be a generator.
+    condition.
     """
-    row_worst = []  # (|residual|, label, path) of each row's worst cell
-    for label, res in rows:
+
+    def __init__(self, name: str, tol: float, n_paths: int) -> None:
+        self.name, self.tol, self.n_paths = name, tol, n_paths
+        self.lanes: dict[int, list] = {}  # (|residual|, label, path) of each row's worst cell
+
+    def add(self, label, res, lane: int = 0) -> None:
         if res and not v.any_nonzero(res):  # a row of zeros, in one test
-            row_worst.append((0.0, label, 0))
-            continue
-        mags = v.magnitudes(res)
-        if mags:
+            worst = (0.0, label, 0)
+        else:
+            mags = v.magnitudes(res)
+            if not mags:
+                return
             j = v.worst_index(mags)
-            row_worst.append((mags[j], label, j * n_paths // len(mags)))
-    if not row_worst:
-        return ConditionReport(name=name, passed=True, max_residual=0.0)
-    top, label, i = row_worst[v.worst_index([r[0] for r in row_worst])]
-    return ConditionReport(
-        name=name,
-        passed=top <= tol,
-        max_residual=top,
-        worst_cell=f"{label},path={i}" if top != 0 else None,
-    )
+            worst = (mags[j], label, j * self.n_paths // len(mags))
+        self.lanes.setdefault(lane, []).append(worst)
+
+    def report(self) -> ConditionReport:
+        row_worst = [w for lane in sorted(self.lanes) for w in self.lanes[lane]]
+        if not row_worst:
+            return ConditionReport(name=self.name, passed=True, max_residual=0.0)
+        top, label, i = row_worst[v.worst_index([r[0] for r in row_worst])]
+        return ConditionReport(
+            name=self.name,
+            passed=top <= self.tol,
+            max_residual=top,
+            worst_cell=f"{label},path={i}" if top != 0 else None,
+        )
 
 
 @dataclass

@@ -164,14 +164,6 @@ def mertens_decompose(
 # stopping-rule enumeration (the independent oracle)
 
 
-def stopping_rule_count(space: FilteredSpace) -> int:
-    """Number of slot-grid predictable stopping rules from time zero."""
-    counts = _rule_counts(space)
-    pos0 = _positions(space.n_steps)[0]
-    root = _partition_at(space, pos0)[0]
-    return counts[(0, root)]
-
-
 def _rule_counts(space: FilteredSpace) -> dict:
     positions = _positions(space.n_steps)
     counts: dict = {}

@@ -28,7 +28,8 @@ gives the mode's tolerance.  Every other module works on whole rows through
 the helpers below, in these families:
 
 * arithmetic: add, sub, mul, smul, vmax, vmin, clamp, pos_part, neg_part,
-  payoff, and ``apply`` for a function of the entries;
+  payoff, ``combine`` for a tree of sums and differences of rows in one
+  pass, and ``apply`` for a function of the entries;
 * tests: eq, any_nonzero, any_negative, any_nonpositive, any_beyond,
   any_below, any_above, any_exceeds, any_both_nonzero, first_above;
 * the Skorokhod products: scaled_pos, scaled_min;
@@ -58,9 +59,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
-from operator import add as _add, mul as _mul, neg, sub as _sub, truediv
+from operator import add as _add, lt as _lt, mul as _mul, neg, sub as _sub, truediv
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import _rational_sqrt
@@ -287,6 +288,56 @@ def mul(a: Sequence, b: Sequence) -> RV:
     return list(map(_mul, *align(a, b)))
 
 
+def combine(fn: Callable, *rows: Sequence) -> RV:
+    """The tree of ``+`` and ``-`` that fn makes of its arguments, on each
+    atom of the finest row, in one pass.  The tree is read from fn once and
+    written out as one comprehension, so a float comes out of it as the chain
+    of ``add`` and ``sub`` written the same way gives it, NaN and -0.0
+    included.  On IntRows the tree runs on the numerators over the rows'
+    least common denominator, which sums and differences keep, and the
+    result is reduced once."""
+    one_pass = _comprehension(fn, len(rows))
+    if any(type(r) is IntRow for r in rows):
+        rows = [r if type(r) is IntRow else _exact(r) for r in rows]
+        den = _lcm(r.den for r in rows)
+        nums = [r.nums if r.den == den else [n * (den // r.den) for n in r.nums]
+                for r in rows]
+        return _reduced(one_pass(*align(*nums)), den)
+    return one_pass(*align(*rows))
+
+
+class _Leaf:
+    """An argument of a tree: what + and - do to leaves is written out."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+
+    def __add__(self, other: _Leaf) -> _Leaf:
+        if type(other) is not _Leaf:
+            return NotImplemented
+        return _Leaf(f"({self.text} + {other.text})")
+
+    def __sub__(self, other: _Leaf) -> _Leaf:
+        if type(other) is not _Leaf:
+            return NotImplemented
+        return _Leaf(f"({self.text} - {other.text})")
+
+
+@lru_cache(maxsize=64)
+def _comprehension(fn: Callable, arity: int) -> Callable:
+    """fn's tree as one list comprehension over ``arity`` aligned rows.  fn
+    runs once, on leaves, so anything but + and - of its arguments (a
+    product, a constant) raises here, and the text compiled holds only the
+    names x0, x1, ..., parentheses, + and -.  It takes about a tenth less
+    time than one call of fn per atom on a 2,048-atom row of the verifier's
+    13-leaf tree (Python 3.11)."""
+    names = [f"x{i}" for i in range(arity)]
+    tree = fn(*map(_Leaf, names)).text
+    return eval(f"lambda *rows: [{tree} for {', '.join(names)}, in zip(*rows)]")
+
+
 def smul(c, a: Sequence) -> RV:
     if type(a) is IntRow:
         return _reduced([c.numerator * n for n in a.nums], c.denominator * a.den)
@@ -353,13 +404,15 @@ def scaled_pos(d: Sequence, a: Sequence) -> RV:
     if _has_ints(d, a):
         d, a, den = _pair(d, a, common=False)
         return _reduced([y * x if x > 0 else 0 for y, x in zip(d, a)], den)
-    return [y * max(x, 0) for y, x in pairs(d, a)]
+    return [y * (0 if x < 0 else x) for y, x in pairs(d, a)]  # max(x, 0), without the call
 
 
 def scaled_min(d: Sequence, a: Sequence, b: Sequence) -> RV:
     if _has_ints(d, a) or type(b) is IntRow:
         return scaled_pos(d, vmin(a, b))  # exact, min(max(x, 0), max(y, 0)) is max(min(x, y), 0)
-    return [z * min(max(x, 0), max(y, 0)) for z, x, y in pairs(d, a, b)]
+    # min(max(x, 0), max(y, 0)) as the calls would give it
+    return [z * (q if (q := 0 if y < 0 else y) < (p := 0 if x < 0 else x) else p)
+            for z, x, y in pairs(d, a, b)]
 
 
 def eq(a: Sequence, b: Sequence) -> bool:
@@ -382,8 +435,7 @@ def any_negative(a: Sequence, tol=0) -> bool:
         num, den = tol.as_integer_ratio()  # exact for a float too
         low = -num * a.den
         return any(n * den < low for n in a.nums)
-    low = -tol
-    return any(x < low for x in a)
+    return any(map(_lt, a, repeat(-tol)))
 
 
 def any_nonpositive(a: Sequence) -> bool:
@@ -430,6 +482,8 @@ def any_both_nonzero(a: Sequence, b: Sequence) -> bool:
     if _has_ints(a, b):
         x, y, _ = _pair(a, b, common=False)
         return any(p and q for p, q in zip(x, y))
+    if not any(a) or not any(b):  # x != 0 is bool(x), NaN too: one test per row
+        return False
     return any(x != 0 and y != 0 for x, y in pairs(a, b))
 
 
@@ -484,8 +538,10 @@ def constant_on_blocks(row: Sequence, m: int, mode: str) -> bool:
     NaN equals nothing, so a row holding one is constant on no blocks."""
     if type(row) is IntRow:
         row = row.nums
-    elif not BACKENDS[mode].exact and any(map(math.isnan, row)):
-        return False
+    elif not BACKENDS[mode].exact:
+        total = sum(row)  # NaN only if an entry is, or inf meets -inf
+        if total != total and any(map(math.isnan, row)):
+            return False
     step = len(row) // m
     return step <= 1 or all(row[i::step] == row[0::step] for i in range(1, step))
 
@@ -509,11 +565,11 @@ def max_weighted_squares(factors: Sequence, rows: Sequence) -> list:
 def sup_abs(a: Sequence):
     if type(a) is IntRow:
         return Fraction(max(map(abs, a.nums), default=0), a.den)
-    return max((abs(x) for x in a), default=0)
+    return max(map(abs, a), default=0)
 
 
 def magnitudes(a: Sequence) -> list:
-    return list(map(abs, _floats(a)))
+    return list(map(abs, _floats(a) if type(a) is IntRow else map(float, a)))
 
 
 def max_magnitude(rows) -> float:

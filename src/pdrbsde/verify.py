@@ -1,30 +1,38 @@
-"""Verification: every clause of the solution definition, written once.
+"""Verification: every clause of the solution definition, in one walk over
+the instants.
 
 A solution of the predictable reflected problem is one list of clauses: the
 terminal value, the backward equation, and on each barrier (a ``Side``)
 domination and the Skorokhod conditions; with two barriers, also mutual
-singularity of A/A' and B/B'.  The one-barrier problem is the same clauses on
-one side with a driver of zeros.  Each condition names its worst cell.
+singularity of A/A' and B/B', the jump identities and the pinching of Y.  The
+one-barrier problem is the same clauses on one side with a driver of zeros.
+Each condition names its worst cell.
+
+At instant k the walk takes the left jump of each process, its increment over
+(t_k, t_{k+1}), and each side's gap to its barrier in each slot once, feeds
+them to every clause that reads them and drops them before instant k+1; a
+residual that sums rows is one ``values.combine`` pass.  Each condition keeps
+only the worst cell of each of its rows (``ConditionRows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
 from typing import TYPE_CHECKING
 
 from . import values as v
+from .prob_space import cond_expect
 from .processes import (
     LadlagProcess,
     ProcessError,
     bracket,
     brownian_process,
     is_predictable_strong_supermartingale,
-    predictable_projection,
     validate_integrand,
     validate_process,
+    zero_process,
 )
-from .reports import ConditionReport, VerificationReport, condition_from_rows
+from .reports import ConditionReport, ConditionRows, VerificationReport
 
 if TYPE_CHECKING:
     from .drbsde import BarrierPair, SolutionSeptuple
@@ -50,6 +58,11 @@ class Side:
     suffix: str = ""
     tick: str = ""
 
+    def gap(self, y: LadlagProcess, slot: str, k: int):
+        """sign * (Y - barrier) on slot row k: negative where Y crosses the barrier."""
+        y_row, x_row = getattr(y, f"{slot}_rows")[k], getattr(self.barrier, f"{slot}_rows")[k]
+        return v.sub(y_row, x_row) if self.sign > 0 else v.sub(x_row, y_row)
+
 
 def verify_rbsde_solution(
     barrier: LadlagProcess, q: RbsdeQuintuple, tol: float | None = None
@@ -59,7 +72,7 @@ def verify_rbsde_solution(
     zero_driver = [barrier.space.zero()] * barrier.n_steps
     tol = _default_tol(barrier, tol)
     return VerificationReport(conditions=(
-        *_side_conditions(zero_driver, q.y, q.z, q.m, sides, _checker(q.y, tol)),
+        *_conditions(zero_driver, q.y, q.z, q.m, sides, tol),
         # driver 0 and a lower barrier only: Y is itself a predictable strong
         # supermartingale
         _class_condition(q.y, q.z, q.m, sides, tol, supermartingale=True),
@@ -70,151 +83,171 @@ def verify_drbsde_solution(
     g: list, barriers: BarrierPair, s: SolutionSeptuple, tol: float | None = None
 ) -> VerificationReport:
     """Every clause of the doubly reflected definition, with per-cell residuals."""
-    xi, zeta, y = barriers.xi, barriers.zeta, s.y
     sides = (
-        Side(xi, s.a, s.b, 1, "barrier_sandwich_lower"),
-        Side(zeta, s.a_prime, s.b_prime, -1, "barrier_sandwich_upper", "_prime", "'"),
+        Side(barriers.xi, s.a, s.b, 1, "barrier_sandwich_lower"),
+        Side(barriers.zeta, s.a_prime, s.b_prime, -1, "barrier_sandwich_upper", "_prime", "'"),
     )
-    tol = _default_tol(xi, tol)
-    check = _checker(y, tol)
-    conds = _side_conditions(g, y, s.z, s.m, sides, check)
-    for name, p, q in (("A", s.a, s.a_prime), ("B", s.b, s.b_prime)):
-        ok = mutually_singular(p, q)
-        conds.append(ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0))
-    proj = predictable_projection(y)
-    conds.append(check("jump_identities", _jump_identity_rows(y, proj, s)))
-    conds.append(check("value_pinching", _pinch_rows(y, proj, xi, zeta)))
-    conds.append(_class_condition(y, s.z, s.m, sides, tol, supermartingale=False))
-    return VerificationReport(conditions=tuple(conds))
+    tol = _default_tol(barriers.xi, tol)
+    return VerificationReport(conditions=(
+        *_conditions(g, s.y, s.z, s.m, sides, tol),
+        _class_condition(s.y, s.z, s.m, sides, tol, supermartingale=False),
+    ))
 
 
 def _default_tol(barrier: LadlagProcess, tol: float | None) -> float:
     return v.gate(barrier.space.mode, 1e-10) if tol is None else tol
 
 
-def _checker(y: LadlagProcess, tol: float):
-    """``condition_from_rows`` for rows of Y's space, held to ``tol``."""
-    return partial(condition_from_rows, tol=tol, n_paths=y.space.n_paths)
+# The residuals of the backward equation, each one tree of sums and
+# differences for ``values.combine``; the upper side's reflectors come second
+# and are subtracted.  A one-barrier problem passes zeros for them: x - 0 is
+# x to the bit, so these trees serve it too.
 
 
-def _side_conditions(g, y, z, m, sides, check) -> list[ConditionReport]:
-    """The clauses every reflected problem shares, in report order; each
+def _left_jump(dy, da, da_up):
+    """dY_k + (dA_k - dA'_k)"""
+    return dy + (da - da_up)
+
+
+def _right_jump(y_plus, y_mid, m_mid, m_minus, db, db_up):
+    """d+Y_k - dM_k + (dB_k - dB'_k)"""
+    return ((y_plus - y_mid) - (m_mid - m_minus)) + (db - db_up)
+
+
+def _interval(y_next, y_plus, z_dw, dt_g, da, da_up):
+    """Y_{(k+1)^-} - Y_{k^+} - Z_k dW_k + g_k dt + (a_k - a'_k)"""
+    return (((y_next - y_plus) - z_dw) + dt_g) + (da - da_up)
+
+
+def _integrated(y, y_n, tail, a_n, a, a_up_n, a_up, b_n, b, b_up_n, b_up, m_n, m):
+    """Y_k minus the right-hand side of the integrated form at instant k."""
+    return y - ((((y_n + tail) + ((a_n - a) - (a_up_n - a_up)))
+                 + ((b_n - b) - (b_up_n - b_up))) - (m_n - m))
+
+
+def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
+    """Every clause but the component classes, in report order; each
     per-side clause is listed once per side.  The barriers agree at T, so
-    the first side's gives the terminal value."""
-    n, terminal = y.n_steps, sides[0].barrier.mid_rows[-1]
-    return [
-        check("terminal_value", [(f"instant={n}", v.sub(y.mid_rows[n], terminal))]),
-        check("equation_residual", _equation_rows(g, y, z, m, sides)),
-        *(check(s.domination, _domination_rows(y, s)) for s in sides),
-        *(check(f"skorokhod_interval_A{s.suffix}", _interval_rows(y, s)) for s in sides),
-        *(check(f"skorokhod_jump_A{s.suffix}",
-                _jump_rows("jump_A", s.a, y.minus_rows, s.barrier.minus_rows, s.sign))
-          for s in sides),
-        *(check(f"skorokhod_jump_B{s.suffix}",
-                _jump_rows("jump_B", s.b, y.mid_rows, s.barrier.mid_rows, s.sign))
-          for s in sides),
-    ]
-
-
-def _net(sides, term) -> list:
-    """The reflectors' net push on Y: term(A) of the lower side, which comes
-    first, minus term(A') of the upper side if there is one."""
-    lower, *upper = sides
-    return reduce(lambda net, s: v.sub(net, term(s)), upper, term(lower))
-
-
-def _equation_rows(g, y, z, m, sides):
-    """Slot-by-slot balance of the backward equation.
-
-    Left jumps:  dY_k + (dA_k - dA'_k) = 0.
-    Right jumps: d+Y_k - dM_k + (dB_k - dB'_k) = 0.
-    Intervals:   Y_{(k+1)^-} - Y_{k^+} - Z_k dW_k + g_k dt + (a_k - a'_k) = 0,
-    and the orthogonal part must carry no interval variation.  The integrated
-    form at every instant,
+    the first side's gives the terminal value.  Besides the trees above (and
+    no interval variation of M), the equation holds in its integrated form,
     Y_k = Y_N + sum_{j>=k} g_j dt - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-})
           + (A_N - A_k) - (A'_N - A'_k) + (B_{N^-} - B_{k^-})
           - (B'_{N^-} - B'_{k^-}),
-    is checked as well.
+    checked in a loop back from T; its rows come last, the left jumps first.
+    The jump of A may act only where Y sits on the barrier in the minus slot,
+    that of B in the mid slot, and the increment of A over (t_k, t_{k+1})
+    where it does at (k,+) or at (k+1,-); pY+ is E[Y_{k^+} | F_{t_k^-}].
     """
     space, n = y.space, y.n_steps
-    for k in range(n + 1):
-        res = v.add(y.left_jump(k), _net(sides, lambda s: s.a.left_jump(k)))
-        yield f"left_jump,instant={k}", res
-    for k in range(n):
-        res = v.sub(y.right_jump(k), m.left_jump(k))
-        res = v.add(res, _net(sides, lambda s: s.b.left_jump(k)))
-        yield f"right_jump,instant={k}", res
-        res = v.sub(y.interval_increment(k), v.mul(z[k], space.dw_rows[k]))
-        res = v.add(res, v.smul(space.dt, g[k]))
-        res = v.add(res, _net(sides, lambda s: s.a.interval_increment(k)))
-        yield f"interval,k={k}", res
-        yield f"orthogonal_interval,k={k}", m.interval_increment(k)
+    lower, *upper = sides
+    a_up, b_up = (upper[0].a, upper[0].b) if upper else (zero_process(space),) * 2
 
-    tail = space.zero()  # running backward sum of the right-hand side minus Y_N
+    def check(name):
+        return ConditionRows(name, tol, space.n_paths)
+
+    terminal, equation = check("terminal_value"), check("equation_residual")
+    domination = [check(s.domination) for s in sides]
+    interval = [check(f"skorokhod_interval_A{s.suffix}") for s in sides]
+    jump_a = [check(f"skorokhod_jump_A{s.suffix}") for s in sides]
+    jump_b = [check(f"skorokhod_jump_B{s.suffix}") for s in sides]
+    identities, pinching = check("jump_identities"), check("value_pinching")
+    singular_a = singular_b = True
+
+    def left_jumps(k, gaps_minus):
+        """dY, dA and dA' at instant k, to every clause that reads them;
+        dA = (dY)^- and dA' = (dY)^+."""
+        nonlocal singular_a
+        dy, da = y.left_jump(k), (lower.a.left_jump(k), a_up.left_jump(k))
+        equation.add(f"left_jump,instant={k}", v.combine(_left_jump, dy, *da))
+        for cond, jump, gap in zip(jump_a, da, gaps_minus):
+            cond.add(f"jump_A,instant={k}", v.scaled_pos(jump, gap))
+        if upper:
+            singular_a = singular_a and not v.any_both_nonzero(*da)
+            identities.add(f"dA,instant={k}", v.sub(da[0], v.neg_part(dy)))
+            identities.add(f"dA',instant={k}", v.sub(da[1], v.pos_part(dy)))
+
+    def right_jumps(k, gaps_mid):
+        """dB and dB' at instant k, with the right jump of Y and pY+;
+        dB = (pY+ - Y)^-, dB' = (pY+ - Y)^+ and Y = (pY+ v xi) ^ zeta."""
+        nonlocal singular_b
+        db = (lower.b.left_jump(k), b_up.left_jump(k))
+        if k < n:
+            equation.add(f"right_jump,instant={k}",
+                         v.combine(_right_jump, y.plus_rows[k], y.mid_rows[k], m.mid_rows[k],
+                                   m.minus_rows[k], *db), lane=1)
+        for cond, jump, gap in zip(jump_b, db, gaps_mid):
+            cond.add(f"jump_B,instant={k}", v.scaled_pos(jump, gap))
+        if not upper:
+            return
+        singular_b = singular_b and not v.any_both_nonzero(*db)
+        if k < n:
+            proj_plus = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
+            pinched = v.clamp(proj_plus, lower.barrier.mid_rows[k], upper[0].barrier.mid_rows[k])
+            pinching.add(f"pinch,instant={k}", v.sub(y.mid_rows[k], pinched))
+            gap = v.sub(proj_plus, y.mid_rows[k])
+        else:
+            gap = space.zero()  # no B jump at T
+        identities.add(f"dB,instant={k}", v.sub(db[0], v.neg_part(gap)))
+        identities.add(f"dB',instant={k}", v.sub(db[1], v.pos_part(gap)))
+
+    def over_interval(k) -> list:
+        """The increments over (t_k, t_{k+1}), and each side's gaps at its two
+        ends; returns the gaps at (k+1)^-."""
+        nonlocal singular_a, singular_b
+        da = (lower.a.interval_increment(k), a_up.interval_increment(k))
+        equation.add(f"interval,k={k}",
+                     v.combine(_interval, y.minus_rows[k + 1], y.plus_rows[k],
+                               v.mul(z[k], space.dw_rows[k]), v.smul(space.dt, g[k]), *da),
+                     lane=1)
+        equation.add(f"orthogonal_interval,k={k}", m.interval_increment(k), lane=1)
+        gaps_next = []
+        for s, dom, cond, inc in zip(sides, domination, interval, da):
+            gap_plus, gap_next = s.gap(y, "plus", k), s.gap(y, "minus", k + 1)
+            dom.add(f"plus,instant={k}", v.neg_part(gap_plus))
+            cond.add(f"interval,k={k}", v.scaled_min(inc, gap_plus, gap_next))
+            gaps_next.append(gap_next)
+        if upper:
+            singular_a = singular_a and not v.any_both_nonzero(*da)
+            singular_b = singular_b and not v.any_both_nonzero(
+                lower.b.interval_increment(k), b_up.interval_increment(k))
+        return gaps_next
+
+    def forward():
+        """Each instant in turn; the last one's rows go when this returns,
+        before the loop back from T holds its own."""
+        gaps_minus = [s.gap(y, "minus", 0) for s in sides]
+        for k in range(n + 1):
+            gaps_mid = [s.gap(y, "mid", k) for s in sides]
+            for dom, gap_mid, gap_minus in zip(domination, gaps_mid, gaps_minus):
+                dom.add(f"mid,instant={k}", v.neg_part(gap_mid))
+                dom.add(f"minus,instant={k}", v.neg_part(gap_minus))
+            left_jumps(k, gaps_minus)
+            right_jumps(k, gaps_mid)
+            if k < n:
+                gaps_minus = over_interval(k)
+
+    terminal.add(f"instant={n}", v.sub(y.mid_rows[n], lower.barrier.mid_rows[n]))
+    forward()
+    tail = space.zero()  # running backward sum of g dt - Z dW
     for k in range(n, -1, -1):
-        rhs = v.add(y.mid_rows[n], tail)
-        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.a.mid_rows[n], s.a.mid_rows[k])))
-        rhs = v.add(rhs, _net(sides, lambda s: v.sub(s.b.minus_rows[n], s.b.minus_rows[k])))
-        rhs = v.sub(rhs, v.sub(m.minus_rows[n], m.minus_rows[k]))
-        yield f"integrated,instant={k}", v.sub(y.mid_rows[k], rhs)
+        equation.add(f"integrated,instant={k}", v.combine(
+            _integrated, y.mid_rows[k], y.mid_rows[n], tail,
+            lower.a.mid_rows[n], lower.a.mid_rows[k], a_up.mid_rows[n], a_up.mid_rows[k],
+            lower.b.minus_rows[n], lower.b.minus_rows[k], b_up.minus_rows[n], b_up.minus_rows[k],
+            m.minus_rows[n], m.minus_rows[k]), lane=2)
         if k > 0:
+            # two binary helpers, not one combine: the step is on the atoms of
+            # sigma_mid[k], coarser than the tail
             step = v.sub(v.smul(space.dt, g[k - 1]), v.mul(z[k - 1], space.dw_rows[k - 1]))
             tail = v.add(tail, step)
 
-
-def _gap(sign: int, y_slot, barrier_slot) -> list:
-    """sign * (Y - barrier) on one slot row: negative where Y crosses the barrier."""
-    return v.sub(y_slot, barrier_slot) if sign > 0 else v.sub(barrier_slot, y_slot)
-
-
-def _domination_rows(y, side):
-    x, n = side.barrier, y.n_steps
-    for k in range(n + 1):
-        for slot in ("mid", "minus", "plus") if k < n else ("mid", "minus"):
-            gap = _gap(side.sign, getattr(y, f"{slot}_rows")[k], getattr(x, f"{slot}_rows")[k])
-            yield f"{slot},instant={k}", v.neg_part(gap)
-
-
-def _interval_rows(y, side):
-    """Interval increments may act only when the interval touches the barrier.
-
-    The open interval (t_k, t_{k+1}) is represented by its two limit slots
-    (k,+) and (k+1,-); an increment is admissible if the solution sits on the
-    barrier at either of them.
-    """
-    x = side.barrier
-    for k in range(y.n_steps):
-        gap_open = _gap(side.sign, y.plus_rows[k], x.plus_rows[k])
-        gap_close = _gap(side.sign, y.minus_rows[k + 1], x.minus_rows[k + 1])
-        yield f"interval,k={k}", v.scaled_min(side.a.interval_increment(k),
-                                              gap_open, gap_close)
-
-
-def _jump_rows(label, proc, y_slot, barrier_slot, sign):
-    """The jump of ``proc`` at each instant may act only where Y sits on the
-    barrier in the given slot: the minus slot for A, the mid slot for B."""
-    for k, (yk, xk) in enumerate(zip(y_slot, barrier_slot)):
-        yield f"{label},instant={k}", v.scaled_pos(proc.left_jump(k), _gap(sign, yk, xk))
-
-
-def _jump_identity_rows(y, proj, s):
-    """dA = (dY)^-, dA' = (dY)^+, dB = (pY+ - Y)^-, dB' = (pY+ - Y)^+."""
-    n = y.n_steps
-    for k in range(n + 1):
-        dy = y.left_jump(k)
-        yield f"dA,instant={k}", v.sub(s.a.left_jump(k), v.neg_part(dy))
-        yield f"dA',instant={k}", v.sub(s.a_prime.left_jump(k), v.pos_part(dy))
-        # no B jump at T
-        gap = v.sub(proj.plus_rows[k], y.mid_rows[k]) if k < n else y.space.zero()
-        yield f"dB,instant={k}", v.sub(s.b.left_jump(k), v.neg_part(gap))
-        yield f"dB',instant={k}", v.sub(s.b_prime.left_jump(k), v.pos_part(gap))
-
-
-def _pinch_rows(y, proj, xi, zeta):
-    """Y = (pY+ v xi) ^ zeta at every instant and path."""
-    for k in range(y.n_steps):
-        pinched = v.clamp(proj.plus_rows[k], xi.mid_rows[k], zeta.mid_rows[k])
-        yield f"pinch,instant={k}", v.sub(y.mid_rows[k], pinched)
+    conds = [terminal, equation, *domination, *interval, *jump_a, *jump_b]
+    reports = [c.report() for c in conds]
+    if upper:
+        reports += [ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0)
+                    for name, ok in (("A", singular_a), ("B", singular_b))]
+        reports += [identities.report(), pinching.report()]
+    return reports
 
 
 def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionReport:
@@ -236,28 +269,12 @@ def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionRep
         problems.append((1.0, f"Z: {exc}"))
     if supermartingale and not is_predictable_strong_supermartingale(y):
         problems.append((1.0, "Y is not a predictable strong supermartingale"))
-    br = bracket(m, brownian_process(y.space))
-    dev = _checker(y, tol)("[M, W]", enumerate(br.mid_rows)).max_residual
+    bracket_rows = ConditionRows("[M, W]", tol, y.space.n_paths)
+    for k, row in enumerate(bracket(m, brownian_process(y.space)).mid_rows):
+        bracket_rows.add(k, row)
+    dev = bracket_rows.report().max_residual
     if not dev <= tol:
         problems.append((dev, "[M, W] != 0"))
     worst_dev, where = (problems[v.worst_index([p for p, _ in problems])] if problems
                         else (0.0, None))
     return ConditionReport("component_classes", worst_dev <= tol, worst_dev, where)
-
-
-def mutually_singular(p: LadlagProcess, q: LadlagProcess) -> bool:
-    """Disjointness of increment supports over (cell, path) pairs.
-
-    Cells are instant jumps and interval increments; the processes are
-    mutually singular unless both move on the same path in the same cell.
-    Stops at the first cell they share.
-    """
-    return not any(map(v.any_both_nonzero, _increments(p), _increments(q)))
-
-
-def _increments(p: LadlagProcess):
-    """Left jump at each instant and increment over each interval, in time order."""
-    for k in range(p.n_steps + 1):
-        yield p.left_jump(k)
-        if k < p.n_steps:
-            yield p.interval_increment(k)

@@ -5,6 +5,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from pdrbsde.config import config_from_dict
 from pdrbsde.prob_space import build_space, on_paths
@@ -211,9 +212,20 @@ def json_dumps_space(space) -> str:
     return json.dumps(space_to_json_dict(space), sort_keys=True, indent=1)
 
 
+def condition_from_rows(name, rows, tol, n_paths):
+    """The condition of ``(label, residuals)`` rows read in order, through
+    ``reports.ConditionRows``; ``rows`` is read once, so it may be a generator."""
+    from pdrbsde.reports import ConditionRows
+
+    acc = ConditionRows(name, tol, n_paths)
+    for label, res in rows:
+        acc.add(label, res)
+    return acc.report()
+
+
 def cell_scan_condition(name, rows, tol, n_paths):
     """A condition from one ``(|residual|, label)`` tuple per path and a flat
-    ``max`` over them: the oracle for ``reports.condition_from_rows``."""
+    ``max`` over them: the oracle for ``reports.ConditionRows``."""
     from pdrbsde import values as v
     from pdrbsde.reports import ConditionReport
 
@@ -246,8 +258,9 @@ def tree_weights_by_fractions(config) -> tuple:
 
 
 def magnitudes_condition(name, rows, tol, n_paths):
-    """``reports.condition_from_rows`` with every row, zero or not, taken
-    through its magnitudes: the oracle for its one-test pass of a zero row."""
+    """``condition_from_rows`` with every row, zero or not, taken through
+    its magnitudes: the oracle for ``ConditionRows``' one-test pass of a zero
+    row."""
     from pdrbsde import values as v
     from pdrbsde.reports import ConditionReport
 
@@ -279,3 +292,98 @@ def fraction_rows():
         yield
     finally:
         v.BACKENDS["rational"] = rational
+
+
+# ---------------------------------------------------------------------------
+# definitions only the tests read: the program checks each in its own terms
+
+
+def mutually_singular(p, q) -> bool:
+    """Disjointness of increment supports over (cell, path) pairs.
+
+    Cells are instant jumps and interval increments; the processes are
+    mutually singular unless both move on the same path in the same cell.
+    Stops at the first cell they share.
+    """
+    from pdrbsde import values as v
+
+    def increments(x):
+        for k in range(x.n_steps + 1):
+            yield x.left_jump(k)
+            if k < x.n_steps:
+                yield x.interval_increment(k)
+
+    return not any(map(v.any_both_nonzero, increments(p), increments(q)))
+
+
+def predictable_projection(x):
+    """(pX)_k = E[X_k | F_{t_k^-}], with plus slots carrying p(X^+)_k.
+
+    The returned process is predictable; its plus slot at k is the predictable
+    projection of the right limit, the quantity entering the jump identities.
+    """
+    from pdrbsde.prob_space import cond_expect
+    from pdrbsde.processes import from_slots
+
+    space, n = x.space, x.n_steps
+    mid = [cond_expect(space, x.mid_rows[k], space.sigma_minus[k]) for k in range(n + 1)]
+    plus = [cond_expect(space, x.plus_rows[k], space.sigma_minus[k]) for k in range(n)]
+    return from_slots(space, [mid[0], *x.minus_rows[1:]], mid, plus)
+
+
+def is_quasi_left_continuous(space) -> bool:
+    """True iff no mark ever refines sigma_minus[k] into sigma_mid[k]."""
+    return all(len(space.sigma_mid[k]) == len(space.sigma_minus[k])
+               for k in range(space.n_steps + 1))
+
+
+def stopping_rule_count(space) -> int:
+    """Number of slot-grid predictable stopping rules from time zero."""
+    from pdrbsde.snell import _partition_at, _positions, _rule_counts
+
+    root = _partition_at(space, _positions(space.n_steps)[0])[0]
+    return _rule_counts(space)[(0, root)]
+
+
+# ---------------------------------------------------------------------------
+# trees of + and - over rows, for values.combine
+
+
+class Chain:
+    """A row whose ``+`` and ``-`` are ``values.add`` and ``values.sub``: fn
+    over Chains is the chain of binary helpers written the same way as fn."""
+
+    def __init__(self, row) -> None:
+        self.row = row
+
+    def __add__(self, other):
+        from pdrbsde import values as v
+
+        return Chain(v.add(self.row, other.row))
+
+    def __sub__(self, other):
+        from pdrbsde import values as v
+
+        return Chain(v.sub(self.row, other.row))
+
+
+@st.composite
+def sum_trees(draw, lo: int, hi: int):
+    """A tree of + and - over the arguments lo..hi-1, each once, in order:
+    an argument index, or (op, left, right)."""
+    if hi - lo == 1:
+        return lo
+    cut = draw(st.integers(lo + 1, hi - 1))
+    return (draw(st.sampled_from("+-")), draw(sum_trees(lo, cut)), draw(sum_trees(cut, hi)))
+
+
+def tree_fn(tree):
+    """The tree as a function of its arguments, evaluated by + and -."""
+    def fn(*xs):
+        def ev(node):
+            if isinstance(node, int):
+                return xs[node]
+            op, left, right = node
+            return ev(left) + ev(right) if op == "+" else ev(left) - ev(right)
+        return ev(tree)
+    return fn

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import picard_solution
+from conftest import is_quasi_left_continuous, picard_solution
 from pdrbsde import values as v
 from pdrbsde.calculus_checks import (
     apriori_estimate_check,
@@ -276,7 +276,7 @@ def test_criterion_10_non_qlc_witness(corpus):
     witnesses = 0
     for rec in corpus:
         space = rec.scenario.space
-        if space.is_quasi_left_continuous:
+        if is_quasi_left_continuous(space):
             continue
         m = rec.solution.m
         for k in range(space.n_steps + 1):

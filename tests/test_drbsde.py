@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, rand_on, random_predictable
+from conftest import make_config, mutually_singular, rand_on, random_predictable
 from pdrbsde import values as v
 from pdrbsde.prob_space import on_paths
 from pdrbsde.drbsde import (
@@ -37,7 +37,7 @@ from pdrbsde.processes import (
 )
 from pdrbsde.scenario import realize
 from pdrbsde.snell import snell_bruteforce
-from pdrbsde.verify import mutually_singular, verify_drbsde_solution
+from pdrbsde.verify import verify_drbsde_solution
 
 F = Fraction
 

@@ -8,12 +8,14 @@ the same solution, report, norms and outer trace with either kind of row
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fraction_rows
+from conftest import fraction_rows, sum_trees, tree_fn
 from pdrbsde import cli
 from pdrbsde import values as v
 from pdrbsde.config import load_config
@@ -139,6 +141,22 @@ def test_magnitudes_and_boundaries_match_fraction_rows(ra, rb):
     labels = [f"{i}," for i in range(8)]
     assert list(v.dump_lines("rational", [("0,mid,", a)], labels, "\r\n", {})) == \
         list(v.dump_lines("rational", [("0,mid,", fa)], labels, "\r\n", {}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_combine_matches_fraction_rows_in_reduced_form(data):
+    """A tree of + and - over IntRows gives what it gives over their Fraction
+    twins, reduced, also with a Fraction list among the rows."""
+    k = data.draw(st.integers(2, 7))
+    pairs = [twins(data.draw(exact_rows())) for _ in range(k)]
+    fn = tree_fn(data.draw(sum_trees(0, k)))
+    ints, fractions = [a for a, _ in pairs], [fa for _, fa in pairs]
+    got = v.combine(fn, *ints)
+    same(got, v.combine(fn, *fractions))
+    assert got.den > 0 and reduce(math.gcd, got.nums, got.den) == 1
+    mixed = [fa if i % 2 else a for i, (a, fa) in enumerate(pairs)]
+    assert v.combine(fn, *mixed) == got
 
 
 def _run(path) -> tuple:

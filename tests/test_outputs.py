@@ -12,6 +12,7 @@ import pytest
 
 from conftest import (
     cell_scan_condition,
+    condition_from_rows,
     csv_writer_dump,
     magnitudes_condition,
     move_cells,
@@ -19,7 +20,7 @@ from conftest import (
 )
 from pdrbsde import cli, verify
 from pdrbsde.config import config_from_dict
-from pdrbsde.reports import ConditionReport, VerificationReport, condition_from_rows
+from pdrbsde.reports import ConditionReport, VerificationReport
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
 
 DUMPS = ("solution_Y.csv", "solution_M.csv", "solution_A.csv", "solution_B.csv",
@@ -31,12 +32,22 @@ def _verify_both_ways(monkeypatch, scenario, g, sol):
     rows = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
     scanned = []
 
-    def oracle(name, rows, tol, n_paths):
-        scanned.append(name)
-        return cell_scan_condition(name, rows, tol, n_paths)
+    class Oracle:
+        """``ConditionRows`` that keeps every row, and scans their cells."""
+
+        def __init__(self, name, tol, n_paths):
+            self.name, self.tol, self.n_paths, self.lanes = name, tol, n_paths, {}
+
+        def add(self, label, res, lane=0):
+            self.lanes.setdefault(lane, []).append((label, res))
+
+        def report(self):
+            scanned.append(self.name)
+            rows = [row for lane in sorted(self.lanes) for row in self.lanes[lane]]
+            return cell_scan_condition(self.name, rows, self.tol, self.n_paths)
 
     with monkeypatch.context() as m:
-        m.setattr(verify, "condition_from_rows", oracle)
+        m.setattr(verify, "ConditionRows", Oracle)
         cells = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
     # every residual condition went through the oracle, and so did the [M, W]
     # deviation inside component_classes; the other conditions have no rows

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MARK_HALF,
+    is_quasi_left_continuous,
     json_dumps_space,
     make_config,
     make_space,
@@ -225,7 +226,7 @@ class TestBuildSpace:
         assert space_4.n_paths == 4
         assert len(space_4.sigma_minus[1]) == 2
         assert len(space_4.sigma_mid[1]) == 4
-        assert not space_4.is_quasi_left_continuous
+        assert not is_quasi_left_continuous(space_4)
 
     def test_two_step_full_refinement_chain(self, space_16):
         assert space_16.n_paths == 16
@@ -239,7 +240,7 @@ class TestBuildSpace:
         assert_increment_moments(space_16)
 
     def test_no_informative_mark_is_qlc(self, space_2):
-        assert space_2.is_quasi_left_continuous
+        assert is_quasi_left_continuous(space_2)
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ConfigError):

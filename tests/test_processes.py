@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_on, random_martingale, random_predictable
+from conftest import predictable_projection, rand_on, random_martingale, random_predictable
 from pdrbsde import values as v
 from pdrbsde.prob_space import cond_expect, expectation, on_paths
 from pdrbsde.processes import (
@@ -21,7 +21,6 @@ from pdrbsde.processes import (
     is_predictable_strong_supermartingale,
     ito_integral,
     orthogonal_decompose,
-    predictable_projection,
     running_sum,
     sup_distance,
     validate_process,

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import MARK_HALF, make_space, rand_on, random_predictable, set_cell
+from conftest import (
+    MARK_HALF,
+    make_space,
+    rand_on,
+    random_predictable,
+    set_cell,
+    stopping_rule_count,
+)
 from pdrbsde import values as v
 from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
 from pdrbsde.prob_space import on_paths
@@ -30,7 +37,6 @@ from pdrbsde.snell import (
     pre_operator,
     snell_bruteforce,
     snell_envelope_slots,
-    stopping_rule_count,
 )
 from pdrbsde.verify import verify_drbsde_solution, verify_rbsde_solution
 

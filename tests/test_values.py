@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import Chain, sum_trees, tree_fn
 from pdrbsde import values as v
 
 NAN = float("nan")
@@ -248,6 +249,11 @@ def test_constant_on_blocks():
     assert not v.constant_on_blocks(nan_row, 1, "float")
     assert not v.constant_on_blocks(nan_row, 2, "float")
     assert v.constant_on_blocks([0.0, -0.0], 1, "float")
+    # inf and -inf sum to NaN, yet hold none
+    inf = math.inf
+    assert v.constant_on_blocks([inf, -inf], 2, "float")
+    assert v.constant_on_blocks([inf, inf, -inf, -inf], 2, "float")
+    assert not v.constant_on_blocks([inf, -inf, -inf, -inf], 2, "float")
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -290,6 +296,51 @@ def row_lists(draw, filtration=False):
 @given(st.booleans().flatmap(row_lists), st.lists(FACTORS, min_size=6, max_size=6))
 def test_max_weighted_squares_is_max_of_the_aligned_squares(rows, factors):
     same(v.max_weighted_squares(factors, rows), _max_weighted_squares_as_before(factors, rows))
+
+
+ANY_FLOAT = st.one_of(st.sampled_from(SPECIALS), st.floats())
+
+
+@st.composite
+def combine_cases(draw):
+    """2-7 float rows of 1, 2, 4 or 8 atoms, and a tree of + and - over them."""
+    k = draw(st.integers(2, 7))
+    rows = [draw(st.lists(ANY_FLOAT, min_size=n, max_size=n))
+            for n in draw(st.lists(st.sampled_from((1, 2, 4, 8)), min_size=k, max_size=k))]
+    return rows, draw(sum_trees(0, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_cases())
+def test_combine_matches_the_chain_bit_for_bit(case):
+    rows, tree = case
+    fn = tree_fn(tree)
+    got, want = v.combine(fn, *rows), fn(*map(Chain, rows)).row
+    assert all(type(x) is float for x in got)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("fn", [lambda x, y: x * y, lambda x: x + 1, lambda x: -x,
+                                lambda x, y: abs(x - y)], ids=["product", "constant", "negation", "abs"])
+def test_combine_refuses_anything_but_sums_and_differences(fn):
+    """On IntRows the tree runs on numerators, where only + and - are exact."""
+    rows = [[1.0, 2.0]] * fn.__code__.co_argcount
+    with pytest.raises(TypeError):
+        v.combine(fn, *rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_combine_computes_the_verifier_trees_as_the_chain(data):
+    from pdrbsde import verify
+
+    for fn, arity in ((verify._left_jump, 3), (verify._right_jump, 6), (verify._interval, 6),
+                      (verify._integrated, 13)):
+        rows = [data.draw(st.lists(ANY_FLOAT, min_size=n, max_size=n))
+                for n in data.draw(st.lists(st.sampled_from((1, 2, 4, 8)),
+                                            min_size=arity, max_size=arity))]
+        got, want = v.combine(fn, *rows), fn(*map(Chain, rows)).row
+        assert [x.hex() for x in got] == [x.hex() for x in want], fn.__name__
 
 
 @pytest.mark.parametrize("at", [0, 2, 4])
