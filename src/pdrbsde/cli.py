@@ -247,13 +247,12 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
     """CSV dumps, one row per cell; ``str`` of a Fraction, ``repr`` of a float.
 
     Each atom's value is written for every path of its block, and each
-    distinct nonzero value is formatted once per call.  A file's cells go to
+    distinct nonzero value is formatted once per file.  A file's cells go to
     ``v.dump_lines`` in slot order, so that a cadlag slot repeating its mid
     row, or a running sum's minus slot its previous mid, is the same row
     object in the next cell and is joined from the pieces it left."""
     space = sol.y.space
     paths = [f"{i}," for i in range(space.n_paths)]
-    texts = {}
 
     def slots(proc):
         n = proc.n_steps
@@ -266,7 +265,7 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
     def write(file: str, header: str, cells) -> None:
         with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
             fh.write(header)
-            fh.writelines(v.dump_lines(space.mode, cells, paths, "\r\n", texts))
+            fh.writelines(v.dump_lines(space.mode, cells, paths, "\r\n"))
 
     for name, field in _COMPONENTS.items():
         write(f"solution_{name}.csv", "instant,slot,path,value\r\n", slots(getattr(sol, field)))

@@ -24,8 +24,10 @@ from typing import Any
 SCHEMA_VERSION = 1
 
 ARITHMETIC_MODES = ("rational", "float")
-# The largest space a scenario may describe: float N=14 with one two-label
-# mark peaks at 290 MB, and the space doubles with each further step.
+# The largest space a scenario may describe: a float solve at N=14 with one
+# two-label mark peaks at 65 MB resident (ru_maxrss of one --mode solve in a
+# fresh process, Python 3.11 on Linux x86-64), and the space doubles with
+# each further step.
 MAX_PATHS = 32_768
 
 

@@ -271,16 +271,21 @@ def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
 # export
 
 
+# space.json is written this many paths at a time: path objects, or the path
+# indices of one partition's atoms, so no write holds more than one chunk.
+SPACE_JSON_CHUNK = 256
+
+
 def dump_space_json(space: FilteredSpace, path: str) -> None:
     """Write the space as ``json.dumps(doc, sort_keys=True, indent=1)`` writes
     its document: ``N``, ``T``, ``mode``, one object per path (its
     ``dw_signs``, ``index``, ``marks`` by instant and ``weight``), and the atoms
     of ``sigma_mid`` and ``sigma_minus`` as lists of path indices.
 
-    The text is written piece by piece.  Each distinct value's text is
-    ``json.dumps`` of it, made once; each atom is one join over the index
-    texts of its block of paths."""
-    n_paths = space.n_paths
+    The text is written in chunks of ``SPACE_JSON_CHUNK`` paths.  Each
+    distinct value's text is ``json.dumps`` of it, made once; each run of an
+    atom within a chunk is one join over the index texts of its paths."""
+    n_paths, chunk = space.n_paths, SPACE_JSON_CHUNK
 
     def text(row: Sequence, prefix: str = "") -> list:
         """The row on the paths as ``prefix`` and the JSON text of each entry,
@@ -307,16 +312,28 @@ def dump_space_json(space: FilteredSpace, path: str) -> None:
                 f'   "marks": {items([m[i] for m in marks], "{}")},\n'
                 f'   "weight": {weights[i]}\n  }}')
 
-    def atoms(p: Partition) -> str:
-        size = n_paths // len(p)
-        return "  [\n" + ",\n".join("   [\n    " + ",\n    ".join(index[j:j + size]) + "\n   ]"
-                                     for j in range(0, n_paths, size)) + "\n  ]"
+    def atoms(size: int, start: int, stop: int) -> str:
+        """Paths start..stop-1 of a partition into atoms of ``size`` paths:
+        the partition's opening at path 0 and its closing after the last."""
+        cuts = [start, *range(start - start % size + size, stop, size), stop]
+        runs = (",\n    ".join(index[a:b]) for a, b in zip(cuts, cuts[1:]))
+        text = "\n   ],\n   [\n    ".join(runs)
+        if start % size:
+            text = ",\n    " + text
+        else:
+            text = ("  [\n   [\n    " if start == 0 else "\n   ],\n   [\n    ") + text
+        return text + "\n   ]\n  ]" if stop == n_paths else text
 
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
                  f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
-        fh.write(",\n".join(map(path_object, range(n_paths))))
+        for start in range(0, n_paths, chunk):
+            fh.write((",\n" if start else "") + ",\n".join(
+                map(path_object, range(start, min(start + chunk, n_paths)))))
         for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
             fh.write(f'\n ],\n "{name}": [\n')
-            fh.write(",\n".join(map(atoms, parts)))
+            for j, p in enumerate(parts):
+                for start in range(0, n_paths, chunk):
+                    lead = ",\n" if j and not start else ""
+                    fh.write(lead + atoms(n_paths // len(p), start, min(start + chunk, n_paths)))
         fh.write("\n ]\n}")

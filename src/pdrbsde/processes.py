@@ -347,26 +347,6 @@ def rebased(m: LadlagProcess) -> LadlagProcess:
     return from_slots(m.space, *([v.sub(r, base) for r in rows] for rows in m.slots))
 
 
-def bracket(a: LadlagProcess, b: LadlagProcess) -> LadlagProcess:
-    """Quadratic covariation: co-located increment products, summed.
-
-    Interval increments pair with interval increments, instant jumps with
-    instant jumps; the running sum is a cadlag process whose jump at k is
-    the product of the two jumps at k.
-    """
-    n = a.n_steps
-    return running_sum(
-        a.space,
-        left=[v.mul(a.left_jump(k), b.left_jump(k)) for k in range(n + 1)],
-        interval=[v.mul(a.interval_increment(k), b.interval_increment(k)) for k in range(n)],
-    )
-
-
-def brownian_process(space: FilteredSpace) -> LadlagProcess:
-    """The discrete Brownian surrogate W itself: unit integrand, no jumps."""
-    return ito_integral(space, [space.constant(1)] * space.n_steps)
-
-
 def martingale_from_terminal(space: FilteredSpace, terminal: Sequence) -> LadlagProcess:
     """Cadlag version of E[terminal | F_t] started at its mean.
 

@@ -38,7 +38,7 @@ the helpers below, in these families:
 * magnitudes: sup_abs, magnitudes, worst_index, max_magnitude, max_float;
 * boundaries: convert, as_row, entries, refine, coarsen, expand, signs,
   to_json, and dump_lines: a file's ``(prefix, row)`` cells in, their CSV
-  text out, each distinct entry formatted once per dump, and a fine row
+  text out, each distinct entry formatted once per file, and a fine row
   given again as the same object joined from the pieces it left.
 
 The binary helpers align rows by repeating each entry of the shorter one
@@ -608,20 +608,21 @@ def to_json(mode: str, row: Sequence) -> list:
 DUMP_JOIN_BLOCK = 64
 
 
-def dump_lines(mode: str, cells: Iterable, labels: Sequence, end: str,
-               texts: dict) -> Iterator[str]:
-    """The text of ``(prefix, row)`` cells: ``prefix``, label, the dump text
-    of the entry on the label's atom and ``end``, on each label, cell after
-    cell.  ``texts`` holds the text and ``end`` of each nonzero entry
-    formatted so far (keyed by numerator and denominator for an IntRow), so
-    each is formatted once per dump; a zero is formatted each time, since
-    0.0 and -0.0 are one key with two texts.
+def dump_lines(mode: str, cells: Iterable, labels: Sequence, end: str) -> Iterator[str]:
+    """The text of ``(prefix, row)`` cells, the lines of one file: ``prefix``,
+    label, the dump text of the entry on the label's atom and ``end``, on
+    each label, cell after cell.  The text and ``end`` of each nonzero entry
+    formatted so far is kept (keyed by numerator and denominator for an
+    IntRow) until the last line is given, so each is formatted once per
+    file; a zero is formatted each time, since 0.0 and -0.0 are one key with
+    two texts.
 
     A row whose atoms cover at least ``DUMP_JOIN_BLOCK`` labels each is
     written with one join per atom.  A finer row is one join over a pieces
     list holding prefix, label and text on each label: the labels are set
     once, and a row given again as the same object keeps its texts, so that
     only the prefixes are set again."""
+    texts = {}
     size, fmt, get = len(labels), BACKENDS[mode].format, texts.get
     pieces = filled = None
 

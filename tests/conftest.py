@@ -298,6 +298,32 @@ def fraction_rows():
 # definitions only the tests read: the program checks each in its own terms
 
 
+def brownian_process(space):
+    """The discrete Brownian surrogate W itself: unit integrand, no jumps."""
+    from pdrbsde.processes import ito_integral
+
+    return ito_integral(space, [space.constant(1)] * space.n_steps)
+
+
+def bracket(a, b):
+    """Quadratic covariation: co-located increment products, summed.
+
+    Interval increments pair with interval increments, instant jumps with
+    instant jumps; the running sum is a cadlag process whose jump at k is
+    the product of the two jumps at k.  The reference for the verifier's
+    row-by-row [M, W] sum.
+    """
+    from pdrbsde import values as v
+    from pdrbsde.processes import running_sum
+
+    n = a.n_steps
+    return running_sum(
+        a.space,
+        left=[v.mul(a.left_jump(k), b.left_jump(k)) for k in range(n + 1)],
+        interval=[v.mul(a.interval_increment(k), b.interval_increment(k)) for k in range(n)],
+    )
+
+
 def mutually_singular(p, q) -> bool:
     """Disjointness of increment supports over (cell, path) pairs.
 

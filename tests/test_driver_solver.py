@@ -9,7 +9,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_config, make_space, rand_on, random_martingale, random_predictable
+from conftest import (
+    brownian_process,
+    make_config,
+    make_space,
+    rand_on,
+    random_martingale,
+    random_predictable,
+)
 from pdrbsde import values as v
 from pdrbsde.config import SolverParams
 from pdrbsde.drbsde import BarrierPair, solve_driver_process
@@ -22,7 +29,6 @@ from pdrbsde.driver_solver import (
     solve_general,
 )
 from pdrbsde.processes import (
-    brownian_process,
     constant_process,
     from_cadlag_sequence,
     from_slots,

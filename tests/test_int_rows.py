@@ -139,8 +139,8 @@ def test_magnitudes_and_boundaries_match_fraction_rows(ra, rb):
             same(v.coarsen(a, m), v.coarsen(fa, m))
     assert v.entries(a) == fa
     labels = [f"{i}," for i in range(8)]
-    assert list(v.dump_lines("rational", [("0,mid,", a)], labels, "\r\n", {})) == \
-        list(v.dump_lines("rational", [("0,mid,", fa)], labels, "\r\n", {}))
+    assert list(v.dump_lines("rational", [("0,mid,", a)], labels, "\r\n")) == \
+        list(v.dump_lines("rational", [("0,mid,", fa)], labels, "\r\n"))
 
 
 @settings(max_examples=150, deadline=None)

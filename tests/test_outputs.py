@@ -5,21 +5,27 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    bracket,
+    brownian_process,
     cell_scan_condition,
     condition_from_rows,
     csv_writer_dump,
     magnitudes_condition,
     move_cells,
+    rand_on,
     set_cell,
 )
 from pdrbsde import cli, verify
+from pdrbsde import values as v
 from pdrbsde.config import config_from_dict
+from pdrbsde.processes import ito_integral, p_add
 from pdrbsde.reports import ConditionReport, VerificationReport
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
 
@@ -152,12 +158,44 @@ def test_nan_residual_fails_its_condition(rows, cell):
     assert not report.passed and math.isnan(report.max_residual)
 
 
-def test_nan_bracket_deviation_fails_component_classes():
+def test_nan_bracket_deviation_fails_component_classes(monkeypatch):
+    """[M, W] summed row by row gives the deviation, and the worst cell, of
+    the mid rows of bracket(M, W) built as whole processes, to the bit: for an
+    M with a NaN cell, and, in both arithmetics, for the solved M plus a
+    random int Z dW, whose interval increments are then nonzero (in float
+    mode on an irrational sqrt(dt), so that the sums round)."""
     doc = estimate_template(1)
-    doc.update(grid={"N": 4, "T": "1/4"}, marks=[dict(doc["marks"][0], instant=2)])
-    scenario = realize(config_from_dict(doc))
-    sol, g, _ = cli._solve_scenario(scenario)
-    sol = replace(sol, m=set_cell(sol.m, "mid", 2, -1, NAN))
-    cond = verify.verify_drbsde_solution(g, scenario.barriers, sol).condition("component_classes")
-    assert (cond.passed, cond.worst_cell) == (False, "[M, W] != 0")
-    assert math.isnan(cond.max_residual)
+    doc["marks"] = [dict(doc["marks"][0], instant=2)]
+    cases = []
+    for arithmetic, t in (("float", "1/2"), ("rational", "1/4")):
+        doc.update(grid={"N": 4, "T": t}, arithmetic=arithmetic)
+        scenario = realize(config_from_dict(doc))
+        sol, g, _ = cli._solve_scenario(scenario)
+        space, rng = scenario.space, random.Random(7)
+        z = [v.as_row(arithmetic, rand_on(space, space.sigma_mid[k], rng))
+             for k in range(space.n_steps)]
+        m = p_add(sol.m, ito_integral(space, z))
+        cases.append((scenario, g, replace(sol, m=m)))
+        if arithmetic == "float":
+            cases.append((scenario, g, replace(sol, m=set_cell(sol.m, "mid", 2, -1, NAN))))
+    reports = {}
+
+    class Recorded(verify.ConditionRows):
+        def report(self):
+            reports[self.name] = super().report()
+            return reports[self.name]
+
+    monkeypatch.setattr(verify, "ConditionRows", Recorded)
+    for scenario, g, sol in cases:
+        tol = cli._gate_tol(scenario)
+        cond = verify.verify_drbsde_solution(g, scenario.barriers, sol, tol=tol)
+        cond = cond.condition("component_classes")
+        space = scenario.space
+        want = condition_from_rows("[M, W]", enumerate(bracket(sol.m, brownian_process(space))
+                                                       .mid_rows), tol, space.n_paths)
+        got = reports["[M, W]"]
+        assert (got.max_residual.hex(), got.worst_cell) == \
+            (want.max_residual.hex(), want.worst_cell), space.mode
+        assert want.max_residual != 0 and want.worst_cell is not None
+        assert (cond.passed, cond.worst_cell) == (False, "[M, W] != 0")
+        assert cond.max_residual.hex() == want.max_residual.hex()

@@ -176,6 +176,63 @@ def test_space_json_matches_json_module(tmp_path, family):
         assert out.read_bytes() == json_dumps_space(space).encode(), (cfg.name, cfg.arithmetic)
 
 
+class _Writes:
+    """A text file that keeps each ``write`` it is handed."""
+
+    def __init__(self) -> None:
+        self.writes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def _recorded_dump(monkeypatch, space) -> list:
+    """The writes ``dump_space_json`` makes for the space."""
+    from pdrbsde import prob_space
+
+    file = _Writes()
+    monkeypatch.setattr(prob_space, "open", lambda *args, **kwargs: file, raising=False)
+    dump_space_json(space, "space.json")
+    return file.writes
+
+
+def test_space_json_writes_at_most_one_chunk(monkeypatch):
+    """On the float-ladder N = 10 space (2,048 paths), no write holds more
+    than one chunk: at most ``SPACE_JSON_CHUNK`` path objects, and in the
+    ``sigma_*`` sections at most that many path indices, one a line."""
+    from pdrbsde.prob_space import SPACE_JSON_CHUNK
+
+    doc = estimate_template(1)
+    doc.update(grid={"N": 10, "T": "5/8"}, arithmetic="float")
+    doc["marks"] = [dict(doc["marks"][0], instant=5)]
+    space = build_space(config_from_dict(doc))
+    writes = _recorded_dump(monkeypatch, space)
+    assert "".join(writes) == json_dumps_space(space)
+    sections = next(j for j, w in enumerate(writes) if '"sigma_mid"' in w)
+    assert max(w.count('"index": ') for w in writes) == SPACE_JSON_CHUNK < space.n_paths
+    assert max(sum(line[4:].isdigit() for line in w.split("\n"))
+               for w in writes[sections:]) == SPACE_JSON_CHUNK
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 5, 64])
+def test_space_json_matches_json_module_in_any_chunk(monkeypatch, chunk):
+    """Chunks that cut atoms of every size, of two and of three outcomes, at
+    any path give the same bytes."""
+    from pdrbsde import prob_space
+
+    monkeypatch.setattr(prob_space, "SPACE_JSON_CHUNK", chunk)
+    for cfg in (*_edge_mark_configs(), *_json_mark_configs()):
+        space = build_space(cfg)
+        assert "".join(_recorded_dump(monkeypatch, space)) == json_dumps_space(space), cfg.name
+
+
 def _weight_configs(mode: str):
     """No mark, marks of two and three outcomes, two marks, and the
     float-ladder inputs at N = 12."""

@@ -7,13 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import predictable_projection, rand_on, random_martingale, random_predictable
+from conftest import (
+    bracket,
+    brownian_process,
+    predictable_projection,
+    rand_on,
+    random_martingale,
+    random_predictable,
+)
 from pdrbsde import values as v
 from pdrbsde.prob_space import cond_expect, expectation, on_paths
 from pdrbsde.processes import (
     ProcessError,
-    bracket,
-    brownian_process,
     constant_process,
     from_cadlag_sequence,
     from_slots,

@@ -404,9 +404,9 @@ def test_worst_index_takes_the_first_nan_else_the_first_largest():
 # boundaries
 
 
-def dump(mode: str, cells, labels, end: str = "\r\n", texts=None) -> str:
+def dump(mode: str, cells, labels, end: str = "\r\n") -> str:
     """The text ``dump_lines`` gives for the cells, joined."""
-    return "".join(v.dump_lines(mode, cells, labels, end, {} if texts is None else texts))
+    return "".join(v.dump_lines(mode, cells, labels, end))
 
 
 def dump_per_path(mode: str, cells, n_paths: int) -> str:
@@ -443,7 +443,7 @@ def test_signs_json_and_dump_lines():
         ("float", [[NAN, math.inf, -0.0, 0.1, -math.inf, 0.0, 1e-300, 2.5],
                    [-0.0, NAN, math.inf, -math.inf], [NAN, -0.0], [-math.inf],
                    # zeros of both signs, NaNs and a nonzero value repeated
-                   # across the rows of one dump, which share their texts
+                   # across the rows of one file, which share their texts
                    [0.0, -0.0, NAN, 0.1], [-0.0, 0.0], [0.1, NAN], [0.0], [-0.0]]),
         ("rational", [[F(1, 3**40), F(-7, 10**30), F(0), F(5, 2)],
                       [F(-2**70 + 1, 2**70), F(1)], [F(10**40, 7)], [F(k, 9) for k in range(8)],
@@ -518,15 +518,14 @@ def test_dump_lines_formats_each_distinct_nonzero_entry_once(monkeypatch):
 
     monkeypatch.setitem(v.BACKENDS, "float", dataclasses.replace(backend, format=counted))
     labels = [f"{i}," for i in range(16)]
-    texts = {}
     rows = [[0.1, 0.2, 0.0, 0.1], [0.2, -0.0], SPECIAL[3:] + [0.1], [0.1] * 16]
-    for first in range(2):  # two files of one dump share the texts
-        got = dump("float", [(f"{first}{k},", row) for k, row in enumerate(rows)], labels,
-                   texts=texts)
+    distinct = sorted(map(repr, {x for row in rows for x in row if x}))
+    for first in range(2):  # each file keeps its own texts
+        calls.clear()
+        got = dump("float", [(f"{first}{k},", row) for k, row in enumerate(rows)], labels)
         assert got == dump_per_path("float", [(f"{first}{k},", row)
                                               for k, row in enumerate(rows)], 16)
-    nonzero = [x for x in calls if x != 0]
-    assert sorted(map(repr, nonzero)) == sorted(map(repr, {x for row in rows for x in row if x}))
+        assert sorted(repr(x) for x in calls if x != 0) == distinct
 
 
 @settings(max_examples=60, deadline=None)
