@@ -33,9 +33,11 @@ from .drbsde import (
     DivergenceError,
     NotAFixedPointError,
     SolutionSeptuple,
+    _kill_terminal,
     assemble_solution,
     minimality_check,
     mokobodzki_certificate,
+    picard_coupled,
     random_nonneg_pss,
     shift_barriers,
     solve_driver_process,
@@ -58,7 +60,6 @@ from .processes import (
     sup_distance,
     validate_integrand,
 )
-from .reports import RunReport
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
 from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce, snell_envelope_slots
 from .verify import verify_drbsde_solution
@@ -202,22 +203,20 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
     report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     _dump_solution(out_dir, sol, g)
     dump_space_json(scenario.space, str(out_dir / "space.json"))
-    run = RunReport(
-        mode="solve",
-        scenario=config.name,
-        digest=config.digest(),
-        arithmetic=config.arithmetic,
-        exit_code=EXIT_OK if report.passed else EXIT_VERIFY,
-        y0=_y0(sol.y),
-        norms=_norms(sol, config),
-        verification=report,
-        trace=trace,
-        timings={"wall_seconds": time.time() - t0},
-    )
-    (out_dir / "report.json").write_text(run.to_json() + "\n", encoding="utf-8")
+    exit_code = EXIT_OK if report.passed else EXIT_VERIFY
+    _write_json(out_dir / "report.json", {
+        "mode": "solve", "scenario": config.name, "digest": config.digest(),
+        "arithmetic": config.arithmetic, "exit_code": exit_code, "y0": _y0(sol.y),
+        "norms": _norms(sol, config), "verification": report.to_json_dict(), "trace": trace,
+        "timings": {"wall_seconds": time.time() - t0}})
     print(f"[{config.name}] solve: {'PASS' if report.passed else 'FAIL'} "
           f"(max residual {report.max_residual:g})")
-    return run.exit_code
+    return exit_code
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """A report: sorted keys, one space of indent, a final newline."""
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
 def _y0(y: LadlagProcess):
@@ -396,8 +395,6 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     except SnellEnumerationError as exc:
         raise ConfigError(f"oracle mode: {exc}") from None
     sol, g, _ = _solve_scenario(scenario)
-    from .drbsde import _kill_terminal
-
     tol = v.gate(space.mode, 1e-9)
     xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
     mismatches = []
@@ -428,16 +425,13 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
             mismatches.append(f"{name}: fixed point vs recursion differ by {d_fix:g}")
     doc = {"scenario": config.name, "digest": config.digest(), "mismatches": mismatches,
            "pass": not mismatches}
-    (out_dir / "oracle_report.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(out_dir / "oracle_report.json", doc)
     print(f"[{config.name}] oracle: {'PASS' if not mismatches else 'FAIL'}")
     return EXIT_OK if not mismatches else EXIT_ORACLE
 
 
 def _picard_from_solution(scenario: Scenario, g: list):
     """The shifted barriers, and the Picard oracle's (J, Jbar) for them."""
-    from .drbsde import picard_coupled
-
     xi_t, zeta_t = shift_barriers(scenario.barriers, g)
     cfg = scenario.config
     j, jbar, _ = picard_coupled(xi_t, zeta_t, tol=cfg.params.tol, max_iter=cfg.params.max_iter,
@@ -482,8 +476,7 @@ def _run_estimate(config: ScenarioConfig, out_dir: Path, pairs: int) -> int:
             violations += 1
     doc = {"scenario": config.name, "pairs": pairs, "violations": violations,
            "grid_headroom": headroom, "results": rows}
-    (out_dir / "estimate_report.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(out_dir / "estimate_report.json", doc)
     print(f"[{config.name}] estimate: {pairs} pairs, {violations} violations")
     return EXIT_OK if violations == 0 else EXIT_VERIFY
 
@@ -516,8 +509,7 @@ def _run_formula_check(args, out_dir: Path) -> int:
         rep = galchouk_lenglart_check(comps, poly)
         worst = max(worst, rep.max_deviation)
     doc = {"trials": count, "max_deviation": worst, "pass": worst == 0.0}
-    (out_dir / "formula_report.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(out_dir / "formula_report.json", doc)
     print(f"formula-check: {count} trials, max deviation {worst:g}")
     return EXIT_OK if worst == 0.0 else EXIT_VERIFY
 
@@ -551,8 +543,7 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
            "sandwich_deviation": sandwich_dev, "minimality": ok_min, "pass": ok,
            "h0": float(v.entries(h.mid_rows[0])[0]),
            "hbar0": float(v.entries(hbar.mid_rows[0])[0])}
-    (out_dir / "certificate.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    _write_json(out_dir / "certificate.json", doc)
     print(f"[{config.name}] certificate: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 

@@ -3,10 +3,11 @@
 A scenario is a JSON document with top-level ``"schema": 1`` describing the
 grid, the filtration marks, the two barriers, the driver and the solver
 parameters.  ``config_from_dict`` is the one place where a document is read
-and checked.  ``BARRIERS`` and ``DRIVERS`` are the one statement of which
-parameters each barrier and driver kind takes, their defaults, and the reader
-that parses and checks each of them; a malformed value is a ``ConfigError``
-naming its cell before any space is built.  Everything downstream (space
+and checked.  The grid, each mark, the solver parameters and each barrier and
+driver kind (``BARRIERS``, ``DRIVERS``) are read through one table each: the
+one statement of the keys a section takes, their defaults, and the reader that
+parses and checks each of them.  A malformed value is a ``ConfigError`` naming
+its cell before any space is built.  Everything downstream (space
 construction, barrier realization, solving, reporting) is a pure function of
 the resulting ``ScenarioConfig`` plus its seed, so a digest of the canonical
 JSON identifies a run.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any
 
@@ -37,46 +38,6 @@ class ConfigError(ValueError):
     def __init__(self, message: str, cell: str | None = None):
         super().__init__(message if cell is None else f"{message} [at {cell}]")
         self.cell = cell
-
-
-def _as_fraction(x: Any, where: str) -> Fraction:
-    try:
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            return Fraction(x).limit_denominator(10**12)
-        if isinstance(x, Fraction):
-            return x
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"cannot parse rational: {x!r} ({exc})", where) from exc
-    raise ConfigError(f"cannot parse rational: {x!r}", where)
-
-
-def _as_int(x: Any, where: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ConfigError(f"expected an integer, got {x!r}", where)
-    return x
-
-
-def _as_count(x: Any, where: str) -> int:
-    n = _as_int(x, where)
-    if n < 1:
-        raise ConfigError(f"expected an integer >= 1, got {n}", where)
-    return n
-
-
-def _as_float(x: Any, where: str) -> float:
-    if not isinstance(x, bool):
-        try:
-            f = float(x)
-        except (TypeError, ValueError):
-            pass
-        else:
-            if math.isfinite(f):
-                return f
-    raise ConfigError(f"expected a finite number, got {x!r}", where)
 
 
 def _expect(x: Any, kind: type, where: str) -> Any:
@@ -124,7 +85,45 @@ class MarkSpec:
 
 
 # ---------------------------------------------------------------------------
-# barrier and driver parameters: each reader is called as read(value, cell, N)
+# readers: each is called as read(value, cell, N); one that does not use N
+# takes it as 0 when it is left out
+
+
+def _rational(x: Any, where: str, n: int = 0) -> Fraction:
+    """A grid or mark number: a JSON float is read as the nearest rational
+    with a denominator of at most 10^12.  A JSON boolean is not a number."""
+    try:
+        if isinstance(x, (str, Fraction)) or type(x) is int:
+            return Fraction(x)
+        if isinstance(x, float):
+            return Fraction(x).limit_denominator(10**12)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:  # OverflowError: an infinity
+        raise ConfigError(f"cannot parse rational: {x!r} ({exc})", where) from exc
+    raise ConfigError(f"cannot parse rational: {x!r}", where)
+
+
+def _integer(x: Any, where: str, n: int = 0) -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ConfigError(f"expected an integer, got {x!r}", where)
+    return x
+
+
+def _count(x: Any, where: str, n: int = 0) -> int:
+    if (val := _integer(x, where)) < 1:
+        raise ConfigError(f"expected an integer >= 1, got {val}", where)
+    return val
+
+
+def _finite(x: Any, where: str, n: int = 0) -> float:
+    if not isinstance(x, bool):
+        try:
+            f = float(x)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(f):
+                return f
+    raise ConfigError(f"expected a finite number, got {x!r}", where)
 
 
 def _number(x: Any, where: str, n: int = 0) -> Fraction:
@@ -183,16 +182,32 @@ def _side(x: Any, where: str, n: int) -> dict:
     return _read_params(x, _SIDE, where, n)
 
 
-def _atoms(x: Any, where: str) -> list[Fraction]:
+def _atoms(x: Any, where: str, n: int = 0) -> list[Fraction]:
     return _list(x, where, None)
 
 
+def _labels(x: Any, where: str, n: int = 0) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(s, str) for s in x) or len(set(x)) != len(x):
+        raise ConfigError(f"labels must be a list of distinct strings, got {x!r}", where)
+    return tuple(x)
+
+
+def _probs(x: Any, where: str, n: int = 0) -> tuple[Fraction, ...]:
+    return tuple(_list(x, where, None, _rational))
+
+
+def _mark(x: Any, where: str, n: int = 0) -> MarkSpec:
+    return MarkSpec(**_read_params(x, _MARK, where, n))
+
+
+# Each section or kind: {parameter: (default, reader)}.  A default is read like
+# a written value; a parameter whose reader rejects None has no default.
+_GRID = {"N": (None, _count), "T": (1, _rational)}
+_MARK = {"instant": (None, _integer), "labels": (None, _labels), "probs": ([], _probs)}
 _SIDE = {"mid": (None, _rows(1, _atoms)),
          "minus": (None, _optional(_rows(1, _atoms))),
          "plus": (None, _optional(_rows(0, _atoms)))}
 
-# Each kind: {parameter: (default, reader)}.  A default is read like a written
-# value; a parameter whose reader rejects None has no default.
 BARRIERS = {
     "constant": {"value": (0, _number), "upper_gap": (0, _nonnegative)},
     "deterministic": {"lower": (None, _rows(1)), "upper": (None, _rows(1))},
@@ -235,6 +250,12 @@ class SolverParams:
     max_iter: int | None = None  # Picard oracle cap; None -> 10 * N * path_count
     max_outer: int = 50
     divergence_bound: float = 1e9  # Picard oracle sup-norm bound
+
+
+# each solver parameter: its field's default, read by the reader of its type
+_PARAMS = {f.name: (f.default, {"float": _finite, "int": _count,
+                                "int | None": _optional(_count)}[f.type])
+           for f in fields(SolverParams)}
 
 
 @dataclass(frozen=True)
@@ -304,21 +325,10 @@ class ScenarioConfig:
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "grid": {"N": self.n_steps, "T": str(self.t_horizon)},
-            "marks": [
-                {"instant": m.instant, "labels": list(m.labels), "probs": [str(p) for p in m.probs]}
-                for m in self.marks
-            ],
+            "marks": _jsonable([asdict(m) for m in self.marks]),
             "barriers": {"kind": self.barriers.kind, "params": _jsonable(self.barriers.params)},
             "driver": {"kind": self.driver.kind, "params": _jsonable(self.driver.params)},
-            "params": {
-                "beta": self.params.beta,
-                "eps": self.params.eps,
-                "c": self.params.c,
-                "tol": self.params.tol,
-                "max_iter": self.params.max_iter,
-                "max_outer": self.params.max_outer,
-                "divergence_bound": self.params.divergence_bound,
-            },
+            "params": asdict(self.params),
             "arithmetic": self.arithmetic,
             "seed": self.seed,
         }
@@ -341,20 +351,6 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def _mark_spec(m: Any, i: int) -> MarkSpec:
-    m = _section(m, ("instant", "labels", "probs"), f"marks[{i}]")
-    labels = m.get("labels")
-    if (not isinstance(labels, list) or not all(isinstance(s, str) for s in labels)
-            or len(set(labels)) != len(labels)):
-        raise ConfigError(f"labels must be a list of distinct strings, got {labels!r}",
-                          f"marks[{i}].labels")
-    return MarkSpec(
-        instant=_as_int(m.get("instant"), f"marks[{i}].instant"),
-        labels=tuple(labels),
-        probs=tuple(_as_fraction(p, f"marks[{i}].probs") for p in m.get("probs", ())),
-    )
-
-
 def _section(x: Any, keys, where: str) -> dict:
     """``x`` as a dict whose every key is one of ``keys``: an unknown key is
     an error naming it under ``where`` (bare at the top level, "")."""
@@ -369,47 +365,32 @@ def _section(x: Any, keys, where: str) -> dict:
 _SCENARIO_KEYS = ("schema", "name", "grid", "marks", "barriers", "driver", "params",
                   "arithmetic", "seed")
 _KIND_KEYS = ("kind", "params")
-_PARAMS_KEYS = tuple(f.name for f in fields(SolverParams))
 
 
 def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
     doc = _expect(doc, dict, "document")
-    if doc.get("schema") != SCHEMA_VERSION:
+    if type(doc.get("schema")) is not int or doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema {doc.get('schema')!r}", "schema")
     _section(doc, _SCENARIO_KEYS, "")
-    grid = _section(doc.get("grid") or {}, ("N", "T"), "grid")
-    n_steps = _as_count(grid.get("N"), "grid.N")
-    t_horizon = _as_fraction(grid.get("T", 1), "grid.T")
-    marks = _expect(doc.get("marks", []), list, "marks")
-    marks = tuple(_mark_spec(m, i) for i, m in enumerate(marks))
-    b = _section(doc.get("barriers") or {}, _KIND_KEYS, "barriers")
-    d = _section(doc.get("driver") or {"kind": "zero"}, _KIND_KEYS, "driver")
-    p = _section(doc.get("params") or {}, _PARAMS_KEYS, "params")
-    params = SolverParams(
-        beta=_as_float(p.get("beta", 5.0), "params.beta"),
-        eps=_as_float(p.get("eps", 0.5), "params.eps"),
-        c=_as_float(p.get("c", 2.0), "params.c"),
-        tol=_as_float(p.get("tol", 0.0), "params.tol"),
-        max_iter=None if p.get("max_iter") is None else _as_count(p["max_iter"], "params.max_iter"),
-        max_outer=_as_count(p.get("max_outer", 50), "params.max_outer"),
-        divergence_bound=_as_float(p.get("divergence_bound", 1e9), "params.divergence_bound"),
-    )
+    grid = _read_params(doc.get("grid", {}), _GRID, "grid", 0)
+    b = _section(doc.get("barriers", {}), _KIND_KEYS, "barriers")
+    d = _section(doc.get("driver", {}), _KIND_KEYS, "driver")
     cfg = ScenarioConfig(
-        name=str(doc.get("name", "scenario")),
-        n_steps=n_steps,
-        t_horizon=t_horizon,
-        marks=marks,
+        name=_expect(doc.get("name", "scenario"), str, "name"),
+        n_steps=grid["N"],
+        t_horizon=grid["T"],
+        marks=tuple(_list(doc.get("marks", []), "marks", None, _mark)),
         barriers=KindSpec(kind=b.get("kind", "constant"),
                           params=dict(_expect(b.get("params", {}), dict, "barriers.params"))),
         driver=KindSpec(kind=d.get("kind", "zero"),
                         params=dict(_expect(d.get("params", {}), dict, "driver.params"))),
-        params=params,
+        params=SolverParams(**_read_params(doc.get("params", {}), _PARAMS, "params", 0)),
         arithmetic=str(doc.get("arithmetic", "float")),
-        seed=_as_int(doc.get("seed", 0), "seed"),
+        seed=_integer(doc.get("seed", 0), "seed"),
     )
     cfg.validate()  # the grid and its size cap before a table expands to N entries
-    cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", n_steps),
-                  driver=_read_kind(cfg.driver, DRIVERS, "driver", n_steps))
+    cfg = replace(cfg, barriers=_read_kind(cfg.barriers, BARRIERS, "barriers", cfg.n_steps),
+                  driver=_read_kind(cfg.driver, DRIVERS, "driver", cfg.n_steps))
     if cfg.arithmetic == "float":
         _check_float(cfg.barriers.values, "barriers")
     # in both modes: the linear driver's K and Lipschitz probe are floats, and

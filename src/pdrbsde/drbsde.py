@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import values as v
+from .config import SolverParams
 from .prob_space import FilteredSpace, cond_expect
 from .processes import (
     LadlagProcess,
@@ -216,7 +217,7 @@ def picard_coupled(
     tol: float = 0.0,
     max_iter: int | None = None,
     order: str = "jacobi",
-    divergence_bound: float = 1e9,
+    divergence_bound: float = SolverParams.divergence_bound,
 ) -> tuple[LadlagProcess, LadlagProcess, PicardTrace]:
     """Monotone iteration from zero for the coupled reflected system.
 

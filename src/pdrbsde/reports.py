@@ -1,9 +1,9 @@
-"""Verification and run reports: per-condition residuals, machine-readable."""
+"""Verification reports: per-condition residuals, machine-readable."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from . import values as v
@@ -95,36 +95,3 @@ class ConditionRows:
             max_residual=top,
             worst_cell=f"{label},path={i}" if top != 0 else None,
         )
-
-
-@dataclass
-class RunReport:
-    mode: str
-    scenario: str
-    digest: str
-    arithmetic: str
-    exit_code: int = 0
-    y0: Any = None
-    norms: dict = field(default_factory=dict)
-    verification: VerificationReport | None = None
-    trace: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
-            "mode": self.mode,
-            "scenario": self.scenario,
-            "digest": self.digest,
-            "arithmetic": self.arithmetic,
-            "exit_code": self.exit_code,
-            "y0": self.y0,
-            "norms": self.norms,
-            "trace": self.trace,
-            "timings": self.timings,
-        }
-        if self.verification is not None:
-            doc["verification"] = self.verification.to_json_dict()
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)

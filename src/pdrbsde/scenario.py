@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
 from . import values as v
-from .config import ConfigError, ScenarioConfig, config_from_dict
+from .config import ConfigError, ScenarioConfig, SolverParams, config_from_dict
 from .drbsde import BarrierPair
 from .driver_solver import LinearDriver
 from .prob_space import FilteredSpace, Partition, build_space, on_paths
@@ -300,8 +300,7 @@ def generate_corpus(seed: int, count: int, out_dir: str | Path) -> list[Path]:
             "marks": tpl["marks"],
             "barriers": tpl["barriers"],
             "driver": tpl["driver"],
-            "params": {"beta": 5.0, "eps": 0.5, "c": 2.0, "tol": 0.0,
-                       "max_iter": None, "max_outer": 50, "divergence_bound": 1e9},
+            "params": asdict(SolverParams()),
             "arithmetic": "rational",
             "seed": seed * 10_000 + i,
         }
@@ -323,8 +322,7 @@ def estimate_template(seed: int) -> dict:
         "barriers": {"kind": "random",
                      "params": {"scale": "2", "left_jumps": "free", "right_jumps": "free"}},
         "driver": {"kind": "table", "params": {"scale": "1"}},
-        "params": {"beta": 5.0, "eps": 0.5, "c": 2.0, "tol": 0.0,
-                   "max_iter": None, "max_outer": 50, "divergence_bound": 1e9},
+        "params": asdict(SolverParams()),
         "arithmetic": "float",
         "seed": seed,
     }

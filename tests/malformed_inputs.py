@@ -225,6 +225,22 @@ CASES = {
     "max_outer_negative": config("params.max_outer", template(1), at("params", max_outer=-3)),
     "barrier_params_list": config("barriers.params", template(1), at("barriers", params=[1, 2])),
     "driver_params_list": config("driver.params", template(1), at("driver", params=["a"])),
+    # a present section is read as written: one that is not an object is refused
+    "params_empty_string": config("params", template(1), at(params="")),
+    "params_null": config("params", template(1), at(params=None)),
+    "driver_false": config("driver", template(1), at(driver=False)),
+    "barriers_list": config("barriers", template(1), at(barriers=[])),
+    "grid_zero": config("grid", template(1), at(grid=0)),
+    # a JSON boolean is not a number, nor a schema version; a name is a string
+    "grid_t_bool": config("grid.T", template(0), at("grid", T=True)),
+    "mark_prob_bool": config("marks[0].probs[0]", template(1), at("marks", 0, probs=[True])),
+    "schema_bool": config("schema", template(1), at(schema=True)),
+    "name_object": config("name", template(1), at(name={"a": 1})),
+    "probs_scalar": config("marks[0].probs", template(1), at("marks", 0, probs=5)),
+    # JSON's Infinity has no rational
+    "grid_t_infinity": config("grid.T", template(0), at("grid", T=math.inf)),
+    "mark_prob_infinity": config("marks[0].probs[0]", template(1),
+                                 at("marks", 0, probs=[math.inf, "2/3"])),
     "constant_value_string": config("barriers.value", template(0),
                                     at("barriers", "params", value="x")),
     "constant_value_nan": config("barriers.value", template(0),

@@ -24,6 +24,7 @@ from pdrbsde.calculus_checks import (
 )
 from pdrbsde.config import config_from_dict, load_config
 from pdrbsde.drbsde import (
+    _certificate_side,
     mokobodzki_certificate,
     minimality_check,
     picard_coupled,
@@ -38,6 +39,7 @@ from pdrbsde.processes import (
     p_add,
     p_sub,
     sup_distance,
+    zero_process,
 )
 from pdrbsde.scenario import estimate_template, generate_corpus, perturb_driver, realize
 from pdrbsde.snell import pre_operator, snell_bruteforce
@@ -253,6 +255,30 @@ def test_criterion_8_mokobodzki_and_minimality(corpus):
             ), rec.config.name
     _line(8, "mokobodzki necessity and minimality", True,
           f"{len(corpus)} certificates, 10 dominating pairs each")
+
+
+def test_criterion_8_minimality_against_the_reflectors_potentials(corpus, float_corpus):
+    """A dominating pair not built from J: the potentials of the solution's
+    own reflectors, R = H - P and Rbar = Hbar - Pbar, where P and Pbar are
+    the certificate's sides with zero reflectors.  The minimal pair lies
+    below them in both arithmetics, and equals them in rational mode.  Each
+    record's g is the driver process its solution was assembled with, so a
+    linear driver's run is an exact fixed point here too."""
+    for rec in corpus + float_corpus:
+        sc, g = rec.scenario, rec.g
+        space, xi_end = sc.space, sc.barriers.xi.mid_rows[-1]
+        h, hbar = mokobodzki_certificate(sc.barriers, g, solution=rec.solution)
+        none = zero_process(space)
+        p = _certificate_side(space, v.pos_part(xi_end), [v.pos_part(x) for x in g], none, none)
+        pbar = _certificate_side(space, v.neg_part(xi_end), [v.neg_part(x) for x in g], none, none)
+        r, rbar = p_sub(h, p), p_sub(hbar, pbar)
+        xi_t, zeta_t = shift_barriers(sc.barriers, g)
+        j, jbar, _ = picard_coupled(xi_t, zeta_t)
+        assert minimality_check(j, jbar, r, rbar, xi_t, zeta_t), rec.config.name
+        if space.mode == "rational":
+            assert sup_distance(j, r) == 0 == sup_distance(jbar, rbar), rec.config.name
+    _line(8, "minimality against the reflectors' potentials", True,
+          f"{len(corpus)} scenarios in each arithmetic")
 
 
 def test_criterion_9_contraction(corpus):
