@@ -38,7 +38,7 @@ from .drbsde import (
     minimality_check,
     mokobodzki_certificate,
     picard_coupled,
-    random_nonneg_pss,
+    potential,
     shift_barriers,
     solve_driver_process,
 )
@@ -411,18 +411,11 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
         d = v.max_magnitude(map(v.sub, sol.z, oracle.z))
         if d > gate:
             mismatches.append(f"z: solution vs picard differ by {d:g}")
-    for name, barrier, target in (
-        ("lower", _kill_terminal(p_add(jbar, xi_t)), j),
-        ("upper", _kill_terminal(p_sub(j, zeta_t)), jbar),
-    ):
-        dp = snell_envelope_slots(barrier)
-        brute = snell_bruteforce(barrier)
-        d_oracle = float(sup_distance(dp, brute))
-        d_fix = float(sup_distance(dp, target))
-        if d_oracle > tol:
-            mismatches.append(f"{name}: dynamic program vs enumeration differ by {d_oracle:g}")
-        if d_fix > tol:
-            mismatches.append(f"{name}: fixed point vs recursion differ by {d_fix:g}")
+    for name, barrier in (("lower", _kill_terminal(p_add(jbar, xi_t))),
+                          ("upper", _kill_terminal(p_sub(j, zeta_t)))):
+        d = float(sup_distance(snell_envelope_slots(barrier), snell_bruteforce(barrier)))
+        if d > tol:
+            mismatches.append(f"{name}: dynamic program vs enumeration differ by {d:g}")
     doc = {"scenario": config.name, "digest": config.digest(), "mismatches": mismatches,
            "pass": not mismatches}
     _write_json(out_dir / "oracle_report.json", doc)
@@ -523,22 +516,23 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     sol, g, _ = _solve_scenario(scenario)
     h, hbar = mokobodzki_certificate(scenario.barriers, g, solution=sol)
     xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
-    ok_min = minimality_check(
-        j, jbar,
-        p_add(j, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}"))),
-        p_add(jbar, random_nonneg_pss(scenario.space, random.Random(f"mini:{config.seed}"))),
-        xi_t, zeta_t,
-    )
+    # minimality against the potentials of the solution's own reflectors: the
+    # minimal pair lies below them and, being minimal, reaches them
+    space, min_tol = scenario.space, _gate_tol(scenario)
+    zeros = [space.zero()] * space.n_steps
+    r = potential(space, space.zero(), zeros, sol.a, sol.b)
+    rbar = potential(space, space.zero(), zeros, sol.a_prime, sol.b_prime)
+    ok_min = (minimality_check(j, jbar, r, rbar, xi_t, zeta_t, min_tol)
+              and max(sup_distance(j, r), sup_distance(jbar, rbar)) <= min_tol)
     ok_pss = (is_predictable_strong_supermartingale(h)
               and is_predictable_strong_supermartingale(hbar))
-    tol = _gate_tol(scenario, float_tol=1e-9)
     diff = p_sub(h, hbar)
     sandwich_dev = 0.0
-    for k in range(scenario.space.n_steps + 1):
+    for k in range(space.n_steps + 1):
         lows = v.sub(scenario.barriers.xi.mid_rows[k], diff.mid_rows[k])
         highs = v.sub(diff.mid_rows[k], scenario.barriers.zeta.mid_rows[k])
         sandwich_dev = v.max_float(sandwich_dev, (lows, highs))
-    ok = ok_pss and ok_min and sandwich_dev <= tol
+    ok = ok_pss and ok_min and sandwich_dev <= _gate_tol(scenario, float_tol=1e-9)
     doc = {"scenario": config.name, "supermartingales": ok_pss,
            "sandwich_deviation": sandwich_dev, "minimality": ok_min, "pass": ok,
            "h0": float(v.entries(h.mid_rows[0])[0]),

@@ -1,16 +1,16 @@
 """Doubly reflected solver: one backward Dynkin sweep, with Picard as its oracle.
 
 Production path for a driver given as a process (no (y,z) dependence):
-``dynkin_recursion`` runs one backward sweep of the pinch rule
+``solve_driver_process`` runs one backward sweep of the pinch rule
 Y = (pY+ v xi) ^ zeta on the slot grid (Neveu's discrete Dynkin-game
 recursion).  The sweep gives Y and Z; M, A, A', B and B' are read off Y,
-each summed from the sweep's increment rows on first read.
-``solve_driver_process`` runs it, and the outer loop for Lipschitz drivers
-calls it once per outer step.  The a-priori estimate reads only Y, Z and
-M, and the outer loop only Y and Z, so neither sums a reflector.
+each summed from the sweep's increment rows on first read.  The outer loop
+for Lipschitz drivers calls it once per outer step.  The a-priori estimate
+reads only Y, Z and M, and the outer loop only Y and Z, so neither sums a
+reflector.
 
 Oracle path (``--mode oracle``, ``--mode certificate`` and the tests), the
-paper's construction:
+paper's construction, on one backward ``potential`` sweep:
 
 1. ``shift_barriers``: subtract the plain predictable part
    X_k = E[xi_N + dt * sum_{j>=k} g_j | sigma_minus[k]] from both barriers;
@@ -31,13 +31,14 @@ Both paths give identical components in rational mode.
 definition, the component classes included, and is the acceptance oracle for
 either.
 Inputs are checked where they enter: ``BarrierPair`` checks itself when it is
-built, and ``solve_driver_process`` checks the driver.
+built.  The driver process is built on the atoms of sigma_mid by ``realize``,
+``LinearDriver.freeze`` and ``perturb_driver``, and ``--mode verify`` checks a
+dumped one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import values as v
 from .config import SolverParams
@@ -54,7 +55,6 @@ from .processes import (
     rebased,
     running_sum,
     sup_distance,
-    validate_integrand,
     validate_process,
     zero_process,
 )
@@ -163,20 +163,31 @@ _ROW_OF = {"m": "m_jumps", "a": "drift", "a_prime": "drift", "b": "gap", "b_prim
 # shifted barriers
 
 
-def plain_part(space: FilteredSpace, terminal, g: list) -> LadlagProcess:
-    """X_t = E[terminal + int_t^T g ds | F_{t^-}] on the slot grid.
+def potential(space: FilteredSpace, terminal, g: list, a=None, b=None) -> LadlagProcess:
+    """E[terminal + int_k^T g + (A_T - A_k) + (B_{T^-} - B_{k^-}) | F_{k^-}] on the slot grid.
 
-    X has no left jumps (X_{k^-} = X_k); its right jump at k is the mark
-    revelation E[. | sigma_mid[k]] - E[. | sigma_minus[k]].
+    Without reflectors it is the plain part X: no left jumps (X_{k^-} = X_k),
+    and its right jump at k is the mark revelation E[. | sigma_mid[k]] -
+    E[. | sigma_minus[k]].  With them, the left limit adds A's left jump.
     """
+    return _potential(space, _tails(space, terminal, g), a, b)
+
+
+def _potential(space: FilteredSpace, tails: list, a=None, b=None) -> LadlagProcess:
     n = space.n_steps
-    mid, plus = [], []
-    stacks = _tails(space, terminal, g)
+    minus, mid, plus = [], [], []
     for k in range(n + 1):
-        mid.append(cond_expect(space, stacks[k], space.sigma_minus[k]))
+        core = core_plus = tails[k]
+        if a is not None:
+            a_rest = v.sub(a.mid_rows[n], a.mid_rows[k])
+            core = v.add(tails[k], v.add(a_rest, v.sub(b.minus_rows[n], b.minus_rows[k])))
+            if k < n:
+                core_plus = v.add(tails[k], v.add(a_rest, v.sub(b.minus_rows[n], b.mid_rows[k])))
+        mid.append(cond_expect(space, core, space.sigma_minus[k]))
+        minus.append(mid[k] if a is None or k == 0 else v.add(mid[k], a.left_jump(k)))
         if k < n:
-            plus.append(cond_expect(space, stacks[k], space.sigma_mid[k]))
-    return from_slots(space, mid, mid, plus)
+            plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
+    return from_slots(space, minus, mid, plus)
 
 
 def _tails(space: FilteredSpace, terminal, g: list) -> list:
@@ -188,13 +199,14 @@ def _tails(space: FilteredSpace, terminal, g: list) -> list:
 
 
 def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, LadlagProcess]:
-    """Subtract the plain part; both shifted barriers vanish at the terminal instant.
+    """Subtract the plain part; both shifted barriers vanish at the terminal instant."""
+    return _shifted(barriers, potential(barriers.xi.space, barriers.xi.mid_rows[-1], g))
 
-    The terminal slot is zero by construction (the terminal value is its own
-    conditional expectation); it is pinned to exact zero so float rounding on
-    non-dyadic weights cannot leak into the iteration.
-    """
-    x = plain_part(barriers.xi.space, barriers.xi.mid_rows[-1], g)
+
+def _shifted(barriers: BarrierPair, x: LadlagProcess) -> tuple[LadlagProcess, LadlagProcess]:
+    """The barriers less x, with the terminal slot pinned to exact zero (it is
+    zero by construction, and the pin keeps float rounding on non-dyadic
+    weights out of the iteration)."""
     return _kill_terminal(p_sub(barriers.xi, x)), _kill_terminal(p_sub(barriers.zeta, x))
 
 
@@ -292,29 +304,22 @@ def assemble_solution(
     barriers: BarrierPair,
 ) -> SolutionSeptuple:
     """Build the full solution from a converged pair (J, Jbar)."""
-    space = j.space
-    tol = v.gate(space.mode, 1e-9)
-    xi_t, zeta_t = shift_barriers(barriers, g)
-    resid = fixed_point_residual(j, jbar, xi_t, zeta_t)
-    if resid > tol:
-        raise NotAFixedPointError(f"fixed-point residual {float(resid):g} above {tol:g}")
-
+    space, n = j.space, j.n_steps
+    tails = _tails(space, barriers.xi.mid_rows[-1], g)
+    x = _potential(space, tails)
+    xi_t, zeta_t = _shifted(barriers, x)
     q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t)))
     q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t)))
-
-    x = plain_part(space, barriers.xi.mid_rows[-1], g)
-    n = space.n_steps
-    dt = space.dt
-    s0 = barriers.xi.mid_rows[-1]
-    for k in range(n):
-        s0 = v.add(s0, v.smul(dt, g[k]))
-    z_plain, m_orth_plain = orthogonal_decompose(rebased(martingale_from_terminal(space, s0)))
-
+    tol = v.gate(space.mode, 1e-9)
+    resid = max(sup_distance(j, q_low.y), sup_distance(jbar, q_up.y))
+    if resid > tol:
+        raise NotAFixedPointError(f"fixed-point residual {float(resid):g} above {tol:g}")
+    # the plain part's martingale E[xi_N + int_0^T g | F_t], from the k = 0 tail
+    z_plain, m_orth_plain = orthogonal_decompose(
+        rebased(martingale_from_terminal(space, tails[0])))
     z_total = [v.add(v.sub(q_low.z[k], q_up.z[k]), z_plain[k]) for k in range(n)]
     m_total = p_add(p_sub(q_low.m, q_up.m), m_orth_plain)
-
     y = p_add(p_sub(j, jbar), x)
-
     a, a_prime = _jordan_reduce(q_low.a, q_up.a)
     b, b_prime = _jordan_reduce(q_low.b, q_up.b)
     return SolutionSeptuple(y=y, z=z_total, m=m_total, a=a, b=b, a_prime=a_prime, b_prime=b_prime)
@@ -342,7 +347,7 @@ def _jordan_reduce(p: LadlagProcess, q: LadlagProcess):
 # the one-pass Dynkin recursion (production path)
 
 
-def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
+def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     """Y and Z from one backward sweep of the pinch rule, the rest on first read.
 
     With clamp(x, lo, hi) = min(max(x, lo), hi):
@@ -367,9 +372,10 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
     A', B and B' when it is first read.  The a-priori estimate reads only Y,
     Z and M, and the outer loop only Y and Z, so neither sums a reflector.
 
-    The inputs are taken as checked (``BarrierPair`` and
-    ``solve_driver_process`` do that).  The outputs are not re-checked here:
-    ``verify_drbsde_solution`` holds them to their classes.
+    The inputs are taken as checked: ``BarrierPair`` checks the barriers, and
+    every driver process is built on the atoms of sigma_mid.  The outputs are
+    not re-checked here: ``verify_drbsde_solution`` holds them to their
+    classes.
     """
     xi, zeta = barriers.xi, barriers.zeta
     space, n = xi.space, xi.n_steps
@@ -399,12 +405,6 @@ def dynkin_recursion(barriers: BarrierPair, g: list) -> SolutionSeptuple:
                                        m_jumps, drift, gap)
 
 
-def solve_driver_process(barriers: BarrierPair, g: list) -> SolutionSeptuple:
-    """Check the driver process and solve with ``dynkin_recursion``."""
-    validate_integrand(barriers.xi.space, g, "g")
-    return dynkin_recursion(barriers, g)
-
-
 # ---------------------------------------------------------------------------
 # Mokobodzki certificates and minimality
 
@@ -423,29 +423,11 @@ def mokobodzki_certificate(
     """
     space = barriers.xi.space
     xi_term = barriers.xi.mid_rows[-1]
-    h = _certificate_side(space, v.pos_part(xi_term), [v.pos_part(gk) for gk in g],
-                          solution.a, solution.b)
-    hbar = _certificate_side(space, v.neg_part(xi_term), [v.neg_part(gk) for gk in g],
-                             solution.a_prime, solution.b_prime)
+    h = potential(space, v.pos_part(xi_term), [v.pos_part(gk) for gk in g],
+                  solution.a, solution.b)
+    hbar = potential(space, v.neg_part(xi_term), [v.neg_part(gk) for gk in g],
+                     solution.a_prime, solution.b_prime)
     return h, hbar
-
-
-def _certificate_side(space, terminal_part, g_part, a, b) -> LadlagProcess:
-    n = space.n_steps
-    tails = _tails(space, terminal_part, g_part)
-    a_end, b_end = a.mid_rows[n], b.minus_rows[n]
-    minus, mid, plus = [], [], []
-    for k in range(n + 1):
-        a_rest = v.sub(a_end, a.mid_rows[k])
-        core = v.add(tails[k], v.add(a_rest, v.sub(b_end, b.minus_rows[k])))
-        mid_k = cond_expect(space, core, space.sigma_minus[k])
-        mid.append(mid_k)
-        minus.append(v.add(mid_k, a.left_jump(k)))
-        if k < n:
-            core_plus = v.add(tails[k], v.add(a_rest, v.sub(b_end, b.mid_rows[k])))
-            plus.append(cond_expect(space, core_plus, space.sigma_mid[k]))
-    minus[0] = mid[0]
-    return from_slots(space, minus, mid, plus)
 
 
 def minimality_check(
@@ -455,10 +437,12 @@ def minimality_check(
     hbar: LadlagProcess,
     xi_t: LadlagProcess,
     zeta_t: LadlagProcess,
+    tol: float | None = None,
 ) -> bool:
-    """J <= H and Jbar <= Hbar slotwise, for any admissible dominating pair."""
+    """J <= H and Jbar <= Hbar slotwise, within ``tol`` (the float gate 1e-10
+    by default), for any admissible dominating pair."""
     space = j.space
-    tol = v.gate(space.mode, 1e-10)
+    tol = v.gate(space.mode, 1e-10) if tol is None else tol
     for proc, label in ((h, "H"), (hbar, "Hbar")):
         if not is_predictable_strong_supermartingale(proc):
             raise ProcessError(f"{label} is not a predictable strong supermartingale")
@@ -471,26 +455,3 @@ def minimality_check(
         if v.any_exceeds(diff.mid_rows[k], zeta_t.mid_rows[k], tol):
             raise ProcessError(f"H - Hbar above the upper shifted barrier at instant {k}")
     return not (_drops(h, j, tol) or _drops(hbar, jbar, tol))
-
-
-def random_nonneg_pss(space: FilteredSpace, rng) -> LadlagProcess:
-    """Random nonnegative predictable strong supermartingale, slack at every link."""
-    n = space.n_steps
-
-    def rand_nonneg(partition):
-        draws = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
-        return v.as_row(space.mode, draws)
-
-    mid: list = [None] * (n + 1)
-    minus: list = [None] * (n + 1)
-    plus: list = [None] * n
-    mid[n] = rand_nonneg(space.sigma_minus[n])
-    minus[n] = v.add(mid[n], rand_nonneg(space.sigma_minus[n]))
-    for k in range(n - 1, -1, -1):
-        plus[k] = v.add(cond_expect(space, minus[k + 1], space.sigma_mid[k]),
-                        rand_nonneg(space.sigma_mid[k]))
-        mid[k] = v.add(cond_expect(space, plus[k], space.sigma_minus[k]),
-                       rand_nonneg(space.sigma_minus[k]))
-        minus[k] = v.add(mid[k], rand_nonneg(space.sigma_minus[k]))
-    minus[0] = mid[0]
-    return from_slots(space, minus, mid, plus)

@@ -50,10 +50,10 @@ class SpaceError(ValueError):
     """Violation of a filtered-space construction invariant."""
 
 
-class Partition(Sequence):
+class Partition:
     """A partition of the paths into equal runs of consecutive paths, one
-    weight per run.  As a sequence it lists its atoms, each a tuple of path
-    indices, so it compares equal to the same atoms given as tuples."""
+    weight per run.  Iterating it lists its atoms, each a tuple of path
+    indices."""
 
     __slots__ = ("row", "n_paths")
 
@@ -64,19 +64,9 @@ class Partition(Sequence):
     def __len__(self) -> int:
         return len(self.row)
 
-    def __getitem__(self, j: int) -> tuple:
-        size = self.n_paths // len(self)
-        start = range(0, self.n_paths, size)[j]
-        return tuple(range(start, start + size))
-
     def __iter__(self):
         size = self.n_paths // len(self)
         return (tuple(range(j, j + size)) for j in range(0, self.n_paths, size))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and tuple(self) == tuple(other)
 
     def __repr__(self) -> str:
         return f"Partition({len(self)} atoms of {self.n_paths} paths)"

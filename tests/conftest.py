@@ -137,6 +137,33 @@ def random_martingale(space, rng, scale=Fraction(1)):
     return proc
 
 
+def random_nonneg_pss(space, rng):
+    """Random nonnegative predictable strong supermartingale, slack at every link."""
+    from pdrbsde import values as v
+    from pdrbsde.processes import from_slots
+    from pdrbsde.prob_space import cond_expect
+
+    n = space.n_steps
+
+    def rand_nonneg(partition):
+        draws = [Fraction(rng.randint(0, 8), 4) for _ in range(len(partition))]
+        return v.as_row(space.mode, draws)
+
+    mid: list = [None] * (n + 1)
+    minus: list = [None] * (n + 1)
+    plus: list = [None] * n
+    mid[n] = rand_nonneg(space.sigma_minus[n])
+    minus[n] = v.add(mid[n], rand_nonneg(space.sigma_minus[n]))
+    for k in range(n - 1, -1, -1):
+        plus[k] = v.add(cond_expect(space, minus[k + 1], space.sigma_mid[k]),
+                        rand_nonneg(space.sigma_mid[k]))
+        mid[k] = v.add(cond_expect(space, plus[k], space.sigma_minus[k]),
+                       rand_nonneg(space.sigma_minus[k]))
+        minus[k] = v.add(mid[k], rand_nonneg(space.sigma_minus[k]))
+    minus[0] = mid[0]
+    return from_slots(space, minus, mid, plus)
+
+
 def picard_solution(barriers, g, order="jacobi"):
     """The Picard oracle's solution of a process-driver problem: shift the
     barriers, iterate in ``order`` to exact stabilization, assemble."""
@@ -367,7 +394,7 @@ def stopping_rule_count(space) -> int:
     """Number of slot-grid predictable stopping rules from time zero."""
     from pdrbsde.snell import _partition_at, _positions, _rule_counts
 
-    root = _partition_at(space, _positions(space.n_steps)[0])[0]
+    root = next(iter(_partition_at(space, _positions(space.n_steps)[0])))
     return _rule_counts(space)[(0, root)]
 
 

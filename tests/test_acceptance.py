@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import is_quasi_left_continuous, picard_solution
+from conftest import is_quasi_left_continuous, picard_solution, random_nonneg_pss
 from pdrbsde import values as v
 from pdrbsde.calculus_checks import (
     apriori_estimate_check,
@@ -24,11 +24,10 @@ from pdrbsde.calculus_checks import (
 )
 from pdrbsde.config import config_from_dict, load_config
 from pdrbsde.drbsde import (
-    _certificate_side,
-    mokobodzki_certificate,
     minimality_check,
+    mokobodzki_certificate,
     picard_coupled,
-    random_nonneg_pss,
+    potential,
     shift_barriers,
     solve_driver_process,
 )
@@ -39,7 +38,6 @@ from pdrbsde.processes import (
     p_add,
     p_sub,
     sup_distance,
-    zero_process,
 )
 from pdrbsde.scenario import estimate_template, generate_corpus, perturb_driver, realize
 from pdrbsde.snell import pre_operator, snell_bruteforce
@@ -259,19 +257,17 @@ def test_criterion_8_mokobodzki_and_minimality(corpus):
 
 def test_criterion_8_minimality_against_the_reflectors_potentials(corpus, float_corpus):
     """A dominating pair not built from J: the potentials of the solution's
-    own reflectors, R = H - P and Rbar = Hbar - Pbar, where P and Pbar are
-    the certificate's sides with zero reflectors.  The minimal pair lies
-    below them in both arithmetics, and equals them in rational mode.  Each
-    record's g is the driver process its solution was assembled with, so a
-    linear driver's run is an exact fixed point here too."""
+    own reflectors, R = E[(A_T - A) + (B_{T^-} - B_-) | F_-] and Rbar from A'
+    and B'.  The minimal pair lies below them in both arithmetics, and equals
+    them in rational mode.  Each record's g is the driver process its solution
+    was assembled with, so a linear driver's run is an exact fixed point here
+    too."""
     for rec in corpus + float_corpus:
-        sc, g = rec.scenario, rec.g
-        space, xi_end = sc.space, sc.barriers.xi.mid_rows[-1]
-        h, hbar = mokobodzki_certificate(sc.barriers, g, solution=rec.solution)
-        none = zero_process(space)
-        p = _certificate_side(space, v.pos_part(xi_end), [v.pos_part(x) for x in g], none, none)
-        pbar = _certificate_side(space, v.neg_part(xi_end), [v.neg_part(x) for x in g], none, none)
-        r, rbar = p_sub(h, p), p_sub(hbar, pbar)
+        sc, g, sol = rec.scenario, rec.g, rec.solution
+        space = sc.space
+        zeros = [space.zero()] * space.n_steps
+        r = potential(space, space.zero(), zeros, sol.a, sol.b)
+        rbar = potential(space, space.zero(), zeros, sol.a_prime, sol.b_prime)
         xi_t, zeta_t = shift_barriers(sc.barriers, g)
         j, jbar, _ = picard_coupled(xi_t, zeta_t)
         assert minimality_check(j, jbar, r, rbar, xi_t, zeta_t), rec.config.name

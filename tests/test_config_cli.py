@@ -259,6 +259,26 @@ class TestCliModes:
         report = json.loads((out / "certificate.json").read_text())
         assert report["pass"] is True
 
+    def test_certificate_minimality_fails_above_the_potentials(self, tmp_path, monkeypatch):
+        """A Picard pair 1e-30 above the minimal one lies above the potentials
+        of the solution's reflectors: the certificate fails with exit 4."""
+        from pdrbsde import cli
+        from pdrbsde.processes import constant_process, p_add
+
+        picard = cli._picard_from_solution
+
+        def raised(scenario, g):
+            xi_t, zeta_t, j, jbar = picard(scenario, g)
+            c = constant_process(scenario.space, Fraction(1, 10**30))
+            return xi_t, zeta_t, p_add(j, c), p_add(jbar, c)
+
+        monkeypatch.setattr(cli, "_picard_from_solution", raised)
+        cfg = write_scenario(tmp_path, template_doc(2, seed=19))
+        out = tmp_path / "c"
+        assert main(["--mode", "certificate", "--config", str(cfg), "--out", str(out)]) == 4
+        report = json.loads((out / "certificate.json").read_text())
+        assert report["minimality"] is False and report["supermartingales"] is True
+
     def test_corpus_mode_and_fanout(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert main(["--mode", "corpus", "--count", "3", "--out", str(corpus), "--seed", "2"]) == 0
@@ -321,16 +341,17 @@ class TestCliModes:
         assert (out / "scenario_000" / "report.json").exists()
         assert (out / "scenario_002" / "report.json").exists()
 
-    def test_run_errors_map_to_exit_codes(self, tmp_path, capsys):
-        """A Picard oracle stopped early by params.tol fails the certificate
-        (exit 4) and the oracle (exit 5)."""
+    def test_run_errors_map_to_exit_codes(self, tmp_path):
+        """A Picard oracle stopped early by params.tol fails the certificate's
+        minimality (exit 4) and the oracle (exit 5)."""
         path = generate_corpus(0, 5, tmp_path / "corpus")[4]
         doc = json.loads(path.read_text())
         doc["params"]["tol"] = 100
         path.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["--config", str(path), "--out", str(tmp_path / "o")]
         assert main(["--mode", "certificate", *argv]) == 4
-        assert "verification failure: H - Hbar" in capsys.readouterr().err
+        report = json.loads((tmp_path / "o" / "certificate.json").read_text())
+        assert report["minimality"] is False and report["pass"] is False
         assert main(["--mode", "oracle", *argv]) == 5
         report = json.loads((tmp_path / "o" / "oracle_report.json").read_text())
         assert report["mismatches"][0].startswith("picard: fixed-point residual")

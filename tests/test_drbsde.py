@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_config, mutually_singular, rand_on, random_predictable
+from conftest import (
+    make_config,
+    mutually_singular,
+    rand_on,
+    random_nonneg_pss,
+    random_predictable,
+)
 from pdrbsde import values as v
 from pdrbsde.prob_space import on_paths
 from pdrbsde.drbsde import (
@@ -19,8 +25,7 @@ from pdrbsde.drbsde import (
     minimality_check,
     mokobodzki_certificate,
     picard_coupled,
-    plain_part,
-    random_nonneg_pss,
+    potential,
     shift_barriers,
     solve_driver_process,
 )
@@ -104,7 +109,7 @@ class TestShiftBarriers:
         rng = random.Random(7)
         xi = random_predictable(space_8, rng)
         g = [space_8.constant(F(1, 2)), space_8.constant(F(-1, 4))]  # linear-in-time table
-        x = plain_part(space_8, xi.mid[-1], g)
+        x = potential(space_8, xi.mid[-1], g)
         dt = space_8.dt
         for k in range(3):
             for atom in space_8.sigma_minus[k]:
@@ -205,7 +210,7 @@ class TestAssemble:
         rng = random.Random(15)
         g = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
         term = rand_on(space_16, space_16.sigma_minus[2], rng)
-        x = plain_part(space_16, term, g)
+        x = potential(space_16, term, g)
         wide = constant_process(space_16, 50)
         pair = BarrierPair(
             xi=_with_terminal(p_sub(x, wide), term),
@@ -314,7 +319,7 @@ class TestMarkAtTimeZero:
             seed=3,
         )
         sc = realize(cfg)
-        assert len(sc.space.sigma_mid[0]) == 2 and sc.space.sigma_minus[0] == (
+        assert len(sc.space.sigma_mid[0]) == 2 and tuple(sc.space.sigma_minus[0]) == (
             tuple(range(sc.space.n_paths)),)
         sol = solve_driver_process(sc.barriers, sc.g_rows)
         rep = verify_drbsde_solution(sc.g_rows, sc.barriers, sol)
@@ -399,7 +404,7 @@ class TestMokobodzki:
         rng = random.Random(31)
         term = rand_on(space_8, space_8.sigma_minus[2], rng)
         g = [space_8.zero()] * 2
-        x = plain_part(space_8, term, g)
+        x = potential(space_8, term, g)
         wide = constant_process(space_8, 30)
         pair = BarrierPair(
             xi=_with_terminal(p_sub(x, wide), term),

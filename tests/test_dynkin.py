@@ -25,7 +25,7 @@ from conftest import picard_solution
 from pdrbsde import cli
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict, load_config
-from pdrbsde.drbsde import SolutionSeptuple, dynkin_recursion, solve_driver_process
+from pdrbsde.drbsde import SolutionSeptuple, solve_driver_process
 from pdrbsde.driver_solver import solve_general
 from pdrbsde.processes import sup_distance, validate_integrand, validate_process
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
@@ -77,9 +77,8 @@ def test_rational_corpus_matches_picard_exactly(corpus_configs, monkeypatch):
                 assert sol == oracle, (cfg.name, order)
                 assert trace.iterations == oracle_trace.iterations, (cfg.name, order)
             continue
-        sol = dynkin_recursion(sc.barriers, sc.g_rows)
+        sol = solve_driver_process(sc.barriers, sc.g_rows)
         _check_classes(sol)
-        assert solve_driver_process(sc.barriers, sc.g_rows) == sol
         for order in ORDERS:
             assert sol == picard_solution(sc.barriers, sc.g_rows, order), (cfg.name, order)
     assert linear == 10
@@ -93,7 +92,7 @@ def test_float_corpus_matches_picard(corpus_configs, monkeypatch):
             sol, _ = _solve_general(sc, monkeypatch)
             oracle, _ = _solve_general(sc, monkeypatch, "jacobi")
         else:
-            sol = dynkin_recursion(sc.barriers, sc.g_rows)
+            sol = solve_driver_process(sc.barriers, sc.g_rows)
             oracle = picard_solution(sc.barriers, sc.g_rows)
         _check_classes(sol)
         worst = max(worst, _gap(sol, oracle))
@@ -128,12 +127,12 @@ def test_components_read_in_any_order_are_equal(corpus_configs):
         sc = realize(cfg)
         if sc.has_general_driver:
             continue
-        at_once = dynkin_recursion(sc.barriers, sc.g_rows)
+        at_once = solve_driver_process(sc.barriers, sc.g_rows)
         given = SolutionSeptuple(y=at_once.y, z=at_once.z,
                                  **{c: getattr(at_once, c) for c in SUMMED})
         orders = [SUMMED[::-1], random.Random(cfg.name).sample(SUMMED, len(SUMMED))]
         for order in orders:
-            sol = dynkin_recursion(sc.barriers, sc.g_rows)
+            sol = solve_driver_process(sc.barriers, sc.g_rows)
             for c in order:
                 assert getattr(sol, c) == getattr(given, c), (cfg.name, order, c)
             assert sol == given == at_once, (cfg.name, order)
@@ -142,7 +141,7 @@ def test_components_read_in_any_order_are_equal(corpus_configs):
 
 def test_each_sweep_row_is_dropped_after_its_last_reader(corpus_configs):
     sc = realize(corpus_configs[0])
-    sol = dynkin_recursion(sc.barriers, sc.g_rows)
+    sol = solve_driver_process(sc.barriers, sc.g_rows)
     rows = vars(sol)["_rows"]
     assert sorted(rows) == ["drift", "gap", "m_jumps"] and not _summed(sol)
     for read, kept in (("a", {"drift", "gap", "m_jumps"}),

@@ -14,6 +14,7 @@ from conftest import (
     MARK_HALF,
     make_space,
     rand_on,
+    random_nonneg_pss,
     random_predictable,
     set_cell,
     stopping_rule_count,
@@ -140,16 +141,12 @@ class TestOperatorProperties:
                 assert all(a >= b for a, b in zip(y.plus[k], xi.plus[k]))
 
     def test_idempotent_on_supermartingales(self, space_8):
-        from pdrbsde.drbsde import random_nonneg_pss
-
         rng = random.Random(16)
         for _ in range(5):
             h = random_nonneg_pss(space_8, rng)
             assert sup_distance(snell_envelope_slots(h), h) == 0
 
     def test_minimality_against_random_dominators(self, space_8):
-        from pdrbsde.drbsde import random_nonneg_pss
-
         rng = random.Random(18)
         xi = random_predictable(space_8, rng)
         y = snell_envelope_slots(xi)
