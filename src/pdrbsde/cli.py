@@ -31,7 +31,6 @@ from .calculus_checks import (
 from .config import ConfigError, ScenarioConfig, config_from_dict, load_config
 from .drbsde import (
     DivergenceError,
-    NotAFixedPointError,
     SolutionSeptuple,
     _kill_terminal,
     assemble_solution,
@@ -61,7 +60,7 @@ from .processes import (
     validate_integrand,
 )
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
-from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce, snell_envelope_slots
+from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce
 from .verify import verify_drbsde_solution
 
 EXIT_OK = 0
@@ -387,7 +386,8 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
 
 def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     """The production solution against the Picard oracle's, and the oracle's
-    dynamic program against the stopping-rule enumeration."""
+    pair, the dynamic program's envelopes of its barriers, against the
+    stopping-rule enumeration's."""
     scenario = realize(config)
     space = scenario.space
     try:
@@ -395,25 +395,21 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
     except SnellEnumerationError as exc:
         raise ConfigError(f"oracle mode: {exc}") from None
     sol, g, _ = _solve_scenario(scenario)
-    tol = v.gate(space.mode, 1e-9)
-    xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
+    xi_t, zeta_t, x, j, jbar = _picard_from_solution(scenario, g)
+    oracle = assemble_solution(j, jbar, x, g, scenario.barriers)
     mismatches = []
-    try:
-        oracle = assemble_solution(j, jbar, g, scenario.barriers)
-    except NotAFixedPointError as exc:
-        mismatches.append(f"picard: {exc}")
-    else:
-        gate = _gate_tol(scenario, float_tol=1e-9)
-        for name in _COMPONENTS.values():
-            d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
-            if d > gate:
-                mismatches.append(f"{name}: solution vs picard differ by {d:g}")
-        d = v.max_magnitude(map(v.sub, sol.z, oracle.z))
+    gate = _gate_tol(scenario, float_tol=1e-9)
+    for name in _COMPONENTS.values():
+        d = float(sup_distance(getattr(sol, name), getattr(oracle, name)))
         if d > gate:
-            mismatches.append(f"z: solution vs picard differ by {d:g}")
-    for name, barrier in (("lower", _kill_terminal(p_add(jbar, xi_t))),
-                          ("upper", _kill_terminal(p_sub(j, zeta_t)))):
-        d = float(sup_distance(snell_envelope_slots(barrier), snell_bruteforce(barrier)))
+            mismatches.append(f"{name}: solution vs picard differ by {d:g}")
+    d = v.max_magnitude(map(v.sub, sol.z, oracle.z))
+    if d > gate:
+        mismatches.append(f"z: solution vs picard differ by {d:g}")
+    tol = v.gate(space.mode, 1e-9)
+    for name, envelope, barrier in (("lower", j, _kill_terminal(p_add(jbar, xi_t))),
+                                    ("upper", jbar, _kill_terminal(p_sub(j, zeta_t)))):
+        d = float(sup_distance(envelope, snell_bruteforce(barrier)))
         if d > tol:
             mismatches.append(f"{name}: dynamic program vs enumeration differ by {d:g}")
     doc = {"scenario": config.name, "digest": config.digest(), "mismatches": mismatches,
@@ -424,12 +420,13 @@ def _run_oracle(config: ScenarioConfig, out_dir: Path) -> int:
 
 
 def _picard_from_solution(scenario: Scenario, g: list):
-    """The shifted barriers, and the Picard oracle's (J, Jbar) for them."""
-    xi_t, zeta_t = shift_barriers(scenario.barriers, g)
-    cfg = scenario.config
-    j, jbar, _ = picard_coupled(xi_t, zeta_t, tol=cfg.params.tol, max_iter=cfg.params.max_iter,
-                                divergence_bound=cfg.params.divergence_bound)
-    return xi_t, zeta_t, j, jbar
+    """The shifted barriers, the plain part they were shifted by, and the
+    Picard oracle's (J, Jbar) for them."""
+    xi_t, zeta_t, x = shift_barriers(scenario.barriers, g)
+    params = scenario.config.params
+    j, jbar, _ = picard_coupled(xi_t, zeta_t, max_iter=params.max_iter,
+                                divergence_bound=params.divergence_bound)
+    return xi_t, zeta_t, x, j, jbar
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     scenario = realize(config)
     sol, g, _ = _solve_scenario(scenario)
     h, hbar = mokobodzki_certificate(scenario.barriers, g, solution=sol)
-    xi_t, zeta_t, j, jbar = _picard_from_solution(scenario, g)
+    xi_t, zeta_t, _, j, jbar = _picard_from_solution(scenario, g)
     # minimality against the potentials of the solution's own reflectors: the
     # minimal pair lies below them and, being minimal, reaches them
     space, min_tol = scenario.space, _gate_tol(scenario)

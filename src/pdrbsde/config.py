@@ -244,8 +244,8 @@ class SolverParams:
     beta: float = 5.0
     eps: float = 0.5
     c: float = 2.0
-    # outer-loop tolerance (floored at 1e-12) and the Picard oracle's stopping
-    # tolerance (0 means iterate to exact stabilization)
+    # outer-loop tolerance (floored at 1e-12); the Picard oracle always runs
+    # to exact stabilization
     tol: float = 0.0
     max_iter: int | None = None  # Picard oracle cap; None -> 10 * N * path_count
     max_outer: int = 50

@@ -14,17 +14,18 @@ paper's construction, on one backward ``potential`` sweep:
 
 1. ``shift_barriers``: subtract the plain predictable part
    X_k = E[xi_N + dt * sum_{j>=k} g_j | sigma_minus[k]] from both barriers;
-   the shifted pair has terminal value zero.
+   the shifted pair has terminal value zero, and X comes back with it.
 2. ``picard_coupled``: monotone iteration from zero on the coupled system
    J = Pre[(Jbar + xi~) 1_{[0,T)}], Jbar = Pre[(J - zeta~) 1_{[0,T)}].
    Iterates are slotwise nondecreasing and, on a finite space, stabilize
-   exactly in both arithmetic backends.
-3. ``assemble_solution``: Y = J - Jbar + X; the martingale part sums the two
-   Mertens martingales and the plain part's martingale, then splits into
-   (Z, M) by orthogonal decomposition; the raw reflectors from the two
-   Mertens decompositions are replaced by their cellwise Jordan reduction,
-   which preserves A - A' and B - B' and makes the increment supports
-   disjoint.
+   exactly in both arithmetic backends; the loop stops only there, so the
+   pair it returns is a fixed point by construction.
+3. ``assemble_solution``: Y = J - Jbar + X; the martingale part sums the
+   Mertens martingales of J and Jbar themselves and X's martingale, then
+   splits into (Z, M) by orthogonal decomposition; the raw reflectors from
+   the two Mertens decompositions are replaced by their cellwise Jordan
+   reduction, which preserves A - A' and B - B' and makes the increment
+   supports disjoint.
 
 Both paths give identical components in rational mode.
 ``verify.verify_drbsde_solution`` re-checks every clause of the solution
@@ -58,7 +59,7 @@ from .processes import (
     validate_process,
     zero_process,
 )
-from .snell import pre_operator, snell_envelope_slots
+from .snell import decompose, snell_envelope_slots
 
 # Kept only because bench/tracing.py wraps the verifier by this module.
 from .verify import verify_drbsde_solution  # noqa: F401
@@ -66,10 +67,6 @@ from .verify import verify_drbsde_solution  # noqa: F401
 
 class DivergenceError(RuntimeError):
     """Picard iteration exceeded its cap or bound: no discrete certificate."""
-
-
-class NotAFixedPointError(ValueError):
-    """assemble_solution was handed iterates that do not solve the system."""
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class PicardTrace:
     converged: bool = False
     deltas: list = field(default_factory=list)
     monotone_violations: int = 0
-    fixed_point_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,7 @@ def potential(space: FilteredSpace, terminal, g: list, a=None, b=None) -> Ladlag
     and its right jump at k is the mark revelation E[. | sigma_mid[k]] -
     E[. | sigma_minus[k]].  With them, the left limit adds A's left jump.
     """
-    return _potential(space, _tails(space, terminal, g), a, b)
-
-
-def _potential(space: FilteredSpace, tails: list, a=None, b=None) -> LadlagProcess:
-    n = space.n_steps
+    n, tails = space.n_steps, _tails(space, terminal, g)
     minus, mid, plus = [], [], []
     for k in range(n + 1):
         core = core_plus = tails[k]
@@ -198,16 +190,15 @@ def _tails(space: FilteredSpace, terminal, g: list) -> list:
     return tails[::-1]
 
 
-def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, LadlagProcess]:
-    """Subtract the plain part; both shifted barriers vanish at the terminal instant."""
-    return _shifted(barriers, potential(barriers.xi.space, barriers.xi.mid_rows[-1], g))
+def shift_barriers(barriers: BarrierPair, g: list) -> tuple[LadlagProcess, ...]:
+    """(xi~, zeta~, X): the barriers less the plain part X, and X itself.
 
-
-def _shifted(barriers: BarrierPair, x: LadlagProcess) -> tuple[LadlagProcess, LadlagProcess]:
-    """The barriers less x, with the terminal slot pinned to exact zero (it is
-    zero by construction, and the pin keeps float rounding on non-dyadic
-    weights out of the iteration)."""
-    return _kill_terminal(p_sub(barriers.xi, x)), _kill_terminal(p_sub(barriers.zeta, x))
+    Both shifted barriers vanish at the terminal instant: the terminal slot is
+    pinned to exact zero (it is zero by construction, and the pin keeps float
+    rounding on non-dyadic weights out of the iteration).
+    """
+    x = potential(barriers.xi.space, barriers.xi.mid_rows[-1], g)
+    return _kill_terminal(p_sub(barriers.xi, x)), _kill_terminal(p_sub(barriers.zeta, x)), x
 
 
 def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
@@ -226,18 +217,20 @@ def _kill_terminal(proc: LadlagProcess) -> LadlagProcess:
 def picard_coupled(
     xi_t: LadlagProcess,
     zeta_t: LadlagProcess,
-    tol: float = 0.0,
     max_iter: int | None = None,
     order: str = "jacobi",
     divergence_bound: float = SolverParams.divergence_bound,
 ) -> tuple[LadlagProcess, LadlagProcess, PicardTrace]:
     """Monotone iteration from zero for the coupled reflected system.
 
-    ``tol = 0`` iterates to exact stabilization (reached in finitely many
+    Iterates to exact stabilization (delta == 0), reached in finitely many
     steps on a finite space in either backend, since the iterates are
-    monotone and bounded).  ``order`` is "jacobi" (both updates from the
-    previous pair) or "gauss-seidel" (Jbar update sees the fresh J); both
-    converge to the same minimal solution.
+    monotone and bounded (DivergenceError past ``max_iter``).  There the last
+    iterate repeats its predecessor, so the returned pair solves the system
+    exactly: J = Snell(kill(Jbar + xi~)), Jbar = Snell(kill(J - zeta~)).
+    ``order`` is "jacobi" (both updates from the previous pair) or
+    "gauss-seidel" (Jbar update sees the fresh J); both converge to the same
+    minimal solution.
     """
     space, n = xi_t.space, xi_t.n_steps
     slack = space.slack
@@ -266,21 +259,12 @@ def picard_coupled(
             raise DivergenceError(
                 f"iterate sup-norm {sup:g} exceeded {divergence_bound:g} after {it} iterations"
             )
-        if delta <= tol:
+        if delta == 0:
             trace.converged = True
-            break
-    if not trace.converged:
-        raise DivergenceError(
-            f"no convergence within {max_iter} iterations (last delta {trace.deltas[-1]:g})"
-        )
-    trace.fixed_point_residual = float(fixed_point_residual(j, jbar, xi_t, zeta_t))
-    return j, jbar, trace
-
-
-def fixed_point_residual(j, jbar, xi_t, zeta_t):
-    r1 = sup_distance(j, snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t))))
-    r2 = sup_distance(jbar, snell_envelope_slots(_kill_terminal(p_sub(j, zeta_t))))
-    return max(r1, r2)
+            return j, jbar, trace
+    raise DivergenceError(
+        f"no convergence within {max_iter} iterations (last delta {trace.deltas[-1]:g})"
+    )
 
 
 def _drops(new: LadlagProcess, old: LadlagProcess, tol=0) -> bool:
@@ -300,23 +284,17 @@ def _sup_norm(proc: LadlagProcess):
 def assemble_solution(
     j: LadlagProcess,
     jbar: LadlagProcess,
+    x: LadlagProcess,
     g: list,
     barriers: BarrierPair,
 ) -> SolutionSeptuple:
-    """Build the full solution from a converged pair (J, Jbar)."""
+    """The full solution from the pair ``picard_coupled`` returned (each the
+    envelope of its own barrier) and the plain part X ``shift_barriers`` took."""
     space, n = j.space, j.n_steps
-    tails = _tails(space, barriers.xi.mid_rows[-1], g)
-    x = _potential(space, tails)
-    xi_t, zeta_t = _shifted(barriers, x)
-    q_low = pre_operator(_kill_terminal(p_add(jbar, xi_t)))
-    q_up = pre_operator(_kill_terminal(p_sub(j, zeta_t)))
-    tol = v.gate(space.mode, 1e-9)
-    resid = max(sup_distance(j, q_low.y), sup_distance(jbar, q_up.y))
-    if resid > tol:
-        raise NotAFixedPointError(f"fixed-point residual {float(resid):g} above {tol:g}")
+    q_low, q_up = decompose(j), decompose(jbar)
     # the plain part's martingale E[xi_N + int_0^T g | F_t], from the k = 0 tail
     z_plain, m_orth_plain = orthogonal_decompose(
-        rebased(martingale_from_terminal(space, tails[0])))
+        rebased(martingale_from_terminal(space, _tails(space, barriers.xi.mid_rows[-1], g)[0])))
     z_total = [v.add(v.sub(q_low.z[k], q_up.z[k]), z_plain[k]) for k in range(n)]
     m_total = p_add(p_sub(q_low.m, q_up.m), m_orth_plain)
     y = p_add(p_sub(j, jbar), x)

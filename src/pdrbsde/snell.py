@@ -105,15 +105,20 @@ def snell_envelope_slots(barrier: LadlagProcess) -> LadlagProcess:
 
 
 def pre_operator(barrier: LadlagProcess) -> RbsdeQuintuple:
-    """Solve the one-barrier problem with driver 0 for a predictable barrier.
+    """Solve the one-barrier problem with driver 0 for a predictable barrier:
+    its Snell envelope, decomposed, meets both Skorokhod conditions.  The
+    barrier is not checked here (``validate_process`` does)."""
+    return decompose(snell_envelope_slots(barrier))
+
+
+def decompose(y: LadlagProcess) -> RbsdeQuintuple:
+    """The quintuple of a predictable strong supermartingale Y.
 
     Component extraction order: Mertens first (N, A, B), then the orthogonal
     decomposition of N into (Z, M).  The quintuple satisfies
-    Y_k = xi_N - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-}) + A_N - A_k
-    + B_{N^-} - B_{k^-} with zero residual, together with both Skorokhod
-    conditions.  The barrier is not checked here (``validate_process`` does).
+    Y_k = Y_N - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-}) + A_N - A_k
+    + B_{N^-} - B_{k^-} with zero residual.
     """
-    y = snell_envelope_slots(barrier)
     n_mart, a, b = mertens_decompose(y)
     z, m = orthogonal_decompose(rebased(n_mart))
     return RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b)

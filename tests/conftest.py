@@ -169,9 +169,23 @@ def picard_solution(barriers, g, order="jacobi"):
     barriers, iterate in ``order`` to exact stabilization, assemble."""
     from pdrbsde.drbsde import assemble_solution, picard_coupled, shift_barriers
 
-    xi_t, zeta_t = shift_barriers(barriers, g)
+    xi_t, zeta_t, x = shift_barriers(barriers, g)
     j, jbar, _ = picard_coupled(xi_t, zeta_t, order=order)
-    return assemble_solution(j, jbar, g, barriers)
+    return assemble_solution(j, jbar, x, g, barriers)
+
+
+def fixed_point_residual(j, jbar, xi_t, zeta_t):
+    """How far (J, Jbar) is from solving the coupled system: the sup distance
+    of each from the envelope of its barrier, built afresh.  ``picard_coupled``
+    stops only where this is exactly zero, and ``assemble_solution`` relies on
+    it."""
+    from pdrbsde.drbsde import _kill_terminal
+    from pdrbsde.processes import p_add, p_sub, sup_distance
+    from pdrbsde.snell import snell_envelope_slots
+
+    r1 = sup_distance(j, snell_envelope_slots(_kill_terminal(p_add(jbar, xi_t))))
+    r2 = sup_distance(jbar, snell_envelope_slots(_kill_terminal(p_sub(j, zeta_t))))
+    return max(r1, r2)
 
 
 def csv_writer_dump(out_dir, sol, g):

@@ -268,9 +268,9 @@ class TestCliModes:
         picard = cli._picard_from_solution
 
         def raised(scenario, g):
-            xi_t, zeta_t, j, jbar = picard(scenario, g)
+            xi_t, zeta_t, x, j, jbar = picard(scenario, g)
             c = constant_process(scenario.space, Fraction(1, 10**30))
-            return xi_t, zeta_t, p_add(j, c), p_add(jbar, c)
+            return xi_t, zeta_t, x, p_add(j, c), p_add(jbar, c)
 
         monkeypatch.setattr(cli, "_picard_from_solution", raised)
         cfg = write_scenario(tmp_path, template_doc(2, seed=19))
@@ -342,19 +342,58 @@ class TestCliModes:
         assert (out / "scenario_002" / "report.json").exists()
 
     def test_run_errors_map_to_exit_codes(self, tmp_path):
-        """A Picard oracle stopped early by params.tol fails the certificate's
-        minimality (exit 4) and the oracle (exit 5)."""
-        path = generate_corpus(0, 5, tmp_path / "corpus")[4]
-        doc = json.loads(path.read_text())
-        doc["params"]["tol"] = 100
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        """params.tol is the outer loop's tolerance only: the Picard oracle of
+        a table-driver scenario (no outer loop) runs to exact stabilization
+        whatever it says, so both oracle modes exit 0 at a large tol and write
+        the reports of tol 0, the config digest apart."""
+        cases = [(generate_corpus(seed, 5, tmp_path / f"corpus_{seed}")[4], tol)
+                 for seed, tol in ((0, 100), (3, 0.5), (3, 100))]
+        for path, tol in cases:
+            doc = json.loads(path.read_text())
+            assert doc["driver"]["kind"] == "table"
+            for arithmetic in ("rational", "float"):
+                reports = []
+                for t in (0, tol):
+                    doc["params"]["tol"] = t
+                    cfg = write_scenario(tmp_path, doc)
+                    out = tmp_path / "o" / f"{path.parent.name}_{arithmetic}_{t}"
+                    argv = ["--config", str(cfg), "--out", str(out), "--arithmetic", arithmetic]
+                    assert main(["--mode", "oracle", *argv]) == 0, (path, arithmetic, t)
+                    assert main(["--mode", "certificate", *argv]) == 0, (path, arithmetic, t)
+                    oracle = json.loads((out / "oracle_report.json").read_text())
+                    oracle.pop("digest")
+                    reports.append((oracle, json.loads((out / "certificate.json").read_text())))
+                assert reports[0] == reports[1], (path, arithmetic, tol)
+
+    def test_oracle_modes_build_each_envelope_once(self, tmp_path, monkeypatch):
+        """The Picard loop's 2 iterations build 4 envelopes, and the oracle
+        modes build no other: assembly decomposes the loop's pair and reuses
+        the shift's plain part, and the enumeration check reads the pair."""
+        from pdrbsde import cli, drbsde, snell
+
+        calls = {"snell_envelope_slots": 0, "potential": 0}
+        iterations = []
+        for module, name in ((snell, "snell_envelope_slots"), (drbsde, "snell_envelope_slots"),
+                             (drbsde, "potential"), (cli, "potential")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        picard = cli.picard_coupled
+
+        def traced(*args, **kwargs):
+            result = picard(*args, **kwargs)
+            iterations.append(result[2].iterations)
+            return result
+
+        monkeypatch.setattr(cli, "picard_coupled", traced)
+        path = generate_corpus(0, 3, tmp_path / "corpus")[2]
         argv = ["--config", str(path), "--out", str(tmp_path / "o")]
-        assert main(["--mode", "certificate", *argv]) == 4
-        report = json.loads((tmp_path / "o" / "certificate.json").read_text())
-        assert report["minimality"] is False and report["pass"] is False
-        assert main(["--mode", "oracle", *argv]) == 5
-        report = json.loads((tmp_path / "o" / "oracle_report.json").read_text())
-        assert report["mismatches"][0].startswith("picard: fixed-point residual")
+        assert main(["--mode", "oracle", *argv]) == 0
+        assert iterations == [2] and calls == {"snell_envelope_slots": 4, "potential": 1}
+        calls.update(snell_envelope_slots=0)
+        assert main(["--mode", "certificate", *argv]) == 0
+        assert iterations == [2, 2] and calls["snell_envelope_slots"] == 4
 
 
 def test_verify_fails_nan_in_float_dump(tmp_path):

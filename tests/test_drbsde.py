@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    fixed_point_residual,
     make_config,
     mutually_singular,
     rand_on,
@@ -19,9 +20,7 @@ from pdrbsde.prob_space import on_paths
 from pdrbsde.drbsde import (
     BarrierPair,
     DivergenceError,
-    NotAFixedPointError,
     SolutionSeptuple,
-    assemble_solution,
     minimality_check,
     mokobodzki_certificate,
     picard_coupled,
@@ -83,13 +82,13 @@ class TestShiftBarriers:
         )
         pair = BarrierPair(xi=xi, zeta=p_add(xi, constant_process(space_8, 0)))
         g = [space_8.zero() for _ in range(n)]
-        xi_t, _ = shift_barriers(pair, g)
+        xi_t, _, _ = shift_barriers(pair, g)
         assert is_zero(xi_t)
         assert all(all(x == 0 for x in xi_t.minus[k]) for k in range(n + 1))
 
     def test_constant_barrier_shifts_to_zero(self, space_8):
         pair = flat_pair(space_8, [space_8.constant(3)] * 3, [space_8.constant(3)] * 3)
-        xi_t, zeta_t = shift_barriers(pair, [space_8.zero()] * 2)
+        xi_t, zeta_t, _ = shift_barriers(pair, [space_8.zero()] * 2)
         assert is_zero(xi_t) and is_zero(zeta_t)
 
     def test_terminal_values_vanish(self, space_16):
@@ -100,7 +99,7 @@ class TestShiftBarriers:
         zeta_mid[-1] = list(xi.mid[-1])
         zeta = from_slots(space_16, zeta.minus, zeta_mid, zeta.plus)
         g = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
-        xi_t, zeta_t = shift_barriers(BarrierPair(xi=xi, zeta=zeta), g)
+        xi_t, zeta_t, _ = shift_barriers(BarrierPair(xi=xi, zeta=zeta), g)
         assert all(x == 0 for x in xi_t.mid[-1])
         assert all(x == 0 for x in zeta_t.mid[-1])
 
@@ -120,8 +119,9 @@ class TestShiftBarriers:
                     for i in atom
                 )
                 assert all(x.mid[k][i] == total / w for i in atom)
-        xi_t, _ = shift_barriers(BarrierPair(xi=xi, zeta=p_add(
+        xi_t, _, x_shift = shift_barriers(BarrierPair(xi=xi, zeta=p_add(
             xi, constant_process(space_8, 0))), g)
+        assert sup_distance(x_shift, x) == 0
         for k in range(3):
             assert v.eq(xi_t.mid[k], v.sub(xi.mid[k], x.mid[k]))
 
@@ -153,27 +153,11 @@ class TestPicard:
                 seed=rng.randint(0, 10**6),
             )
             sc = realize(cfg)
-            xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
+            xi_t, zeta_t, _ = shift_barriers(sc.barriers, sc.g_rows)
             j, jbar, trace = picard_coupled(xi_t, zeta_t)
             assert trace.converged
             assert trace.monotone_violations == 0
-            assert trace.fixed_point_residual == 0
-
-    def test_positive_tolerance_early_stop(self):
-        cfg = make_config(
-            2, "1/2",
-            marks=[{"instant": 1, "labels": ["a", "b"], "probs": ["1/2", "1/2"]}],
-            barriers={"kind": "random",
-                      "params": {"scale": "2", "left_jumps": "free", "right_jumps": "free",
-                                 "touching": True}},
-            arithmetic="float", seed=81,
-        )
-        sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
-        _, _, exact = picard_coupled(xi_t, zeta_t, tol=0.0)
-        _, _, loose = picard_coupled(xi_t, zeta_t, tol=1e-3)
-        assert loose.converged and loose.iterations <= exact.iterations
-        assert loose.fixed_point_residual <= 1e-3
+            assert fixed_point_residual(j, jbar, xi_t, zeta_t) == 0
 
     def test_iteration_cap_signals_divergence(self, space_16):
         cfg = make_config(
@@ -185,7 +169,7 @@ class TestPicard:
             seed=77,
         )
         sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
+        xi_t, zeta_t, _ = shift_barriers(sc.barriers, sc.g_rows)
         with pytest.raises(DivergenceError):
             picard_coupled(xi_t, zeta_t, max_iter=1)
 
@@ -220,13 +204,6 @@ class TestAssemble:
         assert sup_distance(sol.y, x) == 0
         for comp in (sol.a, sol.b, sol.a_prime, sol.b_prime):
             assert is_zero(comp)
-
-    def test_rejects_non_fixed_point(self, space_8):
-        pair = flat_pair(space_8, [space_8.constant(0)] * 3, [space_8.constant(0)] * 3)
-        g = [space_8.zero()] * 2
-        one = constant_process(space_8, 1)
-        with pytest.raises(NotAFixedPointError):
-            assemble_solution(one, one, g, pair)
 
     def test_random_scenarios_verify(self):
         rng = random.Random(19)
@@ -455,7 +432,7 @@ class TestMinimality:
             seed=seed,
         )
         sc = realize(cfg)
-        xi_t, zeta_t = shift_barriers(sc.barriers, sc.g_rows)
+        xi_t, zeta_t, _ = shift_barriers(sc.barriers, sc.g_rows)
         j, jbar, _ = picard_coupled(xi_t, zeta_t)
         return sc, xi_t, zeta_t, j, jbar
 
