@@ -519,8 +519,12 @@ def _run_certificate(config: ScenarioConfig, out_dir: Path) -> int:
     zeros = [space.zero()] * space.n_steps
     r = potential(space, space.zero(), zeros, sol.a, sol.b)
     rbar = potential(space, space.zero(), zeros, sol.a_prime, sol.b_prime)
-    ok_min = (minimality_check(j, jbar, r, rbar, xi_t, zeta_t, min_tol)
-              and max(sup_distance(j, r), sup_distance(jbar, rbar)) <= min_tol)
+    try:
+        ok_min = (minimality_check(j, jbar, r, rbar, xi_t, zeta_t, min_tol)
+                  and max(sup_distance(j, r), sup_distance(jbar, rbar)) <= min_tol)
+    except ProcessError as exc:  # the dominating pair is not admissible
+        print(f"[{config.name}] certificate: {exc}", file=sys.stderr)
+        ok_min = False
     ok_pss = (is_predictable_strong_supermartingale(h)
               and is_predictable_strong_supermartingale(hbar))
     diff = p_sub(h, hbar)

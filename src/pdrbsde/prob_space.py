@@ -55,14 +55,14 @@ class Partition:
     weight per run.  Iterating it lists its atoms, each a tuple of path
     indices."""
 
-    __slots__ = ("row", "n_paths")
+    __slots__ = ("row", "n_paths", "atoms")
 
     def __init__(self, row, n_paths: int) -> None:
         self.row = row  # the weights as a row: one probability per atom
-        self.n_paths = n_paths
+        self.n_paths, self.atoms = n_paths, len(row)
 
     def __len__(self) -> int:
-        return len(self.row)
+        return self.atoms
 
     def __iter__(self):
         size = self.n_paths // len(self)
@@ -249,7 +249,7 @@ def is_measurable(space: FilteredSpace, values: Sequence, partition: Partition) 
 
     A row no finer than the partition is, unless it holds a NaN: a NaN is
     unequal to itself, so it is measurable for no partition."""
-    return v.constant_on_blocks(values, len(partition), space.mode)
+    return v.constant_on_blocks(values, partition.atoms, space.mode)
 
 
 def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
@@ -273,34 +273,42 @@ def dump_space_json(space: FilteredSpace, path: str) -> None:
     of ``sigma_mid`` and ``sigma_minus`` as lists of path indices.
 
     The text is written in chunks of ``SPACE_JSON_CHUNK`` paths.  Each
-    distinct value's text is ``json.dumps`` of it, made once; each run of an
-    atom within a chunk is one join over the index texts of its paths."""
+    distinct value's text is ``json.dumps`` of it, made once, and a path
+    takes the texts of its atoms of the dW sign, mark and weight rows; each
+    run of an atom within a chunk is one join over the index texts of its
+    paths."""
     n_paths, chunk = space.n_paths, SPACE_JSON_CHUNK
 
-    def text(row: Sequence, prefix: str = "") -> list:
-        """The row on the paths as ``prefix`` and the JSON text of each entry,
-        made once per distinct entry: a row holds entries of one type, and
-        never a signed zero."""
+    def text(row: Sequence, prefix: str = "") -> tuple[list, int]:
+        """``prefix`` and the JSON text of each atom's entry, made once per
+        distinct entry (a row holds entries of one type, and never a signed
+        zero), and the paths of an atom."""
         memo = {}
-        return v.expand([memo[x] if x in memo else memo.setdefault(x, prefix + json.dumps(x))
-                         for x in row], n_paths)
+        return ([memo[x] if x in memo else memo.setdefault(x, prefix + json.dumps(x))
+                 for x in row], n_paths // len(row))
 
     index = [str(i) for i in range(n_paths)]
     signs = [text(v.signs(row)) for row in space.dw_rows]
     labels = {str(k): row for k, row in enumerate(space.mark_rows) if row is not None}
     marks = [text(labels[k], f"{json.dumps(k)}: ") for k in sorted(labels)]
-    weights = text(v.to_json(space.mode, space.weights))
+    weights = text(v.to_json(space.mode, space.sigma_mid[-1].row))[0]  # one atom per path
 
-    def items(cells: list, brackets: str) -> str:
-        if not cells:
+    def items(texts: Sequence, brackets: str) -> str:
+        if not texts:
             return brackets
-        return f"{brackets[0]}\n    " + ",\n    ".join(cells) + f"\n   {brackets[1]}"
+        return f"{brackets[0]}\n    " + ",\n    ".join(texts) + f"\n   {brackets[1]}"
 
-    def path_object(i: int) -> str:
-        return (f'  {{\n   "dw_signs": {items([s[i] for s in signs], "[]")},\n'
-                f'   "index": {index[i]},\n'
-                f'   "marks": {items([m[i] for m in marks], "{}")},\n'
-                f'   "weight": {weights[i]}\n  }}')
+    def path_objects(start: int, stop: int) -> str:
+        """The objects of paths start..stop-1: a column of texts per atom row
+        (N >= 1, so there is one), one tuple of them per path."""
+        paths, n_signs = range(start, stop), len(signs)
+        columns = [[texts[i // size] for i in paths] for texts, size in (*signs, *marks)]
+        return ",\n".join(
+            f'  {{\n   "dw_signs": {items(cells[:n_signs], "[]")},\n'
+            f'   "index": {index[i]},\n'
+            f'   "marks": {items(cells[n_signs:], "{}")},\n'
+            f'   "weight": {weights[i]}\n  }}'
+            for i, cells in zip(paths, zip(*columns)))
 
     def atoms(size: int, start: int, stop: int) -> str:
         """Paths start..stop-1 of a partition into atoms of ``size`` paths:
@@ -318,8 +326,7 @@ def dump_space_json(space: FilteredSpace, path: str) -> None:
         fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
                  f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
         for start in range(0, n_paths, chunk):
-            fh.write((",\n" if start else "") + ",\n".join(
-                map(path_object, range(start, min(start + chunk, n_paths)))))
+            fh.write((",\n" if start else "") + path_objects(start, min(start + chunk, n_paths)))
         for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
             fh.write(f'\n ],\n "{name}": [\n')
             for j, p in enumerate(parts):

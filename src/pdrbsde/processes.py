@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 from . import values as v
@@ -45,12 +46,6 @@ from .prob_space import FilteredSpace, cond_expect, is_measurable, on_paths
 
 KINDS = (
     "predictable",
-    "finite-variation-predictable",
-    "purely-discontinuous-predictable",
-    "cadlag-martingale",
-)
-
-_CADLAG_KINDS = (
     "finite-variation-predictable",
     "purely-discontinuous-predictable",
     "cadlag-martingale",
@@ -189,69 +184,81 @@ def sup_distance(a: LadlagProcess, b: LadlagProcess):
 
 
 def validate_process(proc: LadlagProcess, kind: str) -> None:
-    """Raise ``ProcessError`` unless ``proc`` lies in the class ``kind``."""
-    space, n = proc.space, proc.n_steps
+    """Raise ``ProcessError`` unless ``proc`` lies in the class ``kind``: the
+    first failure of the first check it fails (``class_failures``)."""
+    n = proc.n_steps
     if kind not in KINDS:
         raise ProcessError(f"unknown kind {kind!r}")
     if len(proc.minus_rows) != n + 1 or len(proc.mid_rows) != n + 1 or len(proc.plus_rows) != n:
         raise ProcessError("slot arrays have wrong lengths")
-
+    first: dict = {}
+    moves = kind != "predictable"  # its jumps and increments are checked
     for k in range(n + 1):
-        if not is_measurable(space, proc.minus_rows[k], space.sigma_minus[k]):
-            raise ProcessError(f"minus[{k}] not sigma_minus[{k}]-measurable")
-        if not is_measurable(space, proc.mid_rows[k], space.sigma_mid[k]):
-            raise ProcessError(f"mid[{k}] not sigma_mid[{k}]-measurable")
-        if k < n and not is_measurable(space, proc.plus_rows[k], space.sigma_mid[k]):
-            raise ProcessError(f"plus[{k}] not sigma_mid[{k}]-measurable")
+        found = class_failures(proc, kind, k, proc.left_jump(k) if moves else None)
+        if moves and k < n:
+            found = chain(found, increment_failures(proc, kind, k, proc.interval_increment(k)))
+        for check, text in found:
+            first.setdefault(check, text)
+    if first:
+        raise ProcessError(first[min(first)])
 
-    predictable_like = kind in (
-        "predictable",
-        "finite-variation-predictable",
-        "purely-discontinuous-predictable",
-    )
-    if predictable_like:
-        for k in range(n + 1):
-            if not is_measurable(space, proc.mid_rows[k], space.sigma_minus[k]):
-                raise ProcessError(f"mid[{k}] not sigma_minus[{k}]-measurable (predictable)")
 
-    if kind in _CADLAG_KINDS:
-        for k in range(n):
-            if not v.eq(proc.plus_rows[k], proc.mid_rows[k]):
-                raise ProcessError(f"cadlag violated at plus[{k}]")
-
+def class_failures(proc: LadlagProcess, kind: str, k: int, jump=None):
+    """``(check, message)`` of each check of the class ``kind`` that ``proc``
+    fails at instant k, on its slot rows (for B, plus[k] against minus[k+1])
+    and its left jump ``jump`` (not read for ``predictable``).  Checks are
+    numbered as ``validate_process`` runs them: it reports the first failure
+    of the lowest, instants in time order and slots minus, mid, plus."""
+    space, n = proc.space, proc.n_steps
+    minus, mid = proc.minus_rows[k], proc.mid_rows[k]
+    plus = proc.plus_rows[k] if k < n else None
+    if not is_measurable(space, minus, space.sigma_minus[k]):
+        yield 0, f"minus[{k}] not sigma_minus[{k}]-measurable"
+    if not is_measurable(space, mid, space.sigma_mid[k]):
+        yield 0, f"mid[{k}] not sigma_mid[{k}]-measurable"
+    if plus is not None and not is_measurable(space, plus, space.sigma_mid[k]):
+        yield 0, f"plus[{k}] not sigma_mid[{k}]-measurable"
+    if kind != "cadlag-martingale" and not is_measurable(space, mid, space.sigma_minus[k]):
+        yield 1, f"mid[{k}] not sigma_minus[{k}]-measurable (predictable)"
+    if kind != "predictable" and plus is not None and not (plus is mid or v.eq(plus, mid)):
+        yield 2, f"cadlag violated at plus[{k}]"
     if kind == "purely-discontinuous-predictable":
-        if v.any_nonzero(proc.minus_rows[0]):
-            raise ProcessError("B-class needs slot_minus[0] = 0")
-        for k in range(n):
-            if not v.eq(proc.minus_rows[k + 1], proc.plus_rows[k]):
-                raise ProcessError(f"B-class has interval variation on ({k},{k+1})")
-        for k in range(n + 1):
-            if v.any_negative(proc.left_jump(k)):
-                raise ProcessError(f"B-class jump negative at instant {k}")
+        if k == 0 and v.any_nonzero(minus):
+            yield 3, "B-class needs slot_minus[0] = 0"
+        if k < n and not (proc.minus_rows[k + 1] is plus or v.eq(proc.minus_rows[k + 1], plus)):
+            yield 4, f"B-class has interval variation on ({k},{k+1})"
+        if v.any_negative(jump):
+            yield 5, f"B-class jump negative at instant {k}"
     elif kind == "finite-variation-predictable":
-        if v.any_nonzero(proc.mid_rows[0]) or v.any_nonzero(proc.minus_rows[0]):
-            raise ProcessError("A-class needs A_0 = 0")
-        for k in range(n):
-            inc = proc.interval_increment(k)
-            if v.any_negative(inc):
-                raise ProcessError(f"A-class interval increment negative on ({k},{k+1})")
-            if not is_measurable(space, inc, space.sigma_minus[k + 1]):
-                raise ProcessError(f"A-class interval increment not sigma_minus[{k+1}]-measurable")
-        for k in range(n + 1):
-            jump = proc.left_jump(k)
-            if v.any_negative(jump):
-                raise ProcessError(f"A-class jump negative at instant {k}")
-            if not is_measurable(space, jump, space.sigma_minus[k]):
-                raise ProcessError(f"A-class jump not sigma_minus[{k}]-measurable")
-    else:
-        # predictable / martingale: no time before 0, so the left limit at 0
-        # is the value itself (martingales may carry a zero-mean jump at 0
-        # when a mark lives there).
-        if kind != "cadlag-martingale" and not v.eq(proc.minus_rows[0], proc.mid_rows[0]):
-            raise ProcessError("slot_minus[0] must equal slot_mid[0]")
+        if k == 0 and (v.any_nonzero(mid) or v.any_nonzero(minus)):
+            yield 3, "A-class needs A_0 = 0"
+        if v.any_negative(jump):
+            yield 5, f"A-class jump negative at instant {k}"
+        elif not is_measurable(space, jump, space.sigma_minus[k]):
+            yield 5, f"A-class jump not sigma_minus[{k}]-measurable"
+    elif kind == "predictable":
+        # no time before 0, so the left limit at 0 is the value itself
+        # (martingales may carry a zero-mean jump at 0 when a mark lives there)
+        if k == 0 and not (minus is mid or v.eq(minus, mid)):
+            yield 3, "slot_minus[0] must equal slot_mid[0]"
+    elif not _centred(space, jump, space.sigma_minus[k]):
+        yield 6, "martingale increment conditions violated"
 
-    if kind == "cadlag-martingale" and not is_martingale(proc):
-        raise ProcessError("martingale increment conditions violated")
+
+def increment_failures(proc: LadlagProcess, kind: str, k: int, inc):
+    """``class_failures`` of A's or M's increment ``inc`` over (t_k, t_{k+1})."""
+    if kind == "finite-variation-predictable":
+        if v.any_negative(inc):
+            yield 4, f"A-class interval increment negative on ({k},{k+1})"
+        elif not is_measurable(proc.space, inc, proc.space.sigma_minus[k + 1]):
+            yield 4, f"A-class interval increment not sigma_minus[{k+1}]-measurable"
+    elif kind == "cadlag-martingale" and not _centred(proc.space, inc, proc.space.sigma_mid[k]):
+        yield 6, "martingale increment conditions violated"
+
+
+def _centred(space: FilteredSpace, row, partition) -> bool:
+    """E[row | partition] = 0 within the space's slack; a row of zeros is."""
+    return not (v.any_nonzero(row) and v.sup_abs(cond_expect(space, row, partition)) > space.slack)
 
 
 def validate_integrand(space: FilteredSpace, rows: Sequence, name: str = "z") -> None:
@@ -276,17 +283,9 @@ def is_martingale(m: LadlagProcess) -> bool:
     sigma_minus[k]] = 0.  Requires a cadlag slot layout.
     """
     space, n = m.space, m.n_steps
-    for k in range(n):
-        if not v.eq(m.plus_rows[k], m.mid_rows[k]):
-            return False
-        inc = cond_expect(space, m.interval_increment(k), space.sigma_mid[k])
-        if v.sup_abs(inc) > space.slack:
-            return False
-    for k in range(n + 1):
-        jump = cond_expect(space, m.left_jump(k), space.sigma_minus[k])
-        if v.sup_abs(jump) > space.slack:
-            return False
-    return True
+    return (all(v.eq(m.plus_rows[k], m.mid_rows[k])
+                and _centred(space, m.interval_increment(k), space.sigma_mid[k]) for k in range(n))
+            and all(_centred(space, m.left_jump(k), space.sigma_minus[k]) for k in range(n + 1)))
 
 
 def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:

@@ -101,6 +101,8 @@ RV = IntRow | list  # one entry per atom
 
 def _reduced(nums: list, den: int) -> IntRow:
     """The IntRow of nums / den, den > 0, divided by the common gcd."""
+    if not any(nums):  # a row of zeros, in one test
+        return IntRow(nums, 1)
     g = den
     for n in nums:
         g = math.gcd(g, n)

@@ -10,24 +10,25 @@ Each condition names its worst cell.
 
 At instant k the walk takes the left jump of each process, its increment over
 (t_k, t_{k+1}), and each side's gap to its barrier in each slot once, feeds
-them to every clause that reads them and drops them before instant k+1; a
-residual that sums rows is one ``values.combine`` pass.  Each condition keeps
-only the worst cell of each of its rows (``ConditionRows``).
+them to every clause that reads them, the component classes included, and
+drops them before instant k+1; a residual that sums rows is one
+``values.combine`` pass.  Each condition keeps only the worst cell of each of
+its rows (``ConditionRows``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING
 
 from . import values as v
-from .prob_space import cond_expect
+from .prob_space import cond_expect, is_measurable
 from .processes import (
     LadlagProcess,
-    ProcessError,
+    class_failures,
+    increment_failures,
     is_predictable_strong_supermartingale,
-    validate_integrand,
-    validate_process,
     zero_process,
 )
 from .reports import ConditionReport, ConditionRows, VerificationReport
@@ -68,13 +69,7 @@ def verify_rbsde_solution(
     """Check every clause of the one-barrier definition (driver 0), reporting residuals."""
     sides = (Side(barrier, q.a, q.b, 1, "barrier_domination"),)
     zero_driver = [barrier.space.zero()] * barrier.n_steps
-    tol = _default_tol(barrier, tol)
-    return VerificationReport(conditions=(
-        *_conditions(zero_driver, q.y, q.z, q.m, sides, tol),
-        # driver 0 and a lower barrier only: Y is itself a predictable strong
-        # supermartingale
-        _class_condition(q.y, q.z, q.m, sides, tol, supermartingale=True),
-    ))
+    return _conditions(zero_driver, q.y, q.z, q.m, sides, tol)
 
 
 def verify_drbsde_solution(
@@ -85,15 +80,7 @@ def verify_drbsde_solution(
         Side(barriers.xi, s.a, s.b, 1, "barrier_sandwich_lower"),
         Side(barriers.zeta, s.a_prime, s.b_prime, -1, "barrier_sandwich_upper", "_prime", "'"),
     )
-    tol = _default_tol(barriers.xi, tol)
-    return VerificationReport(conditions=(
-        *_conditions(g, s.y, s.z, s.m, sides, tol),
-        _class_condition(s.y, s.z, s.m, sides, tol, supermartingale=False),
-    ))
-
-
-def _default_tol(barrier: LadlagProcess, tol: float | None) -> float:
-    return v.gate(barrier.space.mode, 1e-10) if tol is None else tol
+    return _conditions(g, s.y, s.z, s.m, sides, tol)
 
 
 # The residuals of the backward equation, each one tree of sums and
@@ -123,11 +110,12 @@ def _integrated(y, y_n, tail, a_n, a, a_up_n, a_up, b_n, b, b_up_n, b_up, m_n, m
                  + ((b_n - b) - (b_up_n - b_up))) - (m_n - m))
 
 
-def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
-    """Every clause but the component classes, in report order; each
-    per-side clause is listed once per side.  The barriers agree at T, so
-    the first side's gives the terminal value.  Besides the trees above (and
-    no interval variation of M), the equation holds in its integrated form,
+def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
+    """Every clause, in report order, to ``tol`` (the mode's 1e-10 gate if
+    None); each per-side clause is listed once per side.  The barriers agree
+    at T, so the first side's gives the terminal value.  Besides the trees
+    above (and no interval variation of M), the equation holds in its
+    integrated form,
     Y_k = Y_N + sum_{j>=k} g_j dt - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-})
           + (A_N - A_k) - (A'_N - A'_k) + (B_{N^-} - B_{k^-})
           - (B'_{N^-} - B'_{k^-}),
@@ -135,8 +123,14 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
     The jump of A may act only where Y sits on the barrier in the minus slot,
     that of B in the mid slot, and the increment of A over (t_k, t_{k+1})
     where it does at (k,+) or at (k+1,-); pY+ is E[Y_{k^+} | F_{t_k^-}].
+
+    The component classes come last: the first failing check of Y, M, A, B,
+    A', B' and Z (``processes.class_failures``), then, with one side (driver
+    0), Y a predictable strong supermartingale, and [M, W] = 0; the worst is
+    the first largest.
     """
     space, n = y.space, y.n_steps
+    tol = v.gate(space.mode, 1e-10) if tol is None else tol
     lower, *upper = sides
     a_up, b_up = (upper[0].a, upper[0].b) if upper else (zero_process(space),) * 2
 
@@ -150,6 +144,12 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
     jump_b = [check(f"skorokhod_jump_B{s.suffix}") for s in sides]
     identities, pinching = check("jump_identities"), check("value_pinching")
     singular_a = singular_b = True
+    procs = [("Y", y, "predictable"), ("M", m, "cadlag-martingale")]
+    for s in sides:
+        procs += [(f"A{s.tick}", s.a, "finite-variation-predictable"),
+                  (f"B{s.tick}", s.b, "purely-discontinuous-predictable")]
+    first = {label: {} for label in [p[0] for p in procs] + ["Z"]}  # first failure by check
+    bracket, bracket_row = check("[M, W]"), space.zero()
 
     def left_jumps(k, gaps_minus):
         """dY, dA and dA' at instant k, to every clause that reads them;
@@ -163,6 +163,7 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
             singular_a = singular_a and not v.any_both_nonzero(*da)
             identities.add(f"dA,instant={k}", v.sub(da[0], v.neg_part(dy)))
             identities.add(f"dA',instant={k}", v.sub(da[1], v.pos_part(dy)))
+        return da
 
     def right_jumps(k, gaps_mid):
         """dB and dB' at instant k, with the right jump of Y and pY+;
@@ -176,7 +177,7 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
         for cond, jump, gap in zip(jump_b, db, gaps_mid):
             cond.add(f"jump_B,instant={k}", v.scaled_pos(jump, gap))
         if not upper:
-            return
+            return db
         singular_b = singular_b and not v.any_both_nonzero(*db)
         if k < n:
             proj_plus = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
@@ -187,6 +188,7 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
             gap = space.zero()  # no B jump at T
         identities.add(f"dB,instant={k}", v.sub(db[0], v.neg_part(gap)))
         identities.add(f"dB',instant={k}", v.sub(db[1], v.pos_part(gap)))
+        return db
 
     def over_interval(k) -> list:
         """The increments over (t_k, t_{k+1}), and each side's gaps at its two
@@ -197,7 +199,10 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
                      v.combine(_interval, y.minus_rows[k + 1], y.plus_rows[k],
                                v.mul(z[k], space.dw_rows[k]), v.smul(space.dt, g[k]), *da),
                      lane=1)
-        equation.add(f"orthogonal_interval,k={k}", m.interval_increment(k), lane=1)
+        dm = m.interval_increment(k)
+        equation.add(f"orthogonal_interval,k={k}", dm, lane=1)
+        classes(k, [None, dm, da[0], None, da[1], None], interval=True)
+        del dm  # not held while the gaps are taken, where the memory peaks
         gaps_next = []
         for s, dom, cond, inc in zip(sides, domination, interval, da):
             gap_plus, gap_next = s.gap(y, "plus", k), s.gap(y, "minus", k + 1)
@@ -210,6 +215,25 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
                 lower.b.interval_increment(k), b_up.interval_increment(k))
         return gaps_next
 
+    def classes(k, rows, interval=False):
+        """The class checks at instant k of each component's slot rows and
+        left jump in ``rows`` (Y's not taken), or with ``interval`` of its
+        increment over (t_k, t_{k+1}) and of z[k].  [M, W] adds M's jump or
+        increment times W's, a difference of W's running rows (a zero for a
+        jump, which carries a NaN of M's through), summed where M moves."""
+        nonlocal bracket_row
+        checks = increment_failures if interval else class_failures
+        for (label, proc, kind), row in zip(procs, rows):
+            for num, text in checks(proc, kind, k, row):
+                first[label].setdefault(num, text)
+        if interval and not is_measurable(space, z[k], space.sigma_mid[k]):
+            first["Z"].setdefault(0, f"z[{k}] not sigma_mid[{k}]-measurable")
+        if v.any_nonzero(rows[1]):  # a zero row of M's leaves [M, W] as it is
+            w = reduce(v.add, space.dw_rows[:k], space.zero())  # W at t_k
+            dw = v.sub(v.add(w, space.dw_rows[k]), w) if interval else v.sub(w, w)
+            bracket_row = v.add(bracket_row, v.mul(rows[1], dw))
+            bracket.add(k + 1 if interval else k, bracket_row)  # the row at t_{k+1} or t_k
+
     def forward():
         """Each instant in turn; the last one's rows go when this returns,
         before the loop back from T holds its own."""
@@ -219,8 +243,9 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
             for dom, gap_mid, gap_minus in zip(domination, gaps_mid, gaps_minus):
                 dom.add(f"mid,instant={k}", v.neg_part(gap_mid))
                 dom.add(f"minus,instant={k}", v.neg_part(gap_minus))
-            left_jumps(k, gaps_minus)
-            right_jumps(k, gaps_mid)
+            da, db = left_jumps(k, gaps_minus), right_jumps(k, gaps_mid)
+            classes(k, [None, m.left_jump(k), da[0], db[0], da[1], db[1]])
+            del da, db  # not held over the interval
             if k < n:
                 gaps_minus = over_interval(k)
 
@@ -245,50 +270,12 @@ def _conditions(g, y, z, m, sides, tol) -> list[ConditionReport]:
         reports += [ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0)
                     for name, ok in (("A", singular_a), ("B", singular_b))]
         reports += [identities.report(), pinching.report()]
-    return reports
-
-
-def _class_condition(y, z, m, sides, tol, supermartingale: bool) -> ConditionReport:
-    """Each component in its class, and [M, W] = 0; with ``supermartingale``,
-    Y must also be a predictable strong supermartingale."""
-    procs = [(y, "predictable", "Y"), (m, "cadlag-martingale", "M")]
-    for s in sides:
-        procs += [(s.a, "finite-variation-predictable", f"A{s.tick}"),
-                  (s.b, "purely-discontinuous-predictable", f"B{s.tick}")]
-    problems: list[tuple[float, str]] = []
-    for proc, kind, label in procs:
-        try:
-            validate_process(proc, kind)
-        except ProcessError as exc:
-            problems.append((1.0, f"{label}: {exc}"))
-    try:
-        validate_integrand(y.space, z)
-    except ProcessError as exc:
-        problems.append((1.0, f"Z: {exc}"))
-    if supermartingale and not is_predictable_strong_supermartingale(y):
+    problems = [(1.0, f"{label}: {fails[min(fails)]}") for label, fails in first.items() if fails]
+    if not upper and not is_predictable_strong_supermartingale(y):
         problems.append((1.0, "Y is not a predictable strong supermartingale"))
-    dev = _bracket_with_w(m, tol).max_residual
+    dev = bracket.report().max_residual
     if not dev <= tol:
         problems.append((dev, "[M, W] != 0"))
-    worst_dev, where = (problems[v.worst_index([p for p, _ in problems])] if problems
-                        else (0.0, None))
-    return ConditionReport("component_classes", worst_dev <= tol, worst_dev, where)
-
-
-def _bracket_with_w(m, tol) -> ConditionReport:
-    """[M, W] at each instant, W = int 1 dW: the mid rows of the quadratic
-    covariation, summed row by row from W's running row and increment.  The
-    float operations are those of summing whole processes: M's jump times
-    W's (a row of zeros, which carries a NaN of M through), then M's
-    interval increment times W's."""
-    space, n = m.space, m.n_steps
-    rows = ConditionRows("[M, W]", tol, space.n_paths)
-    one, w, run = space.constant(1), space.zero(), space.zero()
-    for k in range(n + 1):
-        run = v.add(run, v.mul(m.left_jump(k), v.sub(w, w)))
-        rows.add(k, run)
-        if k < n:
-            w_next = v.add(w, v.mul(one, space.dw_rows[k]))
-            run = v.add(run, v.mul(m.interval_increment(k), v.sub(w_next, w)))
-            w = w_next
-    return rows.report()
+    worst, where = problems[v.worst_index([p for p, _ in problems])] if problems else (0.0, None)
+    reports.append(ConditionReport("component_classes", worst <= tol, worst, where))
+    return VerificationReport(tuple(reports))

@@ -279,6 +279,21 @@ class TestCliModes:
         report = json.loads((out / "certificate.json").read_text())
         assert report["minimality"] is False and report["supermartingales"] is True
 
+    @pytest.mark.parametrize("arithmetic", ["rational", "float"])
+    def test_certificate_reports_an_inadmissible_pair(self, tmp_path, capsys, arithmetic):
+        """With params.tol 100 the outer loop of corpus-0 scenario 003 (a
+        linear driver) stops after 2 steps, and H - Hbar of its dominating
+        pair leaves the upper shifted barrier: the certificate still writes
+        its report, with minimality false, and exits 4."""
+        doc = json.loads(generate_corpus(0, 4, tmp_path / "corpus")[3].read_text())
+        doc["params"]["tol"] = 100
+        cfg = write_scenario(tmp_path, dict(doc, arithmetic=arithmetic))
+        out = tmp_path / "c"
+        assert main(["--mode", "certificate", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "H - Hbar above the upper shifted barrier at instant 0" in capsys.readouterr().err
+        report = json.loads((out / "certificate.json").read_text())
+        assert report["minimality"] is False and report["pass"] is False
+
     def test_corpus_mode_and_fanout(self, tmp_path):
         corpus = tmp_path / "corpus"
         assert main(["--mode", "corpus", "--count", "3", "--out", str(corpus), "--seed", "2"]) == 0

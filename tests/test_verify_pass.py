@@ -16,41 +16,29 @@ from pdrbsde.scenario import estimate_template, realize
 
 
 def test_each_jump_is_derived_once(monkeypatch):
-    """On float-ladder's N=10 rung (2,048 paths, seed 1), the clauses other
-    than component_classes take each (process, instant) left jump and each
-    (process, interval) increment at most once: at most 6 * 11 + 6 * 10."""
+    """On float-ladder's N=10 rung (2,048 paths, seed 1), the verifier takes
+    each (process, instant) left jump and each (process, interval) increment
+    at most once, the component classes included: at most 6 * 11 + 6 * 10."""
     doc = estimate_template(1)
     doc.update(grid={"N": 10, "T": "5/8"}, marks=[dict(doc["marks"][0], instant=5)])
     scenario = realize(config_from_dict(doc))
     sol, g, _ = cli._solve_scenario(scenario)
     for name in ("y", "m", "a", "b", "a_prime", "b_prime"):
         getattr(sol, name)  # sum the components before counting
-    calls, in_classes = Counter(), []
+    calls = Counter()
 
     def counted(method):
         def derive(proc, k):
-            calls[in_classes[-1] if in_classes else "pass", method.__name__, id(proc), k] += 1
+            calls[method.__name__, id(proc), k] += 1
             return method(proc, k)
         return derive
 
-    class_condition = verify._class_condition
-
-    def classes(*args, **kwargs):
-        in_classes.append("classes")
-        try:
-            return class_condition(*args, **kwargs)
-        finally:
-            in_classes.pop()
-
     for method in (LadlagProcess.left_jump, LadlagProcess.interval_increment):
         monkeypatch.setattr(LadlagProcess, method.__name__, counted(method))
-    monkeypatch.setattr(verify, "_class_condition", classes)
     report = verify.verify_drbsde_solution(g, scenario.barriers, sol)
     assert report.passed
-    in_pass = {key: n for key, n in calls.items() if key[0] == "pass"}
-    assert max(in_pass.values()) == 1
-    assert len(in_pass) <= 6 * 11 + 6 * 10
-    assert sum(calls.values()) - len(in_pass) <= 77 + 50  # component_classes' own
+    assert max(calls.values()) == 1
+    assert len(calls) <= 6 * 11 + 6 * 10
 
 
 @pytest.mark.parametrize("arithmetic", ["rational", "float"])
