@@ -275,19 +275,6 @@ def validate_integrand(space: FilteredSpace, rows: Sequence, name: str = "z") ->
 # operations
 
 
-def is_martingale(m: LadlagProcess) -> bool:
-    """Conditional increments vanish across both lattice links.
-
-    Interval link: E[minus[k+1] - plus[k] | sigma_mid[k]] = 0.
-    Instant link (predictable stopping theorem): E[mid[k] - minus[k] |
-    sigma_minus[k]] = 0.  Requires a cadlag slot layout.
-    """
-    space, n = m.space, m.n_steps
-    return (all(v.eq(m.plus_rows[k], m.mid_rows[k])
-                and _centred(space, m.interval_increment(k), space.sigma_mid[k]) for k in range(n))
-            and all(_centred(space, m.left_jump(k), space.sigma_minus[k]) for k in range(n + 1)))
-
-
 def is_predictable_strong_supermartingale(y: LadlagProcess) -> bool:
     """Local slot inequalities for a predictable strong supermartingale.
 
@@ -331,8 +318,7 @@ def orthogonal_decompose(m: LadlagProcess) -> tuple[list, LadlagProcess]:
     space, n = m.space, m.n_steps
     if v.any_nonzero(m.minus_rows[0]):
         raise ProcessError("orthogonal decomposition needs M_{0^-} = 0")
-    if not is_martingale(m):
-        raise ProcessError("input fails the martingale increment conditions")
+    validate_process(m, "cadlag-martingale")
     inv_dt = 1 / space.dt
     z = [v.smul(inv_dt, cond_expect(space, v.mul(m.interval_increment(k), space.dw_rows[k]),
                                     space.sigma_mid[k]))

@@ -20,8 +20,9 @@ interval increment a_k = Y_{k^+} - E[Y_{(k+1)^-}|sigma_mid[k]] (binds at the
 plus slot opening the interval).
 
 ``snell_bruteforce`` enumerates every stopping rule on the slot grid and is
-the independent oracle for the dynamic program.  ``verify.verify_rbsde_solution``
-checks a quintuple against the one-barrier definition.
+the independent oracle for the dynamic program.  A quintuple solves the
+one-barrier problem when ``verify.verify_drbsde_solution`` passes it as the
+doubly reflected solution with driver 0, upper barrier Y and A' = B' = 0.
 """
 
 from __future__ import annotations

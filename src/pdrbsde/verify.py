@@ -1,12 +1,13 @@
 """Verification: every clause of the solution definition, in one walk over
 the instants.
 
-A solution of the predictable reflected problem is one list of clauses: the
-terminal value, the backward equation, and on each barrier (a ``Side``)
-domination and the Skorokhod conditions; with two barriers, also mutual
-singularity of A/A' and B/B', the jump identities and the pinching of Y.  The
-one-barrier problem is the same clauses on one side with a driver of zeros.
-Each condition names its worst cell.
+A solution of the predictable doubly reflected problem is one list of
+clauses: the terminal value, the backward equation, on each barrier (a
+``Side``) domination and the Skorokhod conditions, mutual singularity of A/A'
+and B/B', the jump identities, the pinching of Y and the component classes.
+Each condition names its worst cell.  The one-barrier problem of the Pre
+operator is checked as the doubly reflected one with driver 0, upper barrier
+zeta = Y and A' = B' = 0.
 
 At instant k the walk takes the left jump of each process, its increment over
 (t_k, t_{k+1}), and each side's gap to its barrier in each slot once, feeds
@@ -24,18 +25,11 @@ from typing import TYPE_CHECKING
 
 from . import values as v
 from .prob_space import cond_expect, is_measurable
-from .processes import (
-    LadlagProcess,
-    class_failures,
-    increment_failures,
-    is_predictable_strong_supermartingale,
-    zero_process,
-)
+from .processes import LadlagProcess, class_failures, increment_failures
 from .reports import ConditionReport, ConditionRows, VerificationReport
 
 if TYPE_CHECKING:
     from .drbsde import BarrierPair, SolutionSeptuple
-    from .snell import RbsdeQuintuple
 
 
 @dataclass(frozen=True)
@@ -44,9 +38,8 @@ class Side:
 
     ``sign`` is +1 for a lower barrier (A and B push Y up) and -1 for an upper
     one, so that sign * (Y - barrier) is the gap that must stay nonnegative.
-    A problem lists its lower side first.
-    ``suffix`` ends the side's condition names and ``tick`` its component
-    labels: empty on the lower side, "_prime" and "'" on the upper.
+    ``suffix`` ends the side's condition names: empty on the lower side,
+    "_prime" on the upper.
     """
 
     barrier: LadlagProcess
@@ -55,7 +48,6 @@ class Side:
     sign: int
     domination: str  # the name of the condition that Y respects the barrier
     suffix: str = ""
-    tick: str = ""
 
     def gap(self, y: LadlagProcess, slot: str, k: int):
         """sign * (Y - barrier) on slot row k: negative where Y crosses the barrier."""
@@ -63,30 +55,9 @@ class Side:
         return v.sub(y_row, x_row) if self.sign > 0 else v.sub(x_row, y_row)
 
 
-def verify_rbsde_solution(
-    barrier: LadlagProcess, q: RbsdeQuintuple, tol: float | None = None
-) -> VerificationReport:
-    """Check every clause of the one-barrier definition (driver 0), reporting residuals."""
-    sides = (Side(barrier, q.a, q.b, 1, "barrier_domination"),)
-    zero_driver = [barrier.space.zero()] * barrier.n_steps
-    return _conditions(zero_driver, q.y, q.z, q.m, sides, tol)
-
-
-def verify_drbsde_solution(
-    g: list, barriers: BarrierPair, s: SolutionSeptuple, tol: float | None = None
-) -> VerificationReport:
-    """Every clause of the doubly reflected definition, with per-cell residuals."""
-    sides = (
-        Side(barriers.xi, s.a, s.b, 1, "barrier_sandwich_lower"),
-        Side(barriers.zeta, s.a_prime, s.b_prime, -1, "barrier_sandwich_upper", "_prime", "'"),
-    )
-    return _conditions(g, s.y, s.z, s.m, sides, tol)
-
-
 # The residuals of the backward equation, each one tree of sums and
 # differences for ``values.combine``; the upper side's reflectors come second
-# and are subtracted.  A one-barrier problem passes zeros for them: x - 0 is
-# x to the bit, so these trees serve it too.
+# and are subtracted.
 
 
 def _left_jump(dy, da, da_up):
@@ -110,12 +81,14 @@ def _integrated(y, y_n, tail, a_n, a, a_up_n, a_up, b_n, b, b_up_n, b_up, m_n, m
                  + ((b_n - b) - (b_up_n - b_up))) - (m_n - m))
 
 
-def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
-    """Every clause, in report order, to ``tol`` (the mode's 1e-10 gate if
-    None); each per-side clause is listed once per side.  The barriers agree
-    at T, so the first side's gives the terminal value.  Besides the trees
-    above (and no interval variation of M), the equation holds in its
-    integrated form,
+def verify_drbsde_solution(
+    g: list, barriers: BarrierPair, sol: SolutionSeptuple, tol: float | None = None
+) -> VerificationReport:
+    """Every clause of the doubly reflected definition, in report order, to
+    ``tol`` (the mode's 1e-10 gate if None), with per-cell residuals; each
+    per-side clause is listed once per side.  The barriers agree at T, so
+    the lower one gives the terminal value.  Besides the trees above (and no
+    interval variation of M), the equation holds in its integrated form,
     Y_k = Y_N + sum_{j>=k} g_j dt - sum_{j>=k} Z_j dW_j - (M_{N^-} - M_{k^-})
           + (A_N - A_k) - (A'_N - A'_k) + (B_{N^-} - B_{k^-})
           - (B'_{N^-} - B'_{k^-}),
@@ -125,14 +98,15 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
     where it does at (k,+) or at (k+1,-); pY+ is E[Y_{k^+} | F_{t_k^-}].
 
     The component classes come last: the first failing check of Y, M, A, B,
-    A', B' and Z (``processes.class_failures``), then, with one side (driver
-    0), Y a predictable strong supermartingale, and [M, W] = 0; the worst is
-    the first largest.
+    A', B' and Z (``processes.class_failures``), then [M, W] = 0; the worst
+    is the first largest.
     """
+    y, z, m = sol.y, sol.z, sol.m
     space, n = y.space, y.n_steps
     tol = v.gate(space.mode, 1e-10) if tol is None else tol
-    lower, *upper = sides
-    a_up, b_up = (upper[0].a, upper[0].b) if upper else (zero_process(space),) * 2
+    lower = Side(barriers.xi, sol.a, sol.b, 1, "barrier_sandwich_lower")
+    upper = Side(barriers.zeta, sol.a_prime, sol.b_prime, -1, "barrier_sandwich_upper", "_prime")
+    sides = (lower, upper)
 
     def check(name):
         return ConditionRows(name, tol, space.n_paths)
@@ -144,10 +118,11 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
     jump_b = [check(f"skorokhod_jump_B{s.suffix}") for s in sides]
     identities, pinching = check("jump_identities"), check("value_pinching")
     singular_a = singular_b = True
-    procs = [("Y", y, "predictable"), ("M", m, "cadlag-martingale")]
-    for s in sides:
-        procs += [(f"A{s.tick}", s.a, "finite-variation-predictable"),
-                  (f"B{s.tick}", s.b, "purely-discontinuous-predictable")]
+    procs = [("Y", y, "predictable"), ("M", m, "cadlag-martingale"),
+             ("A", sol.a, "finite-variation-predictable"),
+             ("B", sol.b, "purely-discontinuous-predictable"),
+             ("A'", sol.a_prime, "finite-variation-predictable"),
+             ("B'", sol.b_prime, "purely-discontinuous-predictable")]
     first = {label: {} for label in [p[0] for p in procs] + ["Z"]}  # first failure by check
     bracket, bracket_row = check("[M, W]"), space.zero()
 
@@ -155,33 +130,30 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
         """dY, dA and dA' at instant k, to every clause that reads them;
         dA = (dY)^- and dA' = (dY)^+."""
         nonlocal singular_a
-        dy, da = y.left_jump(k), (lower.a.left_jump(k), a_up.left_jump(k))
+        dy, da = y.left_jump(k), (lower.a.left_jump(k), upper.a.left_jump(k))
         equation.add(f"left_jump,instant={k}", v.combine(_left_jump, dy, *da))
         for cond, jump, gap in zip(jump_a, da, gaps_minus):
             cond.add(f"jump_A,instant={k}", v.scaled_pos(jump, gap))
-        if upper:
-            singular_a = singular_a and not v.any_both_nonzero(*da)
-            identities.add(f"dA,instant={k}", v.sub(da[0], v.neg_part(dy)))
-            identities.add(f"dA',instant={k}", v.sub(da[1], v.pos_part(dy)))
+        singular_a = singular_a and not v.any_both_nonzero(*da)
+        identities.add(f"dA,instant={k}", v.sub(da[0], v.neg_part(dy)))
+        identities.add(f"dA',instant={k}", v.sub(da[1], v.pos_part(dy)))
         return da
 
     def right_jumps(k, gaps_mid):
         """dB and dB' at instant k, with the right jump of Y and pY+;
         dB = (pY+ - Y)^-, dB' = (pY+ - Y)^+ and Y = (pY+ v xi) ^ zeta."""
         nonlocal singular_b
-        db = (lower.b.left_jump(k), b_up.left_jump(k))
+        db = (lower.b.left_jump(k), upper.b.left_jump(k))
         if k < n:
             equation.add(f"right_jump,instant={k}",
                          v.combine(_right_jump, y.plus_rows[k], y.mid_rows[k], m.mid_rows[k],
                                    m.minus_rows[k], *db), lane=1)
         for cond, jump, gap in zip(jump_b, db, gaps_mid):
             cond.add(f"jump_B,instant={k}", v.scaled_pos(jump, gap))
-        if not upper:
-            return db
         singular_b = singular_b and not v.any_both_nonzero(*db)
         if k < n:
             proj_plus = cond_expect(space, y.plus_rows[k], space.sigma_minus[k])
-            pinched = v.clamp(proj_plus, lower.barrier.mid_rows[k], upper[0].barrier.mid_rows[k])
+            pinched = v.clamp(proj_plus, lower.barrier.mid_rows[k], upper.barrier.mid_rows[k])
             pinching.add(f"pinch,instant={k}", v.sub(y.mid_rows[k], pinched))
             gap = v.sub(proj_plus, y.mid_rows[k])
         else:
@@ -194,7 +166,7 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
         """The increments over (t_k, t_{k+1}), and each side's gaps at its two
         ends; returns the gaps at (k+1)^-."""
         nonlocal singular_a, singular_b
-        da = (lower.a.interval_increment(k), a_up.interval_increment(k))
+        da = (lower.a.interval_increment(k), upper.a.interval_increment(k))
         equation.add(f"interval,k={k}",
                      v.combine(_interval, y.minus_rows[k + 1], y.plus_rows[k],
                                v.mul(z[k], space.dw_rows[k]), v.smul(space.dt, g[k]), *da),
@@ -209,10 +181,9 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
             dom.add(f"plus,instant={k}", v.neg_part(gap_plus))
             cond.add(f"interval,k={k}", v.scaled_min(inc, gap_plus, gap_next))
             gaps_next.append(gap_next)
-        if upper:
-            singular_a = singular_a and not v.any_both_nonzero(*da)
-            singular_b = singular_b and not v.any_both_nonzero(
-                lower.b.interval_increment(k), b_up.interval_increment(k))
+        singular_a = singular_a and not v.any_both_nonzero(*da)
+        singular_b = singular_b and not v.any_both_nonzero(
+            lower.b.interval_increment(k), upper.b.interval_increment(k))
         return gaps_next
 
     def classes(k, rows, interval=False):
@@ -255,8 +226,9 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
     for k in range(n, -1, -1):
         equation.add(f"integrated,instant={k}", v.combine(
             _integrated, y.mid_rows[k], y.mid_rows[n], tail,
-            lower.a.mid_rows[n], lower.a.mid_rows[k], a_up.mid_rows[n], a_up.mid_rows[k],
-            lower.b.minus_rows[n], lower.b.minus_rows[k], b_up.minus_rows[n], b_up.minus_rows[k],
+            lower.a.mid_rows[n], lower.a.mid_rows[k], upper.a.mid_rows[n], upper.a.mid_rows[k],
+            lower.b.minus_rows[n], lower.b.minus_rows[k],
+            upper.b.minus_rows[n], upper.b.minus_rows[k],
             m.minus_rows[n], m.minus_rows[k]), lane=2)
         if k > 0:
             # two binary helpers, not one combine: the step is on the atoms of
@@ -266,13 +238,10 @@ def _conditions(g, y, z, m, sides, tol) -> VerificationReport:
 
     conds = [terminal, equation, *domination, *interval, *jump_a, *jump_b]
     reports = [c.report() for c in conds]
-    if upper:
-        reports += [ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0)
-                    for name, ok in (("A", singular_a), ("B", singular_b))]
-        reports += [identities.report(), pinching.report()]
+    reports += [ConditionReport(f"mutual_singularity_{name}", ok, 0.0 if ok else 1.0)
+                for name, ok in (("A", singular_a), ("B", singular_b))]
+    reports += [identities.report(), pinching.report()]
     problems = [(1.0, f"{label}: {fails[min(fails)]}") for label, fails in first.items() if fails]
-    if not upper and not is_predictable_strong_supermartingale(y):
-        problems.append((1.0, "Y is not a predictable strong supermartingale"))
     dev = bracket.report().max_residual
     if not dev <= tol:
         problems.append((dev, "[M, W] != 0"))

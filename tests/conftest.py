@@ -95,6 +95,20 @@ def move_cells(sol, delta):
     return replace(sol, y=y, a=a)
 
 
+def verify_pre_solution(xi, q, tol=None):
+    """The doubly reflected verifier's report on a quintuple ``q`` of the
+    one-barrier problem with barrier ``xi``: a solution of it is the doubly
+    reflected one with driver 0, upper barrier zeta = Y and A' = B' = 0."""
+    from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
+    from pdrbsde.processes import zero_process
+    from pdrbsde.verify import verify_drbsde_solution
+
+    space, zero = xi.space, zero_process(xi.space)
+    septuple = SolutionSeptuple(y=q.y, z=q.z, m=q.m, a=q.a, b=q.b, a_prime=zero, b_prime=zero)
+    return verify_drbsde_solution([space.zero()] * space.n_steps, BarrierPair(xi=xi, zeta=q.y),
+                                  septuple, tol)
+
+
 def random_predictable(space, rng, scale=Fraction(2)):
     """Random predictable ladlag process with free minus/plus slots."""
     from pdrbsde.processes import from_slots, validate_process

@@ -22,7 +22,6 @@ from pdrbsde.processes import (
     constant_process,
     from_cadlag_sequence,
     from_slots,
-    is_martingale,
     is_predictable_strong_supermartingale,
     ito_integral,
     orthogonal_decompose,
@@ -114,8 +113,10 @@ class TestJumps:
 
 
 class TestIsMartingale:
+    """The cadlag-martingale class of ``validate_process``."""
+
     def test_brownian(self, space_16):
-        assert is_martingale(brownian_process(space_16))
+        validate_process(brownian_process(space_16), "cadlag-martingale")
 
     def test_drift_breaks_it(self, space_16):
         w = brownian_process(space_16)
@@ -130,17 +131,18 @@ class TestIsMartingale:
             [v.add(w.mid[k], drift.mid[k]) for k in range(n + 1)],
             [v.add(w.plus[k], drift.plus[k]) for k in range(n)],
         )
-        assert not is_martingale(bad)
+        with pytest.raises(ProcessError, match="martingale increment conditions violated"):
+            validate_process(bad, "cadlag-martingale")
 
     def test_compensated_mark_jump(self, space_4):
         # oracle: construct eta-driven jumps minus their conditional means
         m = compensated_mark_martingale(space_4, hi=F(3), lo=F(-2))
-        assert is_martingale(m)
+        validate_process(m, "cadlag-martingale")
 
     def test_random_martingales(self, space_16):
         rng = random.Random(11)
         for _ in range(5):
-            assert is_martingale(random_martingale(space_16, rng))
+            validate_process(random_martingale(space_16, rng), "cadlag-martingale")
 
 
 def _pss_checked(y) -> bool:
@@ -194,7 +196,7 @@ class TestItoIntegral:
         rng = random.Random(21)
         z = [rand_on(space_16, space_16.sigma_mid[k], rng) for k in range(2)]
         i = ito_integral(space_16, z)
-        assert is_martingale(i)
+        validate_process(i, "cadlag-martingale")
         br = bracket(i, brownian_process(space_16))
         # oracle: direct summation of z dt over elapsed intervals
         for k in range(space_16.n_steps + 1):
@@ -251,7 +253,7 @@ class TestOrthogonalDecompose:
 
     def test_rejects_non_martingale(self, space_8):
         xi = from_cadlag_sequence(space_8, [space_8.constant(c) for c in (0, 1, 2)])
-        with pytest.raises(ProcessError):
+        with pytest.raises(ProcessError, match="martingale increment conditions violated"):
             orthogonal_decompose(xi)
 
 

@@ -16,11 +16,10 @@ from conftest import (
     rand_on,
     random_nonneg_pss,
     random_predictable,
-    set_cell,
     stopping_rule_count,
+    verify_pre_solution,
 )
 from pdrbsde import values as v
-from pdrbsde.drbsde import BarrierPair, SolutionSeptuple
 from pdrbsde.prob_space import on_paths
 from pdrbsde.processes import (
     constant_process,
@@ -29,7 +28,6 @@ from pdrbsde.processes import (
     is_predictable_strong_supermartingale,
     p_add,
     sup_distance,
-    zero_process,
 )
 from pdrbsde.snell import (
     RbsdeQuintuple,
@@ -39,7 +37,6 @@ from pdrbsde.snell import (
     snell_bruteforce,
     snell_envelope_slots,
 )
-from pdrbsde.verify import verify_drbsde_solution, verify_rbsde_solution
 
 F = Fraction
 
@@ -84,8 +81,10 @@ class TestPreOperator:
         rng = random.Random(6)
         for _ in range(5):
             xi = random_predictable(space_16, rng)
-            rep = verify_rbsde_solution(xi, pre_operator(xi))
+            q = pre_operator(xi)
+            rep = verify_pre_solution(xi, q)
             assert rep.passed, rep.failures()
+            assert is_predictable_strong_supermartingale(q.y)
 
 
 class TestBruteForce:
@@ -298,7 +297,7 @@ class TestVerifyRbsde:
     def test_pre_output_passes_with_zero_residual(self, space_8):
         rng = random.Random(41)
         xi = random_predictable(space_8, rng)
-        rep = verify_rbsde_solution(xi, pre_operator(xi))
+        rep = verify_pre_solution(xi, pre_operator(xi))
         assert rep.passed and rep.max_residual == 0
 
     def test_perturbed_value_flagged(self, space_8):
@@ -308,7 +307,7 @@ class TestVerifyRbsde:
         bad_mid = [list(x) for x in q.y.mid]
         bad_mid[1] = v.add(bad_mid[1], space_8.constant(1))
         bad_y = from_slots(space_8, q.y.minus, bad_mid, q.y.plus)
-        rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=bad_y, z=q.z, m=q.m, a=q.a, b=q.b))
+        rep = verify_pre_solution(xi, replace(q, y=bad_y))
         assert not rep.passed
         assert not rep.condition("equation_residual").passed
 
@@ -322,7 +321,7 @@ class TestVerifyRbsde:
         b = from_slots(space_2, [zero, zero], [zero, zero], [zero])
         z = [space_2.constant(F(5, 2))]
         m = constant_process(space_2, 0)
-        rep = verify_rbsde_solution(xi, RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b))
+        rep = verify_pre_solution(xi, RbsdeQuintuple(y=y, z=z, m=m, a=a, b=b))
         assert rep.passed, rep.failures()
         # and the solver reproduces exactly the hand solution
         q = pre_operator(xi)
@@ -330,37 +329,3 @@ class TestVerifyRbsde:
         assert q.z[0] == z[0]
         assert sup_distance(q.a, a) == 0
 
-
-SHARED_CONDITIONS = ("terminal_value", "equation_residual", "skorokhod_interval_A",
-                     "skorokhod_jump_A", "skorokhod_jump_B")
-
-
-@pytest.mark.parametrize("moved", [False, True], ids=["solved", "moved"])
-@pytest.mark.parametrize("mode", ["rational", "float"])
-def test_one_barrier_clauses_match_two_barrier_clauses(mode, moved):
-    """A one-barrier solution is a two-barrier one with zeta = Y and
-    A' = B' = 0: both verifiers report the clauses they share alike."""
-    space = make_space(2, "1/2", marks=[MARK_HALF], arithmetic=mode)
-    xi = random_predictable(space, random.Random(47))
-    q = pre_operator(xi)
-    pair = BarrierPair(xi=xi, zeta=from_slots(space, q.y.minus, q.y.mid, q.y.plus))
-    if moved:  # Y lifted off the barrier everywhere, and one cell moved further
-        delta = F(1, 7) if mode == "rational" else 1 / 7
-        lifted = p_add(q.y, constant_process(space, delta))
-        q = replace(q, y=set_cell(lifted, "mid", 1, 0, lifted.mid[1][0] + delta))
-    septuple = SolutionSeptuple(
-        y=q.y, z=q.z, m=q.m, a=q.a, b=q.b,
-        a_prime=zero_process(space),
-        b_prime=zero_process(space))
-    one = verify_rbsde_solution(xi, q)
-    two = verify_drbsde_solution([space.zero()] * space.n_steps, pair, septuple)
-
-    def seen(report, name):
-        c = report.condition(name)
-        return c.passed, c.max_residual, c.worst_cell
-
-    for name in SHARED_CONDITIONS:
-        assert seen(one, name) == seen(two, name), name
-    assert seen(one, "barrier_domination") == seen(two, "barrier_sandwich_lower")
-    assert two.passed != moved, two.failures()
-    assert all(one.condition(name).passed != moved for name in SHARED_CONDITIONS)

@@ -1,10 +1,11 @@
 """The component classes, one violation at a time: a solved corpus scenario
 with one class condition broken, and ``component_classes``' residual and
 worst cell for it.  Every branch of ``validate_process`` is broken for each
-of Y, M, A, B, A' and B', and so are Z's measurability, [M, W] = 0 and the
-one-barrier supermartingale test; the cases with two violations pin which
-one the report names.  A branch that only a non-finite float reaches runs in
-float mode alone.
+of Y, M, A, B, A' and B', and so are Z's measurability and [M, W] = 0; the
+cases with two violations pin which one the report names.  The
+pre-operator's solution with Y moved off its supermartingale property, which
+no class check reads, fails the equation at the moved cell instead.  A
+branch that only a non-finite float reaches runs in float mode alone.
 
 The scenario is corpus seed 0 scenario 006: N = 2, T = 1/2, a fair mark at
 t_1, so sigma_minus[1] has 2 atoms of 4 paths and sigma_mid[1] has 4 of 2.
@@ -20,15 +21,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_space, random_predictable
+from conftest import make_space, random_predictable, verify_pre_solution
 from pdrbsde import cli
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict
 from pdrbsde.prob_space import on_paths
-from pdrbsde.processes import from_slots, ito_integral, p_add
+from pdrbsde.processes import (
+    from_slots,
+    is_predictable_strong_supermartingale,
+    ito_integral,
+    p_add,
+)
 from pdrbsde.scenario import generate_corpus, realize
-from pdrbsde.snell import RbsdeQuintuple, pre_operator
-from pdrbsde.verify import verify_drbsde_solution, verify_rbsde_solution
+from pdrbsde.snell import pre_operator
+from pdrbsde.verify import verify_drbsde_solution
 
 
 def bump(proc, slot, k, delta, paths=None):
@@ -156,13 +162,15 @@ CASES = [
      2.0, "[M, W] != 0"),
 ]
 
-# the one-barrier verifier on the pre-operator's solution
+# the pre-operator's solution, checked as a doubly reflected one, with Y
+# lifted at t_1: the classes' residual and worst cell, then the equation's
+# worst cell
 ONE_BARRIER = [
     ("supermartingale", [("y", lambda p, d: bump(p, "mid", 1, d))],
-     1.0, "Y is not a predictable strong supermartingale"),
+     0.0, None, "left_jump,instant=1,path=0"),
     ("supermartingale_and_b", [("y", lambda p, d: bump(p, "mid", 1, d)),
                                ("b", lambda p, d: bump_from(p, "mid", 1, -100 * d))],
-     1.0, "B: B-class jump negative at instant 1"),
+     1.0, "B: B-class jump negative at instant 1", "right_jump,instant=1,path=0"),
 ]
 
 
@@ -209,12 +217,16 @@ def test_class_violation(solved, arithmetic, case):
 
 @pytest.mark.parametrize("arithmetic,case", _params(ONE_BARRIER))
 def test_one_barrier_class_violation(arithmetic, case):
-    _, edits, residual, cell = case
+    _, edits, residual, cell, equation_cell = case
     space = make_space(3, "3/4", marks=[{"instant": 1, "labels": ["a", "b"],
                                          "probs": ["1/2", "1/2"]}], arithmetic=arithmetic)
     xi = random_predictable(space, random.Random(0))
     q = pre_operator(xi)
-    assert _classes(verify_rbsde_solution(xi, q)) == (True, "0.0", None)
+    assert _classes(verify_pre_solution(xi, q)) == (True, "0.0", None)
     delta = Fraction(1, 3) if arithmetic == "rational" else 0.25
-    moved = _edited(RbsdeQuintuple(y=q.y, z=q.z, m=q.m, a=q.a, b=q.b), edits, delta)
-    assert _classes(verify_rbsde_solution(xi, moved)) == (False, repr(residual), cell)
+    moved = _edited(q, edits, delta)
+    report = verify_pre_solution(xi, moved)
+    assert _classes(report) == (residual == 0, repr(residual), cell)
+    equation = report.condition("equation_residual")
+    assert (equation.passed, equation.worst_cell) == (False, equation_cell)
+    assert not is_predictable_strong_supermartingale(moved.y)

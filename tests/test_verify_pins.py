@@ -3,11 +3,11 @@
 ``conftest.move_cells`` (so that failing worst cells are pinned too).
 
 The inputs are corpus seeds 0 and 3 in both arithmetics and the four
-float-ladder scenarios of benchmark seed 1; and, for the one-barrier
-verifier, the pre-operator's solution on random barriers in both arithmetics,
-before and after Y moves at one instant.  A change to the verifier that
-moves one bit of one report (a residual, a worst cell, a NaN or a -0.0)
-fails here.  To write the digests file again, on purpose:
+float-ladder scenarios of benchmark seed 1; and the pre-operator's solution
+on random barriers in both arithmetics, checked as a doubly reflected one
+(``conftest.verify_pre_solution``), before and after Y moves at one
+instant.  A change to the verifier that moves one bit of one report (a
+residual, a worst cell, a NaN or a -0.0) fails here.  To write the digests file again, on purpose:
 
     PYTHONPATH=src:tests python tests/test_verify_pins.py
 """
@@ -18,17 +18,18 @@ import hashlib
 import json
 import random
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import make_space, move_cells, random_predictable
+from conftest import make_space, move_cells, random_predictable, verify_pre_solution
 from pdrbsde import cli
 from pdrbsde import values as v
 from pdrbsde.config import config_from_dict
 from pdrbsde.processes import from_slots
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
-from pdrbsde.snell import RbsdeQuintuple, pre_operator
-from pdrbsde.verify import verify_drbsde_solution, verify_rbsde_solution
+from pdrbsde.snell import pre_operator
+from pdrbsde.verify import verify_drbsde_solution
 
 DIGESTS = Path(__file__).with_name("verify_report_digests.json")
 CORPUS_SEEDS = (0, 3)
@@ -76,12 +77,11 @@ def report_digests() -> dict:
             xi = random_predictable(space, random.Random(seed))
             q = pre_operator(xi)
             key = f"rbsde/{arithmetic}/{seed}"
-            digests[key] = _digest(verify_rbsde_solution(xi, q))
+            digests[key] = _digest(verify_pre_solution(xi, q))
             mid = list(q.y.mid_rows)
             mid[1] = v.add(mid[1], space.constant(Fraction(1, 3)))
             moved = from_slots(space, q.y.minus_rows, mid, q.y.plus_rows)
-            digests[key + "/moved"] = _digest(verify_rbsde_solution(
-                xi, RbsdeQuintuple(y=moved, z=q.z, m=q.m, a=q.a, b=q.b)))
+            digests[key + "/moved"] = _digest(verify_pre_solution(xi, replace(q, y=moved)))
     return digests
 
 
