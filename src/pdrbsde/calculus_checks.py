@@ -19,7 +19,7 @@ from typing import Sequence
 from . import values as v
 from .drbsde import SolutionSeptuple
 from .driver_solver import beta_norm_h2, beta_norm_m2, beta_norm_s2p, check_beta
-from .prob_space import FilteredSpace, cond_expect, is_measurable
+from .prob_space import FilteredSpace, cond_expect
 from .processes import ProcessError, p_sub, running_sum
 
 
@@ -85,24 +85,6 @@ class OptionalSemimartingale:
     a_jump: tuple       # length N+1 (left jumps; index 0 must be zero)
     a_interval: tuple   # length N
     b_jump: tuple       # length N (right jumps at instants 0..N-1)
-
-    def validate(self) -> None:
-        space, n = self.space, self.space.n_steps
-        if v.any_nonzero(self.a_jump[0]):
-            raise ProcessError("A_0 = 0 forces a vanishing left jump at instant 0")
-        tol = space.slack
-        for k in range(n):
-            if v.sup_abs(cond_expect(space, self.m_interval[k], space.sigma_mid[k])) > tol:
-                raise ProcessError(f"martingale interval increment {k} not conditionally centered")
-            if v.sup_abs(cond_expect(space, self.m_jump[k], space.sigma_minus[k])) > tol:
-                raise ProcessError(f"martingale jump {k} not conditionally centered")
-            if not is_measurable(space, self.a_interval[k], space.sigma_minus[k + 1]):
-                raise ProcessError(f"A interval increment {k} not adapted")
-            if not is_measurable(space, self.b_jump[k], space.sigma_mid[k]):
-                raise ProcessError(f"B jump {k} not adapted")
-        for k in range(n + 1):
-            if not is_measurable(space, self.a_jump[k], space.sigma_mid[k]):
-                raise ProcessError(f"A jump {k} not adapted")
 
     # state trajectories ------------------------------------------------
 
@@ -239,7 +221,7 @@ def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
     a_interval = [draw(space.sigma_minus[k + 1]) for k in range(n)]
     b_jump = [draw(space.sigma_mid[k]) for k in range(n)]
     x0 = draw(space.sigma_minus[0])
-    sm = OptionalSemimartingale(
+    return OptionalSemimartingale(
         space=space,
         x0=x0,
         m_interval=tuple(m_interval),
@@ -248,8 +230,6 @@ def random_semimartingale(space: FilteredSpace, rng) -> OptionalSemimartingale:
         a_interval=tuple(a_interval),
         b_jump=tuple(b_jump),
     )
-    sm.validate()
-    return sm
 
 
 def random_polynomial(rng, n_vars: int, max_degree: int = 4, n_terms: int = 5) -> Polynomial:

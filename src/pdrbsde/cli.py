@@ -57,7 +57,6 @@ from .processes import (
     p_add,
     p_sub,
     sup_distance,
-    validate_integrand,
 )
 from .scenario import Scenario, generate_corpus, perturb_driver, realize
 from .snell import SnellEnumerationError, check_enumerable, snell_bruteforce
@@ -180,8 +179,7 @@ def _solve_scenario(scenario: Scenario):
     if scenario.has_general_driver:
         sol, outer = solve_general(scenario.driver, scenario.barriers, cfg.params,
                                    probe_seed=cfg.seed)
-        g = scenario.driver.freeze(scenario.space, sol.y, sol.z)
-        return sol, g, {"outer": outer.to_json_dict()}
+        return sol, scenario.driver_rows(sol), {"outer": outer.to_json_dict()}
     return solve_driver_process(scenario.barriers, scenario.g_rows), scenario.g_rows, {}
 
 
@@ -267,6 +265,7 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
 
     for name, field in _COMPONENTS.items():
         write(f"solution_{name}.csv", "instant,slot,path,value\r\n", slots(getattr(sol, field)))
+    # driver_g.csv is for readers: --mode verify takes the driver from the scenario
     for file, rows in (("solution_Z.csv", sol.z), ("driver_g.csv", g)):
         write(file, "interval,path,value\r\n", ((f"{k},", row) for k, row in enumerate(rows)))
 
@@ -355,7 +354,7 @@ def _load_process(space: FilteredSpace, path: Path) -> LadlagProcess:
 
 
 def _load_rows(space: FilteredSpace, path: Path) -> list:
-    """A dumped integrand or driver: one row per interval, unchecked."""
+    """A dumped integrand: one row per interval, unchecked."""
     return _read_cells(space, path, "interval", {None: space.sigma_mid[:space.n_steps]})[None]
 
 
@@ -367,15 +366,10 @@ def _run_verify(config: ScenarioConfig, out_dir: Path) -> int:
         raise ConfigError(f"no dumped solution in {out_dir} (missing {missing})")
     procs = {field: _load_process(space, out_dir / f"solution_{name}.csv")
              for name, field in _COMPONENTS.items()}
-    z = _load_rows(space, out_dir / "solution_Z.csv")
-    g = _load_rows(space, out_dir / "driver_g.csv")
-    try:
-        validate_integrand(space, g, "g")
-    except ProcessError as exc:
-        raise ConfigError(f"driver_g.csv: {exc}") from None
-    sol = SolutionSeptuple(z=z, **procs)
-    report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
-    (out_dir / "verify_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    sol = SolutionSeptuple(z=_load_rows(space, out_dir / "solution_Z.csv"), **procs)
+    report = verify_drbsde_solution(scenario.driver_rows(sol), scenario.barriers, sol,
+                                    tol=_gate_tol(scenario))
+    _write_json(out_dir / "verify_report.json", report.to_json_dict())
     print(f"[{config.name}] verify: {'PASS' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else EXIT_VERIFY
 

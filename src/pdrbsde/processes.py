@@ -261,16 +261,6 @@ def _centred(space: FilteredSpace, row, partition) -> bool:
     return not (v.any_nonzero(row) and v.sup_abs(cond_expect(space, row, partition)) > space.slack)
 
 
-def validate_integrand(space: FilteredSpace, rows: Sequence, name: str = "z") -> None:
-    """N rows, row k sigma_mid[k]-measurable: an integrand ``z`` on the open
-    intervals, or a driver process ``g``."""
-    if len(rows) != space.n_steps:
-        raise ProcessError(f"{name} needs one row per interval, got {len(rows)}")
-    for k in range(space.n_steps):
-        if not is_measurable(space, rows[k], space.sigma_mid[k]):
-            raise ProcessError(f"{name}[{k}] not sigma_mid[{k}]-measurable")
-
-
 # ---------------------------------------------------------------------------
 # operations
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any
 
@@ -53,9 +52,6 @@ class VerificationReport:
             "max_residual": self.max_residual,
             "conditions": [c.to_json_dict() for c in self.conditions],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
 
 
 class ConditionRows:

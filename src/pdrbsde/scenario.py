@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import values as v
 from .config import ConfigError, ScenarioConfig, SolverParams, config_from_dict
-from .drbsde import BarrierPair
+from .drbsde import BarrierPair, SolutionSeptuple
 from .driver_solver import LinearDriver
 from .prob_space import FilteredSpace, Partition, build_space, on_paths
 from .processes import LadlagProcess, ProcessError, from_cadlag_sequence, from_slots
@@ -43,6 +43,13 @@ class Scenario:
         if self.g_rows is None:
             return None
         return tuple(on_paths(self.space, row) for row in self.g_rows)
+
+    def driver_rows(self, sol: SolutionSeptuple) -> list:
+        """The driver a solution of this scenario answers to: the realized
+        process driver, or a (y, z)-dependent driver frozen at sol's Y and Z."""
+        if self.driver is None:
+            return self.g_rows
+        return self.driver.freeze(self.space, sol.y, sol.z)
 
 
 def realize(config: ScenarioConfig) -> Scenario:

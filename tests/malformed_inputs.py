@@ -339,8 +339,6 @@ CASES = {
                               "solution_Y.csv row 8: unreadable row"),
     "short_row": dump("solution_Y.csv", rows(lambda r: r + [["3", "mid"]]),
                       "solution_Y.csv row 130: unreadable row"),
-    "unmeasurable_driver": dump("driver_g.csv", rows(lambda r: _set(r, 1, 2, "1")),
-                                "driver_g.csv: g[0] not sigma_mid[0]-measurable"),
     "dump_not_utf8": dump("solution_M.csv", _not_utf8, "solution_M.csv: not UTF-8 text"),
     "dump_is_a_directory": dump("solution_Z.csv", _directory,
                                 "solution_Z.csv: cannot read the dump (Is a directory)"),

@@ -27,7 +27,8 @@ def write_scenario(tmp_path: Path, doc: dict, name="scenario.json") -> Path:
 class TestConfig:
     def test_round_trip_and_digest_stability(self):
         cfg = config_from_dict(template_doc(2, seed=9))
-        again = config_from_dict(json.loads(cfg.to_json()))
+        text = json.dumps(cfg.to_json_dict(), sort_keys=True, indent=1)
+        again = config_from_dict(json.loads(text))
         assert cfg.digest() == again.digest()
 
     def test_rejects_unknown_schema(self):
@@ -461,6 +462,41 @@ def test_verify_fails_non_measurable_dumped_component(tmp_path):
                          "value_pinching", "component_classes")
         ],
     }
+
+
+def test_verify_takes_the_driver_from_the_scenario(tmp_path):
+    """A dump solved for another driver (corpus scenario 004 with its table
+    drawn at scale 5) is not a solution of scenario 004: verify holds it to
+    the scenario's own driver, whatever driver_g.csv the solve wrote."""
+    cfg = generate_corpus(0, 5, tmp_path / "corpus")[4]
+    doc = json.loads(cfg.read_text())
+    assert doc["driver"] == {"kind": "table", "params": {"scale": "1"}}
+    doc["driver"]["params"]["scale"] = "5"
+    foreign = write_scenario(tmp_path, doc, "scale_5.json")
+    out = tmp_path / "run"
+    assert main(["--mode", "solve", "--config", str(foreign), "--out", str(out)]) == 0
+    assert main(["--mode", "verify", "--config", str(foreign), "--out", str(out)]) == 0
+    assert main(["--mode", "verify", "--config", str(cfg), "--out", str(out)]) == 4
+    report = json.loads((out / "verify_report.json").read_text())
+    failed = [(c["condition"], c["max_residual"], c["worst_cell"])
+              for c in report["conditions"] if not c["pass"]]
+    assert failed == [("equation_residual", 2.5, "integrated,instant=0,path=4")]
+
+
+@pytest.mark.parametrize("arithmetic", ["rational", "float"])
+def test_verify_never_reads_the_dumped_driver(tmp_path, arithmetic):
+    """Deleting driver_g.csv from an honest dump leaves verify_report.json
+    byte-identical, for a table driver and for a linear one (frozen at the
+    dumped Y and Z)."""
+    for cfg in generate_corpus(0, 5, tmp_path / "corpus")[3:5]:
+        out = tmp_path / arithmetic / cfg.stem
+        argv = ["--config", str(cfg), "--out", str(out), "--arithmetic", arithmetic]
+        assert main(["--mode", "solve", *argv]) == 0
+        assert main(["--mode", "verify", *argv]) == 0
+        want = (out / "verify_report.json").read_bytes()
+        (out / "driver_g.csv").unlink()
+        assert main(["--mode", "verify", *argv]) == 0
+        assert (out / "verify_report.json").read_bytes() == want, cfg.stem
 
 
 class TestDeterminism:

@@ -27,7 +27,8 @@ from pdrbsde import values as v
 from pdrbsde.config import config_from_dict, load_config
 from pdrbsde.drbsde import SolutionSeptuple, solve_driver_process
 from pdrbsde.driver_solver import solve_general
-from pdrbsde.processes import sup_distance, validate_integrand, validate_process
+from pdrbsde.prob_space import is_measurable
+from pdrbsde.processes import sup_distance, validate_process
 from pdrbsde.scenario import estimate_template, generate_corpus, realize
 
 FLOAT_TOL = 1e-10
@@ -55,7 +56,8 @@ def _check_classes(sol) -> None:
     for comp, kind in ((sol.y, "predictable"), (sol.m, "cadlag-martingale"), (sol.a, fv),
                        (sol.b, pd), (sol.a_prime, fv), (sol.b_prime, pd)):
         validate_process(comp, kind)
-    validate_integrand(sol.y.space, sol.z)
+    space = sol.y.space
+    assert all(is_measurable(space, zk, space.sigma_mid[k]) for k, zk in enumerate(sol.z))
 
 
 def _gap(s1, s2) -> float:

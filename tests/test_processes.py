@@ -338,10 +338,3 @@ class TestClassValidation:
         with pytest.raises(ProcessError):
             validate_process(from_slots(space_8, [zero, one, one], [zero, one, zero], [zero, one]),
                              "finite-variation-predictable")
-
-    def test_integrand_measurability_enforced(self, space_8):
-        from pdrbsde.processes import validate_integrand
-
-        bad = [list(space_8.dw[0]), space_8.zero()]
-        with pytest.raises(ProcessError):
-            validate_integrand(space_8, bad)

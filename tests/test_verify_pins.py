@@ -1,4 +1,4 @@
-"""Verification reports pinned by digest: the sha256 of ``to_json()`` of every
+"""Verification reports pinned by digest: the sha256 of the JSON text of every
 ``VerificationReport`` on a fixed set of solved inputs, before and after
 ``conftest.move_cells`` (so that failing worst cells are pinned too).
 
@@ -86,7 +86,8 @@ def report_digests() -> dict:
 
 
 def _digest(report) -> str:
-    return hashlib.sha256(report.to_json().encode()).hexdigest()
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=1)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_reports_match_their_pinned_digests():
