@@ -13,10 +13,13 @@ elsewhere), process dumps are CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import random
+import stat
 import sys
 import time
 from pathlib import Path
@@ -199,7 +202,8 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
     sol, g, trace = _solve_scenario(scenario)
     report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     _dump_solution(out_dir, sol, g)
-    dump_space_json(scenario.space, str(out_dir / "space.json"))
+    with _output(out_dir / "space.json") as fh:
+        dump_space_json(scenario.space, fh)
     exit_code = EXIT_OK if report.passed else EXIT_VERIFY
     _write_json(out_dir / "report.json", {
         "mode": "solve", "scenario": config.name, "digest": config.digest(),
@@ -213,7 +217,30 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
 
 def _write_json(path: Path, doc: dict) -> None:
     """A report: sorted keys, one space of indent, a final newline."""
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    with _output(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+@contextlib.contextmanager
+def _output(path: Path):
+    """``path`` open for writing as UTF-8 text, ``newline=""``: the opener of
+    every file a run writes.  The text goes over the old file in place, and a
+    regular file is cut at the final position on exit, by an exception too.
+    It is not truncated to zero on opening: ext4 (``auto_da_alloc``) writes a
+    file truncated to zero back to disk on close, which costs several times
+    the write itself (ROADMAP, Baseline).  A path that cannot be written is a
+    ConfigError naming the file."""
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w",
+                  encoding="utf-8", newline="") as fh:
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+            try:
+                yield fh
+            finally:
+                if regular:  # a device or a pipe has no old text, and cannot be cut
+                    fh.truncate()
+    except OSError as exc:  # a directory at the path, say
+        raise ConfigError(f"cannot write {path.name} ({exc.strerror})", "--out") from None
 
 
 def _y0(y: LadlagProcess):
@@ -259,7 +286,7 @@ def _dump_solution(out_dir: Path, sol: SolutionSeptuple, g: list) -> None:
                 yield f"{k},plus,", proc.plus_rows[k]
 
     def write(file: str, header: str, cells) -> None:
-        with open(out_dir / file, "w", newline="", encoding="utf-8") as fh:
+        with _output(out_dir / file) as fh:
             fh.write(header)
             fh.writelines(v.dump_lines(space.mode, cells, paths, "\r\n"))
 

@@ -266,11 +266,12 @@ def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
 SPACE_JSON_CHUNK = 256
 
 
-def dump_space_json(space: FilteredSpace, path: str) -> None:
-    """Write the space as ``json.dumps(doc, sort_keys=True, indent=1)`` writes
-    its document: ``N``, ``T``, ``mode``, one object per path (its
-    ``dw_signs``, ``index``, ``marks`` by instant and ``weight``), and the atoms
-    of ``sigma_mid`` and ``sigma_minus`` as lists of path indices.
+def dump_space_json(space: FilteredSpace, fh) -> None:
+    """Write the space to the open text file ``fh`` as ``json.dumps(doc,
+    sort_keys=True, indent=1)`` writes its document: ``N``, ``T``, ``mode``,
+    one object per path (its ``dw_signs``, ``index``, ``marks`` by instant and
+    ``weight``), and the atoms of ``sigma_mid`` and ``sigma_minus`` as lists
+    of path indices.
 
     The text is written in chunks of ``SPACE_JSON_CHUNK`` paths.  Each
     distinct value's text is ``json.dumps`` of it, made once, and a path
@@ -322,15 +323,14 @@ def dump_space_json(space: FilteredSpace, path: str) -> None:
             text = ("  [\n   [\n    " if start == 0 else "\n   ],\n   [\n    ") + text
         return text + "\n   ]\n  ]" if stop == n_paths else text
 
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
-                 f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
-        for start in range(0, n_paths, chunk):
-            fh.write((",\n" if start else "") + path_objects(start, min(start + chunk, n_paths)))
-        for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
-            fh.write(f'\n ],\n "{name}": [\n')
-            for j, p in enumerate(parts):
-                for start in range(0, n_paths, chunk):
-                    lead = ",\n" if j and not start else ""
-                    fh.write(lead + atoms(n_paths // len(p), start, min(start + chunk, n_paths)))
-        fh.write("\n ]\n}")
+    fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
+             f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
+    for start in range(0, n_paths, chunk):
+        fh.write((",\n" if start else "") + path_objects(start, min(start + chunk, n_paths)))
+    for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
+        fh.write(f'\n ],\n "{name}": [\n')
+        for j, p in enumerate(parts):
+            for start in range(0, n_paths, chunk):
+                lead = ",\n" if j and not start else ""
+                fh.write(lead + atoms(n_paths // len(p), start, min(start + chunk, n_paths)))
+    fh.write("\n ]\n}")

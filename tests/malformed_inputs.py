@@ -107,6 +107,13 @@ def _directory(path: Path):
     path.mkdir()
 
 
+def _directory_and_no_report(path: Path):
+    """A directory at a solved dump's file, and the solve's report removed,
+    so that a second solve into the same ``--out`` starts with no report."""
+    _directory(path)
+    (path.parent / "report.json").unlink()
+
+
 @dataclass(frozen=True)
 class Case:
     """One malformed input.  ``group`` sorts the cases by where the refusal
@@ -122,7 +129,7 @@ class Case:
     probe: str | None = None
     argv: tuple = ()
     out: str = "out"  # the --out path, under the case directory
-    dump: tuple | None = None  # (file of a solved dump, its edit)
+    dump: tuple | None = None  # (a file of a solve's --out, its edit)
 
     def write(self, root: Path, run) -> list[str]:
         """Write the case's files under ``root``; ``run(argv)`` runs the
@@ -387,6 +394,13 @@ CASES = {
                                        out="scenario.json", expect="[at --out]"),
     "formula_check_out_under_a_file": run("formula-check", template(1), argv=("--count", "1"),
                                           out="scenario.json/out", expect="[at --out]"),
+    # an output the run cannot write, in the --out of a solve
+    "verify_report_is_a_directory": Case(
+        "run", "verify", corpus(2), dump=("verify_report.json", Path.mkdir),
+        expect="config error: cannot write verify_report.json (Is a directory) [at --out]\n"),
+    "solve_dump_is_a_directory": Case(
+        "run", "solve", corpus(2), dump=("solution_Y.csv", _directory_and_no_report),
+        expect="config error: cannot write solution_Y.csv (Is a directory) [at --out]\n"),
 }
 
 

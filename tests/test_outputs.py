@@ -1,13 +1,18 @@
 """The row-wise verifier and the slot-row CSV dump against the per-cell code
-they replaced: equal reports (worst cells included) and byte-equal dumps."""
+they replaced: equal reports (worst cells included) and byte-equal dumps; and
+the outputs written over old files in place."""
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import math
+import os
 import random
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,3 +205,124 @@ def test_nan_bracket_deviation_fails_component_classes(monkeypatch):
         assert want.max_residual != 0 and want.worst_cell is not None
         assert (cond.passed, cond.worst_cell) == (False, "[M, W] != 0")
         assert cond.max_residual.hex() == want.max_residual.hex()
+
+
+# ---------------------------------------------------------------------------
+# outputs written over old files in place
+
+
+def _solve(config: Path, out: Path, *argv: str) -> None:
+    assert cli.main(["--mode", "solve", "--config", str(config), "--out", str(out), *argv]) == 0
+
+
+def _outputs(out: Path) -> dict:
+    """The bytes of every file under ``out``; a ``report.json`` as its
+    document without ``timings``."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "report.json":
+                data = json.loads(data)
+                data.pop("timings")
+            files[path.relative_to(out)] = data
+    return files
+
+
+def test_solve_over_longer_and_shorter_files_writes_fresh_bytes(tmp_path):
+    """A rational solve of corpus seed 0 over the float solve's outputs of the
+    same scenarios (most of them longer), and again over a one-line stub at
+    every output path, leaves the outputs a solve into a fresh directory
+    writes."""
+    corpus, fresh, out = tmp_path / "corpus", tmp_path / "fresh", tmp_path / "out"
+    generate_corpus(0, 10, corpus)
+    _solve(corpus, fresh)
+    _solve(corpus, out, "--arithmetic", "float")
+    want = _outputs(fresh)
+    assert len(want) == 10 * (len(DUMPS) + 2) and _outputs(out).keys() == want.keys()
+    longer = [p for p in want if (out / p).stat().st_size > (fresh / p).stat().st_size]
+    assert len(longer) > len(want) / 2
+    _solve(corpus, out)
+    assert _outputs(out) == want
+    for path in want:
+        (out / path).write_text("stub\n", encoding="utf-8")
+    _solve(corpus, out)
+    assert _outputs(out) == want
+
+
+def test_dump_cut_short_leaves_the_text_written(tmp_path, monkeypatch):
+    """An exception partway through the third CSV of ``_dump_solution`` leaves
+    the first two as a fresh solve writes them, the third as exactly its
+    header and the lines written before the exception, and the others as
+    they were."""
+    config = generate_corpus(0, 3, tmp_path / "corpus")[2]
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    _solve(config, fresh)
+    _solve(config, out, "--arithmetic", "float")
+    old = {name: (out / name).read_bytes() for name in DUMPS}
+    written, dump_lines = [], v.dump_lines
+
+    def cut_short(*args):
+        written.append([])
+        for line in dump_lines(*args):
+            if len(written) == 3 and len(written[2]) == 2:
+                raise RuntimeError("cut short")
+            written[-1].append(line)
+            yield line
+
+    monkeypatch.setattr(v, "dump_lines", cut_short)
+    with pytest.raises(RuntimeError, match="cut short"):
+        _solve(config, out)
+    y, m, a, *rest = DUMPS
+    assert [(out / name).read_bytes() for name in (y, m)] == \
+        [(fresh / name).read_bytes() for name in (y, m)]
+    text = ("instant,slot,path,value\r\n" + "".join(written[2])).encode()
+    assert (out / a).read_bytes() == text
+    assert len(text) < min(len(old[a]), (fresh / a).stat().st_size)
+    assert [(out / name).read_bytes() for name in rest] == [old[name] for name in rest]
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    """An output path that is a symbolic link stays one, and its target holds
+    the new bytes, cut to their length; a link to ``/dev/null``, which
+    cannot be cut, takes the text as it does with ``open(path, "w")``."""
+    config = generate_corpus(0, 3, tmp_path / "corpus")[2]
+    fresh, out, target = tmp_path / "fresh", tmp_path / "out", tmp_path / "target.csv"
+    _solve(config, fresh)
+    out.mkdir()
+    target.write_text("old line\n" * 1000, encoding="utf-8")
+    (out / "solution_Y.csv").symlink_to(target)
+    (out / "solution_M.csv").symlink_to(os.devnull)
+    _solve(config, out)
+    assert (out / "solution_Y.csv").is_symlink()
+    assert target.read_bytes() == (fresh / "solution_Y.csv").read_bytes()
+
+
+def test_solve_and_verify_never_truncate_on_opening(tmp_path, monkeypatch):
+    """``--mode solve`` and ``--mode verify`` open every output by ``os.open``
+    without ``O_TRUNC``, and ``open()`` opens no path in a write mode (it
+    only wraps the descriptors ``os.open`` returns): a file truncated to
+    zero is written back on close on ext4."""
+    corpus = tmp_path / "corpus"
+    generate_corpus(0, 3, corpus)
+    flags, modes = {}, []
+    os_open, io_open = os.open, io.open
+
+    def record_os_open(path, flag, *args, **kwargs):
+        flags.setdefault(Path(path).name, set()).add(flag)
+        return os_open(path, flag, *args, **kwargs)
+
+    def record_open(file, mode="r", *args, **kwargs):
+        if not isinstance(file, int):
+            modes.append(mode)
+        return io_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", record_os_open)
+    monkeypatch.setattr(builtins, "open", record_open)
+    monkeypatch.setattr(io, "open", record_open)
+    for mode in ("solve", "verify"):
+        assert cli.main(["--mode", mode, "--config", str(corpus), "--out",
+                         str(tmp_path / "out")]) == 0
+    assert flags.keys() == {*DUMPS, "space.json", "report.json", "verify_report.json"}
+    assert {f & os.O_TRUNC for fs in flags.values() for f in fs} == {0}
+    assert modes and not [m for m in modes if set(m) & set("wax+")]

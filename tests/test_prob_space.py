@@ -175,7 +175,8 @@ def test_space_json_matches_json_module(tmp_path, family):
     out = tmp_path / "space.json"
     for cfg in configs:
         space = build_space(cfg)
-        dump_space_json(space, str(out))
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            dump_space_json(space, fh)
         assert out.read_bytes() == json_dumps_space(space).encode(), (cfg.name, cfg.arithmetic)
 
 
@@ -185,28 +186,19 @@ class _Writes:
     def __init__(self) -> None:
         self.writes = []
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
-
     def write(self, text: str) -> int:
         self.writes.append(text)
         return len(text)
 
 
-def _recorded_dump(monkeypatch, space) -> list:
+def _recorded_dump(space) -> list:
     """The writes ``dump_space_json`` makes for the space."""
-    from pdrbsde import prob_space
-
     file = _Writes()
-    monkeypatch.setattr(prob_space, "open", lambda *args, **kwargs: file, raising=False)
-    dump_space_json(space, "space.json")
+    dump_space_json(space, file)
     return file.writes
 
 
-def test_space_json_writes_at_most_one_chunk(monkeypatch):
+def test_space_json_writes_at_most_one_chunk():
     """On the float-ladder N = 10 space (2,048 paths), no write holds more
     than one chunk: at most ``SPACE_JSON_CHUNK`` path objects, and in the
     ``sigma_*`` sections at most that many path indices, one a line."""
@@ -216,7 +208,7 @@ def test_space_json_writes_at_most_one_chunk(monkeypatch):
     doc.update(grid={"N": 10, "T": "5/8"}, arithmetic="float")
     doc["marks"] = [dict(doc["marks"][0], instant=5)]
     space = build_space(config_from_dict(doc))
-    writes = _recorded_dump(monkeypatch, space)
+    writes = _recorded_dump(space)
     assert "".join(writes) == json_dumps_space(space)
     sections = next(j for j, w in enumerate(writes) if '"sigma_mid"' in w)
     assert max(w.count('"index": ') for w in writes) == SPACE_JSON_CHUNK < space.n_paths
@@ -233,7 +225,7 @@ def test_space_json_matches_json_module_in_any_chunk(monkeypatch, chunk):
     monkeypatch.setattr(prob_space, "SPACE_JSON_CHUNK", chunk)
     for cfg in (*_edge_mark_configs(), *_json_mark_configs()):
         space = build_space(cfg)
-        assert "".join(_recorded_dump(monkeypatch, space)) == json_dumps_space(space), cfg.name
+        assert "".join(_recorded_dump(space)) == json_dumps_space(space), cfg.name
 
 
 def _weight_configs(mode: str):
