@@ -51,7 +51,7 @@ from .driver_solver import (
     check_beta,
     solve_general,
 )
-from .prob_space import FilteredSpace, SpaceError, build_space, dump_space_json, is_measurable
+from .prob_space import FilteredSpace, SpaceError, build_space, is_measurable, space_document
 from .processes import (
     LadlagProcess,
     ProcessError,
@@ -178,10 +178,8 @@ def _run_single(args, cfg_path: Path, out_dir: Path) -> int:
 
 
 def _solve_scenario(scenario: Scenario):
-    cfg = scenario.config
     if scenario.has_general_driver:
-        sol, outer = solve_general(scenario.driver, scenario.barriers, cfg.params,
-                                   probe_seed=cfg.seed)
+        sol, outer = solve_general(scenario.driver, scenario.barriers, scenario.config.params)
         return sol, scenario.driver_rows(sol), {"outer": outer.to_json_dict()}
     return solve_driver_process(scenario.barriers, scenario.g_rows), scenario.g_rows, {}
 
@@ -202,8 +200,7 @@ def _run_solve(config: ScenarioConfig, out_dir: Path) -> int:
     sol, g, trace = _solve_scenario(scenario)
     report = verify_drbsde_solution(g, scenario.barriers, sol, tol=_gate_tol(scenario))
     _dump_solution(out_dir, sol, g)
-    with _output(out_dir / "space.json") as fh:
-        dump_space_json(scenario.space, fh)
+    _write_json(out_dir / "space.json", space_document(scenario.space, config.marks))
     exit_code = EXIT_OK if report.passed else EXIT_VERIFY
     _write_json(out_dir / "report.json", {
         "mode": "solve", "scenario": config.name, "digest": config.digest(),

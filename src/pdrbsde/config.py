@@ -390,8 +390,8 @@ def config_from_dict(doc: dict[str, Any]) -> ScenarioConfig:
                   driver=_read_kind(cfg.driver, DRIVERS, "driver", cfg.n_steps))
     if cfg.arithmetic == "float":
         _check_float(cfg.barriers.values, "barriers")
-    # in both modes: the linear driver's K and Lipschitz probe are floats, and
-    # a table's values reach the float norms of the report
+    # in both modes: the linear driver's K is a float, and a table's values
+    # reach the float norms of the report
     _check_float(cfg.driver.values, "driver")
     k, a, b = (cfg.driver.values.get(name) for name in ("K", "a", "b"))
     if k is not None and k < max(abs(a), abs(b)):

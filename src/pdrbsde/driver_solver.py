@@ -12,7 +12,6 @@ recorded and asserted < 1 rather than trusting any symbolic constant.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import values as v
@@ -41,22 +40,6 @@ class LinearDriver:
         """The rows g_k = a U_k + b Z_k + c_k, sigma_mid[k]-measurable as U_k and Z_k are."""
         return [v.add(v.add(v.smul(self.a, y), v.smul(self.b, zk)), space.constant(c))
                 for y, zk, c in zip(u.mid_rows, z, self.c)]
-
-    def probe_lipschitz(self, seed: int = 0) -> float:
-        """The worst ratio |g(y1, z1) - g(y2, z2)| / (|y1 - y2| + |z1 - z2|),
-        in float, over 32 pairs of points in [-4, 4]^2 per interval: a sampled
-        diagnostic, which rounding can put above K when |c| is large."""
-        rng = random.Random(f"lipschitz-probe:{seed}")
-        a, b, worst = self.a, self.b, 0.0
-        for c in self.c:
-            for _ in range(32):
-                y1, y2 = (rng.uniform(-4.0, 4.0) for _ in range(2))
-                z1, z2 = (rng.uniform(-4.0, 4.0) for _ in range(2))
-                denom = abs(y1 - y2) + abs(z1 - z2)
-                if denom:
-                    diff = abs((a * y1 + b * z1 + c) - (a * y2 + b * z2 + c))
-                    worst = max(worst, diff / denom)
-        return worst
 
 
 def contraction_modulus(params: SolverParams, lipschitz_k: float, t_horizon: float) -> float:
@@ -127,7 +110,6 @@ class OuterTrace:
     ratios: list = field(default_factory=list)          # per-step contraction ratios
     contraction_modulus: float = 0.0
     base_norm: float = 0.0    # ||g(., 0, 0)||^2 in the unweighted H^2 norm
-    lipschitz_probe: float = 0.0
     frozen_g: list | None = None   # the process driver the final solve used
 
     def to_json_dict(self) -> dict:
@@ -138,7 +120,6 @@ class OuterTrace:
             "ratios": self.ratios,
             "contraction_modulus": self.contraction_modulus,
             "base_norm": self.base_norm,
-            "lipschitz_probe": self.lipschitz_probe,
         }
 
 
@@ -146,7 +127,6 @@ def solve_general(
     driver: LinearDriver,
     barriers: BarrierPair,
     params: SolverParams,
-    probe_seed: int = 0,
 ) -> tuple[SolutionSeptuple, OuterTrace]:
     """Banach iteration: freeze the driver, solve, re-freeze, until fixed.
 
@@ -160,7 +140,6 @@ def solve_general(
     trace = OuterTrace(
         contraction_modulus=contraction_modulus(params, driver.lipschitz_k,
                                                 float(space.t_horizon)),
-        lipschitz_probe=driver.probe_lipschitz(probe_seed),
     )
 
     u = zero_process(space)

@@ -34,7 +34,6 @@ atoms: a row no finer than the partition is measurable by its length alone.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -261,76 +260,25 @@ def on_paths(space: FilteredSpace, row: Sequence) -> tuple:
 # export
 
 
-# space.json is written this many paths at a time: path objects, or the path
-# indices of one partition's atoms, so no write holds more than one chunk.
-SPACE_JSON_CHUNK = 256
+def space_document(space: FilteredSpace, marks: Sequence) -> dict:
+    """The space as ``space.json`` holds it: ``N``, ``T``, ``mode``,
+    ``n_paths``, the levels of the product tree in time order and the atom
+    size (paths per atom) of each ``sigma_minus[k]`` and ``sigma_mid[k]``.
 
-
-def dump_space_json(space: FilteredSpace, fh) -> None:
-    """Write the space to the open text file ``fh`` as ``json.dumps(doc,
-    sort_keys=True, indent=1)`` writes its document: ``N``, ``T``, ``mode``,
-    one object per path (its ``dw_signs``, ``index``, ``marks`` by instant and
-    ``weight``), and the atoms of ``sigma_mid`` and ``sigma_minus`` as lists
-    of path indices.
-
-    The text is written in chunks of ``SPACE_JSON_CHUNK`` paths.  Each
-    distinct value's text is ``json.dumps`` of it, made once, and a path
-    takes the texts of its atoms of the dW sign, mark and weight rows; each
-    run of an atom within a chunk is one join over the index texts of its
-    paths."""
-    n_paths, chunk = space.n_paths, SPACE_JSON_CHUNK
-
-    def text(row: Sequence, prefix: str = "") -> tuple[list, int]:
-        """``prefix`` and the JSON text of each atom's entry, made once per
-        distinct entry (a row holds entries of one type, and never a signed
-        zero), and the paths of an atom."""
-        memo = {}
-        return ([memo[x] if x in memo else memo.setdefault(x, prefix + json.dumps(x))
-                 for x in row], n_paths // len(row))
-
-    index = [str(i) for i in range(n_paths)]
-    signs = [text(v.signs(row)) for row in space.dw_rows]
-    labels = {str(k): row for k, row in enumerate(space.mark_rows) if row is not None}
-    marks = [text(labels[k], f"{json.dumps(k)}: ") for k in sorted(labels)]
-    weights = text(v.to_json(space.mode, space.sigma_mid[-1].row))[0]  # one atom per path
-
-    def items(texts: Sequence, brackets: str) -> str:
-        if not texts:
-            return brackets
-        return f"{brackets[0]}\n    " + ",\n    ".join(texts) + f"\n   {brackets[1]}"
-
-    def path_objects(start: int, stop: int) -> str:
-        """The objects of paths start..stop-1: a column of texts per atom row
-        (N >= 1, so there is one), one tuple of them per path."""
-        paths, n_signs = range(start, stop), len(signs)
-        columns = [[texts[i // size] for i in paths] for texts, size in (*signs, *marks)]
-        return ",\n".join(
-            f'  {{\n   "dw_signs": {items(cells[:n_signs], "[]")},\n'
-            f'   "index": {index[i]},\n'
-            f'   "marks": {items(cells[n_signs:], "{}")},\n'
-            f'   "weight": {weights[i]}\n  }}'
-            for i, cells in zip(paths, zip(*columns)))
-
-    def atoms(size: int, start: int, stop: int) -> str:
-        """Paths start..stop-1 of a partition into atoms of ``size`` paths:
-        the partition's opening at path 0 and its closing after the last."""
-        cuts = [start, *range(start - start % size + size, stop, size), stop]
-        runs = (",\n    ".join(index[a:b]) for a, b in zip(cuts, cuts[1:]))
-        text = "\n   ],\n   [\n    ".join(runs)
-        if start % size:
-            text = ",\n    " + text
-        else:
-            text = ("  [\n   [\n    " if start == 0 else "\n   ],\n   [\n    ") + text
-        return text + "\n   ]\n  ]" if stop == n_paths else text
-
-    fh.write(f'{{\n "N": {space.n_steps},\n "T": {json.dumps(str(space.t_horizon))},\n'
-             f' "mode": {json.dumps(space.mode)},\n "paths": [\n')
-    for start in range(0, n_paths, chunk):
-        fh.write((",\n" if start else "") + path_objects(start, min(start + chunk, n_paths)))
-    for name, parts in (("sigma_mid", space.sigma_mid), ("sigma_minus", space.sigma_minus)):
-        fh.write(f'\n ],\n "{name}": [\n')
-        for j, p in enumerate(parts):
-            for start in range(0, n_paths, chunk):
-                lead = ",\n" if j and not start else ""
-                fh.write(lead + atoms(n_paths // len(p), start, min(start + chunk, n_paths)))
-    fh.write("\n ]\n}")
+    A level is ``{"mark": k, "labels": [...], "probs": [...]}``, the mark's
+    labels and its probabilities as rational strings, or ``{"dw": k}``, whose
+    outcomes are +sqrt(dt) then -sqrt(dt) with weight 1/2 each.  Path i takes
+    outcome (i // inner) % branching at each level (see the module
+    docstring)."""
+    mark_at = {m.instant: m for m in marks}
+    levels = []
+    for k in range(space.n_steps + 1):
+        if k in mark_at:
+            levels.append({"mark": k, "labels": list(mark_at[k].labels),
+                           "probs": list(map(str, mark_at[k].probs))})
+        if k < space.n_steps:
+            levels.append({"dw": k})
+    return {"N": space.n_steps, "T": str(space.t_horizon), "mode": space.mode,
+            "n_paths": space.n_paths, "levels": levels,
+            "sigma_minus": [space.n_paths // len(p) for p in space.sigma_minus],
+            "sigma_mid": [space.n_paths // len(p) for p in space.sigma_mid]}

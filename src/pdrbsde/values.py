@@ -36,10 +36,10 @@ the helpers below, in these families:
 * averages and norms: block_means, dot, constant_on_blocks, squares,
   max_weighted_squares;
 * magnitudes: sup_abs, magnitudes, worst_index, max_magnitude, max_float;
-* boundaries: convert, as_row, entries, refine, coarsen, expand, signs,
-  to_json, and dump_lines: a file's ``(prefix, row)`` cells in, their CSV
-  text out, each distinct entry formatted once per file, and a fine row
-  given again as the same object joined from the pieces it left.
+* boundaries: convert, as_row, entries, refine, coarsen, expand, and
+  dump_lines: a file's ``(prefix, row)`` cells in, their CSV text out, each
+  distinct entry formatted once per file, and a fine row given again as the
+  same object joined from the pieces it left.
 
 The binary helpers align rows by repeating each entry of the shorter one
 ``len(long) // len(short)`` times; ``pairs`` walks list rows together that
@@ -132,7 +132,6 @@ class Backend:
     sqrt: Callable      # square root of an exact rational; None if not an entry
     format: Callable    # an entry as dump text
     parse: Callable     # dump text as an entry
-    json: Callable      # an entry as a JSON value
 
 
 def _fraction(x) -> Fraction:
@@ -141,10 +140,9 @@ def _fraction(x) -> Fraction:
 
 
 BACKENDS = {
-    "rational": Backend(True, _fraction, _reduced, _rational_sqrt, Fraction.__str__, Fraction,
-                        str),
+    "rational": Backend(True, _fraction, _reduced, _rational_sqrt, Fraction.__str__, Fraction),
     "float": Backend(False, float, lambda nums, den: [n / den for n in nums],
-                     lambda x: math.sqrt(float(x)), float.__repr__, float, float),
+                     lambda x: math.sqrt(float(x)), float.__repr__, float),
 }
 
 
@@ -591,14 +589,6 @@ def worst_index(mags: list) -> int:
     if total != total:
         return next(i for i, x in enumerate(mags) if x != x)
     return mags.index(max(mags))
-
-
-def signs(a: Sequence) -> list:
-    return [1 if x > 0 else -1 for x in (a.nums if type(a) is IntRow else a)]
-
-
-def to_json(mode: str, row: Sequence) -> list:
-    return list(map(BACKENDS[mode].json, entries(row)))
 
 
 # A row whose atoms each cover at least this many paths is written with one

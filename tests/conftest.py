@@ -235,12 +235,10 @@ def csv_writer_dump(out_dir, sol, g):
 
 def space_to_json_dict(space):
     """The space as a document with one dict per path and every atom listed."""
-    from pdrbsde import values as v
-
-    signs = [on_paths(space, v.signs(row)) for row in space.dw_rows]
+    signs = [[1 if x > 0 else -1 for x in on_paths(space, row)] for row in space.dw_rows]
     marks = {str(k): on_paths(space, row)
              for k, row in enumerate(space.mark_rows) if row is not None}
-    weights = v.to_json(space.mode, space.weights)
+    weights = list(map(str, space.weights)) if space.backend.exact else list(space.weights)
     return {
         "mode": space.mode,
         "N": space.n_steps,
@@ -260,11 +258,45 @@ def space_to_json_dict(space):
 
 
 def json_dumps_space(space) -> str:
-    """``space.json`` as the json module writes it: the oracle for
-    ``prob_space.dump_space_json``."""
+    """The per-path document as the json module writes it: the oracle for
+    ``expand_space`` of the compact ``space.json``."""
     import json
 
     return json.dumps(space_to_json_dict(space), sort_keys=True, indent=1)
+
+
+def expand_space(doc: dict) -> dict:
+    """The per-path document of ``space_to_json_dict`` rebuilt from a compact
+    ``space.json`` document: path i takes outcome (i // inner) % branching
+    at each level, a mark's labels in their order and dW_k's signs +1 then
+    -1, and its weight is the product of its outcomes' probabilities."""
+    n_paths, half = doc["n_paths"], Fraction(1, 2)
+    paths = [{"index": i, "weight": Fraction(1), "dw_signs": [], "marks": {}}
+             for i in range(n_paths)]
+    inner = n_paths
+    for level in doc["levels"]:
+        if "mark" in level:
+            outcomes = list(zip(level["labels"], map(Fraction, level["probs"])))
+        else:
+            outcomes = [(1, half), (-1, half)]
+        inner //= len(outcomes)
+        for path in paths:
+            outcome, prob = outcomes[path["index"] // inner % len(outcomes)]
+            path["weight"] *= prob
+            if "mark" in level:
+                path["marks"][str(level["mark"])] = outcome
+            else:
+                path["dw_signs"].append(outcome)
+    assert inner == 1, "the levels' outcomes multiply to n_paths"
+    as_json = str if doc["mode"] == "rational" else float
+    for path in paths:
+        path["weight"] = as_json(path["weight"])
+
+    def atoms(sizes: list) -> list:
+        return [[list(range(j, j + size)) for j in range(0, n_paths, size)] for size in sizes]
+
+    return {"mode": doc["mode"], "N": doc["N"], "T": doc["T"], "paths": paths,
+            "sigma_minus": atoms(doc["sigma_minus"]), "sigma_mid": atoms(doc["sigma_mid"])}
 
 
 def condition_from_rows(name, rows, tol, n_paths):

@@ -321,7 +321,7 @@ class TestCliModes:
         assert (out / "scenario_003" / "report.json").exists()
 
     def test_linear_driver_with_large_constant_term(self, tmp_path):
-        """A valid driver whose sampled Lipschitz probe rounds above K = 0.01
+        """A valid linear driver with K = 0.01 and a constant term of 1e6
         solves and verifies, and a directory run goes on to the next scenario."""
         paths = generate_corpus(0, 4, tmp_path / "corpus")
         doc = json.loads(paths[3].read_text())
@@ -333,8 +333,6 @@ class TestCliModes:
         out = tmp_path / "run"
         for mode in ("solve", "verify"):
             assert main(["--mode", mode, "--config", str(big_c), "--out", str(out)]) == 0, mode
-        assert json.loads((out / "report.json").read_text())["trace"]["outer"][
-            "lipschitz_probe"] > 0.01
         assert main(["--mode", "solve", "--config", str(mixed), "--out", str(tmp_path / "m")]) == 0
         for name in ("scenario_000", "scenario_001"):
             assert (tmp_path / "m" / name / "report.json").exists()

@@ -43,12 +43,11 @@ def corpus_configs(tmp_path_factory):
 
 def _solve_general(sc, monkeypatch, order=None):
     """The outer loop, its inner solves run by the recursion or by Picard."""
-    cfg = sc.config
     with monkeypatch.context() as mp:
         if order is not None:
             mp.setattr(driver_solver, "solve_driver_process",
                        partial(picard_solution, order=order))
-        return solve_general(sc.driver, sc.barriers, cfg.params, probe_seed=cfg.seed)
+        return solve_general(sc.driver, sc.barriers, sc.config.params)
 
 
 def _check_classes(sol) -> None:

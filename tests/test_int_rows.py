@@ -125,9 +125,8 @@ def test_averages_match_fraction_rows(row_weights):
 @given(exact_rows(), exact_rows())
 def test_magnitudes_and_boundaries_match_fraction_rows(ra, rb):
     (a, fa), (b, fb) = twins(ra), twins(rb)
-    for fn in (v.squares, v.magnitudes, v.signs):
+    for fn in (v.squares, v.magnitudes):
         assert fn(a) == fn(fa) and all(type(x) is type(y) for x, y in zip(fn(a), fn(fa)))
-    assert v.to_json("rational", a) == v.to_json("rational", fa)
     same(v.sup_abs(a), v.sup_abs(fa))
     assert v.max_magnitude([a, b]) == v.max_magnitude([fa, fb])
     assert v.max_float(0.0, [a, b]) == v.max_float(0.0, [fa, fb])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     MARK_HALF,
+    expand_space,
     is_quasi_left_continuous,
     json_dumps_space,
     make_config,
@@ -20,14 +22,15 @@ from conftest import (
     tree_weights_by_fractions,
 )
 from pdrbsde import values as v
+from pdrbsde.cli import _write_json
 from pdrbsde.config import ConfigError, _rational_sqrt, config_from_dict, load_config
 from pdrbsde.prob_space import (
     build_space,
     cond_expect,
-    dump_space_json,
     expectation,
     is_measurable,
     on_paths,
+    space_document,
 )
 from pdrbsde.scenario import estimate_template, generate_corpus
 
@@ -163,8 +166,10 @@ def _json_mark_configs():
 
 @pytest.mark.parametrize("family", ["corpus_0", "corpus_3", "ladder", "edge_marks", "json_marks"])
 def test_space_json_matches_json_module(tmp_path, family):
-    """``dump_space_json`` writes the bytes json.dumps(..., sort_keys=True,
-    indent=1) writes for the space's document."""
+    """The ``space.json`` a solve writes is the json module's text of its
+    document (sort_keys, indent=1, a final newline), and expands to the
+    per-path document of the space; a corpus scenario's rational and float
+    documents differ only in ``mode``."""
     configs = {
         "corpus_0": lambda: _corpus_configs(tmp_path, 0),
         "corpus_3": lambda: _corpus_configs(tmp_path, 3),
@@ -172,60 +177,21 @@ def test_space_json_matches_json_module(tmp_path, family):
         "edge_marks": _edge_mark_configs,
         "json_marks": _json_mark_configs,
     }[family]()
-    out = tmp_path / "space.json"
+    docs = {}
     for cfg in configs:
         space = build_space(cfg)
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            dump_space_json(space, fh)
-        assert out.read_bytes() == json_dumps_space(space).encode(), (cfg.name, cfg.arithmetic)
-
-
-class _Writes:
-    """A text file that keeps each ``write`` it is handed."""
-
-    def __init__(self) -> None:
-        self.writes = []
-
-    def write(self, text: str) -> int:
-        self.writes.append(text)
-        return len(text)
-
-
-def _recorded_dump(space) -> list:
-    """The writes ``dump_space_json`` makes for the space."""
-    file = _Writes()
-    dump_space_json(space, file)
-    return file.writes
-
-
-def test_space_json_writes_at_most_one_chunk():
-    """On the float-ladder N = 10 space (2,048 paths), no write holds more
-    than one chunk: at most ``SPACE_JSON_CHUNK`` path objects, and in the
-    ``sigma_*`` sections at most that many path indices, one a line."""
-    from pdrbsde.prob_space import SPACE_JSON_CHUNK
-
-    doc = estimate_template(1)
-    doc.update(grid={"N": 10, "T": "5/8"}, arithmetic="float")
-    doc["marks"] = [dict(doc["marks"][0], instant=5)]
-    space = build_space(config_from_dict(doc))
-    writes = _recorded_dump(space)
-    assert "".join(writes) == json_dumps_space(space)
-    sections = next(j for j, w in enumerate(writes) if '"sigma_mid"' in w)
-    assert max(w.count('"index": ') for w in writes) == SPACE_JSON_CHUNK < space.n_paths
-    assert max(sum(line[4:].isdigit() for line in w.split("\n"))
-               for w in writes[sections:]) == SPACE_JSON_CHUNK
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 5, 64])
-def test_space_json_matches_json_module_in_any_chunk(monkeypatch, chunk):
-    """Chunks that cut atoms of every size, of two and of three outcomes, at
-    any path give the same bytes."""
-    from pdrbsde import prob_space
-
-    monkeypatch.setattr(prob_space, "SPACE_JSON_CHUNK", chunk)
-    for cfg in (*_edge_mark_configs(), *_json_mark_configs()):
-        space = build_space(cfg)
-        assert "".join(_recorded_dump(space)) == json_dumps_space(space), cfg.name
+        out = tmp_path / "space.json"
+        _write_json(out, space_document(space, cfg.marks))
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=1) + "\n", cfg.name
+        assert json.dumps(expand_space(doc), sort_keys=True, indent=1) == \
+            json_dumps_space(space), (cfg.name, cfg.arithmetic)
+        docs[cfg.name, cfg.arithmetic] = doc
+    if family.startswith("corpus"):  # each scenario in rational, then in float
+        for (name, mode), doc in docs.items():
+            if mode == "float":
+                assert dict(doc, mode="rational") == docs[name, "rational"], name
 
 
 def _weight_configs(mode: str):

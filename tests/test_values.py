@@ -429,9 +429,6 @@ def same_text(got: str, want: str) -> None:
 
 
 def test_signs_json_and_dump_lines():
-    assert v.signs([0.5, -0.5, -0.0]) == [1, -1, -1]
-    assert v.to_json("rational", [F(1, 2)]) == ["1/2"]
-    assert v.to_json("float", [0.5]) == [0.5]
     assert dump("rational", [("0,mid,", [F(1, 2), F(-1)])], ["0,", "1,", "2,", "3,"]) == \
         "0,mid,0,1/2\r\n0,mid,1,1/2\r\n0,mid,2,-1\r\n0,mid,3,-1\r\n"
     assert dump("float", [("", [0.1, -0.0])], ["0,", "1,"], "\n") == "0,0.1\n1,-0.0\n"
